@@ -21,10 +21,10 @@ DEFAULTS = {
     "matrix.dim": "64",
     "matrix.mu": "0.2",
     "matrix.nu": "0.2",
-    # residual envelope validated for mu, nu <= 0.6, N <= 128 (see README)
+    # residual envelope validated for max(mu, nu) * sqrt(2N) <= 14 (see README)
     "matrix.residual_threshold": "1e-8",
     "matrix.sqrt_cosh_threshold": "1e-10",
-    # eigensolver round-off floor for interior residuals
+    # above the round-off floor of interior residuals (~3e-14, flat in N)
     "matrix.noise_floor": "1e-12",
     "matrix.overflow_guard": "25.0",
     # clock-shift engine

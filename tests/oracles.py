@@ -2,10 +2,15 @@
 
 Deliberately avoid the library's computation paths: the reordering
 oracle applies the single rewrite px -> xp - i one occurrence at a time;
-the series helpers work on plain Fraction lists.
+the series helpers work on plain Fraction lists; the matrix residual is
+built densely, one complex eigensolve per operator, with the square
+roots taken of 1 + mu^2 P^2 itself rather than of the spectrum of p.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from qdeform.rational import MINUS_I, RationalComplex
 
@@ -68,3 +73,62 @@ def prefactor_coefficients(max_power: int) -> list[Fraction]:
     """
     tan = tan_coefficients(max_power + 1)
     return [tan[m + 1] / Fraction(2 ** (m + 1)) for m in range(max_power + 1)]
+
+
+def hermitian_function(
+    h: np.ndarray, kind: str, sqrt_floor: float = 1e-12
+) -> np.ndarray:
+    """Apply sinh, cosh or the principal square root by dense spectral calculus.
+
+    ``principal-sqrt`` requires a positive definite input: smallest
+    eigenvalue above ``sqrt_floor`` (absolute -- arguments of the form
+    1 + (PSD) keep their unit lower bound however large the top of the
+    spectrum grows, so a norm-relative floor would wrongly reject them).
+    """
+    h = np.asarray(h, dtype=complex)
+    if np.max(np.abs(h - h.conj().T)) > 1e-12 * np.max(np.abs(h)):
+        raise ValueError("input must be Hermitian")
+    w, v = np.linalg.eigh(h)
+    if kind == "sinh":
+        fw = np.sinh(w)
+    elif kind == "cosh":
+        fw = np.cosh(w)
+    elif kind == "principal-sqrt":
+        if float(w[0]) <= sqrt_floor:
+            raise ValueError(
+                f"principal-sqrt needs a positive definite input "
+                f"(smallest eigenvalue {w[0]:.3e})"
+            )
+        fw = np.sqrt(w)
+    else:
+        raise ValueError(f"unknown matrix function: {kind!r}")
+    out = (v * fw) @ v.conj().T
+    return (out + out.conj().T) / 2.0  # symmetrize round-off
+
+
+def dense_identity_residual(dim: int, interior: int, mu: float, nu: float) -> dict:
+    """The commutator identity on dense complex ladder matrices.
+
+    Five eigensolves: p and x for the deformed pair, one per square root
+    of 1 + mu^2 P^2 and 1 + nu^2 X^2, and p again for cosh(mu p).  The
+    prefactor is taken in its tan(theta/2)/theta form.  Returns the
+    interior block of [P, X] - R and the full square-root and cosh
+    matrices.
+    """
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    x = (a + a.conj().T) / math.sqrt(2)
+    p = 1j * (a.conj().T - a) / math.sqrt(2)
+    pd = hermitian_function(mu * p, "sinh") / mu if mu > 0 else p
+    xd = hermitian_function(nu * x, "sinh") / nu if nu > 0 else x
+    eye = np.eye(dim)
+    sqrt_p = hermitian_function(eye + mu**2 * (pd @ pd), "principal-sqrt")
+    sqrt_x = hermitian_function(eye + nu**2 * (xd @ xd), "principal-sqrt")
+    theta = mu * nu
+    c = math.tan(theta / 2) / theta if theta else 0.5
+    lhs = pd @ xd - xd @ pd
+    rhs = -1j * c * (sqrt_p @ sqrt_x + sqrt_x @ sqrt_p)
+    return {
+        "block": (lhs - rhs)[:interior, :interior],
+        "sqrt_p": sqrt_p,
+        "cosh_p": hermitian_function(mu * p, "cosh"),
+    }

@@ -160,6 +160,48 @@ def test_scan_non_increasing_dims_is_error(invoke):
     assert json.loads(out)["verdict"] == "error"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--mu", "--nu"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--engine", "matrix", "--dim", "16", "--interior", "4"],
+    ["scan", "--engine", "matrix", "--dims", "10,12"],
+])
+def test_matrix_non_finite_parameter_is_named_error(invoke, argv, flag, value):
+    code, out = invoke(argv + [flag, value])
+    assert code == 2
+    message = json.loads(out)["parameters"]["error"]
+    assert message == (
+        f"ValueError: deformation parameter {flag[2:]} must be finite, got {value}"
+    )
+
+
+def test_verify_matrix_passes_at_envelope_edge(invoke):
+    # mu = nu = 0.6 at N = 128 with the default interior N/4; each operator
+    # from its own eigensolve left res_fro at 6.5e-8, above the 1e-8 gate
+    code, out = invoke(
+        ["verify", "--engine", "matrix", "--dim", "128", "--mu", "0.6", "--nu", "0.6"]
+    )
+    assert code == 0
+    metrics = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
+    assert metrics["res_fro"] <= 1e-10
+
+
+def test_scan_matrix_from_roundoff_floor_passes(invoke):
+    # every dimension is past the truncation window, so the scan is
+    # round-off throughout; it must stay below the noise floor up to N = 256
+    dims = (
+        "15,30,40,43,53,68,75,86,92,111,113,122,133,149,160,163,172,182,"
+        "200,210,221,230,241,251,256"
+    )
+    code, out = invoke(
+        ["scan", "--engine", "matrix", "--dims", dims, "--mu", "0.1006",
+         "--nu", "0.2424"]
+    )
+    assert code == 0
+    metrics = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
+    assert metrics["residual_excess"] == 0.0
+
+
 def test_scan_clockshift_grid(invoke):
     code, out = invoke(["scan", "--engine", "clock-shift", "--dims", "2..16"])
     assert code == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdeform import weyl
+from qdeform import matrixrep, weyl
 from qdeform.matrixrep import (
     DEFAULT_SCAN_DIMS,
     OperatorMatrix,
@@ -11,12 +11,12 @@ from qdeform.matrixrep import (
     default_interior,
     deformed_ops,
     evaluate_element,
-    hermitian_function,
     identity_residual,
     oscillator_xp,
     prefactor,
-    spectral_norm_estimate,
 )
+
+from oracles import dense_identity_residual, hermitian_function
 
 RT2 = math.sqrt(2.0)
 
@@ -58,60 +58,54 @@ def test_dimension_validation():
 
 
 # ---------------------------------------------------------------------------
-# matrix functions
+# dense matrix functions of the oracle
 # ---------------------------------------------------------------------------
 
 
 def test_sinh_of_zero_matrix():
-    zero = OperatorMatrix(np.zeros((3, 3)))
-    out = hermitian_function(zero, "sinh")
-    np.testing.assert_allclose(out.mat, np.zeros((3, 3)), atol=1e-15)
+    out = hermitian_function(np.zeros((3, 3)), "sinh")
+    np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-15)
 
 
 def test_cosh_of_diagonal():
-    h = OperatorMatrix(np.diag([0.0, math.log(2.0)]))
-    out = hermitian_function(h, "cosh")
-    np.testing.assert_allclose(out.mat, np.diag([1.0, 1.25]), atol=1e-14)
+    out = hermitian_function(np.diag([0.0, math.log(2.0)]), "cosh")
+    np.testing.assert_allclose(out, np.diag([1.0, 1.25]), atol=1e-14)
 
 
 def test_principal_sqrt_of_diagonal():
-    h = OperatorMatrix(np.diag([4.0, 9.0]))
-    out = hermitian_function(h, "principal-sqrt")
-    np.testing.assert_allclose(out.mat, np.diag([2.0, 3.0]), atol=1e-14)
+    out = hermitian_function(np.diag([4.0, 9.0]), "principal-sqrt")
+    np.testing.assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-14)
 
 
 def test_sqrt_squared_recovers_input():
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
     spectrum = np.logspace(0, 5, 12)  # condition number 1e5
-    h = OperatorMatrix(q @ np.diag(spectrum) @ q.conj().T)
+    h = q @ np.diag(spectrum) @ q.conj().T
     root = hermitian_function(h, "principal-sqrt")
-    err = np.linalg.norm(root.mat @ root.mat - h.mat) / np.linalg.norm(h.mat)
+    err = np.linalg.norm(root @ root - h) / np.linalg.norm(h)
     assert err <= 1e-10
-    assert root.hermitian
+    assert OperatorMatrix(root).hermitian
 
 
 def test_matrix_function_input_validation():
     skew = OperatorMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert not skew.hermitian
     with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_function(skew, "cosh")
-    indefinite = OperatorMatrix(np.diag([1.0, -1.0]))
+        hermitian_function(skew.mat, "cosh")
     with pytest.raises(ValueError, match="positive definite"):
-        hermitian_function(indefinite, "principal-sqrt")
-    singularish = OperatorMatrix(np.diag([0.0, 2.0]))
+        hermitian_function(np.diag([1.0, -1.0]), "principal-sqrt")
     with pytest.raises(ValueError, match="positive definite"):
-        hermitian_function(singularish, "principal-sqrt")
+        hermitian_function(np.diag([0.0, 2.0]), "principal-sqrt")
     with pytest.raises(ValueError, match="unknown matrix function"):
-        hermitian_function(OperatorMatrix(np.eye(2)), "tan")
+        hermitian_function(np.eye(2), "tan")
 
 
 def test_sqrt_accepts_unit_lower_bound_with_huge_top_of_spectrum():
     # 1 + (PSD) stays positive definite no matter how large the top grows;
     # the guard must not scale its floor with the norm
-    h = OperatorMatrix(np.diag([1.0, 1e14]))
-    out = hermitian_function(h, "principal-sqrt")
-    np.testing.assert_allclose(out.mat, np.diag([1.0, 1e7]), rtol=1e-12)
+    out = hermitian_function(np.diag([1.0, 1e14]), "principal-sqrt")
+    np.testing.assert_allclose(out, np.diag([1.0, 1e7]), rtol=1e-12)
 
 
 def test_operator_matrix_must_be_square():
@@ -153,6 +147,25 @@ def test_deformed_ops_hermitian_and_validated():
     assert pd.hermitian and xd.hermitian
     with pytest.raises(ValueError, match=">= 0"):
         deformed_ops(8, -0.1, 0.0)
+    with pytest.raises(ValueError, match="nu must be finite"):
+        deformed_ops(8, 0.1, math.nan)
+
+
+def test_momentum_is_phase_conjugated_position():
+    # p = D x D* with D = diag(i^n), exactly
+    x, p = oscillator_xp(12)
+    d = np.diag([1, 1j, -1, -1j] * 3)
+    assert np.array_equal(d @ x.mat @ d.conj().T, p.mat)
+
+
+@pytest.mark.parametrize("mu, nu", [(0.3, 0.0), (0.0, 0.4), (0.25, 0.15)])
+def test_deformed_ops_match_dense_oracle(mu, nu):
+    x, p = oscillator_xp(24)
+    pd, xd = deformed_ops(24, mu, nu)
+    want_p = hermitian_function(mu * p.mat, "sinh") / mu if mu else p.mat
+    want_x = hermitian_function(nu * x.mat, "sinh") / nu if nu else x.mat
+    assert np.max(np.abs(pd.mat - want_p)) <= 1e-12
+    assert np.max(np.abs(xd.mat - want_x)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +215,11 @@ def test_residual_input_validation():
         identity_residual(8, 1, 0.1, 0.1)
     with pytest.raises(ValueError, match=">= 0"):
         identity_residual(8, 4, -0.1, 0.1)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            identity_residual(8, 4, value, 0.1)
+        with pytest.raises(ValueError, match="nu must be finite"):
+            identity_residual(8, 4, 0.1, value)
 
 
 def test_overflow_guard():
@@ -259,19 +277,42 @@ def test_scan_fails_when_threshold_unreachable():
 
 
 # ---------------------------------------------------------------------------
-# power iteration
+# the dense oracle as judge
 # ---------------------------------------------------------------------------
 
 
-def test_spectral_estimate_matches_svd():
-    rng = np.random.default_rng(3)
-    block = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    exact = np.linalg.norm(block, 2)
-    assert abs(spectral_norm_estimate(block) - exact) <= 1e-8 * exact
+@pytest.mark.parametrize("dim, interior", [(8, 4), (16, 8), (32, 8), (64, 16)])
+@pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.2, 0.2), (0.45, 0.1), (0.1, 0.4)])
+def test_residual_matches_dense_oracle(dim, interior, mu, nu):
+    row = identity_residual(dim, interior, mu, nu)
+    dense = dense_identity_residual(dim, interior, mu, nu)
+    assert abs(row.residual_frobenius - np.linalg.norm(dense["block"])) <= 1e-11
+    cosh_norm = np.linalg.norm(dense["cosh_p"])
+    assert abs(row.cosh_norm - cosh_norm) <= 1e-12 * cosh_norm
 
 
-def test_spectral_estimate_zero_matrix():
-    assert spectral_norm_estimate(np.zeros((4, 4), dtype=complex)) == 0.0
+@pytest.mark.parametrize("dim", [8, 16, 32, 64])
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.6])
+def test_shared_basis_sqrt_matches_dense_principal_sqrt(dim, mu):
+    # the engine takes sqrt(1 + mu^2 P^2) as a function on the spectrum of
+    # x; the oracle takes the principal square root of the dense matrix
+    # 1 + mu^2 P @ P, so the cosh identity is not assumed on either side
+    w, v, phase = matrixrep._eigenbasis(dim)
+    _, _, root_p, _ = matrixrep._deformed_spectra(w, mu, 0.0)
+    shared = matrixrep._p_rows(v, phase, root_p, dim)
+    dense = dense_identity_residual(dim, 4, mu, 0.0)["sqrt_p"]
+    assert np.linalg.norm(shared - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("dim, interior, mu, nu", [
+    (8, 4, 0.3, 0.2), (12, 8, 0.2, 0.2), (64, 16, 0.0, 0.0), (128, 32, 0.6, 0.6),
+])
+def test_residual_spectral_norm_within_frobenius_bounds(dim, interior, mu, nu):
+    row = identity_residual(dim, interior, mu, nu)
+    spec, fro = row.residual_spectral, row.residual_frobenius
+    # a near rank-one block has spec ~ fro; allow their last-bit round-off
+    assert spec <= fro * (1 + 1e-12)
+    assert fro <= math.sqrt(interior) * spec * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
