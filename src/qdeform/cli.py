@@ -96,22 +96,17 @@ def parse_int_list(text: Optional[str], what: str) -> list[int]:
 
 def _verify_symbolic(degree: int, cfg) -> VerificationReport:
     command = f"verify --engine symbolic --degree {degree}"
-    res = weyl.identity_residual(degree)
-    exch = weyl.exchange_residual(degree)
-    mismatch = 0
-    for side in ("momentum", "position"):
-        diff = weyl.sqrt_one_plus_square(side, degree) - weyl.cosh_element(side, degree)
-        mismatch += len(diff.terms)
-    residual9, _ = weyl.leading_order_residual(degree)
+    checks = weyl.identity_checks(degree)
+    mismatch = sum(len(diff.terms) for diff in checks.sqrt_cosh)
     low_terms = sum(
         1
-        for poly in residual9.terms.values()
+        for poly in checks.leading_order.terms.values()
         for (m, n) in poly.terms
         if m + n < 4
     )
     metrics = [
-        Metric("residual_terms", len(res.terms), 0),
-        Metric("exchange_residual_terms", len(exch.terms), 0),
+        Metric("residual_terms", len(checks.identity.terms), 0),
+        Metric("exchange_residual_terms", len(checks.exchange.terms), 0),
         Metric("sqrt_cosh_mismatch_terms", mismatch, 0),
         Metric("expansion_low_degree_terms", low_terms, 0),
     ]
@@ -300,7 +295,7 @@ def _scan_path(args, cfg) -> VerificationReport:
         ntext = args.n if args.n is not None else "0..5"
         ns = parse_int_list(ntext, "n")
         command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
-        points = [clockshift.ScalingPoint(alpha=alpha, beta=beta, n=n) for n in ns]
+        points = clockshift.scaling_points(alpha, beta, ns)
         ref = points[0].exchange_phase()
         rows = []
         devs = []

@@ -97,8 +97,8 @@ class ScalingPoint:
     n: int
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be > 0 and finite, got beta={self.beta}")
         if self.n < 0:
             raise ValueError("n must be >= 0")
 
@@ -119,12 +119,30 @@ class ScalingPoint:
         return cmath.exp(-1j * self.alpha)
 
 
-def scaling_path(alpha: float, beta: float, n_max: int) -> list[ScalingPoint]:
+def scaling_points(
+    alpha: float, beta: float, ns: Sequence[int]
+) -> list[ScalingPoint]:
+    """The path's points at each requested n.
+
+    alpha is theta mod 2*pi, so it must lie in (-pi, pi]; mu and nu are
+    square roots of theta = alpha + 2*pi*n, so no requested n may make
+    theta negative.
+    """
     if not -math.pi < alpha <= math.pi:
-        raise ValueError("alpha must lie in (-pi, pi]")
+        raise ValueError(f"alpha must lie in (-pi, pi], got alpha={alpha}")
+    points = [ScalingPoint(alpha=alpha, beta=beta, n=n) for n in ns]
+    for pt in points:
+        if pt.theta < 0:
+            raise ValueError(
+                f"alpha + 2*pi*n must be >= 0, got alpha={alpha} at n={pt.n}"
+            )
+    return points
+
+
+def scaling_path(alpha: float, beta: float, n_max: int) -> list[ScalingPoint]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [ScalingPoint(alpha=alpha, beta=beta, n=n) for n in range(n_max + 1)]
+    return scaling_points(alpha, beta, range(n_max + 1))
 
 
 def tan_half_deviations(

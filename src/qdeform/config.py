@@ -9,6 +9,7 @@ variable names a config file to use when ``--config`` is not given.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
@@ -40,6 +41,10 @@ DEFAULTS = {
     "params.endpoint_tol": "1e-3",
     "params.phase_threshold": "1e-12",
 }
+
+
+# A non-finite gate value would switch its gate off (inf) or fail it forever (nan).
+_FINITE_KEY_SUFFIXES = ("_threshold", ".noise_floor", ".endpoint_tol")
 
 
 class ConfigError(ValueError):
@@ -81,9 +86,12 @@ def load_config(path: Optional[str] = None) -> dict[str, str]:
 
 def get_float(cfg: dict[str, str], key: str) -> float:
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value for {key}") from exc
+    if key.endswith(_FINITE_KEY_SUFFIXES) and not math.isfinite(value):
+        raise ConfigError(f"config value for {key} must be finite, got {cfg[key]}")
+    return value
 
 
 def get_int(cfg: dict[str, str], key: str) -> int:

@@ -4,11 +4,17 @@ Every coefficient in the symbolic engine is an element of Q(i): a complex
 number whose real and imaginary parts are exact rationals.  No floating
 point ever enters, so equality of symbolic expressions is decidable and
 exact.
+
+A value is held as three Python ints ``(a, b, d)`` meaning
+``(a + b*i) / d``, with ``d > 0`` and ``gcd(a, b, d) == 1``.  That form is
+unique, so equality is a comparison of the three ints, and every
+operation is integer arithmetic followed by at most one ``math.gcd``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RatLike = Union[int, Fraction]
@@ -17,24 +23,48 @@ RatLike = Union[int, Fraction]
 class RationalComplex:
     """Complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = re.denominator * im.denominator
+        a = re.numerator * im.denominator
+        b = im.numerator * re.denominator
+        g = gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def conjugate(self) -> "RationalComplex":
-        return RationalComplex(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalComplex(self.re + other.re, self.im + other.im)
+        if type(other) is not RationalComplex:
+            if type(other) is int:
+                # gcd(a + k*d, b, d) == gcd(a, b, d) == 1: already reduced
+                return _raw(self._a + other * self._d, self._b, self._d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(
+            self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
@@ -42,7 +72,7 @@ class RationalComplex:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return RationalComplex(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -51,13 +81,14 @@ class RationalComplex:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not RationalComplex:
+            if type(other) is int:
+                return _reduced(self._a * other, self._b * other, self._d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -65,12 +96,14 @@ class RationalComplex:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        den = other.re * other.re + other.im * other.im
-        if not den:
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        norm = a2 * a2 + b2 * b2
+        if not norm:
             raise ZeroDivisionError("division by zero RationalComplex")
-        return RationalComplex(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2); norm > 0 keeps d > 0
+        d2 = other._d
+        return _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm
         )
 
     def __rtruediv__(self, other):
@@ -80,27 +113,54 @@ class RationalComplex:
         return other / self
 
     def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is RationalComplex:
+            return (
+                self._a == other._a and self._b == other._b and self._d == other._d
+            )
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                not self._b
+                and self._a == other.numerator
+                and self._d == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"RationalComplex({self.re}, {self.im})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> RationalComplex:
+    """Wrap ints already in canonical form (d > 0, gcd(a, b, d) == 1)."""
+    z = _new(RationalComplex)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> RationalComplex:
+    """Canonical form of (a + b*i)/d for d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _raw(a, b, d)
+    return _raw(a // g, b // g, d // g)
 
 
 def _coerce(value) -> "RationalComplex | None":
@@ -119,15 +179,16 @@ MINUS_I = RationalComplex(0, -1)
 
 def format_scalar(z: RationalComplex) -> str:
     """Canonical text form: ``a/b``, ``c/d*i`` or ``a/b + c/d*i``, lowest terms."""
-    if not z.im:
-        return str(z.re)
-    if not z.re:
-        if z.im == 1:
+    re, im = z.re, z.im
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
             return "i"
-        if z.im == -1:
+        if im == -1:
             return "-i"
-        return f"{z.im}*i"
-    mag = abs(z.im)
+        return f"{im}*i"
+    mag = abs(im)
     imtxt = "i" if mag == 1 else f"{mag}*i"
-    sign = "+" if z.im > 0 else "-"
-    return f"{z.re} {sign} {imtxt}"
+    sign = "+" if im > 0 else "-"
+    return f"{re} {sign} {imtxt}"

@@ -138,7 +138,7 @@ class VerificationReport:
             "toolVersion": self.tool_version,
             "timestamp": self.timestamp,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         if self.table is None:

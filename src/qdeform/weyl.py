@@ -86,14 +86,19 @@ class ParamPolynomial:
     def __add__(self, other: "ParamPolynomial") -> "ParamPolynomial":
         out = dict(self.terms)
         for key, value in other.terms.items():
-            out[key] = out.get(key, RationalComplex(0)) + value
-        return ParamPolynomial(out)
+            if key in out:
+                value = out[key] + value
+                if value.is_zero:
+                    del out[key]
+                    continue
+            out[key] = value
+        return _poly(out)
 
     def __sub__(self, other: "ParamPolynomial") -> "ParamPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "ParamPolynomial":
-        return ParamPolynomial({k: -v for k, v in self.terms.items()})
+        return _poly({k: -v for k, v in self.terms.items()})
 
     def mul(self, other: "ParamPolynomial", cap: int) -> "ParamPolynomial":
         out: dict[tuple[int, int], RationalComplex] = {}
@@ -104,20 +109,22 @@ class ParamPolynomial:
                     continue
                 key = (m, n)
                 value = c1 * c2
-                out[key] = out.get(key, RationalComplex(0)) + value
-        return ParamPolynomial(out)
+                out[key] = out[key] + value if key in out else value
+        return _poly({k: v for k, v in out.items() if not v.is_zero})
 
     def scaled(self, scalar) -> "ParamPolynomial":
-        return ParamPolynomial({k: v * scalar for k, v in self.terms.items()})
+        scalar = _as_scalar(scalar)
+        if scalar.is_zero:
+            return _poly({})
+        # Q(i) is a field: nonzero times nonzero stays nonzero
+        return _poly({k: v * scalar for k, v in self.terms.items()})
 
     def conjugated(self) -> "ParamPolynomial":
         # mu, nu are real parameters; conjugation touches coefficients only.
-        return ParamPolynomial({k: v.conjugate() for k, v in self.terms.items()})
+        return _poly({k: v.conjugate() for k, v in self.terms.items()})
 
     def truncated(self, cap: int) -> "ParamPolynomial":
-        return ParamPolynomial(
-            {k: v for k, v in self.terms.items() if k[0] + k[1] <= cap}
-        )
+        return _poly({k: v for k, v in self.terms.items() if k[0] + k[1] <= cap})
 
     def min_degree(self) -> Optional[int]:
         if not self.terms:
@@ -133,6 +140,17 @@ class ParamPolynomial:
 
     def __repr__(self):
         return f"ParamPolynomial({self.terms!r})"
+
+
+def _poly(terms: dict) -> ParamPolynomial:
+    """Wrap a dict of (mu, nu) powers to nonzero scalars without re-checking it."""
+    poly = object.__new__(ParamPolynomial)
+    poly.terms = terms
+    return poly
+
+
+def _as_scalar(value) -> RationalComplex:
+    return value if isinstance(value, RationalComplex) else RationalComplex(value)
 
 
 class WeylSeriesElement:
@@ -218,27 +236,38 @@ class WeylSeriesElement:
         _check_degree(self, other)
         out = dict(self.terms)
         for mono, poly in other.terms.items():
-            out[mono] = out[mono] + poly if mono in out else poly
-        return WeylSeriesElement(self.degree, out)
+            if mono in out:
+                poly = out[mono] + poly
+                if not poly:
+                    del out[mono]
+                    continue
+            out[mono] = poly
+        return _element(self.degree, out)
 
     def __sub__(self, other: "WeylSeriesElement") -> "WeylSeriesElement":
         return self + (-other)
 
     def __neg__(self) -> "WeylSeriesElement":
-        return WeylSeriesElement(self.degree, {m: -p for m, p in self.terms.items()})
+        return _element(self.degree, {m: -p for m, p in self.terms.items()})
 
     def __mul__(self, other: "WeylSeriesElement") -> "WeylSeriesElement":
         return normal_product(self, other)
 
     def scaled(self, scalar) -> "WeylSeriesElement":
-        return WeylSeriesElement(
+        scalar = _as_scalar(scalar)
+        if scalar.is_zero:
+            return _element(self.degree, {})
+        return _element(
             self.degree, {m: p.scaled(scalar) for m, p in self.terms.items()}
         )
 
     def scaled_by_poly(self, poly: ParamPolynomial) -> "WeylSeriesElement":
-        return WeylSeriesElement(
-            self.degree, {m: p.mul(poly, self.degree) for m, p in self.terms.items()}
-        )
+        out = {}
+        for mono, p in self.terms.items():
+            p = p.mul(poly, self.degree)
+            if p:
+                out[mono] = p
+        return _element(self.degree, out)
 
     def scaled_by_theta(self, series: ScalarSeries) -> "WeylSeriesElement":
         """Multiply by a central series in theta = mu*nu."""
@@ -253,12 +282,10 @@ class WeylSeriesElement:
         idx = 0 if param == "mu" else 1
         out = {}
         for mono, poly in self.terms.items():
-            kept = ParamPolynomial(
-                {k: v for k, v in poly.terms.items() if k[idx] == 0}
-            )
+            kept = _poly({k: v for k, v in poly.terms.items() if k[idx] == 0})
             if kept:
                 out[mono] = kept
-        return WeylSeriesElement(self.degree, out)
+        return _element(self.degree, out)
 
     # -- involution -----------------------------------------------------
 
@@ -272,7 +299,7 @@ class WeylSeriesElement:
         for mono, poly in self.terms.items():
             conj = poly.conjugated()
             for rmono, scalar in _reorder(mono.p_pow, mono.x_pow):
-                _accumulate(acc, rmono, conj.scaled(scalar))
+                _accumulate(acc, rmono, conj, scalar)
         return _from_accumulator(acc, self.degree)
 
     # -- derivative -----------------------------------------------------
@@ -283,10 +310,9 @@ class WeylSeriesElement:
         for mono, poly in self.terms.items():
             if mono.p_pow == 0:
                 continue
-            key = WeylMonomial(mono.x_pow, mono.p_pow - 1)
-            scaled = poly.scaled(mono.p_pow)
-            out[key] = out[key] + scaled if key in out else scaled
-        return WeylSeriesElement(self.degree, out)
+            # distinct words stay distinct after lowering the p power
+            out[WeylMonomial(mono.x_pow, mono.p_pow - 1)] = poly.scaled(mono.p_pow)
+        return _element(self.degree, out)
 
     # -- serialization ----------------------------------------------------
 
@@ -305,6 +331,14 @@ class WeylSeriesElement:
 
     def __repr__(self):
         return f"WeylSeriesElement(degree={self.degree}, {self.to_text()!r})"
+
+
+def _element(degree: int, terms: dict) -> WeylSeriesElement:
+    """Wrap a dict of words to nonzero, truncated polynomials without re-checking it."""
+    element = object.__new__(WeylSeriesElement)
+    element.degree = degree
+    element.terms = terms
+    return element
 
 
 def _check_degree(a: WeylSeriesElement, b: WeylSeriesElement) -> None:
@@ -342,21 +376,31 @@ def _reorder(p_pow: int, x_pow: int):
 
     which is also the engine's product rule; yields (monomial, scalar) pairs.
     """
-    for k in range(min(p_pow, x_pow) + 1):
+    yield WeylMonomial(x_pow, p_pow), ONE
+    for k in range(1, min(p_pow, x_pow) + 1):
         weight = comb(p_pow, k) * comb(x_pow, k) * factorial(k)
         yield WeylMonomial(x_pow - k, p_pow - k), _MINUS_I_POW[k % 4] * weight
 
 
-def _accumulate(acc, mono, poly: ParamPolynomial) -> None:
+def _accumulate(acc, mono, poly: ParamPolynomial, scalar: RationalComplex) -> None:
+    """acc[mono] += scalar * poly, on raw coefficient dicts."""
     dst = acc.setdefault(mono, {})
-    for key, value in poly.terms.items():
-        dst[key] = dst[key] + value if key in dst else value
+    if scalar is ONE:
+        for key, value in poly.terms.items():
+            dst[key] = dst[key] + value if key in dst else value
+    else:
+        for key, value in poly.terms.items():
+            value = value * scalar
+            dst[key] = dst[key] + value if key in dst else value
 
 
 def _from_accumulator(acc, degree: int) -> WeylSeriesElement:
-    return WeylSeriesElement(
-        degree, {mono: ParamPolynomial(d) for mono, d in acc.items()}
-    )
+    out = {}
+    for mono, d in acc.items():
+        d = {k: v for k, v in d.items() if not v.is_zero}
+        if d:
+            out[mono] = _poly(d)
+    return _element(degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +426,7 @@ def normal_product(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElem
                 mono = WeylMonomial(
                     ma.x_pow + inner.x_pow, inner.p_pow + mb.p_pow
                 )
-                _accumulate(acc, mono, pab.scaled(scalar))
+                _accumulate(acc, mono, pab, scalar)
     return _from_accumulator(acc, cap)
 
 
@@ -527,11 +571,17 @@ def cosh_element(side: str, degree: int) -> WeylSeriesElement:
 
 def identity_rhs(degree: int) -> WeylSeriesElement:
     """-i * c(mu*nu) * {sqrt(1 + mu^2 P^2), sqrt(1 + nu^2 X^2)}."""
-    anti = anticommutator(
+    return _rhs_from_roots(
         sqrt_one_plus_square("momentum", degree),
         sqrt_one_plus_square("position", degree),
     )
-    return anti.scaled_by_theta(prefactor_series(degree)).scaled(MINUS_I)
+
+
+def _rhs_from_roots(
+    sqrt_p: WeylSeriesElement, sqrt_x: WeylSeriesElement
+) -> WeylSeriesElement:
+    anti = anticommutator(sqrt_p, sqrt_x)
+    return anti.scaled_by_theta(prefactor_series(sqrt_p.degree)).scaled(MINUS_I)
 
 
 def identity_residual(degree: int) -> WeylSeriesElement:
@@ -582,6 +632,32 @@ def exchange_residual(degree: int) -> WeylSeriesElement:
     lhs = normal_product(exp_p, exp_x)
     rhs = normal_product(exp_x, exp_p).scaled_by_poly(phase)
     return lhs - rhs
+
+
+class IdentityChecks(NamedTuple):
+    """Residuals of the exact checks behind ``verify``; each is zero when it holds."""
+
+    identity: WeylSeriesElement  # as identity_residual
+    exchange: WeylSeriesElement  # as exchange_residual
+    sqrt_cosh: tuple[WeylSeriesElement, WeylSeriesElement]  # momentum, position
+    leading_order: WeylSeriesElement  # as leading_order_residual's element
+
+
+def identity_checks(degree: int) -> IdentityChecks:
+    """All four checks, with [P, X], both square roots and the right-hand
+    side each built once and shared between the checks that need them."""
+    sides = ("momentum", "position")
+    roots = [sqrt_one_plus_square(side, degree) for side in sides]
+    rhs = _rhs_from_roots(*roots)
+    lhs = commutator(deformed_momentum(degree), deformed_position(degree))
+    return IdentityChecks(
+        identity=lhs - rhs,
+        exchange=exchange_residual(degree),
+        sqrt_cosh=tuple(
+            root - cosh_element(side, degree) for root, side in zip(roots, sides)
+        ),
+        leading_order=rhs - leading_order_target(degree),
+    )
 
 
 def _exp_element(side: str, degree: int) -> WeylSeriesElement:

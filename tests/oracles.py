@@ -2,7 +2,9 @@
 
 Deliberately avoid the library's computation paths: the reordering
 oracle applies the single rewrite px -> xp - i one occurrence at a time;
-the series helpers work on plain Fraction lists; the matrix residual is
+the series helpers work on plain Fraction lists; the Q(i) scalar oracle
+keeps a pair of Fractions instead of the library's integer triple; the
+matrix residual is
 built densely, one complex eigensolve per operator, with the square
 roots taken of 1 + mu^2 P^2 itself rather than of the spectrum of p.
 """
@@ -13,6 +15,110 @@ from fractions import Fraction
 import numpy as np
 
 from qdeform.rational import MINUS_I, RationalComplex
+
+
+class FractionPairComplex:
+    """Q(i) scalar as a pair of Fractions: the judge for RationalComplex."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def conjugate(self) -> "FractionPairComplex":
+        return FractionPairComplex(self.re, -self.im)
+
+    def __add__(self, other):
+        other = _coerce_pair(other)
+        if other is None:
+            return NotImplemented
+        return FractionPairComplex(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce_pair(other)
+        if other is None:
+            return NotImplemented
+        return FractionPairComplex(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = _coerce_pair(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = _coerce_pair(other)
+        if other is None:
+            return NotImplemented
+        return FractionPairComplex(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _coerce_pair(other)
+        if other is None:
+            return NotImplemented
+        den = other.re * other.re + other.im * other.im
+        if not den:
+            raise ZeroDivisionError("division by zero FractionPairComplex")
+        return FractionPairComplex(
+            (self.re * other.re + self.im * other.im) / den,
+            (self.im * other.re - self.re * other.im) / den,
+        )
+
+    def __rtruediv__(self, other):
+        other = _coerce_pair(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __neg__(self):
+        return FractionPairComplex(-self.re, -self.im)
+
+    def __eq__(self, other):
+        other = _coerce_pair(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+
+def _coerce_pair(value):
+    if isinstance(value, FractionPairComplex):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return FractionPairComplex(value)
+    return None
+
+
+def format_fraction_pair(z: FractionPairComplex) -> str:
+    """Canonical text: ``a/b``, ``c/d*i`` or ``a/b + c/d*i``, lowest terms."""
+    if not z.im:
+        return str(z.re)
+    if not z.re:
+        if z.im == 1:
+            return "i"
+        if z.im == -1:
+            return "-i"
+        return f"{z.im}*i"
+    mag = abs(z.im)
+    imtxt = "i" if mag == 1 else f"{mag}*i"
+    sign = "+" if z.im > 0 else "-"
+    return f"{z.re} {sign} {imtxt}"
 
 
 def normal_order_word(word: str) -> dict[tuple[int, int], RationalComplex]:

@@ -49,6 +49,18 @@ def test_central_identity_exact_at_degree_ten(invoke):
     _gate(f"central identity exact at degree 10 ({elapsed:.2f}s)", ok)
 
 
+def test_every_symbolic_check_exact_at_degree_twenty_four(invoke):
+    start = time.perf_counter()
+    code, out = invoke(["verify", "--engine", "symbolic", "--degree", "24"])
+    elapsed = time.perf_counter() - start
+    values = [m["value"] for m in json.loads(out)["metrics"]]
+    ok = (
+        code == 0 and len(values) == 4 and all(v == 0 for v in values)
+        and elapsed < 10.0
+    )
+    _gate(f"every symbolic check exact at degree 24 ({elapsed:.2f}s)", ok)
+
+
 def test_q_oscillator_form_correct_through_degree_three():
     ok = True
     for degree in range(4, 11):

@@ -1,9 +1,19 @@
 import json
+import math
+from collections import Counter
 
 import pytest
 
+from qdeform import weyl
 from qdeform.cli import expand_text, parse_int_list
-from qdeform.config import DEFAULTS, load_config, parse_config_text
+from qdeform.config import (
+    DEFAULTS,
+    ConfigError,
+    get_float,
+    load_config,
+    parse_config_text,
+)
+from qdeform.report import Metric, VerificationReport
 
 from conftest import mask_timestamp
 
@@ -46,6 +56,10 @@ def test_parse_int_list_errors():
         ),
         ("expand_eq9_deg2.txt", ["expand", "--target", "eq9", "--degree", "2"]),
         ("expand_eq8rhs_deg4.txt", ["expand", "--target", "eq8-rhs", "--degree", "4"]),
+        (
+            "expand_eq8rhs_deg16.txt",
+            ["expand", "--target", "eq8-rhs", "--degree", "16"],
+        ),
     ],
 )
 def test_expand_golden(invoke, golden_dir, name, argv):
@@ -74,6 +88,66 @@ def test_verify_symbolic_golden(invoke, golden_dir):
     code, out = invoke(["verify", "--engine", "symbolic", "--degree", "8"])
     assert code == 0
     assert mask_timestamp(out) == (golden_dir / "verify_symbolic_deg8.json").read_text()
+
+
+def test_verify_symbolic_golden_degree_16(invoke, golden_dir):
+    code, out = invoke(["verify", "--engine", "symbolic", "--degree", "16"])
+    assert code == 0
+    assert mask_timestamp(out) == (
+        golden_dir / "verify_symbolic_deg16.json"
+    ).read_text()
+
+
+@pytest.mark.parametrize("degree", range(15))
+def test_verify_symbolic_metrics_match_public_weyl(invoke, degree):
+    code, out = invoke(["verify", "--engine", "symbolic", "--degree", str(degree)])
+    assert code == 0
+    reported = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
+    residual9, _ = weyl.leading_order_residual(degree)
+    expected = {
+        "residual_terms": len(weyl.identity_residual(degree).terms),
+        "exchange_residual_terms": len(weyl.exchange_residual(degree).terms),
+        "sqrt_cosh_mismatch_terms": sum(
+            len(
+                (
+                    weyl.sqrt_one_plus_square(side, degree)
+                    - weyl.cosh_element(side, degree)
+                ).terms
+            )
+            for side in ("momentum", "position")
+        ),
+        "expansion_low_degree_terms": sum(
+            1
+            for poly in residual9.terms.values()
+            for (m, n) in poly.terms
+            if m + n < 4
+        ),
+    }
+    assert reported == expected
+
+
+def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
+    calls = Counter()
+    for name in (
+        "commutator",
+        "anticommutator",
+        "sqrt_one_plus_square",
+        "exchange_residual",
+    ):
+        def counted(*args, _fn=getattr(weyl, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(weyl, name, counted)
+    code, _ = invoke(["verify", "--engine", "symbolic", "--degree", "6"])
+    assert code == 0
+    # [P, X]; the anticommutator inside the right-hand side; one root per side
+    assert calls == {
+        "commutator": 1,
+        "anticommutator": 1,
+        "sqrt_one_plus_square": 2,
+        "exchange_residual": 1,
+    }
 
 
 def test_verify_matrix_passes(invoke):
@@ -234,6 +308,36 @@ def test_scan_hbar_path_constant_phase(invoke):
     assert payload["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,named",
+    [
+        ("7", "1.0", "alpha must lie in (-pi, pi], got alpha=7.0"),
+        ("-1", "1.0", "alpha + 2*pi*n must be >= 0, got alpha=-1.0 at n=0"),
+        ("nan", "1.0", "alpha must lie in (-pi, pi], got alpha=nan"),
+        ("1.0", "nan", "beta must be > 0 and finite, got beta=nan"),
+        ("1.0", "inf", "beta must be > 0 and finite, got beta=inf"),
+    ],
+)
+def test_scan_hbar_path_outside_domain_is_named_error(invoke, alpha, beta, named):
+    code, out = invoke(
+        ["scan", "--path", "hbar-to-0", "--alpha", alpha, "--beta", beta,
+         "--n", "0..5"]
+    )
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == f"ValueError: {named}"
+
+
+def test_scan_hbar_path_negative_alpha_with_positive_theta_passes(invoke):
+    code, out = invoke(
+        ["scan", "--path", "hbar-to-0", "--alpha", "-1", "--beta", "1.0",
+         "--n", "1..3"]
+    )
+    assert code == 0
+    rows = json.loads(out)["table"]["rows"]
+    assert [row[0] for row in rows] == [1, 2, 3]
+    assert {row[3] for row in rows} == {-1.0}
+
+
 def test_scan_q_path(invoke):
     code, out = invoke(["scan", "--path", "q-to-1", "--n", "0..8"])
     assert code == 0
@@ -319,6 +423,43 @@ def test_missing_config_file_is_error(invoke, tmp_path):
         ["verify", "--engine", "symbolic", "--config", str(tmp_path / "absent.cfg")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_config_threshold_is_named_error(invoke, tmp_path, value):
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text(f"matrix.residual_threshold = {value}\n")
+    code, out = invoke(
+        ["verify", "--engine", "matrix", "--dim", "16", "--interior", "4",
+         "--config", str(cfg)]
+    )
+    assert code == 2
+    message = json.loads(out)["parameters"]["error"]
+    assert "matrix.residual_threshold" in message
+    assert message.startswith("ConfigError:")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_every_gate_key_rejects_non_finite_values(value):
+    gate_keys = [
+        key for key in DEFAULTS
+        if key.endswith(("_threshold", ".noise_floor", ".endpoint_tol"))
+    ]
+    assert len(gate_keys) == 9
+    for key in gate_keys:
+        with pytest.raises(ConfigError, match=key):
+            get_float({key: value}, key)
+    # keys that gate nothing keep their plain parsing
+    guard = get_float({"matrix.overflow_guard": value}, "matrix.overflow_guard")
+    assert not math.isfinite(guard)
+
+
+def test_json_report_refuses_non_finite_values():
+    report = VerificationReport.build(
+        "matrix", "verify", {}, [Metric("res_fro", float("nan"), 1e-8)]
+    )
+    with pytest.raises(ValueError):
+        report.to_json()
 
 
 def test_config_parsing():

@@ -81,3 +81,74 @@ def test_multiply_then_divide_roundtrip(a, b):
 )
 def test_canonical_format(value, expected):
     assert format_scalar(value) == expected
+
+
+# ---------------------------------------------------------------------------
+# the integer (a, b, d) form against the Fraction-pair oracle
+# ---------------------------------------------------------------------------
+
+from oracles import FractionPairComplex, format_fraction_pair  # noqa: E402
+
+big_fractions = st.one_of(
+    fractions,
+    st.integers(-(2**130), 2**130),
+    st.builds(
+        Fraction, st.integers(-(2**130), 2**130), st.integers(1, 2**130)
+    ),
+)
+parts = st.tuples(big_fractions, big_fractions)
+operands = st.one_of(st.integers(-(2**70), 2**70), big_fractions)
+
+
+def _same(z, oracle) -> bool:
+    # the constructor always reduces, so == also checks the canonical form
+    return (
+        type(z) is RationalComplex
+        and (z.re, z.im) == (oracle.re, oracle.im)
+        and type(z.re) is Fraction
+        and type(z.im) is Fraction
+        and z == RationalComplex(oracle.re, oracle.im)
+    )
+
+
+@given(parts, parts)
+def test_agrees_with_fraction_pair_oracle(zp, wp):
+    z, w = RationalComplex(*zp), RationalComplex(*wp)
+    oz, ow = FractionPairComplex(*zp), FractionPairComplex(*wp)
+    assert _same(z, oz)
+    assert _same(z + w, oz + ow)
+    assert _same(z - w, oz - ow)
+    assert _same(z * w, oz * ow)
+    assert _same(-z, -oz)
+    assert _same(z + -z, oz + -oz)
+    assert _same(z + z.conjugate(), oz + oz.conjugate())
+    assert _same(z - z.conjugate(), oz - oz.conjugate())
+    assert _same(z.conjugate(), oz.conjugate())
+    if ow.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            z / w
+    else:
+        assert _same(z / w, oz / ow)
+    assert (z == w) == (oz == ow)
+    assert z == RationalComplex(*zp)
+    assert hash(z) == hash(oz)
+    assert z.is_zero == oz.is_zero
+    assert format_scalar(z) == format_fraction_pair(oz)
+    assert str(z) == format_fraction_pair(oz)
+
+
+@given(parts, operands)
+def test_mixed_operands_agree_with_oracle(zp, k):
+    z, oz = RationalComplex(*zp), FractionPairComplex(*zp)
+    assert _same(z + k, oz + k)
+    assert _same(k + z, k + oz)
+    assert _same(z - k, oz - k)
+    assert _same(k - z, k - oz)
+    assert _same(z * k, oz * k)
+    assert _same(k * z, k * oz)
+    if k:
+        assert _same(z / k, oz / k)
+    if not oz.is_zero:
+        assert _same(k / z, k / oz)
+    assert (z == k) == (oz == k)
+    assert (RationalComplex(k) == k) and hash(RationalComplex(k)) == hash(k)

@@ -17,6 +17,7 @@ from qdeform.weyl import (
     deformed_position,
     exchange_residual,
     free_particle_rule,
+    identity_checks,
     identity_residual,
     identity_rhs,
     leading_order_residual,
@@ -255,6 +256,18 @@ def test_leading_order_residual_mu_slice():
     assert sliced == element(
         4, {(0, 4): {(4, 0): RationalComplex(0, Fraction(-1, 24))}}
     )
+
+
+@pytest.mark.parametrize("degree", [0, 3, 4, 7, 10])
+def test_identity_checks_match_the_separate_builds(degree):
+    checks = identity_checks(degree)
+    assert checks.identity == identity_residual(degree)
+    assert checks.exchange == exchange_residual(degree)
+    assert checks.sqrt_cosh == tuple(
+        sqrt_one_plus_square(side, degree) - cosh_element(side, degree)
+        for side in ("momentum", "position")
+    )
+    assert checks.leading_order == leading_order_residual(degree)[0]
 
 
 # ---------------------------------------------------------------------------
