@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import sys
 from typing import Optional, Sequence
 
@@ -17,6 +18,9 @@ from .rational import I
 from .report import Metric, Table, VerificationReport
 
 EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
+
+# last step of a contraction path: 2.0 ** -1074 is the smallest double
+MAX_STEP = 1074
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +90,10 @@ def parse_int_list(text: Optional[str], what: str) -> list[int]:
         if hi < lo:
             raise ValueError(f"bad {what} range: {text!r}")
         return list(range(lo, hi + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"empty {what} list")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +151,9 @@ def _verify_matrix(
 
 
 def _verify_clockshift(dim: int, level: int, cfg) -> VerificationReport:
-    import numpy as np
-
     command = f"verify --engine clock-shift --dim {dim} --level {level}"
     pair = clockshift.build_pair(dim, level)
-    eye = np.eye(dim)
-    u, v = pair.shift.mat, pair.clock.mat
+    u_unitary, v_unitary, u_power, v_power = clockshift.pair_defects(pair)
     unitary_tol = config.get_float(cfg, "clockshift.unitary_threshold")
     power_tol = config.get_float(cfg, "clockshift.power_threshold")
     try:
@@ -162,19 +166,11 @@ def _verify_clockshift(dim: int, level: int, cfg) -> VerificationReport:
             clockshift.verify_qplane(pair),
             config.get_float(cfg, "clockshift.residual_threshold"),
         ),
-        Metric("u_unitary_defect", float(np.max(np.abs(u @ u.conj().T - eye))), unitary_tol),
-        Metric("v_unitary_defect", float(np.max(np.abs(v @ v.conj().T - eye))), unitary_tol),
-        Metric(
-            "u_power_defect",
-            float(np.max(np.abs(np.linalg.matrix_power(u, dim) - eye))),
-            power_tol,
-        ),
-        Metric(
-            "v_power_defect",
-            float(np.max(np.abs(np.linalg.matrix_power(v, dim) - eye))),
-            power_tol,
-        ),
-        Metric("q_identity_dev", q_dev, 1e-12),
+        Metric("u_unitary_defect", u_unitary, unitary_tol),
+        Metric("v_unitary_defect", v_unitary, unitary_tol),
+        Metric("u_power_defect", u_power, power_tol),
+        Metric("v_power_defect", v_power, power_tol),
+        Metric("q_identity_dev", q_dev, clockshift.Q_IDENTITY_TOL),
     ]
     parameters = {"dim": dim, "level": level, "alpha": pair.alpha}
     return VerificationReport.build("clock-shift", command, parameters, metrics)
@@ -268,12 +264,10 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
     threshold = config.get_float(cfg, "clockshift.residual_threshold")
     command = f"scan --engine clock-shift --dims {args.dims}"
     rows = []
-    worst = 0.0
     for dim in dims:
-        for level in range(1, dim):
-            residual = clockshift.verify_qplane(clockshift.build_pair(dim, level))
-            worst = max(worst, residual)
-            rows.append((dim, level, residual))
+        residuals = clockshift.qplane_residuals(dim).tolist()
+        rows.extend(zip(itertools.repeat(dim), range(1, dim), residuals))
+    worst = max(row[2] for row in rows)
     table = Table(columns=("N", "k", "residual"), rows=tuple(rows))
     metrics = [Metric("max_residual", worst, threshold)]
     parameters = {"dims": dims, "pairs": len(rows)}
@@ -321,6 +315,12 @@ def _scan_path(args, cfg) -> VerificationReport:
     # ten halvings of t land the endpoint metrics inside params.endpoint_tol
     ntext = args.n if args.n is not None else "0..10"
     steps = parse_int_list(ntext, "step")
+    bad = next((k for k in steps if not 0 <= k <= MAX_STEP), None)
+    if bad is not None:
+        raise ValueError(
+            f"--n steps must lie in 0..{MAX_STEP} (t = 2^-step underflows "
+            f"to 0 beyond {MAX_STEP}), got {bad}"
+        )
     path = params.contraction_path(args.path, mu0=mu0, nu0=nu0, alpha=alpha, beta=beta)
     command = f"scan --path {args.path} --n {ntext}"
     rows = []

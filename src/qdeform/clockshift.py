@@ -21,19 +21,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrixrep import OperatorMatrix
-
 Q_POLE_TOL = 1e-12
+# gate on |q - e^(-i*alpha)|: the quotient formula against the exact phase
+Q_IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ClockShiftPair:
-    """Weyl pair (U, V) of size dim at level 1 <= level < dim."""
+    """Weyl pair (U, V) of size dim at level 1 <= level < dim.
+
+    U is the cyclic shift, kept implicit: it sends basis state j to
+    j+1 (mod dim).  V is diagonal and kept as its diagonal, the clock
+    phases c_j = omega^(j*level).
+    """
 
     dim: int
     level: int
-    shift: OperatorMatrix  # U: sends basis state j to j+1 (mod dim)
-    clock: OperatorMatrix  # V: diag of omega^(j*level)
+    phases: np.ndarray
 
     @property
     def alpha(self) -> float:
@@ -48,20 +52,24 @@ def _root_of_unity(exponent: int, order: int) -> complex:
     return cmath.exp(2j * math.pi * exponent / order)
 
 
+def _roots_of_unity(order: int) -> np.ndarray:
+    """All order-th roots of unity, indexed by exponent."""
+    return np.array([_root_of_unity(e, order) for e in range(order)])
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got N={dim}")
+
+
 def build_pair(dim: int, level: int) -> ClockShiftPair:
     """Construct the pair; clock phases use exponents reduced mod dim so
     no accuracy is lost at large j*k, and quadrant phases are exact."""
-    if dim < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dim(dim)
     if not 1 <= level < dim:
         raise ValueError(f"level must satisfy 1 <= k < N, got k={level}")
-    idx = np.arange(dim)
-    shift = np.zeros((dim, dim), dtype=complex)
-    shift[(idx + 1) % dim, idx] = 1.0
-    clock = np.diag([_root_of_unity(j * level, dim) for j in range(dim)])
-    return ClockShiftPair(
-        dim=dim, level=level, shift=OperatorMatrix(shift), clock=OperatorMatrix(clock)
-    )
+    phases = _roots_of_unity(dim)[np.arange(dim) * level % dim]
+    return ClockShiftPair(dim=dim, level=level, phases=phases)
 
 
 def q_from_alpha(alpha: float) -> complex:
@@ -75,17 +83,78 @@ def q_from_alpha(alpha: float) -> complex:
     return (1.0 + cmath.exp(-1j * alpha)) / den
 
 
+def _qplane_max(phases: np.ndarray, q) -> np.ndarray:
+    """max_j |c_j - q*c_(j+1)| along the last axis of the clock phases."""
+    return np.max(np.abs(phases - q * np.roll(phases, -1, axis=-1)), axis=-1)
+
+
 def verify_qplane(pair: ClockShiftPair) -> float:
     """Max entrywise |PX - qXP| with P = U, X = V.
+
+    UV and VU are both the shift times a diagonal, so PX - qXP has one
+    nonzero per column: c_j - q*c_(j+1), at row j+1 (mod N).
 
     q is the exchange phase e^(-i*alpha): the value of the quotient
     formula wherever that is defined, and its removable-singularity
     continuation at alpha = pi (even N with k = N/2), where the quotient
     itself is 0/0.
     """
-    q = _root_of_unity(-pair.level, pair.dim)
-    u, v = pair.shift.mat, pair.clock.mat
-    return float(np.max(np.abs(u @ v - q * (v @ u))))
+    return float(_qplane_max(pair.phases, _root_of_unity(-pair.level, pair.dim)))
+
+
+def qplane_residuals(dim: int) -> np.ndarray:
+    """verify_qplane of the pair at every level 1..dim-1, in one pass.
+
+    Row k-1 of the phase table is the clock of level k, taken from the
+    same roots of unity as build_pair, so each residual equals the
+    per-pair one bit for bit.  Costs O(dim^2) time and memory.
+    """
+    _check_dim(dim)
+    roots = _roots_of_unity(dim)
+    levels = np.arange(1, dim)
+    phases = roots[np.outer(levels, np.arange(dim)) % dim]
+    return _qplane_max(phases, roots[-levels % dim, np.newaxis])
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*b elementwise, each real product rounded on its own as in a dense
+    matrix product; numpy's complex multiply may fuse one product into the
+    sum (FMA), which rounds differently."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _power_by_squaring(values: np.ndarray, exponent: int) -> np.ndarray:
+    """values**exponent elementwise, exponent >= 1, multiplied in the order
+    np.linalg.matrix_power uses (squares taken from the lowest bit up), so
+    the rounding follows that of the dense power of diag(values)."""
+    result = square = None
+    while exponent:
+        square = values if square is None else _product(square, square)
+        exponent, bit = divmod(exponent, 2)
+        if bit:
+            result = square if result is None else _product(result, square)
+    return result
+
+
+def pair_defects(pair: ClockShiftPair) -> tuple[float, float, float, float]:
+    """Max entrywise |U U^dag - 1|, |V V^dag - 1|, |U^N - 1| and |V^N - 1|.
+
+    U's are exactly 0: U^dag is U^(N-1), so U U^dag and U^N are both the
+    shift by N, which is the identity permutation.  V's are read off its
+    diagonal, with V^N multiplied out rather than reduced to exponents
+    mod N, so that its defect measures the accumulated rounding of the
+    clock phases.
+    """
+    c = pair.phases
+    return (
+        0.0,
+        float(np.max(np.abs(_product(c, c.conj()) - 1.0))),
+        0.0,
+        float(np.max(np.abs(_power_by_squaring(c, pair.dim) - 1.0))),
+    )
 
 
 @dataclass(frozen=True)

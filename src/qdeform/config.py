@@ -43,8 +43,12 @@ DEFAULTS = {
 }
 
 
-# A non-finite gate value would switch its gate off (inf) or fail it forever (nan).
-_FINITE_KEY_SUFFIXES = ("_threshold", ".noise_floor", ".endpoint_tol")
+# A non-finite gate value would switch its gate off (inf) or fail it forever
+# (nan); a non-finite overflow guard would switch the guard off (inf, nan) or
+# refuse every input (-inf).
+_FINITE_KEY_SUFFIXES = (
+    "_threshold", ".noise_floor", ".endpoint_tol", ".overflow_guard"
+)
 
 
 class ConfigError(ValueError):

@@ -111,6 +111,7 @@ class VerificationReport:
         )
 
     def to_json(self) -> str:
+        table = self.table
         payload = {
             "schemaVersion": SCHEMA_VERSION,
             "engine": self.engine,
@@ -128,24 +129,26 @@ class VerificationReport:
                 for m in self.metrics
             ],
             "table": (
-                {
-                    "columns": list(self.table.columns),
-                    "rows": [[_plain(v) for v in row] for row in self.table.rows],
-                }
-                if self.table is not None
+                {"columns": list(table.columns), "rows": []}
+                if table is not None
                 else None
             ),
             "toolVersion": self.tool_version,
             "timestamp": self.timestamp,
         }
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False)
+        if table is not None and table.rows:
+            # the table's rows are the last "rows" key at its depth: a JSON
+            # string cannot hold the raw newline in front of it
+            head, _, tail = text.rpartition('\n    "rows": []')
+            text = f"{head}\n    \"rows\": {_json_rows(table.rows)}{tail}"
+        return text + "\n"
 
     def to_csv(self) -> str:
         if self.table is None:
             raise ValueError("report has no table; csv format needs one")
         lines = [",".join(self.table.columns)]
-        for row in self.table.rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+        lines.extend(_csv_rows(self.table.rows))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -168,8 +171,7 @@ class VerificationReport:
         if self.table is not None:
             lines.append("table:")
             lines.append("  " + ",".join(self.table.columns))
-            for row in self.table.rows:
-                lines.append("  " + ",".join(_csv_cell(v) for v in row))
+            lines.extend("  " + line for line in _csv_rows(self.table.rows))
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -180,6 +182,42 @@ class VerificationReport:
         if fmt == "text":
             return self.to_text()
         raise ValueError(f"unknown format: {fmt!r}")
+
+
+# Cell types that json and str render as the report needs them, unchanged
+# by _plain: the fast paths below skip the per-cell Python call for these.
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+# Cells of one row, nested three deep in the report (payload, table, rows),
+# as json.dumps(indent=2) separates them; the C encoder, which json.dumps
+# uses only without indent, renders a whole table with it in one call.
+_CELL_BREAK = ",\n        "
+_ROWS_ENCODER = json.JSONEncoder(separators=(_CELL_BREAK, ": "), allow_nan=False)
+
+
+def _scalar_cells(rows) -> bool:
+    return {type(v) for row in rows for v in row} <= _SCALARS
+
+
+def _json_rows(rows) -> str:
+    """The non-empty rows list as json.dumps(indent=2) renders it at the
+    depth of a report's table rows."""
+    if not (min(map(len, rows)) and _scalar_cells(rows)):
+        plain = [[_plain(v) for v in row] for row in rows]
+        return json.dumps(plain, indent=2, allow_nan=False).replace("\n", "\n    ")
+    # "[[a,<break>b],<break>[c,...]]": only a row boundary puts "]," before
+    # a break, and only it needs the row's closing and opening brackets
+    body = _ROWS_ENCODER.encode(rows)[2:-2].replace(
+        "]" + _CELL_BREAK + "[", "\n      ],\n      [\n        "
+    )
+    return "[\n      [\n        " + body + "\n      ]\n    ]"
+
+
+def _csv_rows(rows) -> list[str]:
+    """One comma-joined line per row; str of a float is its repr."""
+    if _scalar_cells(rows):
+        return [",".join(map(str, row)) for row in rows]
+    return [",".join(_csv_cell(v) for v in row) for row in rows]
 
 
 def _csv_cell(value) -> str:

@@ -6,15 +6,20 @@ the series helpers work on plain Fraction lists; the Q(i) scalar oracle
 keeps a pair of Fractions instead of the library's integer triple; the
 matrix residual is
 built densely, one complex eigensolve per operator, with the square
-roots taken of 1 + mu^2 P^2 itself rather than of the spectrum of p.
+roots taken of 1 + mu^2 P^2 itself rather than of the spectrum of p;
+the clock-shift pair is built as dense matrices and checked by matrix
+products; reports render through json.dumps(indent=2) and cell by cell.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from qdeform.clockshift import _root_of_unity
 from qdeform.rational import MINUS_I, RationalComplex
+from qdeform.report import SCHEMA_VERSION, _plain
 
 
 class FractionPairComplex:
@@ -238,3 +243,109 @@ def dense_identity_residual(dim: int, interior: int, mu: float, nu: float) -> di
         "sqrt_p": sqrt_p,
         "cosh_p": hermitian_function(mu * p, "cosh"),
     }
+
+
+def dense_pair(dim: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Weyl pair as dense N x N matrices: the shift U (basis state j to
+    j+1 mod N) and the clock V = diag(omega^(j*level)), with the library's
+    clock phases so that the arithmetic, not the phases, is what is judged.
+    """
+    idx = np.arange(dim)
+    shift = np.zeros((dim, dim), dtype=complex)
+    shift[(idx + 1) % dim, idx] = 1.0
+    clock = np.diag([_root_of_unity(j * level, dim) for j in range(dim)])
+    return shift, clock
+
+
+def dense_qplane_residual(dim: int, level: int) -> float:
+    """Max entrywise |UV - q VU| by dense matrix products."""
+    u, v = dense_pair(dim, level)
+    q = _root_of_unity(-level, dim)
+    return float(np.max(np.abs(u @ v - q * (v @ u))))
+
+
+def dense_pair_defects(dim: int, level: int) -> tuple[float, float, float, float]:
+    """Max entrywise |U U^dag - 1|, |V V^dag - 1|, |U^N - 1|, |V^N - 1|."""
+    u, v = dense_pair(dim, level)
+    eye = np.eye(dim)
+    return (
+        float(np.max(np.abs(u @ u.conj().T - eye))),
+        float(np.max(np.abs(v @ v.conj().T - eye))),
+        float(np.max(np.abs(np.linalg.matrix_power(u, dim) - eye))),
+        float(np.max(np.abs(np.linalg.matrix_power(v, dim) - eye))),
+    )
+
+
+def reference_json(report) -> str:
+    """A report as JSON, the whole payload through json.dumps(indent=2)."""
+    payload = {
+        "schemaVersion": SCHEMA_VERSION,
+        "engine": report.engine,
+        "command": report.command,
+        "parameters": {
+            k: _plain(report.parameters[k]) for k in sorted(report.parameters)
+        },
+        "verdict": report.verdict,
+        "metrics": [
+            {
+                "name": m.name,
+                "value": _plain(m.value),
+                "threshold": _plain(m.threshold),
+            }
+            for m in report.metrics
+        ],
+        "table": (
+            {
+                "columns": list(report.table.columns),
+                "rows": [[_plain(v) for v in row] for row in report.table.rows],
+            }
+            if report.table is not None
+            else None
+        ),
+        "toolVersion": report.tool_version,
+        "timestamp": report.timestamp,
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _reference_cell(value) -> str:
+    value = _plain(value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_csv(report) -> str:
+    """A report's table as CSV, cell by cell."""
+    if report.table is None:
+        raise ValueError("report has no table; csv format needs one")
+    lines = [",".join(report.table.columns)]
+    for row in report.table.rows:
+        lines.append(",".join(_reference_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_text(report) -> str:
+    """A report as text, cell by cell."""
+    lines = [
+        f"engine: {report.engine}",
+        f"command: {report.command}",
+        f"verdict: {report.verdict}",
+    ]
+    for key in sorted(report.parameters):
+        lines.append(f"param {key} = {_plain(report.parameters[key])}")
+    for m in report.metrics:
+        status = "PASS" if m.passed else "FAIL"
+        if m.threshold is None:
+            lines.append(f"metric {m.name} = {_plain(m.value)}")
+        else:
+            lines.append(
+                f"metric {m.name} = {_plain(m.value)} "
+                f"(threshold {_plain(m.threshold)}) {status}"
+            )
+    if report.table is not None:
+        lines.append("table:")
+        lines.append("  " + ",".join(report.table.columns))
+        for row in report.table.rows:
+            lines.append("  " + ",".join(_reference_cell(v) for v in row))
+    return "\n".join(lines) + "\n"

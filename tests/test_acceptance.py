@@ -115,6 +115,16 @@ def test_quantum_plane_relation_for_all_pairs():
     )
 
 
+def test_clockshift_grid_to_256(invoke):
+    start = time.perf_counter()
+    code, out = invoke(["scan", "--engine", "clock-shift", "--dims", "2..256"])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(out)
+    rows = payload["table"]["rows"] if code == 0 else []
+    ok = code == 0 and len(rows) == payload["parameters"]["pairs"] == 32_640
+    _gate(f"PX = qXP grid for all N<=256 ({len(rows)} pairs, {elapsed:.2f}s)", ok)
+
+
 def test_scaling_limit_phase_invariance(invoke):
     grid = np.linspace(-math.pi, math.pi, 103)[1:-1]
     ns = range(0, 10**4 + 1)

@@ -1,5 +1,4 @@
 import json
-import math
 from collections import Counter
 
 import pytest
@@ -13,9 +12,10 @@ from qdeform.config import (
     load_config,
     parse_config_text,
 )
-from qdeform.report import Metric, VerificationReport
+from qdeform.report import Metric, Table, VerificationReport
 
 from conftest import mask_timestamp
+from oracles import dense_qplane_residual, reference_csv, reference_json
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +38,8 @@ def test_parse_int_list_errors():
         parse_int_list("5..1", "n")
     with pytest.raises(ValueError):
         parse_int_list("a,b", "dims")
+    with pytest.raises(ValueError, match="empty dims list"):
+        parse_int_list(" , ", "dims")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +287,39 @@ def test_scan_clockshift_grid(invoke):
     assert len(payload["table"]["rows"]) == sum(n - 1 for n in range(2, 17))
 
 
+@pytest.mark.parametrize("dims,bad", [("1", 1), ("0,1", 0), ("2,1", 1)])
+def test_scan_clockshift_grid_below_two_is_named_error(invoke, dims, bad):
+    # a dimension below 2 has no level 1 <= k < N: the grid would be empty
+    code, out = invoke(["scan", "--engine", "clock-shift", "--dims", dims])
+    assert code == 2
+    message = json.loads(out)["parameters"]["error"]
+    assert message == f"ValueError: dimension must be >= 2, got N={bad}"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_clockshift_grid_bytes_match_dense_oracle(invoke, fmt):
+    # the report the dense engine and the json.dumps(indent=2) renderer give
+    dims = list(range(2, 65))
+    rows = tuple(
+        (dim, level, dense_qplane_residual(dim, level))
+        for dim in dims
+        for level in range(1, dim)
+    )
+    expected = VerificationReport.build(
+        "clock-shift",
+        "scan --engine clock-shift --dims 2..64",
+        {"dims": dims, "pairs": len(rows)},
+        [Metric("max_residual", max(row[2] for row in rows), 1e-12)],
+        Table(columns=("N", "k", "residual"), rows=rows),
+    )
+    render = {"json": reference_json, "csv": reference_csv}[fmt]
+    code, out = invoke(
+        ["scan", "--engine", "clock-shift", "--dims", "2..64", "--format", fmt]
+    )
+    assert code == 0
+    assert mask_timestamp(out) == mask_timestamp(render(expected))
+
+
 def test_scan_clockshift_periodicity(invoke):
     code, out = invoke(
         ["scan", "--engine", "clock-shift", "--alpha", "1.0", "--n", "0..100"]
@@ -354,6 +389,24 @@ def test_scan_omega_path(invoke):
     mus = {row[2] for row in payload["table"]["rows"]}
     assert mus == {1.0}  # mu held fixed along the path
     assert payload["metrics"][0]["value"] <= 1e-3
+
+
+@pytest.mark.parametrize("path", ["q-to-1", "omega-to-0"])
+@pytest.mark.parametrize("steps,bad", [("-3", -3), ("0..2000", 1075), ("1075", 1075)])
+def test_scan_contraction_step_out_of_range_is_named_error(invoke, path, steps, bad):
+    # t = 2^-step: a negative step leaves (0, 1], and 2^-1075 rounds to 0
+    code, out = invoke(["scan", "--path", path, "--n", steps])
+    assert code == 2
+    message = json.loads(out)["parameters"]["error"]
+    assert message.startswith("ValueError: --n steps must lie in 0..1074")
+    assert message.endswith(f"got {bad}")
+
+
+@pytest.mark.parametrize("path", ["q-to-1", "omega-to-0"])
+def test_scan_contraction_to_smallest_step_passes(invoke, path):
+    code, out = invoke(["scan", "--path", path, "--n", "0..1074"])
+    assert code == 0
+    assert json.loads(out)["table"]["rows"][-1][1] == 5e-324
 
 
 def test_scan_requires_engine_xor_path(invoke):
@@ -446,12 +499,28 @@ def test_every_gate_key_rejects_non_finite_values(value):
         if key.endswith(("_threshold", ".noise_floor", ".endpoint_tol"))
     ]
     assert len(gate_keys) == 9
-    for key in gate_keys:
+    # the overflow guard is no gate, but inf or nan would switch it off
+    for key in gate_keys + ["matrix.overflow_guard"]:
         with pytest.raises(ConfigError, match=key):
             get_float({key: value}, key)
-    # keys that gate nothing keep their plain parsing
-    guard = get_float({"matrix.overflow_guard": value}, "matrix.overflow_guard")
-    assert not math.isfinite(guard)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_overflow_guard_is_named_error(invoke, tmp_path, value):
+    # inf or nan switched the guard off: mu = nu = 3 at N = 512 then gave
+    # res_fro 9.1e24 and "fail" instead of the guard's error
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text(f"matrix.overflow_guard = {value}\n")
+    code, out = invoke(
+        ["verify", "--engine", "matrix", "--dim", "512", "--mu", "3", "--nu", "3",
+         "--config", str(cfg)]
+    )
+    assert code == 2
+    message = json.loads(out)["parameters"]["error"]
+    assert message == (
+        "ConfigError: config value for matrix.overflow_guard must be finite, "
+        f"got {value}"
+    )
 
 
 def test_json_report_refuses_non_finite_values():

@@ -8,12 +8,16 @@ from qdeform.clockshift import (
     ClockShiftPair,
     ScalingPoint,
     build_pair,
+    pair_defects,
     prefactor_periodicity,
     q_from_alpha,
+    qplane_residuals,
     scaling_path,
     tan_half_deviations,
     verify_qplane,
 )
+
+from oracles import dense_pair, dense_pair_defects, dense_qplane_residual
 
 
 # ---------------------------------------------------------------------------
@@ -22,27 +26,26 @@ from qdeform.clockshift import (
 
 
 def test_pauli_pair():
-    pair = build_pair(2, 1)
-    np.testing.assert_array_equal(pair.shift.mat, np.array([[0, 1], [1, 0]]))
-    np.testing.assert_array_equal(pair.clock.mat, np.diag([1.0 + 0j, -1.0 + 0j]))
-    u, v = pair.shift.mat, pair.clock.mat
+    u, v = dense_pair(2, 1)
+    np.testing.assert_array_equal(u, np.array([[0, 1], [1, 0]]))
+    np.testing.assert_array_equal(v, np.diag([1.0 + 0j, -1.0 + 0j]))
     np.testing.assert_array_equal(v @ u, -(u @ v))
+    pair = build_pair(2, 1)
+    np.testing.assert_array_equal(pair.phases, [1.0, -1.0])
     assert verify_qplane(pair) == 0.0  # entries are 0 and +-1, exact
 
 
 def test_dimension_four_clock():
-    pair = build_pair(4, 1)
-    np.testing.assert_allclose(
-        pair.clock.mat, np.diag([1, 1j, -1, -1j]), atol=1e-15
-    )
-    u, v = pair.shift.mat, pair.clock.mat
+    u, v = dense_pair(4, 1)
+    np.testing.assert_allclose(v, np.diag([1, 1j, -1, -1j]), atol=1e-15)
+    # quadrant phases are exact
+    np.testing.assert_array_equal(build_pair(4, 1).phases, [1, 1j, -1, -1j])
     # exchange phase e^(i alpha) with alpha = pi/2
     assert np.max(np.abs(v @ u - 1j * (u @ v))) <= 1e-14
 
 
 def test_dimension_three_level_two_phase():
-    pair = build_pair(3, 2)
-    u, v = pair.shift.mat, pair.clock.mat
+    u, v = dense_pair(3, 2)
     phase = cmath.exp(1j * 4.0 * math.pi / 3.0)
     assert np.max(np.abs(v @ u - phase * (u @ v))) <= 1e-14
 
@@ -52,16 +55,18 @@ def test_level_validation():
         build_pair(4, 0)
     with pytest.raises(ValueError, match="level"):
         build_pair(4, 4)
-    with pytest.raises(ValueError, match=">= 2"):
+    with pytest.raises(ValueError, match=">= 2, got N=1"):
         build_pair(1, 1)
+    for dim in (1, 0, -3):
+        with pytest.raises(ValueError, match=f">= 2, got N={dim}"):
+            qplane_residuals(dim)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
 def test_unitarity_and_order(dim):
     eye = np.eye(dim)
     for level in {1, dim - 1, max(1, dim // 2)}:
-        pair = build_pair(dim, level)
-        u, v = pair.shift.mat, pair.clock.mat
+        u, v = dense_pair(dim, level)
         assert np.max(np.abs(u @ u.conj().T - eye)) <= 1e-13
         assert np.max(np.abs(v @ v.conj().T - eye)) <= 1e-13
         assert np.max(np.abs(np.linalg.matrix_power(u, dim) - eye)) <= 1e-12
@@ -72,13 +77,41 @@ def test_full_sweep_invariants_up_to_64():
     # U^N is checked per dimension (the shift does not depend on the level);
     # V is diagonal, so unitarity and V^N reduce to its diagonal entries
     for dim in range(2, 65):
-        u = build_pair(dim, 1).shift.mat
+        u = dense_pair(dim, 1)[0]
         assert np.array_equal(np.linalg.matrix_power(u, dim), np.eye(dim))
         assert np.array_equal(u @ u.conj().T, np.eye(dim))
         for level in range(1, dim):
-            diag = np.diag(build_pair(dim, level).clock.mat)
+            diag = build_pair(dim, level).phases
             assert np.max(np.abs(np.abs(diag) ** 2 - 1.0)) <= 1e-13
             assert np.max(np.abs(diag**dim - 1.0)) <= 1e-12
+
+
+def test_phases_are_the_dense_clock_diagonal():
+    for dim in range(2, 65):
+        for level in range(1, dim):
+            clock = dense_pair(dim, level)[1]
+            assert np.array_equal(build_pair(dim, level).phases, np.diag(clock))
+
+
+def test_grid_residuals_match_dense_oracle():
+    # bit for bit below N = 128; from there numpy computes the dense
+    # q * (v @ u) in place in the temporary, a multiply loop that rounds some
+    # entries differently (the residuals then differ by under 1e-16)
+    for dim in range(2, 65):
+        dense = [dense_qplane_residual(dim, level) for level in range(1, dim)]
+        assert qplane_residuals(dim).tolist() == dense
+        assert [verify_qplane(build_pair(dim, k)) for k in range(1, dim)] == dense
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 64, 100, 512])
+def test_pair_defects_match_dense_oracle(dim):
+    levels = range(1, dim) if dim <= 100 else (1, dim // 3, dim // 2, dim - 1)
+    for level in levels:
+        defects = pair_defects(build_pair(dim, level))
+        u_unitary, _, u_power, _ = defects
+        assert u_unitary == u_power == 0.0
+        dense = dense_pair_defects(dim, level)
+        assert max(abs(a - b) for a, b in zip(defects, dense)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +151,9 @@ def test_qplane_residual(dim, level, bound):
 
 def test_exchange_phase_matches_q():
     for dim, level in ((5, 2), (12, 7), (64, 33)):
-        pair = build_pair(dim, level)
-        u, v = pair.shift.mat, pair.clock.mat
+        u, v = dense_pair(dim, level)
         # PX = qXP with P = U, X = V forces q = e^(-i alpha)
-        q = q_from_alpha(pair.alpha)
+        q = q_from_alpha(build_pair(dim, level).alpha)
         assert np.max(np.abs(u @ v - q * (v @ u))) <= 1e-12
 
 

@@ -1,0 +1,89 @@
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qdeform.report import Metric, Table, VerificationReport
+
+from oracles import reference_csv, reference_json, reference_text
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.5, 1e16])
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+INTS = st.integers(min_value=-(2**70), max_value=2**70)
+TEXT = st.text(max_size=12)  # any code point: quotes, commas, newlines, non-ASCII
+SCALARS = INTS | FLOATS | TEXT | st.booleans() | st.none()
+# cells the renderer must first turn into plain Python values
+NON_PLAIN = (
+    st.builds(np.float64, FLOATS)
+    | st.builds(np.int64, st.integers(-(2**62), 2**62))
+    | st.builds(complex, FLOATS, FLOATS)
+    | st.lists(INTS, max_size=2)
+)
+
+
+@st.composite
+def tables(draw, cells):
+    width = draw(st.integers(min_value=0, max_value=4))
+    columns = tuple(draw(st.lists(TEXT, min_size=width, max_size=width)))
+    rows = draw(
+        st.lists(st.lists(cells, min_size=width, max_size=width).map(tuple), max_size=6)
+    )
+    return Table(columns=columns, rows=tuple(rows))
+
+
+def _report(table, parameters=None):
+    report = VerificationReport.build(
+        "clock-shift",
+        "scan --engine clock-shift",
+        parameters or {"rows": [], "table": None},
+        [Metric("max_residual", 1e-16, 1e-12), Metric("pairs", 3)],
+        table,
+    )
+    report.timestamp = "2026-01-01T00:00:00Z"
+    return report
+
+
+def _assert_same_bytes(report):
+    assert report.to_json() == reference_json(report)
+    assert report.to_text() == reference_text(report)
+    if report.table is not None:
+        assert report.to_csv() == reference_csv(report)
+
+
+@given(tables(SCALARS))
+def test_scalar_tables_render_as_the_reference(table):
+    _assert_same_bytes(_report(table))
+
+
+@given(tables(SCALARS | NON_PLAIN))
+def test_mixed_tables_render_as_the_reference(table):
+    _assert_same_bytes(_report(table))
+
+
+@given(tables(SCALARS), st.dictionaries(TEXT, SCALARS, max_size=3))
+def test_parameters_do_not_disturb_the_table(table, parameters):
+    # a parameter may itself be called "rows" and hold an empty list
+    _assert_same_bytes(_report(table, {**parameters, "rows": []}))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        None,
+        Table(columns=("N", "k", "residual"), rows=()),
+        Table(columns=(), rows=((), ())),
+        Table(columns=("a",), rows=((1,), ())),
+    ],
+    ids=["absent", "empty", "empty-rows", "ragged"],
+)
+def test_edge_tables_render_as_the_reference(table):
+    _assert_same_bytes(_report(table))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+def test_non_finite_cell_is_refused(bad):
+    report = _report(Table(columns=("n", "x"), rows=((1, 0.5), (2, bad))))
+    with pytest.raises(ValueError):
+        reference_json(report)
+    with pytest.raises(ValueError):
+        report.to_json()
