@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import itertools
 import sys
 from typing import Optional, Sequence
 
@@ -247,10 +246,9 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
     ns = parse_int_list(args.n if args.n is not None else "0..100", "n")
     threshold = config.get_float(cfg, "clockshift.periodicity_threshold")
     command = f"scan --engine clock-shift --alpha {alpha} --n {args.n or '0..100'}"
-    devs = clockshift.tan_half_deviations(alpha, ns, reduced=True)
-    table = Table(
-        columns=("alpha", "n", "deviation"),
-        rows=tuple((alpha, n, d) for n, d in zip(ns, devs)),
+    devs = clockshift.tan_half_deviations(alpha, ns)
+    table = Table.from_columns(
+        ("alpha", "n", "deviation"), ([alpha] * len(ns), ns, devs)
     )
     metrics = [Metric("max_deviation", max(devs), threshold)]
     parameters = {"alpha": alpha, "n_count": len(ns)}
@@ -263,14 +261,15 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
     dims = parse_int_list(args.dims, "dimension")
     threshold = config.get_float(cfg, "clockshift.residual_threshold")
     command = f"scan --engine clock-shift --dims {args.dims}"
-    rows = []
+    sizes, levels, residuals = [], [], []
     for dim in dims:
-        residuals = clockshift.qplane_residuals(dim).tolist()
-        rows.extend(zip(itertools.repeat(dim), range(1, dim), residuals))
-    worst = max(row[2] for row in rows)
-    table = Table(columns=("N", "k", "residual"), rows=tuple(rows))
+        sizes.extend([dim] * (dim - 1))
+        levels.extend(range(1, dim))
+        residuals.extend(clockshift.qplane_residuals(dim).tolist())
+    worst = max(residuals)
+    table = Table.from_columns(("N", "k", "residual"), (sizes, levels, residuals))
     metrics = [Metric("max_residual", worst, threshold)]
-    parameters = {"dims": dims, "pairs": len(rows)}
+    parameters = {"dims": dims, "pairs": len(residuals)}
     return VerificationReport.build(
         "clock-shift", command, parameters, metrics, table
     )
@@ -289,23 +288,20 @@ def _scan_path(args, cfg) -> VerificationReport:
         ntext = args.n if args.n is not None else "0..5"
         ns = parse_int_list(ntext, "n")
         command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
-        points = clockshift.scaling_points(alpha, beta, ns)
-        ref = points[0].exchange_phase()
-        rows = []
-        devs = []
-        for pt in points:
-            phase = pt.exchange_phase()
-            dev = abs(phase - ref)
-            devs.append(dev)
-            rows.append((pt.n, pt.mu, pt.nu, alpha, phase.real, phase.imag, dev))
-        table = Table(
-            columns=("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im", "phase_dev"),
-            rows=tuple(rows),
+        mu, nu = clockshift.scaling_columns(alpha, beta, ns)
+        phase = clockshift.exchange_phase(alpha)
+        # 0 by construction: every point's phase is e^(-i*alpha), the
+        # reference phase itself
+        phase_dev = 0.0
+        constants = (alpha, phase.real, phase.imag, phase_dev)
+        table = Table.from_columns(
+            ("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im", "phase_dev"),
+            [ns, mu.tolist(), nu.tolist()] + [[c] * len(ns) for c in constants],
         )
         metrics = [
             Metric(
                 "max_phase_dev",
-                max(devs),
+                phase_dev,
                 config.get_float(cfg, "params.phase_threshold"),
             )
         ]
@@ -323,22 +319,17 @@ def _scan_path(args, cfg) -> VerificationReport:
         )
     path = params.contraction_path(args.path, mu0=mu0, nu0=nu0, alpha=alpha, beta=beta)
     command = f"scan --path {args.path} --n {ntext}"
-    rows = []
-    for k in steps:
-        t = 2.0 ** (-k)
-        pt = path.point(t)
-        if args.path == "q-to-1":
-            rows.append((k, t, pt["mu"], pt["nu"], pt["q"]))
-        else:
-            rows.append((k, t, pt["mu"], pt["nu"], pt["omega_ratio"], pt["q"]))
+    points = [path.point(2.0 ** (-k)) for k in steps]
     if args.path == "q-to-1":
-        table = Table(columns=("step", "t", "mu", "nu", "q"), rows=tuple(rows))
-        metrics = [Metric("final_q_offset", abs(rows[-1][4] - 1.0), endpoint_tol)]
+        names = ("t", "mu", "nu", "q")
+        metric = Metric("final_q_offset", abs(points[-1]["q"] - 1.0), endpoint_tol)
     else:
-        table = Table(
-            columns=("step", "t", "mu", "nu", "omega_ratio", "q"), rows=tuple(rows)
-        )
-        metrics = [Metric("final_omega_ratio", rows[-1][4], endpoint_tol)]
+        names = ("t", "mu", "nu", "omega_ratio", "q")
+        metric = Metric("final_omega_ratio", points[-1]["omega_ratio"], endpoint_tol)
+    table = Table.from_columns(
+        ("step",) + names, [steps] + [[pt[name] for pt in points] for name in names]
+    )
+    metrics = [metric]
     parameters = {"path": args.path, "mu0": mu0, "nu0": nu0, "steps": len(steps)}
     return VerificationReport.build("params", command, parameters, metrics, table)
 

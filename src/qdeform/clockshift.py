@@ -157,6 +157,17 @@ def pair_defects(pair: ClockShiftPair) -> tuple[float, float, float, float]:
     )
 
 
+def _check_beta(beta: float) -> None:
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be > 0 and finite, got beta={beta}")
+
+
+def exchange_phase(alpha: float) -> complex:
+    """e^(-i*theta) at theta = alpha + 2*pi*n, with the 2*pi*n part removed
+    exactly: the same for every n."""
+    return cmath.exp(-1j * alpha)
+
+
 @dataclass(frozen=True)
 class ScalingPoint:
     """One step of the large-n limit; mu, nu derived lazily from (alpha, beta, n)."""
@@ -166,8 +177,7 @@ class ScalingPoint:
     n: int
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be > 0 and finite, got beta={self.beta}")
+        _check_beta(self.beta)
         if self.n < 0:
             raise ValueError("n must be >= 0")
 
@@ -184,66 +194,48 @@ class ScalingPoint:
         return self.beta * math.sqrt(self.theta)
 
     def exchange_phase(self) -> complex:
-        """e^(-i*theta) with the 2*pi*n part removed exactly."""
-        return cmath.exp(-1j * self.alpha)
+        return exchange_phase(self.alpha)
 
 
-def scaling_points(
+def scaling_columns(
     alpha: float, beta: float, ns: Sequence[int]
-) -> list[ScalingPoint]:
-    """The path's points at each requested n.
+) -> tuple[np.ndarray, np.ndarray]:
+    """mu and nu of the path at each requested n, as arrays.
 
-    alpha is theta mod 2*pi, so it must lie in (-pi, pi]; mu and nu are
-    square roots of theta = alpha + 2*pi*n, so no requested n may make
-    theta negative.
+    Elementwise the same IEEE operations as ScalingPoint, so each entry
+    equals that point's mu or nu bit for bit.  alpha is theta mod 2*pi, so
+    it must lie in (-pi, pi]; mu and nu are square roots of theta =
+    alpha + 2*pi*n, so no requested n may make theta negative.
     """
     if not -math.pi < alpha <= math.pi:
         raise ValueError(f"alpha must lie in (-pi, pi], got alpha={alpha}")
-    points = [ScalingPoint(alpha=alpha, beta=beta, n=n) for n in ns]
-    for pt in points:
-        if pt.theta < 0:
-            raise ValueError(
-                f"alpha + 2*pi*n must be >= 0, got alpha={alpha} at n={pt.n}"
-            )
-    return points
+    _check_beta(beta)
+    if min(ns) < 0:
+        raise ValueError("n must be >= 0")
+    theta = alpha + (2.0 * math.pi) * np.array(ns, dtype=float)
+    negative = np.flatnonzero(theta < 0)
+    if negative.size:
+        raise ValueError(
+            f"alpha + 2*pi*n must be >= 0, got alpha={alpha} at n={ns[negative[0]]}"
+        )
+    root = np.sqrt(theta)
+    with np.errstate(over="ignore"):  # inf, as float arithmetic gives it
+        return root / beta, beta * root
 
 
-def scaling_path(alpha: float, beta: float, n_max: int) -> list[ScalingPoint]:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return scaling_points(alpha, beta, range(n_max + 1))
-
-
-def tan_half_deviations(
-    alpha: float, ns: Sequence[int], reduced: bool = True
-) -> list[float]:
+def tan_half_deviations(alpha: float, ns: Sequence[int]) -> list[float]:
     """|tan((alpha + 2*pi*n)/2) - tan(alpha/2)| for each n.
 
-    With ``reduced=True`` the half-angle is reduced by its exact period
-    before evaluation -- (alpha + 2*pi*n)/2 = alpha/2 + pi*n and tan has
-    period pi, so the n-dependence drops out before any floating-point
-    rounding.  The naive evaluation (``reduced=False``) forms the large
-    argument first and loses one digit per decade of n; it is kept for
-    comparison.
+    The half-angle is reduced by its exact period before evaluation:
+    (alpha + 2*pi*n)/2 = alpha/2 + pi*n and tan has period pi, so the
+    n-dependence drops out before any floating-point rounding and every
+    deviation is 0 by construction.  The check documents that identity
+    and the pole; it does not test a floating-point evaluation.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got alpha={alpha}")
     if abs(1.0 + math.cos(alpha)) <= Q_POLE_TOL:
         raise ValueError("tan(alpha/2) pole at alpha = pi (mod 2*pi)")
-    ref = math.tan(alpha / 2.0)
-    out = []
-    for n in ns:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if reduced:
-            value = math.tan(alpha / 2.0)
-        else:
-            value = math.tan((alpha + 2.0 * math.pi * n) / 2.0)
-        out.append(abs(value - ref))
-    return out
-
-
-def prefactor_periodicity(
-    alpha: float, ns: Sequence[int], reduced: bool = True
-) -> float:
-    """Max deviation of the periodic prefactor factor along the scaling path."""
-    devs = tan_half_deviations(alpha, ns, reduced=reduced)
-    return max(devs) if devs else 0.0
+    if len(ns) and min(ns) < 0:
+        raise ValueError("n must be >= 0")
+    return [0.0] * len(ns)

@@ -5,6 +5,8 @@ line, ``#`` comments, values either numbers, bare strings, or SI
 quantities with a unit tag (``hbar = 1.054571817e-34 J.s``).  Flags
 always override config values; the ``QDEFORM_CONFIG`` environment
 variable names a config file to use when ``--config`` is not given.
+A file may set only the keys of ``DEFAULTS`` and ``QUANTITY_KEYS``, so a
+misspelled key is an error rather than a setting silently ignored.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 import os
 from typing import Optional
+
+from .params import UNIT_TAGS, parse_quantity
 
 ENV_VAR = "QDEFORM_CONFIG"
 
@@ -40,6 +44,16 @@ DEFAULTS = {
     "params.nu0": "1.0",
     "params.endpoint_tol": "1e-3",
     "params.phase_threshold": "1e-12",
+}
+
+
+# Keys of the parameter-set format (params.to_config_text writes them,
+# params.parameter_set_from_config reads them) beside DEFAULTS: the physical
+# constants with their unit tags, and the dimensionless mu and nu.
+QUANTITY_KEYS = {
+    **{f"params.{name}": tag for name, tag in UNIT_TAGS.items()},
+    "params.mu": None,
+    "params.nu": None,
 }
 
 
@@ -84,7 +98,16 @@ def load_config(path: Optional[str] = None) -> dict[str, str]:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        merged.update(parse_config_text(text))
+        entries = parse_config_text(text)
+        for key, value in entries.items():
+            if key in QUANTITY_KEYS:
+                try:
+                    parse_quantity(value, QUANTITY_KEYS[key])
+                except ValueError as exc:
+                    raise ConfigError(f"bad config value for {key}: {exc}") from None
+            elif key not in DEFAULTS:
+                raise ConfigError(f"unknown config key {key} in {path}")
+        merged.update(entries)
     return merged
 
 

@@ -10,8 +10,11 @@ passes.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 SCHEMA_VERSION = 1
@@ -49,10 +52,42 @@ class Metric:
         return self.value <= self.threshold
 
 
-@dataclass(frozen=True)
 class Table:
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    """Column names and the cells under them.
+
+    ``Table(columns, rows)`` takes the cells row by row.
+    ``Table.from_columns(columns, cells)`` takes one list of cells per
+    column, all of one length, and builds no tuple per row; ``rows`` then
+    reads the cells row by row when asked for.
+    """
+
+    __slots__ = ("columns", "_rows", "_cells")
+
+    def __init__(self, columns: Sequence[str], rows: Sequence[tuple] = ()):
+        self.columns = tuple(columns)
+        self._rows = tuple(rows)
+        self._cells = None
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[str], cells: Sequence[list]) -> "Table":
+        cells = list(cells)
+        if len(cells) != len(columns) or len(set(map(len, cells))) > 1:
+            raise ValueError(
+                "a table needs one list of cells per column, all of one length"
+            )
+        table = cls(columns)
+        table._rows = None
+        table._cells = cells
+        return table
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        if self._rows is None:
+            self._rows = tuple(zip(*self._cells))
+        return self._rows
+
+    def __repr__(self) -> str:
+        return f"Table(columns={self.columns!r}, rows={self.rows!r})"
 
 
 @dataclass
@@ -137,18 +172,19 @@ class VerificationReport:
             "timestamp": self.timestamp,
         }
         text = json.dumps(payload, indent=2, allow_nan=False)
-        if table is not None and table.rows:
+        if table is not None and _row_count(table):
             # the table's rows are the last "rows" key at its depth: a JSON
             # string cannot hold the raw newline in front of it
             head, _, tail = text.rpartition('\n    "rows": []')
-            text = f"{head}\n    \"rows\": {_json_rows(table.rows)}{tail}"
+            text = f"{head}\n    \"rows\": {_json_rows(table)}{tail}"
         return text + "\n"
 
     def to_csv(self) -> str:
         if self.table is None:
             raise ValueError("report has no table; csv format needs one")
         lines = [",".join(self.table.columns)]
-        lines.extend(_csv_rows(self.table.rows))
+        if _row_count(self.table):
+            lines.append(_csv_lines(self.table, "\n"))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -171,7 +207,8 @@ class VerificationReport:
         if self.table is not None:
             lines.append("table:")
             lines.append("  " + ",".join(self.table.columns))
-            lines.extend("  " + line for line in _csv_rows(self.table.rows))
+            if _row_count(self.table):
+                lines.append("  " + _csv_lines(self.table, "\n  "))
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -184,40 +221,110 @@ class VerificationReport:
         raise ValueError(f"unknown format: {fmt!r}")
 
 
-# Cell types that json and str render as the report needs them, unchanged
-# by _plain: the fast paths below skip the per-cell Python call for these.
-_SCALARS = frozenset({int, float, str, bool, type(None)})
+# The text of each plain cell type, as json.dumps and str give it; cells of
+# other types go through _plain and the row-by-row renderers.
+_JSON_CELLS = {
+    int: int.__repr__,
+    float: float.__repr__,
+    str: encode_basestring_ascii,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_CSV_CELLS = {
+    int: int.__repr__,
+    float: float.__repr__,
+    str: str.__str__,
+    bool: bool.__repr__,
+    type(None): lambda _: "None",
+}
+# float texts that json.dumps(allow_nan=False) refuses
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
-# Cells of one row, nested three deep in the report (payload, table, rows),
-# as json.dumps(indent=2) separates them; the C encoder, which json.dumps
-# uses only without indent, renders a whole table with it in one call.
+# The break between two cells of a row and between two rows, nested three
+# deep in the report (payload, table, rows), as json.dumps(indent=2) lays
+# them out.
 _CELL_BREAK = ",\n        "
-_ROWS_ENCODER = json.JSONEncoder(separators=(_CELL_BREAK, ": "), allow_nan=False)
+_ROW_BREAK = "\n      ],\n      [\n        "
 
 
-def _scalar_cells(rows) -> bool:
-    return {type(v) for row in rows for v in row} <= _SCALARS
+def _row_count(table: Table) -> int:
+    cells = table._cells
+    return len(cells[0]) if cells else len(table.rows)
 
 
-def _json_rows(rows) -> str:
-    """The non-empty rows list as json.dumps(indent=2) renders it at the
-    depth of a report's table rows."""
-    if not (min(map(len, rows)) and _scalar_cells(rows)):
-        plain = [[_plain(v) for v in row] for row in rows]
+def _cell_texts(table: Table, formats: dict, refused: frozenset = frozenset()):
+    """Each column's cell texts for a table that has rows, formatted once per
+    column: a str for a column that holds one object in every row, else a
+    list.  None when a cell's type is not in ``formats`` or the rows are
+    ragged or empty; a float text in ``refused`` raises ValueError.
+    """
+    columns = table._cells
+    if columns is None:
+        rows = table.rows
+        width = len(rows[0])
+        if not width or any(len(row) != width for row in rows):
+            return None
+        columns = list(zip(*rows))
+    texts = []
+    for cells in columns:
+        first = cells[0]
+        # one object, not equal values: 0.0 == -0.0 and 1 == 1.0 == True
+        constant = all(map(operator.is_, cells, repeat(first)))
+        kinds = {type(first)} if constant else set(map(type, cells))
+        if not kinds.issubset(formats):
+            return None
+        if constant:
+            column = formats[type(first)](first)
+            every = (column,)
+        elif len(kinds) == 1:
+            column = every = list(map(formats[type(first)], cells))
+        else:
+            column = every = [formats[type(v)](v) for v in cells]
+        if refused and float in kinds and not refused.isdisjoint(every):
+            raise ValueError("Out of range float values are not JSON compliant")
+        texts.append(column)
+    return texts
+
+
+def _join_rows(texts: list, count: int, cell_sep: str, row_sep: str) -> str:
+    """``row_sep.join(cell_sep.join(row) for row in rows)`` over ``count``
+    rows, where a str in ``texts`` stands for a column of that one text.
+
+    The constant columns before the first and after the last varying one
+    go into the row separator, so a table with one varying column is one
+    join over that column.
+    """
+    varying = [i for i, column in enumerate(texts) if not isinstance(column, str)]
+    if not varying:
+        return row_sep.join(repeat(cell_sep.join(texts), count))
+    first, last = varying[0], varying[-1]
+    head = "".join(text + cell_sep for text in texts[:first])
+    tail = "".join(cell_sep + text for text in texts[last + 1 :])
+    middle = [repeat(c) if isinstance(c, str) else c for c in texts[first : last + 1]]
+    rows = middle[0] if len(middle) == 1 else map(cell_sep.join, zip(*middle))
+    return head + (tail + row_sep + head).join(rows) + tail
+
+
+def _json_rows(table: Table) -> str:
+    """The rows of a table that has rows, as json.dumps(indent=2) renders
+    them at the depth of a report's table rows."""
+    texts = _cell_texts(table, _JSON_CELLS, _NON_FINITE)
+    if texts is None:
+        plain = [[_plain(v) for v in row] for row in table.rows]
         return json.dumps(plain, indent=2, allow_nan=False).replace("\n", "\n    ")
-    # "[[a,<break>b],<break>[c,...]]": only a row boundary puts "]," before
-    # a break, and only it needs the row's closing and opening brackets
-    body = _ROWS_ENCODER.encode(rows)[2:-2].replace(
-        "]" + _CELL_BREAK + "[", "\n      ],\n      [\n        "
-    )
+    body = _join_rows(texts, _row_count(table), _CELL_BREAK, _ROW_BREAK)
     return "[\n      [\n        " + body + "\n      ]\n    ]"
 
 
-def _csv_rows(rows) -> list[str]:
-    """One comma-joined line per row; str of a float is its repr."""
-    if _scalar_cells(rows):
-        return [",".join(map(str, row)) for row in rows]
-    return [",".join(_csv_cell(v) for v in row) for row in rows]
+def _csv_lines(table: Table, line_break: str) -> str:
+    """The rows of a table that has rows, as comma-joined lines; str of a
+    float is its repr."""
+    texts = _cell_texts(table, _CSV_CELLS)
+    if texts is None:
+        return line_break.join(
+            ",".join(_csv_cell(v) for v in row) for row in table.rows
+        )
+    return _join_rows(texts, _row_count(table), ",", line_break)
 
 
 def _csv_cell(value) -> str:

@@ -8,7 +8,9 @@ matrix residual is
 built densely, one complex eigensolve per operator, with the square
 roots taken of 1 + mu^2 P^2 itself rather than of the spectrum of p;
 the clock-shift pair is built as dense matrices and checked by matrix
-products; reports render through json.dumps(indent=2) and cell by cell.
+products; scan tables are built point by point, one tuple per row, with
+tan evaluated once per n; reports render through json.dumps(indent=2)
+and cell by cell.
 """
 
 import json
@@ -17,9 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from qdeform.clockshift import _root_of_unity
+from qdeform import cli, config, params
+from qdeform.clockshift import Q_POLE_TOL, ScalingPoint, _root_of_unity
 from qdeform.rational import MINUS_I, RationalComplex
-from qdeform.report import SCHEMA_VERSION, _plain
+from qdeform.report import SCHEMA_VERSION, Metric, Table, VerificationReport, _plain
 
 
 class FractionPairComplex:
@@ -273,6 +276,134 @@ def dense_pair_defects(dim: int, level: int) -> tuple[float, float, float, float
         float(np.max(np.abs(v @ v.conj().T - eye))),
         float(np.max(np.abs(np.linalg.matrix_power(u, dim) - eye))),
         float(np.max(np.abs(np.linalg.matrix_power(v, dim) - eye))),
+    )
+
+
+def scaling_points(alpha: float, beta: float, ns) -> list[ScalingPoint]:
+    """The scaling path's points at each requested n, one object per n.
+
+    alpha must lie in (-pi, pi], and no requested n may make
+    theta = alpha + 2*pi*n negative.
+    """
+    if not -math.pi < alpha <= math.pi:
+        raise ValueError(f"alpha must lie in (-pi, pi], got alpha={alpha}")
+    points = [ScalingPoint(alpha=alpha, beta=beta, n=n) for n in ns]
+    for pt in points:
+        if pt.theta < 0:
+            raise ValueError(
+                f"alpha + 2*pi*n must be >= 0, got alpha={alpha} at n={pt.n}"
+            )
+    return points
+
+
+def scaling_path(alpha: float, beta: float, n_max: int) -> list[ScalingPoint]:
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return scaling_points(alpha, beta, range(n_max + 1))
+
+
+def per_n_tan_half_deviations(alpha: float, ns, reduced: bool = True) -> list[float]:
+    """|tan((alpha + 2*pi*n)/2) - tan(alpha/2)|, evaluating tan once per n.
+
+    With ``reduced=True`` the half-angle is reduced by its exact period
+    before evaluation; the naive evaluation (``reduced=False``) forms the
+    large argument first and loses one digit per decade of n.
+    """
+    if abs(1.0 + math.cos(alpha)) <= Q_POLE_TOL:
+        raise ValueError("tan(alpha/2) pole at alpha = pi (mod 2*pi)")
+    ref = math.tan(alpha / 2.0)
+    out = []
+    for n in ns:
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if reduced:
+            value = math.tan(alpha / 2.0)
+        else:
+            value = math.tan((alpha + 2.0 * math.pi * n) / 2.0)
+        out.append(abs(value - ref))
+    return out
+
+
+def prefactor_periodicity(alpha: float, ns, reduced: bool = True) -> float:
+    """Max deviation of the periodic prefactor factor along the scaling path."""
+    devs = per_n_tan_half_deviations(alpha, ns, reduced=reduced)
+    return max(devs) if devs else 0.0
+
+
+def reference_scan(argv) -> VerificationReport:
+    """The report of a periodicity or path scan (``scan --engine clock-shift
+    --alpha``, ``scan --path ...``) with default config, built point by
+    point: one ScalingPoint, path point or tan evaluation per n and one
+    tuple per row."""
+    args = cli.build_parser().parse_args(argv)
+    cfg = config.load_config(None)
+    alpha = args.alpha if args.alpha is not None else config.get_float(
+        cfg, "params.alpha"
+    )
+    if args.engine == "clock-shift":
+        ntext = args.n or "0..100"
+        ns = cli.parse_int_list(ntext, "n")
+        devs = per_n_tan_half_deviations(alpha, ns)
+        return VerificationReport.build(
+            "clock-shift",
+            f"scan --engine clock-shift --alpha {alpha} --n {ntext}",
+            {"alpha": alpha, "n_count": len(ns)},
+            [Metric("max_deviation", max(devs),
+                    config.get_float(cfg, "clockshift.periodicity_threshold"))],
+            Table(
+                columns=("alpha", "n", "deviation"),
+                rows=tuple((alpha, n, d) for n, d in zip(ns, devs)),
+            ),
+        )
+    beta = args.beta if args.beta is not None else config.get_float(cfg, "params.beta")
+    if args.path == "hbar-to-0":
+        ntext = args.n if args.n is not None else "0..5"
+        ns = cli.parse_int_list(ntext, "n")
+        points = scaling_points(alpha, beta, ns)
+        ref = points[0].exchange_phase()
+        rows, devs = [], []
+        for pt in points:
+            phase = pt.exchange_phase()
+            devs.append(abs(phase - ref))
+            rows.append((pt.n, pt.mu, pt.nu, alpha, phase.real, phase.imag, devs[-1]))
+        return VerificationReport.build(
+            "params",
+            f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}",
+            {"alpha": alpha, "beta": beta, "n_count": len(ns)},
+            [Metric("max_phase_dev", max(devs),
+                    config.get_float(cfg, "params.phase_threshold"))],
+            Table(
+                columns=("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im",
+                         "phase_dev"),
+                rows=tuple(rows),
+            ),
+        )
+    mu0 = config.get_float(cfg, "params.mu0")
+    nu0 = config.get_float(cfg, "params.nu0")
+    endpoint_tol = config.get_float(cfg, "params.endpoint_tol")
+    ntext = args.n if args.n is not None else "0..10"
+    steps = cli.parse_int_list(ntext, "step")
+    path = params.contraction_path(args.path, mu0=mu0, nu0=nu0, alpha=alpha, beta=beta)
+    rows = []
+    for k in steps:
+        t = 2.0 ** (-k)
+        pt = path.point(t)
+        if args.path == "q-to-1":
+            rows.append((k, t, pt["mu"], pt["nu"], pt["q"]))
+        else:
+            rows.append((k, t, pt["mu"], pt["nu"], pt["omega_ratio"], pt["q"]))
+    if args.path == "q-to-1":
+        columns = ("step", "t", "mu", "nu", "q")
+        metric = Metric("final_q_offset", abs(rows[-1][4] - 1.0), endpoint_tol)
+    else:
+        columns = ("step", "t", "mu", "nu", "omega_ratio", "q")
+        metric = Metric("final_omega_ratio", rows[-1][4], endpoint_tol)
+    return VerificationReport.build(
+        "params",
+        f"scan --path {args.path} --n {ntext}",
+        {"path": args.path, "mu0": mu0, "nu0": nu0, "steps": len(steps)},
+        [metric],
+        Table(columns=columns, rows=tuple(rows)),
     )
 
 

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,13 @@ from qdeform.config import (
 from qdeform.report import Metric, Table, VerificationReport
 
 from conftest import mask_timestamp
-from oracles import dense_qplane_residual, reference_csv, reference_json
+from oracles import (
+    dense_qplane_residual,
+    reference_csv,
+    reference_json,
+    reference_scan,
+    reference_text,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +327,42 @@ def test_scan_clockshift_grid_bytes_match_dense_oracle(invoke, fmt):
     assert mask_timestamp(out) == mask_timestamp(render(expected))
 
 
+SCAN_ROUTE_CASES = {
+    "hbar-negative-alpha": ["--path", "hbar-to-0", "--alpha", "-1", "--beta", "1.5",
+                            "--n", "1..40"],
+    "hbar-unsorted": ["--path", "hbar-to-0", "--alpha", "0.7", "--beta", "0.3",
+                      "--n", "7,0,3"],
+    "hbar-single": ["--path", "hbar-to-0", "--alpha", "2.5", "--beta", "2",
+                    "--n", "4"],
+    "hbar-to-1e6": ["--path", "hbar-to-0", "--alpha", "-3.1", "--beta", "0.8",
+                    "--n", "999000..1000000"],
+    "periodicity-50k": ["--engine", "clock-shift", "--alpha", "-2.1",
+                        "--n", "0..49999"],
+    "periodicity-unsorted": ["--engine", "clock-shift", "--alpha", "-0.0",
+                             "--n", "7,0,3"],
+    "periodicity-single": ["--engine", "clock-shift", "--alpha", "1.0", "--n", "5"],
+    "periodicity-to-1e6": ["--engine", "clock-shift", "--alpha", "3",
+                           "--n", "999990..1000000"],
+    "q-to-1": ["--path", "q-to-1"],
+    "q-to-1-smallest-step": ["--path", "q-to-1", "--n", "0..1074"],
+    "omega-to-0-unsorted": ["--path", "omega-to-0", "--n", "7,0,3"],
+    "omega-to-0-smallest-step": ["--path", "omega-to-0", "--n", "0..1074"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", SCAN_ROUTE_CASES)
+def test_scan_bytes_match_per_point_route(invoke, case, fmt):
+    # the report built point by point, one tuple per row, and rendered cell
+    # by cell
+    argv = ["scan"] + SCAN_ROUTE_CASES[case]
+    expected = reference_scan(argv)
+    render = {"json": reference_json, "csv": reference_csv, "text": reference_text}
+    code, out = invoke(argv + ["--format", fmt])
+    assert code == {"pass": 0, "fail": 1}[expected.verdict]
+    assert mask_timestamp(out) == mask_timestamp(render[fmt](expected))
+
+
 def test_scan_clockshift_periodicity(invoke):
     code, out = invoke(
         ["scan", "--engine", "clock-shift", "--alpha", "1.0", "--n", "0..100"]
@@ -476,6 +519,44 @@ def test_missing_config_file_is_error(invoke, tmp_path):
         ["verify", "--engine", "symbolic", "--config", str(tmp_path / "absent.cfg")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line,named",
+    [
+        ("matrix.residual_treshold = 1e-30",
+         "ConfigError: unknown config key matrix.residual_treshold"),
+        ("params.hbar = banana J.s",
+         "ConfigError: bad config value for params.hbar: "
+         "cannot parse quantity: 'banana J.s'"),
+        ("params.hbar = 1.05e-34 kg",
+         "ConfigError: bad config value for params.hbar: "
+         "expected unit 'J.s', got 'kg'"),
+        ("params.mu = 0.5 J.s",
+         "ConfigError: bad config value for params.mu: "
+         "unexpected unit tag 'J.s' on dimensionless value"),
+    ],
+)
+def test_bad_config_key_or_quantity_is_named_error(invoke, tmp_path, line, named):
+    # both first lines passed with exit 0 before
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"symbolic.degree = 2\n{line}\n")
+    code, out = invoke(["verify", "--engine", "symbolic", "--config", str(cfg)])
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"].startswith(named)
+
+
+def test_readme_example_config_loads(invoke, tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("# example config\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(example)
+    assert "params.hbar = 1.054571817e-34 J.s" in example
+    code, out = invoke(
+        ["verify", "--engine", "symbolic", "--degree", "4", "--config", str(cfg)]
+    )
+    assert code == 0
+    assert load_config(str(cfg))["params.hbar"] == "1.054571817e-34 J.s"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -1,0 +1,139 @@
+"""Property test over the command-line grammar.
+
+Hypothesis draws commands, engines, flags and values (nan, inf, negative
+numbers, empty lists, out-of-range values; small sizes only), sometimes
+with a config file.  Every argv must end in exit 0, 1 or 2 without an
+uncaught exception or a numpy warning, and print strict JSON whenever a
+report is JSON (an expansion prints its canonical text in every format).
+"""
+
+import io
+import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qdeform.cli as cli
+
+FLOATS = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "-0.0", "0", "0.1", "0.5", "1", "2.5", "3.1416",
+     "7", "1e-300", "1e300", "x"]
+)
+INTS = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "5", "8", "nan", "x"])
+SMALL_DIMS = st.sampled_from(["2", "3", "5", "8", "12", "16", "24"])
+INT_LISTS = st.sampled_from(
+    ["", ",", " , ", "0", "1", "7,0,3", "0..5", "5..0", "-2..2", "-1", "1..3",
+     "0..40", "1074", "1075", "0..1074", "999990..1000000", "a..b", "1,x"]
+)
+DIM_LISTS = st.sampled_from(
+    ["", ",", "1", "0,1", "2", "2..12", "5,17,3", "10,12,14,16", "16,12",
+     "-4", "2..1", "x"]
+)
+CONFIG_LINES = st.sampled_from(
+    ["symbolic.degree = 3", "symbolic.degree = -1", "symbolic.degree = x",
+     "matrix.residual_threshold = nan", "matrix.residual_threshold = 1e-30",
+     "matrix.residual_treshold = 1e-30", "matrix.overflow_guard = inf",
+     "matrix.noise_floor = -1", "clockshift.periodicity_threshold = inf",
+     "params.alpha = 7", "params.beta = 0", "params.mu0 = 0", "params.mu0 = nan",
+     "params.nu0 = inf", "params.endpoint_tol = 0", "params.hbar = banana J.s",
+     "params.hbar = 1.05e-34 J.s", "params.c = 3e8 kg", "params.mu = 0.5",
+     "no equals sign", "= 1"]
+)
+
+
+def _flags(draw, options):
+    argv = []
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def commands(draw):
+    command = draw(st.sampled_from(["verify", "scan", "expand"]))
+    argv = [command]
+    if command == "verify":
+        engine = draw(st.sampled_from(["symbolic", "matrix", "clock-shift", "dense"]))
+        argv += ["--engine", engine]
+        argv += _flags(draw, {
+            "--degree": st.sampled_from(["-1", "0", "2", "5", "x"]),
+            "--dim": SMALL_DIMS | INTS,
+            "--interior": INTS,
+            "--mu": FLOATS,
+            "--nu": FLOATS,
+            "--level": INTS,
+        })
+    elif command == "scan":
+        # the valid selectors three times as often as the invalid ones
+        selector = draw(st.sampled_from(
+            [["--engine", "matrix"], ["--engine", "clock-shift"],
+             ["--path", "q-to-1"], ["--path", "hbar-to-0"], ["--path", "omega-to-0"]]
+            * 3
+            + [[], ["--engine", "matrix", "--path", "q-to-1"]]
+        ))
+        argv += selector
+        argv += _flags(draw, {
+            "--dims": DIM_LISTS,
+            "--mu": FLOATS,
+            "--nu": FLOATS,
+            "--interior": INTS,
+            "--alpha": FLOATS,
+            "--beta": FLOATS,
+            "--n": INT_LISTS,
+        })
+    else:
+        argv += ["--target", draw(st.sampled_from(
+            ["P", "X", "prefactor", "eq8-rhs", "eq9", "Q"]
+        ))]
+        argv += _flags(draw, {"--degree": st.sampled_from(["-1", "0", "3", "6", "x"])})
+    argv += _flags(draw, {"--format": st.sampled_from(["json", "csv", "text", "xml"])})
+    # "=" keeps values that start with "-" from reading as flags
+    return [argv[0]] + [
+        f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])
+    ]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grammar")
+
+
+@settings(max_examples=150)
+@given(argv=commands(), config=st.none() | st.lists(CONFIG_LINES, max_size=3))
+def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config):
+    if config is not None:
+        path = config_dir / "run.cfg"
+        path.write_text("\n".join(config) + "\n")
+        argv = argv + [f"--config={path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage on stderr, exit 2
+            assert exc.code == 2
+            assert "usage:" in err.getvalue() and not out.getvalue()
+            return
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "json")
+    if argv[0] == "expand" and code == 0:
+        return  # an expansion is canonical text in every format
+    if fmt == "json" or code == 2 and fmt == "csv":
+        report = _strict_json(out.getvalue())
+        assert report["verdict"] == {0: "pass", 1: "fail", 2: "error"}[code]
+        if code == 2:
+            assert report["parameters"]["error"]

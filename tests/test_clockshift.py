@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,16 +9,24 @@ from qdeform.clockshift import (
     ClockShiftPair,
     ScalingPoint,
     build_pair,
+    exchange_phase,
     pair_defects,
-    prefactor_periodicity,
     q_from_alpha,
     qplane_residuals,
-    scaling_path,
+    scaling_columns,
     tan_half_deviations,
     verify_qplane,
 )
 
-from oracles import dense_pair, dense_pair_defects, dense_qplane_residual
+from oracles import (
+    dense_pair,
+    dense_pair_defects,
+    dense_qplane_residual,
+    per_n_tan_half_deviations,
+    prefactor_periodicity,
+    scaling_path,
+    scaling_points,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +210,44 @@ def test_exchange_phase_constant_along_path():
     points = scaling_path(1.0, 1.5, 10)
     ref = points[0].exchange_phase()
     assert all(pt.exchange_phase() == ref for pt in points)
+    assert exchange_phase(1.0) == ref == cmath.exp(-1j)
+
+
+SCALING_CASES = [
+    (1.0, 1.0, range(6)),
+    (-1.0, 1.5, range(1, 41)),  # negative alpha, positive theta
+    (0.7, 0.3, [7, 0, 3]),  # unsorted
+    (math.pi, 2.5, [4]),  # single n, alpha at the top of its range
+    (-3.1, 0.8, range(999_000, 1_000_001)),  # n up to 10^6
+    (1e-300, 1e-300, [0, 1, 10**15, 2**62]),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,ns", SCALING_CASES)
+def test_scaling_columns_match_points_bit_for_bit(alpha, beta, ns):
+    mu, nu = scaling_columns(alpha, beta, ns)
+    points = scaling_points(alpha, beta, ns)
+    assert mu.tolist() == [pt.mu for pt in points]
+    assert nu.tolist() == [pt.nu for pt in points]
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,ns",
+    [
+        (4.0, 0.0, [-1]),  # alpha's range first
+        (-1.0, 0.0, [-1, 0]),  # then beta
+        (-1.0, float("nan"), [0]),
+        (-1.0, 1.0, [3, -1, 0]),  # then n
+        (-1.0, 1.0, [3, 0, -1]),
+        (-1.0, 1.0, [3, 0, 2]),  # then alpha, named at the first such n
+        (-0.5, 2.0, [5, 0]),
+    ],
+)
+def test_scaling_columns_refuse_as_points_do(alpha, beta, ns):
+    with pytest.raises(ValueError) as expected:
+        scaling_points(alpha, beta, ns)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        scaling_columns(alpha, beta, ns)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +282,17 @@ def test_periodicity_pole_and_negative_n():
         tan_half_deviations(math.pi, [0, 1])
     with pytest.raises(ValueError, match=">= 0"):
         tan_half_deviations(1.0, [-1])
+    with pytest.raises(ValueError, match=">= 0"):
+        tan_half_deviations(1.0, [5, 0, -2, 7])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"alpha must be finite, got alpha={bad}"):
+            tan_half_deviations(bad, [0])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0, 1.0, -2.1, 3.0, -3.14, 1e-300, 1e300])
+def test_deviations_match_the_per_n_route(alpha):
+    for ns in ([0], [7, 0, 3], range(1000), [10**6, 10**12], []):
+        assert tan_half_deviations(alpha, ns) == per_n_tan_half_deviations(alpha, ns)
 
 
 def test_pair_alpha_property():
