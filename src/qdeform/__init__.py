@@ -9,51 +9,8 @@ Three engines check the same structure from independent directions:
 * :mod:`qdeform.clockshift` -- exact finite Weyl pairs realizing the
   quantum-plane relation PX = qXP, plus the scaling-path bookkeeping.
 
-:mod:`qdeform.params` owns all dimensional maps and contraction paths;
-:mod:`qdeform.cli` is the reporting front end.
+:mod:`qdeform.params` owns the contraction paths and the parsing of SI
+quantities; :mod:`qdeform.cli` is the reporting front end.
 """
 
 __version__ = "0.1.0"
-
-from .rational import RationalComplex
-from .series import ScalarSeries
-from .weyl import (
-    ParamPolynomial,
-    WeylMonomial,
-    WeylSeriesElement,
-    anticommutator,
-    bracket,
-    commutator,
-    deformed_momentum,
-    deformed_position,
-    exchange_residual,
-    free_particle_rule,
-    identity_residual,
-    identity_rhs,
-    leading_order_residual,
-    normal_product,
-    prefactor_series,
-    sqrt_one_plus_square,
-)
-
-__all__ = [
-    "__version__",
-    "RationalComplex",
-    "ScalarSeries",
-    "ParamPolynomial",
-    "WeylMonomial",
-    "WeylSeriesElement",
-    "anticommutator",
-    "bracket",
-    "commutator",
-    "deformed_momentum",
-    "deformed_position",
-    "exchange_residual",
-    "free_particle_rule",
-    "identity_residual",
-    "identity_rhs",
-    "leading_order_residual",
-    "normal_product",
-    "prefactor_series",
-    "sqrt_one_plus_square",
-]

@@ -12,6 +12,8 @@ import cmath
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import clockshift, config, matrixrep, params, weyl
 from .rational import I
 from .report import Metric, Table, VerificationReport
@@ -36,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (fallback: $QDEFORM_CONFIG)")
     common.add_argument("--out", help="also write the output to this file")
-    common.add_argument(
-        "--format",
+    # expand prints canonical text, so only verify and scan take --format
+    report_format = dict(
         choices=("json", "csv", "text"),
         default="json",
         help="report format (default json; csv needs a table)",
@@ -46,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run one engine's identity checks"
     )
+    p_verify.add_argument("--format", **report_format)
     p_verify.add_argument(
         "--engine", required=True, choices=("symbolic", "matrix", "clock-shift")
     )
@@ -59,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser(
         "scan", parents=[common], help="tabulate residuals over a grid or path"
     )
+    p_scan.add_argument("--format", **report_format)
     p_scan.add_argument("--engine", choices=("matrix", "clock-shift"))
     p_scan.add_argument("--path", choices=params.PATH_NAMES)
     p_scan.add_argument("--dims", help="dimension grid: '16,32,64' or '2..64'")
@@ -275,6 +279,18 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
     )
 
 
+def _refuse_overflow(columns: dict, index: str, values: Sequence, inputs: str) -> None:
+    """Refuse a path table with a cell that overflowed, naming the column,
+    the row and the inputs that made it."""
+    for name, cells in columns.items():
+        finite = np.isfinite(cells)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(
+                f"path cell {name} overflows at {index} = {values[row]} ({inputs})"
+            )
+
+
 def _scan_path(args, cfg) -> VerificationReport:
     alpha = args.alpha if args.alpha is not None else config.get_float(
         cfg, "params.alpha"
@@ -283,12 +299,14 @@ def _scan_path(args, cfg) -> VerificationReport:
     mu0 = config.get_float(cfg, "params.mu0")
     nu0 = config.get_float(cfg, "params.nu0")
     endpoint_tol = config.get_float(cfg, "params.endpoint_tol")
+    path = params.contraction_path(args.path, mu0=mu0, nu0=nu0, alpha=alpha, beta=beta)
 
     if args.path == "hbar-to-0":
         ntext = args.n if args.n is not None else "0..5"
         ns = parse_int_list(ntext, "n")
         command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
         mu, nu = clockshift.scaling_columns(alpha, beta, ns)
+        _refuse_overflow({"mu": mu, "nu": nu}, "n", ns, f"alpha={alpha}, beta={beta}")
         phase = clockshift.exchange_phase(alpha)
         # 0 by construction: every point's phase is e^(-i*alpha), the
         # reference phase itself
@@ -317,7 +335,6 @@ def _scan_path(args, cfg) -> VerificationReport:
             f"--n steps must lie in 0..{MAX_STEP} (t = 2^-step underflows "
             f"to 0 beyond {MAX_STEP}), got {bad}"
         )
-    path = params.contraction_path(args.path, mu0=mu0, nu0=nu0, alpha=alpha, beta=beta)
     command = f"scan --path {args.path} --n {ntext}"
     points = [path.point(2.0 ** (-k)) for k in steps]
     if args.path == "q-to-1":
@@ -326,9 +343,9 @@ def _scan_path(args, cfg) -> VerificationReport:
     else:
         names = ("t", "mu", "nu", "omega_ratio", "q")
         metric = Metric("final_omega_ratio", points[-1]["omega_ratio"], endpoint_tol)
-    table = Table.from_columns(
-        ("step",) + names, [steps] + [[pt[name] for pt in points] for name in names]
-    )
+    columns = {name: [pt[name] for pt in points] for name in names}
+    _refuse_overflow(columns, "step", steps, f"params.mu0={mu0}, params.nu0={nu0}")
+    table = Table.from_columns(("step",) + names, [steps, *columns.values()])
     metrics = [metric]
     parameters = {"path": args.path, "mu0": mu0, "nu0": nu0, "steps": len(steps)}
     return VerificationReport.build("params", command, parameters, metrics, table)
@@ -410,9 +427,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = VerificationReport.error(
             engine, args.command, {}, f"{type(exc).__name__}: {exc}"
         )
+        fmt = getattr(args, "format", "json")
         try:
-            _emit(report.render("json" if args.format == "csv" else args.format),
-                  args.out)
+            _emit(report.render("json" if fmt == "csv" else fmt), args.out)
         except OSError:
             sys.stderr.write(str(exc) + "\n")
         return 2

@@ -157,59 +157,27 @@ def pair_defects(pair: ClockShiftPair) -> tuple[float, float, float, float]:
     )
 
 
-def _check_beta(beta: float) -> None:
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be > 0 and finite, got beta={beta}")
-
-
 def exchange_phase(alpha: float) -> complex:
     """e^(-i*theta) at theta = alpha + 2*pi*n, with the 2*pi*n part removed
     exactly: the same for every n."""
     return cmath.exp(-1j * alpha)
 
 
-@dataclass(frozen=True)
-class ScalingPoint:
-    """One step of the large-n limit; mu, nu derived lazily from (alpha, beta, n)."""
-
-    alpha: float
-    beta: float
-    n: int
-
-    def __post_init__(self):
-        _check_beta(self.beta)
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-
-    @property
-    def theta(self) -> float:
-        return self.alpha + 2.0 * math.pi * self.n
-
-    @property
-    def mu(self) -> float:
-        return math.sqrt(self.theta) / self.beta
-
-    @property
-    def nu(self) -> float:
-        return self.beta * math.sqrt(self.theta)
-
-    def exchange_phase(self) -> complex:
-        return exchange_phase(self.alpha)
-
-
 def scaling_columns(
     alpha: float, beta: float, ns: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """mu and nu of the path at each requested n, as arrays.
+    """mu = sqrt(theta)/beta and nu = beta*sqrt(theta) of the path at each
+    requested n, as arrays, with theta = alpha + 2*pi*n.
 
-    Elementwise the same IEEE operations as ScalingPoint, so each entry
-    equals that point's mu or nu bit for bit.  alpha is theta mod 2*pi, so
-    it must lie in (-pi, pi]; mu and nu are square roots of theta =
-    alpha + 2*pi*n, so no requested n may make theta negative.
+    Each entry is the IEEE result of those operations on one n, as a
+    per-point computation gives it.  alpha is theta mod 2*pi, so it must
+    lie in (-pi, pi]; mu and nu are square roots of theta, so no
+    requested n may make theta negative.
     """
     if not -math.pi < alpha <= math.pi:
         raise ValueError(f"alpha must lie in (-pi, pi], got alpha={alpha}")
-    _check_beta(beta)
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be > 0 and finite, got beta={beta}")
     if min(ns) < 0:
         raise ValueError("n must be >= 0")
     theta = alpha + (2.0 * math.pi) * np.array(ns, dtype=float)

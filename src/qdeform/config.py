@@ -47,9 +47,9 @@ DEFAULTS = {
 }
 
 
-# Keys of the parameter-set format (params.to_config_text writes them,
-# params.parameter_set_from_config reads them) beside DEFAULTS: the physical
-# constants with their unit tags, and the dimensionless mu and nu.
+# Keys of the physical parameter-set format beside DEFAULTS: the physical
+# constants with their unit tags, and the dimensionless mu and nu.  A file
+# may set them and each must parse with its tag, but no command reads them.
 QUANTITY_KEYS = {
     **{f"params.{name}": tag for name, tag in UNIT_TAGS.items()},
     "params.mu": None,

@@ -23,9 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .weyl import WeylSeriesElement
-
-HERMITICITY_TOL = 1e-12
 # double precision dies around exp(25)^2 in the anticommutator products
 OVERFLOW_GUARD = 25.0
 PREFACTOR_POLE_TOL = 1e-9
@@ -33,48 +30,6 @@ PREFACTOR_POLE_TOL = 1e-9
 NOISE_FLOOR = 1e-12
 
 RESIDUAL_CSV_COLUMNS = ("N", "M", "mu", "nu", "res_fro", "res_spec", "sqrt_cosh_xcheck")
-
-
-class OperatorMatrix:
-    """Dense complex matrix with Hermiticity bookkeeping.
-
-    ``hermitian`` is true when max|M - M*| <= tol * max|entry| (entrywise);
-    the measured defect is kept alongside the flag.
-    """
-
-    __slots__ = ("mat", "hermitian", "hermiticity_defect")
-
-    def __init__(self, mat, tol: float = HERMITICITY_TOL):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        self.mat = mat
-        defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-        self.hermitian = defect <= tol * scale
-        self.hermiticity_defect = defect
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __repr__(self):
-        return f"OperatorMatrix(dim={self.dim}, hermitian={self.hermitian})"
-
-
-def oscillator_xp(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Ladder construction x = (a + a*)/sqrt(2), p = i(a* - a)/sqrt(2).
-
-    [p, x] = -i on all but the top basis state; the defect sits at the
-    (dim-1, dim-1) entry only.
-    """
-    if dim < 2:
-        raise ValueError("dimension must be >= 2")
-    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-    ad = a.conj().T
-    x = (a + ad) / math.sqrt(2)
-    p = 1j * (ad - a) / math.sqrt(2)
-    return OperatorMatrix(x), OperatorMatrix(p)
 
 
 # i^n by n mod 4, exact: the diagonal of D
@@ -121,19 +76,6 @@ def _x_rows(v: np.ndarray, fw: np.ndarray, rows: int) -> np.ndarray:
 def _p_rows(v: np.ndarray, phase: np.ndarray, fw: np.ndarray, rows: int) -> np.ndarray:
     """The top ``rows`` rows of f(p) = D f(x) D*."""
     return phase[:rows, None] * _x_rows(v, fw, rows) * phase.conj()
-
-
-def deformed_ops(
-    dim: int, mu: float, nu: float
-) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """P = sinh(mu*p)/mu and X = sinh(nu*x)/nu; parameter 0 means undeformed."""
-    _check_parameters(mu, nu)
-    x, p = oscillator_xp(dim)
-    w, v, phase = _eigenbasis(dim)
-    fp, fx, _, _ = _deformed_spectra(w, mu, nu)
-    pd = OperatorMatrix(_p_rows(v, phase, fp, dim)) if mu > 0 else p
-    xd = OperatorMatrix(_x_rows(v, fx, dim)) if nu > 0 else x
-    return pd, xd
 
 
 def prefactor(theta: float) -> float:
@@ -273,33 +215,3 @@ def convergence_scan(
     return ConvergenceScan(
         rows=rows, threshold=threshold, noise_floor=noise_floor, passed=passed
     )
-
-
-def evaluate_element(
-    element: WeylSeriesElement, mu: float, nu: float, x: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Numerically evaluate a symbolic element on given x, p matrices.
-
-    Bridges the exact engine and this one: coefficients are evaluated at
-    numeric (mu, nu) and each normal-ordered word becomes x^a @ p^b.
-    """
-    dim = x.shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    max_x = max((m.x_pow for m in element.terms), default=0)
-    max_p = max((m.p_pow for m in element.terms), default=0)
-    x_pows = _power_table(x, max_x)
-    p_pows = _power_table(p, max_p)
-    for mono, poly in element.terms.items():
-        coeff = 0j
-        for (mp, np_), value in poly.terms.items():
-            coeff += complex(value) * (mu**mp) * (nu**np_)
-        if coeff != 0j:
-            out += coeff * (x_pows[mono.x_pow] @ p_pows[mono.p_pow])
-    return out
-
-
-def _power_table(mat: np.ndarray, max_pow: int) -> list[np.ndarray]:
-    table = [np.eye(mat.shape[0], dtype=complex)]
-    for _ in range(max_pow):
-        table.append(table[-1] @ mat)
-    return table

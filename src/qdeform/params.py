@@ -1,8 +1,7 @@
-"""Dimensional bookkeeping and parameter correspondences.
+"""Contraction paths and quantities with unit tags.
 
-The engines work in natural units (hbar = m = c = 1); this module owns
-every map between physical constants and the dimensionless deformation
-parameters, the leading-order q parameterizations, and the executable
+The engines work in natural units (hbar = m = c = 1).  This module owns
+the parsing of SI quantities with their unit tags and the executable
 contraction paths between the deformation regimes:
 
 * ``q-to-1``     mu, nu -> 0 together: back to the Heisenberg algebra.
@@ -19,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .clockshift import ScalingPoint
+from .clockshift import scaling_columns
 
 PATH_NAMES = ("q-to-1", "hbar-to-0", "omega-to-0")
 
@@ -27,81 +26,6 @@ PATH_NAMES = ("q-to-1", "hbar-to-0", "omega-to-0")
 UNIT_TAGS = {"hbar": "J.s", "m": "kg", "c": "m/s", "omega": "1/s"}
 
 _QUANTITY_RE = re.compile(r"^\s*([^\s]+)(?:\s+([^\s]+))?\s*$")
-
-
-@dataclass(frozen=True)
-class ParameterSet:
-    """Physical constants plus deformation parameters with derived scales.
-
-    delta = mu * hbar / (m c) carries the length scale of the momentum
-    deformation; tau = nu * m * c the momentum scale of the position
-    deformation; theta = mu * nu is the central exchange parameter.
-    """
-
-    hbar: float
-    m: float
-    c: float
-    mu: float
-    nu: float
-    omega: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("hbar", "m", "c"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
-        if self.mu < 0 or self.nu < 0:
-            raise ValueError("mu and nu must be >= 0")
-        if self.omega is not None and self.omega < 0:
-            raise ValueError("omega must be >= 0")
-
-    @property
-    def delta(self) -> float:
-        return self.mu * self.hbar / (self.m * self.c)
-
-    @property
-    def tau(self) -> float:
-        return self.nu * self.m * self.c
-
-    @property
-    def theta(self) -> float:
-        return self.mu * self.nu
-
-
-def derive_scales(
-    mu: float, nu: float, hbar: float, m: float, c: float
-) -> tuple[float, float]:
-    """(delta, tau) from the dimensionless parameters and physical constants."""
-    ps = ParameterSet(hbar=hbar, m=m, c=c, mu=mu, nu=nu)
-    return ps.delta, ps.tau
-
-
-def correspondence(mu: float, nu: float) -> tuple[float, float]:
-    """(nu/mu, 1 + mu*nu/2): the frequency ratio hbar*omega/(m c^2) and the
-    leading-order q of the q-oscillator match.
-
-    Higher orders of q are deliberately not produced; the match is stated
-    to lowest order only.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be > 0 for the frequency ratio")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    return nu / mu, 1.0 + mu * nu / 2.0
-
-
-def q_of_omega(hbar: float, omega: float, m: float, c: float) -> float:
-    """Leading-order q = 1 + hbar*omega/(m c^2).
-
-    First order only; for hbar*omega ~ m c^2 the small-parameter expansion
-    has left its regime and the value is indicative at best.
-    """
-    for name, value in (("hbar", hbar), ("m", m), ("c", c)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite")
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
-    return 1.0 + hbar * omega / (m * c * c)
 
 
 @dataclass(frozen=True)
@@ -118,6 +42,15 @@ class ContractionPath:
         if self.name not in PATH_NAMES:
             raise ValueError(
                 f"unknown contraction path {self.name!r}; expected one of {PATH_NAMES}"
+            )
+        for key in ("mu0", "nu0"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"params.{key} must be finite and >= 0, got {value}")
+        if self.name == "omega-to-0" and self.mu0 == 0:
+            raise ValueError(
+                f"params.mu0 must be > 0 on omega-to-0 (omega_ratio = nu / mu0), "
+                f"got {self.mu0}"
             )
 
     def point(self, t: float) -> dict:
@@ -136,8 +69,8 @@ class ContractionPath:
                 "q": 1.0 + mu * nu / 2.0,
             }
         n = math.ceil(1.0 / t) - 1
-        sp = ScalingPoint(alpha=self.alpha, beta=self.beta, n=n)
-        return {"t": t, "n": n, "mu": sp.mu, "nu": sp.nu}
+        mu, nu = scaling_columns(self.alpha, self.beta, [n])
+        return {"t": t, "n": n, "mu": float(mu[0]), "nu": float(nu[0])}
 
 
 def contraction_path(
@@ -168,39 +101,3 @@ def parse_quantity(text: str, unit: Optional[str] = None) -> float:
     if tag is not None and unit is None:
         raise ValueError(f"unexpected unit tag {tag!r} on dimensionless value")
     return value
-
-
-def to_config_text(ps: ParameterSet) -> str:
-    """Config-file form of a parameter set, with SI unit tags."""
-    lines = [
-        f"params.hbar = {ps.hbar!r} {UNIT_TAGS['hbar']}",
-        f"params.m = {ps.m!r} {UNIT_TAGS['m']}",
-        f"params.c = {ps.c!r} {UNIT_TAGS['c']}",
-        f"params.mu = {ps.mu!r}",
-        f"params.nu = {ps.nu!r}",
-    ]
-    if ps.omega is not None:
-        lines.append(f"params.omega = {ps.omega!r} {UNIT_TAGS['omega']}")
-    return "\n".join(lines) + "\n"
-
-
-def parameter_set_from_config(cfg: dict) -> ParameterSet:
-    """Rebuild a ParameterSet from config entries; absent keys mean natural units."""
-
-    def _get(key: str, unit: Optional[str], default: float) -> float:
-        raw = cfg.get(f"params.{key}")
-        return parse_quantity(raw, unit) if raw is not None else default
-
-    omega_raw = cfg.get("params.omega")
-    return ParameterSet(
-        hbar=_get("hbar", UNIT_TAGS["hbar"], 1.0),
-        m=_get("m", UNIT_TAGS["m"], 1.0),
-        c=_get("c", UNIT_TAGS["c"], 1.0),
-        mu=_get("mu", None, 0.0),
-        nu=_get("nu", None, 0.0),
-        omega=(
-            parse_quantity(omega_raw, UNIT_TAGS["omega"])
-            if omega_raw is not None
-            else None
-        ),
-    )

@@ -20,25 +20,6 @@ from typing import Optional, Sequence
 SCHEMA_VERSION = 1
 
 
-def _plain(value):
-    """Coerce numpy scalars and other numerics to JSON-safe builtins."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    if hasattr(value, "item"):  # numpy scalar
-        return _plain(value.item())
-    if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Metric:
     name: str
@@ -53,20 +34,26 @@ class Metric:
 
 
 class Table:
-    """Column names and the cells under them.
+    """Column names and one list of cells per column.
 
-    ``Table(columns, rows)`` takes the cells row by row.
-    ``Table.from_columns(columns, cells)`` takes one list of cells per
-    column, all of one length, and builds no tuple per row; ``rows`` then
-    reads the cells row by row when asked for.
+    ``Table(columns, rows)`` takes the cells row by row and transposes
+    them; ``Table.from_columns(columns, cells)`` takes one list of cells
+    per column, all of one length, as it is.  ``rows`` reads the cells
+    row by row when asked for.  A cell is an int, float, str, bool or
+    None; rendering refuses any other type.
     """
 
-    __slots__ = ("columns", "_rows", "_cells")
+    __slots__ = ("columns", "cells")
 
     def __init__(self, columns: Sequence[str], rows: Sequence[tuple] = ()):
         self.columns = tuple(columns)
-        self._rows = tuple(rows)
-        self._cells = None
+        rows = tuple(rows)
+        width = len(self.columns)
+        if rows and (not width or any(len(row) != width for row in rows)):
+            raise ValueError(
+                f"a table needs one cell per column ({width}) in every row"
+            )
+        self.cells = list(zip(*rows)) if rows else [() for _ in self.columns]
 
     @classmethod
     def from_columns(cls, columns: Sequence[str], cells: Sequence[list]) -> "Table":
@@ -76,15 +63,12 @@ class Table:
                 "a table needs one list of cells per column, all of one length"
             )
         table = cls(columns)
-        table._rows = None
-        table._cells = cells
+        table.cells = cells
         return table
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        if self._rows is None:
-            self._rows = tuple(zip(*self._cells))
-        return self._rows
+        return tuple(zip(*self.cells))
 
     def __repr__(self) -> str:
         return f"Table(columns={self.columns!r}, rows={self.rows!r})"
@@ -151,16 +135,10 @@ class VerificationReport:
             "schemaVersion": SCHEMA_VERSION,
             "engine": self.engine,
             "command": self.command,
-            "parameters": {
-                k: _plain(self.parameters[k]) for k in sorted(self.parameters)
-            },
+            "parameters": dict(sorted(self.parameters.items())),
             "verdict": self.verdict,
             "metrics": [
-                {
-                    "name": m.name,
-                    "value": _plain(m.value),
-                    "threshold": _plain(m.threshold),
-                }
+                {"name": m.name, "value": m.value, "threshold": m.threshold}
                 for m in self.metrics
             ],
             "table": (
@@ -194,15 +172,14 @@ class VerificationReport:
             f"verdict: {self.verdict}",
         ]
         for key in sorted(self.parameters):
-            lines.append(f"param {key} = {_plain(self.parameters[key])}")
+            lines.append(f"param {key} = {self.parameters[key]}")
         for m in self.metrics:
             status = "PASS" if m.passed else "FAIL"
             if m.threshold is None:
-                lines.append(f"metric {m.name} = {_plain(m.value)}")
+                lines.append(f"metric {m.name} = {m.value}")
             else:
                 lines.append(
-                    f"metric {m.name} = {_plain(m.value)} "
-                    f"(threshold {_plain(m.threshold)}) {status}"
+                    f"metric {m.name} = {m.value} (threshold {m.threshold}) {status}"
                 )
         if self.table is not None:
             lines.append("table:")
@@ -221,8 +198,7 @@ class VerificationReport:
         raise ValueError(f"unknown format: {fmt!r}")
 
 
-# The text of each plain cell type, as json.dumps and str give it; cells of
-# other types go through _plain and the row-by-row renderers.
+# The text of each cell type, as json.dumps and str give it
 _JSON_CELLS = {
     int: int.__repr__,
     float: float.__repr__,
@@ -248,31 +224,27 @@ _ROW_BREAK = "\n      ],\n      [\n        "
 
 
 def _row_count(table: Table) -> int:
-    cells = table._cells
-    return len(cells[0]) if cells else len(table.rows)
+    return len(table.cells[0]) if table.cells else 0
 
 
 def _cell_texts(table: Table, formats: dict, refused: frozenset = frozenset()):
     """Each column's cell texts for a table that has rows, formatted once per
     column: a str for a column that holds one object in every row, else a
-    list.  None when a cell's type is not in ``formats`` or the rows are
-    ragged or empty; a float text in ``refused`` raises ValueError.
+    list.  A cell whose type is not in ``formats``, or a float text in
+    ``refused``, raises ValueError.
     """
-    columns = table._cells
-    if columns is None:
-        rows = table.rows
-        width = len(rows[0])
-        if not width or any(len(row) != width for row in rows):
-            return None
-        columns = list(zip(*rows))
     texts = []
-    for cells in columns:
+    for name, cells in zip(table.columns, table.cells):
         first = cells[0]
         # one object, not equal values: 0.0 == -0.0 and 1 == 1.0 == True
         constant = all(map(operator.is_, cells, repeat(first)))
         kinds = {type(first)} if constant else set(map(type, cells))
         if not kinds.issubset(formats):
-            return None
+            kind = next(type(v) for v in cells if type(v) not in formats)
+            raise ValueError(
+                f"table column {name!r} holds a cell of type {kind.__name__}; "
+                f"cells must be int, float, str, bool or None"
+            )
         if constant:
             column = formats[type(first)](first)
             every = (column,)
@@ -309,9 +281,6 @@ def _json_rows(table: Table) -> str:
     """The rows of a table that has rows, as json.dumps(indent=2) renders
     them at the depth of a report's table rows."""
     texts = _cell_texts(table, _JSON_CELLS, _NON_FINITE)
-    if texts is None:
-        plain = [[_plain(v) for v in row] for row in table.rows]
-        return json.dumps(plain, indent=2, allow_nan=False).replace("\n", "\n    ")
     body = _join_rows(texts, _row_count(table), _CELL_BREAK, _ROW_BREAK)
     return "[\n      [\n        " + body + "\n      ]\n    ]"
 
@@ -320,15 +289,4 @@ def _csv_lines(table: Table, line_break: str) -> str:
     """The rows of a table that has rows, as comma-joined lines; str of a
     float is its repr."""
     texts = _cell_texts(table, _CSV_CELLS)
-    if texts is None:
-        return line_break.join(
-            ",".join(_csv_cell(v) for v in row) for row in table.rows
-        )
     return _join_rows(texts, _row_count(table), ",", line_break)
-
-
-def _csv_cell(value) -> str:
-    value = _plain(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

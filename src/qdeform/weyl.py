@@ -275,18 +275,6 @@ class WeylSeriesElement:
             ParamPolynomial.from_theta_series(series, self.degree)
         )
 
-    def substituted_zero(self, param: str) -> "WeylSeriesElement":
-        """Set mu = 0 or nu = 0, keeping only coefficients free of it."""
-        if param not in ("mu", "nu"):
-            raise ValueError("param must be 'mu' or 'nu'")
-        idx = 0 if param == "mu" else 1
-        out = {}
-        for mono, poly in self.terms.items():
-            kept = _poly({k: v for k, v in poly.terms.items() if k[idx] == 0})
-            if kept:
-                out[mono] = kept
-        return _element(self.degree, out)
-
     # -- involution -----------------------------------------------------
 
     def dagger(self) -> "WeylSeriesElement":

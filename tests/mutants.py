@@ -1,0 +1,137 @@
+"""Mutant runner: checks that the tests catch a fixed list of source mutations.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+It copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` (a
+test reads its example config) into a temporary directory and runs every
+mutant's test files there once unmutated.  Then for each mutant it
+replaces one exact string in one source file, runs that mutant's test
+files with pytest (stopping at the first failure), puts the file back and
+prints ``killed`` or ``survived``.  It exits 1 when a mutant
+survives or when its pattern no longer occurs exactly once in the source.
+A survivor is a missing test, and a pattern that stopped matching means
+the code moved: rewrite the mutant, do not drop it.  Only the standard
+library is used, and pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # source file, relative to the checkout
+    old: str  # must occur exactly once in that file
+    new: str
+    tests: tuple[str, ...]  # test files that must catch it
+
+
+MUTANTS = (
+    Mutant(
+        "constant column found by equality, not identity",
+        "src/qdeform/report.py",
+        "constant = all(map(operator.is_, cells, repeat(first)))",
+        "constant = all(map(operator.eq, cells, repeat(first)))",
+        ("tests/test_report.py",),
+    ),
+    Mutant(
+        "equal-denominator add skips the gcd",
+        "src/qdeform/rational.py",
+        "return _reduced(self._a + other._a, self._b + other._b, d1)",
+        "return _raw(self._a + other._a, self._b + other._b, d1)",
+        ("tests/test_rational.py",),
+    ),
+    Mutant(
+        "scaling path divides by beta as a product with 1/beta",
+        "src/qdeform/clockshift.py",
+        "return root / beta, beta * root",
+        "return root * (1 / beta), beta * root",
+        ("tests/test_clockshift.py",),
+    ),
+    Mutant(
+        "config.get_float drops its finiteness check",
+        "src/qdeform/config.py",
+        "if key.endswith(_FINITE_KEY_SUFFIXES) and not math.isfinite(value):",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "row separator folds the tail columns in after the head",
+        "src/qdeform/report.py",
+        "return head + (tail + row_sep + head).join(rows) + tail",
+        "return head + (row_sep + head + tail).join(rows) + tail",
+        ("tests/test_report.py",),
+    ),
+    Mutant(
+        "contraction paths take any mu0 and nu0",
+        "src/qdeform/params.py",
+        "if not (math.isfinite(value) and value >= 0):",
+        "if False:",
+        ("tests/test_cli.py", "tests/test_cli_grammar.py"),
+    ),
+)
+
+
+def _pytest(work: Path, tests: tuple[str, ...]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(work / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    return subprocess.run(
+        command + list(tests),
+        cwd=work,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def _outcome(work: Path, mutant: Mutant) -> str:
+    target = work / mutant.path
+    source = target.read_text(encoding="utf-8")
+    count = source.count(mutant.old)
+    if count != 1:
+        return f"pattern occurs {count} times"
+    target.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        code = _pytest(work, mutant.tests)
+    finally:
+        target.write_text(source, encoding="utf-8")
+    # pytest exits 1 on failed tests and 2 on errors in collecting them
+    if code in (1, 2):
+        return "killed"
+    return "survived" if code == 0 else f"pytest exit {code}"
+
+
+def main() -> int:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    with tempfile.TemporaryDirectory(prefix="qdeform-mutants-") as tmp:
+        work = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name, ignore=ignore)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, work)
+        tests = tuple(sorted({t for mutant in MUTANTS for t in mutant.tests}))
+        if _pytest(work, tests) != 0:
+            print("the tests fail without a mutant; nothing to judge")
+            return 1
+        failed = 0
+        for mutant in MUTANTS:
+            outcome = _outcome(work, mutant)
+            failed += outcome != "killed"
+            print(f"{outcome:<9} {mutant.name} ({mutant.path})", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,18 +11,28 @@ the clock-shift pair is built as dense matrices and checked by matrix
 products; scan tables are built point by point, one tuple per row, with
 tan evaluated once per n; reports render through json.dumps(indent=2)
 and cell by cell.
+
+The library surface that only tests reach lives here too, at the end:
+the dense ladder operators, symbolic elements evaluated on matrices, the
+physical parameter set and its config form, and the mu = 0 / nu = 0
+slice of a symbolic element.
 """
 
+import cmath
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from qdeform import cli, config, params
-from qdeform.clockshift import Q_POLE_TOL, ScalingPoint, _root_of_unity
+from qdeform.clockshift import Q_POLE_TOL, _root_of_unity
+from qdeform.params import UNIT_TAGS, parse_quantity
 from qdeform.rational import MINUS_I, RationalComplex
-from qdeform.report import SCHEMA_VERSION, Metric, Table, VerificationReport, _plain
+from qdeform.report import SCHEMA_VERSION, Metric, Table, VerificationReport
+from qdeform.weyl import ParamPolynomial, WeylSeriesElement
 
 
 class FractionPairComplex:
@@ -279,6 +289,41 @@ def dense_pair_defects(dim: int, level: int) -> tuple[float, float, float, float
     )
 
 
+@dataclass(frozen=True)
+class ScalingPoint:
+    """One step of the large-n limit; mu, nu derived lazily from (alpha, beta, n).
+
+    The judge of clockshift.scaling_columns, one object and one set of
+    float operations per n.
+    """
+
+    alpha: float
+    beta: float
+    n: int
+
+    def __post_init__(self):
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be > 0 and finite, got beta={self.beta}")
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
+
+    @property
+    def theta(self) -> float:
+        return self.alpha + 2.0 * math.pi * self.n
+
+    @property
+    def mu(self) -> float:
+        return math.sqrt(self.theta) / self.beta
+
+    @property
+    def nu(self) -> float:
+        return self.beta * math.sqrt(self.theta)
+
+    def exchange_phase(self) -> complex:
+        """e^(-i*theta) with the 2*pi*n part of theta removed exactly."""
+        return cmath.exp(-1j * self.alpha)
+
+
 def scaling_points(alpha: float, beta: float, ns) -> list[ScalingPoint]:
     """The scaling path's points at each requested n, one object per n.
 
@@ -414,21 +459,21 @@ def reference_json(report) -> str:
         "engine": report.engine,
         "command": report.command,
         "parameters": {
-            k: _plain(report.parameters[k]) for k in sorted(report.parameters)
+            k: report.parameters[k] for k in sorted(report.parameters)
         },
         "verdict": report.verdict,
         "metrics": [
             {
                 "name": m.name,
-                "value": _plain(m.value),
-                "threshold": _plain(m.threshold),
+                "value": m.value,
+                "threshold": m.threshold,
             }
             for m in report.metrics
         ],
         "table": (
             {
                 "columns": list(report.table.columns),
-                "rows": [[_plain(v) for v in row] for row in report.table.rows],
+                "rows": [list(row) for row in report.table.rows],
             }
             if report.table is not None
             else None
@@ -440,10 +485,7 @@ def reference_json(report) -> str:
 
 
 def _reference_cell(value) -> str:
-    value = _plain(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def reference_csv(report) -> str:
@@ -464,15 +506,15 @@ def reference_text(report) -> str:
         f"verdict: {report.verdict}",
     ]
     for key in sorted(report.parameters):
-        lines.append(f"param {key} = {_plain(report.parameters[key])}")
+        lines.append(f"param {key} = {report.parameters[key]}")
     for m in report.metrics:
         status = "PASS" if m.passed else "FAIL"
         if m.threshold is None:
-            lines.append(f"metric {m.name} = {_plain(m.value)}")
+            lines.append(f"metric {m.name} = {m.value}")
         else:
             lines.append(
-                f"metric {m.name} = {_plain(m.value)} "
-                f"(threshold {_plain(m.threshold)}) {status}"
+                f"metric {m.name} = {m.value} "
+                f"(threshold {m.threshold}) {status}"
             )
     if report.table is not None:
         lines.append("table:")
@@ -480,3 +522,194 @@ def reference_text(report) -> str:
         for row in report.table.rows:
             lines.append("  " + ",".join(_reference_cell(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# library surface that only tests reach
+# ---------------------------------------------------------------------------
+
+HERMITICITY_TOL = 1e-12
+
+
+class OperatorMatrix:
+    """Dense complex matrix with Hermiticity bookkeeping.
+
+    ``hermitian`` is true when max|M - M*| <= tol * max|entry| (entrywise);
+    the measured defect is kept alongside the flag.
+    """
+
+    __slots__ = ("mat", "hermitian", "hermiticity_defect")
+
+    def __init__(self, mat, tol: float = HERMITICITY_TOL):
+        mat = np.asarray(mat, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError("operator matrix must be square")
+        self.mat = mat
+        defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+        scale = float(np.max(np.abs(mat))) if mat.size else 0.0
+        self.hermitian = defect <= tol * scale
+        self.hermiticity_defect = defect
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+    def __repr__(self):
+        return f"OperatorMatrix(dim={self.dim}, hermitian={self.hermitian})"
+
+
+def oscillator_xp(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Ladder construction x = (a + a*)/sqrt(2), p = i(a* - a)/sqrt(2).
+
+    [p, x] = -i on all but the top basis state; the defect sits at the
+    (dim-1, dim-1) entry only.
+    """
+    if dim < 2:
+        raise ValueError("dimension must be >= 2")
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    ad = a.conj().T
+    x = (a + ad) / math.sqrt(2)
+    p = 1j * (ad - a) / math.sqrt(2)
+    return OperatorMatrix(x), OperatorMatrix(p)
+
+
+def evaluate_element(
+    element: WeylSeriesElement, mu: float, nu: float, x: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Numerically evaluate a symbolic element on given x, p matrices.
+
+    Bridges the exact engine and the matrix one: coefficients are evaluated
+    at numeric (mu, nu) and each normal-ordered word becomes x^a @ p^b.
+    """
+    dim = x.shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    max_x = max((m.x_pow for m in element.terms), default=0)
+    max_p = max((m.p_pow for m in element.terms), default=0)
+    x_pows = _power_table(x, max_x)
+    p_pows = _power_table(p, max_p)
+    for mono, poly in element.terms.items():
+        coeff = 0j
+        for (mp, np_), value in poly.terms.items():
+            coeff += complex(value) * (mu**mp) * (nu**np_)
+        if coeff != 0j:
+            out += coeff * (x_pows[mono.x_pow] @ p_pows[mono.p_pow])
+    return out
+
+
+def _power_table(mat: np.ndarray, max_pow: int) -> list[np.ndarray]:
+    table = [np.eye(mat.shape[0], dtype=complex)]
+    for _ in range(max_pow):
+        table.append(table[-1] @ mat)
+    return table
+
+
+def substituted_zero(element: WeylSeriesElement, param: str) -> WeylSeriesElement:
+    """Set mu = 0 or nu = 0 in an element, keeping only coefficients free of it."""
+    if param not in ("mu", "nu"):
+        raise ValueError("param must be 'mu' or 'nu'")
+    idx = 0 if param == "mu" else 1
+    return WeylSeriesElement(
+        element.degree,
+        {
+            mono: ParamPolynomial({k: v for k, v in poly.terms.items() if k[idx] == 0})
+            for mono, poly in element.terms.items()
+        },
+    )
+
+
+@dataclass(frozen=True)
+class ParameterSet:
+    """Physical constants plus deformation parameters with derived scales.
+
+    delta = mu * hbar / (m c) carries the length scale of the momentum
+    deformation; tau = nu * m * c the momentum scale of the position
+    deformation; theta = mu * nu is the central exchange parameter.
+    """
+
+    hbar: float
+    m: float
+    c: float
+    mu: float
+    nu: float
+    omega: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("hbar", "m", "c"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
+        if self.mu < 0 or self.nu < 0:
+            raise ValueError("mu and nu must be >= 0")
+        if self.omega is not None and self.omega < 0:
+            raise ValueError("omega must be >= 0")
+
+    @property
+    def delta(self) -> float:
+        return self.mu * self.hbar / (self.m * self.c)
+
+    @property
+    def tau(self) -> float:
+        return self.nu * self.m * self.c
+
+    @property
+    def theta(self) -> float:
+        return self.mu * self.nu
+
+
+def derive_scales(
+    mu: float, nu: float, hbar: float, m: float, c: float
+) -> tuple[float, float]:
+    """(delta, tau) from the dimensionless parameters and physical constants."""
+    ps = ParameterSet(hbar=hbar, m=m, c=c, mu=mu, nu=nu)
+    return ps.delta, ps.tau
+
+
+def correspondence(mu: float, nu: float) -> tuple[float, float]:
+    """(nu/mu, 1 + mu*nu/2): the frequency ratio hbar*omega/(m c^2) and the
+    leading-order q of the q-oscillator match, to lowest order only."""
+    if mu <= 0:
+        raise ValueError("mu must be > 0 for the frequency ratio")
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    return nu / mu, 1.0 + mu * nu / 2.0
+
+
+def q_of_omega(hbar: float, omega: float, m: float, c: float) -> float:
+    """Leading-order q = 1 + hbar*omega/(m c^2), first order only."""
+    for name, value in (("hbar", hbar), ("m", m), ("c", c)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
+    if omega < 0:
+        raise ValueError("omega must be >= 0")
+    return 1.0 + hbar * omega / (m * c * c)
+
+
+def to_config_text(ps: ParameterSet) -> str:
+    """Config-file form of a parameter set, with SI unit tags."""
+    lines = [
+        f"params.hbar = {ps.hbar!r} {UNIT_TAGS['hbar']}",
+        f"params.m = {ps.m!r} {UNIT_TAGS['m']}",
+        f"params.c = {ps.c!r} {UNIT_TAGS['c']}",
+        f"params.mu = {ps.mu!r}",
+        f"params.nu = {ps.nu!r}",
+    ]
+    if ps.omega is not None:
+        lines.append(f"params.omega = {ps.omega!r} {UNIT_TAGS['omega']}")
+    return "\n".join(lines) + "\n"
+
+
+def parameter_set_from_config(cfg: dict) -> ParameterSet:
+    """Rebuild a ParameterSet from config entries; absent keys mean natural units."""
+
+    def _get(key: str, unit: Optional[str], default: Optional[float]):
+        raw = cfg.get(f"params.{key}")
+        return parse_quantity(raw, unit) if raw is not None else default
+
+    return ParameterSet(
+        hbar=_get("hbar", UNIT_TAGS["hbar"], 1.0),
+        m=_get("m", UNIT_TAGS["m"], 1.0),
+        c=_get("c", UNIT_TAGS["c"], 1.0),
+        mu=_get("mu", None, 0.0),
+        nu=_get("nu", None, 0.0),
+        omega=_get("omega", UNIT_TAGS["omega"], None),
+    )

@@ -18,18 +18,17 @@ import numpy as np
 
 from qdeform import weyl
 from qdeform.clockshift import (
-    ScalingPoint,
     build_pair,
     q_from_alpha,
     tan_half_deviations,
     verify_qplane,
 )
-from qdeform.matrixrep import convergence_scan, identity_residual, oscillator_xp
+from qdeform.matrixrep import convergence_scan, identity_residual
 from qdeform.rational import MINUS_I, RationalComplex
 from qdeform.weyl import ParamPolynomial, WeylSeriesElement
 
 from conftest import mask_timestamp
-from oracles import square_coefficients, tan_coefficients
+from oracles import ScalingPoint, oscillator_xp, square_coefficients, tan_coefficients
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -83,6 +83,14 @@ def test_expand_known_strings(invoke):
     assert expand_text("eq9", 2) == "-i*(1 + (1/2)*mu^2*p^2 + (1/2)*nu^2*x^2)"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_expand_refuses_format(invoke, fmt):
+    # expand printed its text and exited 0 whatever --format said
+    code, out = invoke(["expand", "--target", "P", "--format", fmt])
+    assert code == 2
+    assert out == ""
+
+
 def test_expand_bad_target_is_usage_error(invoke):
     code, _ = invoke(["expand", "--target", "nonsense", "--degree", "2"])
     assert code == 2
@@ -450,6 +458,58 @@ def test_scan_contraction_to_smallest_step_passes(invoke, path):
     code, out = invoke(["scan", "--path", path, "--n", "0..1074"])
     assert code == 0
     assert json.loads(out)["table"]["rows"][-1][1] == 5e-324
+
+
+@pytest.mark.parametrize(
+    "lines,path,fmt,named",
+    [
+        # a bare ZeroDivisionError before
+        ("params.mu0 = 0", "omega-to-0", "json",
+         "params.mu0 must be > 0 on omega-to-0 (omega_ratio = nu / mu0), got 0.0"),
+        # a table of nan or inf with exit 1 before
+        ("params.mu0 = nan", "q-to-1", "csv",
+         "params.mu0 must be finite and >= 0, got nan"),
+        ("params.nu0 = inf", "q-to-1", "csv",
+         "params.nu0 must be finite and >= 0, got inf"),
+        ("params.nu0 = inf", "omega-to-0", "json",
+         "params.nu0 must be finite and >= 0, got inf"),
+        # computed on with mu = -1 before
+        ("params.mu0 = -1", "q-to-1", "json",
+         "params.mu0 must be finite and >= 0, got -1.0"),
+        ("params.mu0 = 1e300\nparams.nu0 = 1e300", "q-to-1", "json",
+         "path cell q overflows at step = 0 (params.mu0=1e+300, params.nu0=1e+300)"),
+        ("params.mu0 = 1e-300\nparams.nu0 = 1e300", "omega-to-0", "csv",
+         "path cell omega_ratio overflows at step = 0 "
+         "(params.mu0=1e-300, params.nu0=1e+300)"),
+    ],
+)
+def test_path_config_outside_domain_is_named_error(
+    invoke, tmp_path, lines, path, fmt, named
+):
+    cfg = tmp_path / "path.cfg"
+    cfg.write_text(lines + "\n")
+    code, out = invoke(["scan", "--path", path, "--format", fmt, "--config", str(cfg)])
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == f"ValueError: {named}"
+
+
+@pytest.mark.parametrize(
+    "beta,ns,named",
+    [
+        # nu = inf with verdict pass and exit 0 before
+        ("1e306", "999999..1000000", "nu overflows at n = 999999"),
+        ("1e-306", "0,1000000", "mu overflows at n = 1000000"),
+    ],
+)
+def test_scan_hbar_path_overflow_is_named_error(invoke, beta, ns, named):
+    code, out = invoke(
+        ["scan", "--path", "hbar-to-0", "--alpha", "1", "--beta", beta, "--n", ns,
+         "--format", "csv"]
+    )
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == (
+        f"ValueError: path cell {named} (alpha=1.0, beta={float(beta)})"
+    )
 
 
 def test_scan_requires_engine_xor_path(invoke):

@@ -4,7 +4,9 @@ Hypothesis draws commands, engines, flags and values (nan, inf, negative
 numbers, empty lists, out-of-range values; small sizes only), sometimes
 with a config file.  Every argv must end in exit 0, 1 or 2 without an
 uncaught exception or a numpy warning, and print strict JSON whenever a
-report is JSON (an expansion prints its canonical text in every format).
+report is JSON (an expansion prints its canonical text, and takes no
+--format).  No report prints a non-finite table cell in any format, and
+no failing report (exit 1) carries a non-finite metric.
 """
 
 import io
@@ -13,14 +15,14 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdeform.cli as cli
 
 FLOATS = st.sampled_from(
     ["nan", "inf", "-inf", "-1", "-0.0", "0", "0.1", "0.5", "1", "2.5", "3.1416",
-     "7", "1e-300", "1e300", "x"]
+     "7", "1e-300", "1e300", "1e306", "x"]
 )
 INTS = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "5", "8", "nan", "x"])
 SMALL_DIMS = st.sampled_from(["2", "3", "5", "8", "12", "16", "24"])
@@ -38,7 +40,8 @@ CONFIG_LINES = st.sampled_from(
      "matrix.residual_treshold = 1e-30", "matrix.overflow_guard = inf",
      "matrix.noise_floor = -1", "clockshift.periodicity_threshold = inf",
      "params.alpha = 7", "params.beta = 0", "params.mu0 = 0", "params.mu0 = nan",
-     "params.nu0 = inf", "params.endpoint_tol = 0", "params.hbar = banana J.s",
+     "params.nu0 = inf", "params.mu0 = -1", "params.mu0 = 1e300",
+     "params.nu0 = 1e300", "params.endpoint_tol = 0", "params.hbar = banana J.s",
      "params.hbar = 1.05e-34 J.s", "params.c = 3e8 kg", "params.mu = 0.5",
      "no equals sign", "= 1"]
 )
@@ -98,10 +101,31 @@ def commands(draw):
 
 
 def _strict_json(text):
+    # NaN, Infinity and -Infinity are the only non-finite JSON numbers
     def refuse(constant):
         raise ValueError(f"non-strict JSON constant {constant}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+NON_FINITE = {"nan", "inf", "-inf"}
+
+
+def _non_finite_numbers(text, fmt):
+    """The non-finite numbers a CSV or text report prints: its table
+    cells, and in text also its metric values."""
+    lines = text.splitlines()
+    if fmt == "csv":
+        numbers, table = [], lines[1:]
+    else:
+        numbers = [
+            line.split(" = ", 1)[1].split(" ")[0]
+            for line in lines
+            if line.startswith("metric ")
+        ]
+        table = lines[lines.index("table:") + 2 :] if "table:" in lines else []
+    numbers += [cell for line in table for cell in line.strip().split(",")]
+    return [number for number in numbers if number in NON_FINITE]
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +135,14 @@ def config_dir(tmp_path_factory):
 
 @settings(max_examples=150)
 @given(argv=commands(), config=st.none() | st.lists(CONFIG_LINES, max_size=3))
+# inputs that once printed a non-finite table
+@example(argv=["scan", "--path=q-to-1", "--format=csv"], config=["params.mu0 = nan"])
+@example(argv=["scan", "--path=omega-to-0", "--format=text"],
+         config=["params.nu0 = inf"])
+@example(argv=["scan", "--path=q-to-1", "--format=text"],
+         config=["params.mu0 = 1e300", "params.nu0 = 1e300"])
+@example(argv=["scan", "--path=hbar-to-0", "--beta=1e306", "--n=999990..1000000",
+               "--format=csv"], config=None)
 def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config):
     if config is not None:
         path = config_dir / "run.cfg"
@@ -131,9 +163,17 @@ def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config)
     assert "Traceback" not in out.getvalue() + err.getvalue()
     fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "json")
     if argv[0] == "expand" and code == 0:
-        return  # an expansion is canonical text in every format
+        return  # an expansion is canonical text
     if fmt == "json" or code == 2 and fmt == "csv":
         report = _strict_json(out.getvalue())
         assert report["verdict"] == {0: "pass", 1: "fail", 2: "error"}[code]
         if code == 2:
             assert report["parameters"]["error"]
+    elif code != 2:
+        assert not _non_finite_numbers(out.getvalue(), fmt)
+        if code == 1 and fmt == "csv":  # a CSV report prints no metrics
+            json_argv = [a for a in argv if not a.startswith("--format=")]
+            rerun = io.StringIO()
+            with redirect_stdout(rerun):
+                assert cli.main(json_argv) == 1
+            _strict_json(rerun.getvalue())

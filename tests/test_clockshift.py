@@ -7,7 +7,6 @@ import pytest
 
 from qdeform.clockshift import (
     ClockShiftPair,
-    ScalingPoint,
     build_pair,
     exchange_phase,
     pair_defects,
@@ -19,6 +18,7 @@ from qdeform.clockshift import (
 )
 
 from oracles import (
+    ScalingPoint,
     dense_pair,
     dense_pair_defects,
     dense_qplane_residual,

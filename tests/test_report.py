@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
 INTS = st.integers(min_value=-(2**70), max_value=2**70)
 TEXT = st.text(max_size=12)  # any code point: quotes, commas, newlines, non-ASCII
 SCALARS = INTS | FLOATS | TEXT | st.booleans() | st.none()
-# cells the renderer must first turn into plain Python values
+# cells of other types than the plain ones, which rendering refuses
 NON_PLAIN = (
     st.builds(np.float64, FLOATS)
     | st.builds(np.int64, st.integers(-(2**62), 2**62))
@@ -26,7 +28,10 @@ def tables(draw, cells):
     width = draw(st.integers(min_value=0, max_value=4))
     columns = tuple(draw(st.lists(TEXT, min_size=width, max_size=width)))
     rows = draw(
-        st.lists(st.lists(cells, min_size=width, max_size=width).map(tuple), max_size=6)
+        st.lists(
+            st.lists(cells, min_size=width, max_size=width).map(tuple),
+            max_size=6 if width else 0,  # rows without columns are refused
+        )
     )
     return Table(columns=columns, rows=tuple(rows))
 
@@ -50,6 +55,33 @@ def _assert_same_bytes(report):
         assert report.to_csv() == reference_csv(report)
 
 
+PLAIN_TYPES = (int, float, str, bool, type(None))
+
+
+def _assert_same_bytes_or_refused(report):
+    """A table with a cell of another type than the plain ones is refused
+    in every format, naming the first such column and that cell's type;
+    any other table renders as the reference."""
+    table = report.table
+    bad = next(
+        (
+            (name, type(value))
+            for name, cells in zip(table.columns, table.cells)
+            for value in cells
+            if type(value) not in PLAIN_TYPES
+        ),
+        None,
+    )
+    if bad is None:
+        _assert_same_bytes(report)
+        return
+    name, kind = bad
+    message = re.escape(f"table column {name!r} holds a cell of type {kind.__name__}")
+    for render in (report.to_json, report.to_csv, report.to_text):
+        with pytest.raises(ValueError, match=message):
+            render()
+
+
 @given(tables(SCALARS))
 def test_scalar_tables_render_as_the_reference(table):
     _assert_same_bytes(_report(table))
@@ -57,7 +89,7 @@ def test_scalar_tables_render_as_the_reference(table):
 
 @given(tables(SCALARS | NON_PLAIN))
 def test_mixed_tables_render_as_the_reference(table):
-    _assert_same_bytes(_report(table))
+    _assert_same_bytes_or_refused(_report(table))
 
 
 @given(tables(SCALARS), st.dictionaries(TEXT, SCALARS, max_size=3))
@@ -67,16 +99,21 @@ def test_parameters_do_not_disturb_the_table(table, parameters):
 
 
 @pytest.mark.parametrize(
-    "table",
+    "columns, rows, refused",
     [
-        None,
-        Table(columns=("N", "k", "residual"), rows=()),
-        Table(columns=(), rows=((), ())),
-        Table(columns=("a",), rows=((1,), ())),
+        (None, None, False),
+        (("N", "k", "residual"), (), False),
+        ((), ((), ()), True),  # rows without columns
+        (("a",), ((1,), ()), True),
     ],
     ids=["absent", "empty", "empty-rows", "ragged"],
 )
-def test_edge_tables_render_as_the_reference(table):
+def test_edge_tables_render_as_the_reference(columns, rows, refused):
+    if refused:
+        with pytest.raises(ValueError, match="one cell per column"):
+            Table(columns=columns, rows=rows)
+        return
+    table = None if columns is None else Table(columns=columns, rows=rows)
     _assert_same_bytes(_report(table))
 
 
@@ -112,7 +149,7 @@ def test_column_tables_render_as_the_reference(table):
 
 @given(column_tables(SCALARS | NON_PLAIN))
 def test_mixed_column_tables_render_as_the_reference(table):
-    _assert_same_bytes(_report(table))
+    _assert_same_bytes_or_refused(_report(table))
 
 
 def test_column_table_reads_row_by_row():

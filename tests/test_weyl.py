@@ -27,9 +27,15 @@ from qdeform.weyl import (
     prefactor_series,
     sqrt_one_plus_square,
     x_op,
+    _exp_element,
 )
 
-from oracles import normal_order_word, prefactor_coefficients, tan_coefficients
+from oracles import (
+    normal_order_word,
+    prefactor_coefficients,
+    substituted_zero,
+    tan_coefficients,
+)
 
 
 def element(degree, terms):
@@ -252,7 +258,7 @@ def test_leading_order_residual_below_degree_four_is_zero():
 def test_leading_order_residual_mu_slice():
     # nu = 0 leaves only the cosh correction -i mu^4 p^4 / 24 at degree 4
     residual, _ = leading_order_residual(4)
-    sliced = residual.substituted_zero("nu")
+    sliced = substituted_zero(residual, "nu")
     assert sliced == element(
         4, {(0, 4): {(4, 0): RationalComplex(0, Fraction(-1, 24))}}
     )
@@ -457,3 +463,34 @@ def test_param_polynomial_drops_zeros():
     assert (0, 1) in poly.terms
     assert (1, 0) not in poly.terms
     assert ParamPolynomial({}).is_zero
+
+
+def scaling_weights(e):
+    """The weights m - n + a - b of the terms mu^m nu^n x^a p^b of an element."""
+    return {
+        m - n + word.x_pow - word.p_pow
+        for word, poly in e.terms.items()
+        for m, n in poly.terms
+    }
+
+
+@pytest.mark.parametrize("degree", range(17))
+def test_elements_are_homogeneous_under_the_scaling_grading(degree):
+    # x -> lam x, p -> p/lam, mu -> lam mu, nu -> nu/lam leaves mu p, nu x
+    # and theta = mu nu unchanged, so every term of an element carries the
+    # same power of lam: P scales as p, X as x, and the rest not at all
+    assert scaling_weights(deformed_momentum(degree)) == {-1}
+    assert scaling_weights(deformed_position(degree)) == {1}
+    invariant = [
+        commutator(deformed_momentum(degree), deformed_position(degree)),
+        identity_rhs(degree),
+        leading_order_target(degree),
+    ]
+    for side in ("momentum", "position"):
+        invariant += [
+            sqrt_one_plus_square(side, degree),
+            cosh_element(side, degree),
+            _exp_element(side, degree),
+        ]
+    for e in invariant:
+        assert scaling_weights(e) == {0}
