@@ -22,6 +22,13 @@ EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
 
 # last step of a contraction path: 2.0 ** -1074 is the smallest double
 MAX_STEP = 1074
+# largest symbolic truncation degree (--degree, symbolic.degree): verify
+# takes about 0.8 s there, and the exact work grows steeply with degree
+MAX_DEGREE = 64
+# largest n of theta = alpha + 2*pi*n on the periodicity and hbar-to-0
+# scans; theta is formed in floats, which have no value at all for n past
+# about 1.8e308
+MAX_N = 2**62
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--degree", type=int)
 
     return parser
+
+
+def _n_list(text: str) -> list[int]:
+    """The --n grid of the periodicity and hbar-to-0 scans, n <= MAX_N."""
+    ns = parse_int_list(text, "n")
+    if max(ns) > MAX_N:
+        raise ValueError(f"--n must be at most 2^62 = {MAX_N}, got {max(ns)}")
+    return ns
 
 
 def parse_int_list(text: Optional[str], what: str) -> list[int]:
@@ -179,14 +194,20 @@ def _verify_clockshift(dim: int, level: int, cfg) -> VerificationReport:
     return VerificationReport.build("clock-shift", command, parameters, metrics)
 
 
+def _symbolic_degree(args, cfg) -> int:
+    """--degree, else the config's symbolic.degree, inside 0..MAX_DEGREE."""
+    if args.degree is not None:
+        degree, source = args.degree, "--degree"
+    else:
+        degree, source = config.get_int(cfg, "symbolic.degree"), "symbolic.degree"
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"{source} must lie in 0..{MAX_DEGREE}, got {degree}")
+    return degree
+
+
 def run_verify(args, cfg) -> VerificationReport:
     if args.engine == "symbolic":
-        degree = args.degree if args.degree is not None else config.get_int(
-            cfg, "symbolic.degree"
-        )
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        return _verify_symbolic(degree, cfg)
+        return _verify_symbolic(_symbolic_degree(args, cfg), cfg)
     if args.engine == "matrix":
         dim = args.dim if args.dim is not None else config.get_int(cfg, "matrix.dim")
         interior = (
@@ -247,7 +268,7 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
     alpha = args.alpha if args.alpha is not None else config.get_float(
         cfg, "params.alpha"
     )
-    ns = parse_int_list(args.n if args.n is not None else "0..100", "n")
+    ns = _n_list(args.n if args.n is not None else "0..100")
     threshold = config.get_float(cfg, "clockshift.periodicity_threshold")
     command = f"scan --engine clock-shift --alpha {alpha} --n {args.n or '0..100'}"
     devs = clockshift.tan_half_deviations(alpha, ns)
@@ -303,7 +324,7 @@ def _scan_path(args, cfg) -> VerificationReport:
 
     if args.path == "hbar-to-0":
         ntext = args.n if args.n is not None else "0..5"
-        ns = parse_int_list(ntext, "n")
+        ns = _n_list(ntext)
         command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
         mu, nu = clockshift.scaling_columns(alpha, beta, ns)
         _refuse_overflow({"mu": mu, "nu": nu}, "n", ns, f"alpha={alpha}, beta={beta}")
@@ -407,11 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = config.load_config(args.config)
         if args.command == "expand":
-            degree = (
-                args.degree
-                if args.degree is not None
-                else config.get_int(cfg, "symbolic.degree")
-            )
+            degree = _symbolic_degree(args, cfg)
             _emit(expand_text(args.target, degree) + "\n", args.out)
             return 0
         if args.command == "verify":

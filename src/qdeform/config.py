@@ -29,7 +29,7 @@ DEFAULTS = {
     # residual envelope validated for max(mu, nu) * sqrt(2N) <= 14 (see README)
     "matrix.residual_threshold": "1e-8",
     "matrix.sqrt_cosh_threshold": "1e-10",
-    # above the round-off floor of interior residuals (~3e-14, flat in N)
+    # above the round-off floor of interior residuals (1e-14 to 5e-14, flat in N)
     "matrix.noise_floor": "1e-12",
     "matrix.overflow_guard": "25.0",
     # clock-shift engine

@@ -2,12 +2,27 @@
 
 Quantifies how the exact commutator identity of the sinh-deformed pair
 survives finite-dimensional truncation.  In the number basis x is real
-symmetric tridiagonal and p = D x D* exactly, with D = diag(i^n).  One
-real eigendecomposition x = v diag(w) v^T therefore gives every operator
-the identity needs: f(x) = v diag(f(w)) v^T and f(p) = D f(x) D*.
+symmetric tridiagonal and couples even states only to odd ones, and
+p = D x D* exactly, with D = diag(i^n).  Under this parity split:
+
+* x is one lower-bidiagonal block B = x[even, odd] of size
+  ceil(N/2) x floor(N/2).  One real SVD B = u diag(s) w^T gives every
+  eigenpair of x: +-s with eigenvectors (u, +-w)/sqrt(2), and for odd N
+  the zero mode (u0, 0), the last column of the square u.
+* Odd functions of x (X = sinh(nu x)/nu) fill only the even-odd blocks,
+  u f(s) w^T; even functions (the square roots, cosh) fill only the
+  even-even and odd-odd blocks, u f(s, 0) u^T and w f(s) w^T.
+* D is the sign (-1)^k on the k-th state of each sector, times i on the
+  odd one, so the functions of p are the same real blocks with those
+  signs, and the odd ones carry one -i on the even-odd block.
+* The residual [P, X] - R is then parity-diagonal and anti-Hermitian:
+  -i K_e on the even states and i K_o on the odd ones, with K_e and K_o
+  real symmetric.  Its Frobenius norm is hypot(|K_e|, |K_o|) and its
+  spectral norm the largest |eigenvalue| of either.
+
 Spectral calculus stays stable for spectral radii of order sqrt(2N),
 where direct series summation would not, and since every operator shares
-one eigenbasis the round-off does not grow with N.
+one basis the round-off does not grow with N.
 
 The truncation defect of [p, x] + i*1 lives entirely on the top basis
 state, so residuals are always reported on an interior block of the
@@ -26,14 +41,10 @@ import numpy as np
 # double precision dies around exp(25)^2 in the anticommutator products
 OVERFLOW_GUARD = 25.0
 PREFACTOR_POLE_TOL = 1e-9
-# eigendecomposition round-off floor for interior residuals (see config docs)
+# round-off floor of the decomposition for interior residuals (see config docs)
 NOISE_FLOOR = 1e-12
 
 RESIDUAL_CSV_COLUMNS = ("N", "M", "mu", "nu", "res_fro", "res_spec", "sqrt_cosh_xcheck")
-
-
-# i^n by n mod 4, exact: the diagonal of D
-_PHASES = np.array([1, 1j, -1, -1j])
 
 
 def _check_parameters(mu: float, nu: float) -> None:
@@ -46,36 +57,49 @@ def _check_parameters(mu: float, nu: float) -> None:
         raise ValueError("deformation parameters must be >= 0")
 
 
-def _eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs (w, v) of the real tridiagonal x, and the diagonal of D."""
+def _signs(size: int) -> np.ndarray:
+    """(-1)^k for k < size: D = diag(i^n) on one parity sector (times i on
+    the odd one)."""
+    return 1.0 - 2.0 * (np.arange(size) % 2)
+
+
+def _parity_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, spectrum, w) with x[0::2, 1::2] = u[:, :len(w)] diag(spectrum) w^T.
+
+    u is square, so for odd N its last column is the zero mode and the
+    spectrum ends in a 0 for it: the spectrum is that of the even sector,
+    and its first len(w) values, the singular values, that of the odd one.
+    """
     off = np.sqrt(np.arange(1, dim)) / math.sqrt(2)
-    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return w, v, _PHASES[np.arange(dim) % 4]
+    b = np.zeros(((dim + 1) // 2, dim // 2))
+    b[np.diag_indices(dim // 2)] = off[0::2]  # x[2k, 2k+1]
+    sub = np.arange(off[1::2].size)
+    b[sub + 1, sub] = off[1::2]  # x[2k+2, 2k+1]
+    u, s, wt = np.linalg.svd(b)
+    return u, np.concatenate((s, np.zeros(u.shape[1] - s.size))), wt.T
 
 
-def _deformed_spectra(w: np.ndarray, mu: float, nu: float) -> tuple[np.ndarray, ...]:
-    """P, X, sqrt(1 + mu^2 P^2) and sqrt(1 + nu^2 X^2) as functions of w.
+def _deformed_spectra(
+    spectrum: np.ndarray, mu: float, nu: float
+) -> tuple[np.ndarray, ...]:
+    """P, X, sqrt(1 + mu^2 P^2) and sqrt(1 + nu^2 X^2) on a spectrum of x.
 
     The P functions act through p = D x D*; a zero parameter gives the
     undeformed operator.
     """
-    s_mu, s_nu = np.sinh(mu * w), np.sinh(nu * w)
+    s_mu, s_nu = np.sinh(mu * spectrum), np.sinh(nu * spectrum)
     return (
-        s_mu / mu if mu > 0 else w,
-        s_nu / nu if nu > 0 else w,
+        s_mu / mu if mu > 0 else spectrum,
+        s_nu / nu if nu > 0 else spectrum,
         np.sqrt(1.0 + s_mu**2),
         np.sqrt(1.0 + s_nu**2),
     )
 
 
-def _x_rows(v: np.ndarray, fw: np.ndarray, rows: int) -> np.ndarray:
-    """The top ``rows`` rows of f(x) = v diag(f(w)) v^T."""
-    return (v[:rows] * fw) @ v.T
-
-
-def _p_rows(v: np.ndarray, phase: np.ndarray, fw: np.ndarray, rows: int) -> np.ndarray:
-    """The top ``rows`` rows of f(p) = D f(x) D*."""
-    return phase[:rows, None] * _x_rows(v, fw, rows) * phase.conj()
+def _rows(left: np.ndarray, fw: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
+    """The top ``rows`` rows of left diag(fw) right^T, on the first
+    len(fw) columns of both bases."""
+    return (left[:rows, : fw.size] * fw) @ right[:, : fw.size].T
 
 
 def prefactor(theta: float) -> float:
@@ -127,8 +151,8 @@ def identity_residual(
     """Frobenius and spectral norms of the projected identity residual.
 
     Computes L = [P, X] and R = -i c(mu*nu) {sqrt(1+mu^2 P^2),
-    sqrt(1+nu^2 X^2)} and reports ||(L-R)[:M,:M]||, all from one
-    eigendecomposition of x.  Also cross-checks the spectral square root
+    sqrt(1+nu^2 X^2)} and reports ||(L-R)[:M,:M]||, all from one SVD of
+    the even-odd block of x.  Also cross-checks the spectral square root
     against cosh(mu*p): the two are equal functions of p at any N, so
     their distance is pure floating-point noise.  The dense route with an
     eigensolve per operator lives in the test oracles, which judge this one.
@@ -144,27 +168,41 @@ def identity_residual(
         )
     c = prefactor(mu * nu)
 
-    w, v, phase = _eigenbasis(dim)
-    fp, fx, root_p, root_x = _deformed_spectra(w, mu, nu)
-    m = interior_dim
-    # (A B)[:M, :M] = A[:M, :] B[:, :M], and B[:, :M] = B[:M, :]* for
-    # Hermitian B; (X P)[:M, :M] is the adjoint of (P X)[:M, :M]
-    px = _p_rows(v, phase, fp, m) @ _x_rows(v, fx, m).T
-    pair = _p_rows(v, phase, root_p, m) @ _x_rows(v, root_x, m).T
-    block = px - px.conj().T + 1j * c * (pair + pair.conj().T)
+    u, spectrum, w = _parity_basis(dim)
+    odd = w.shape[0]
+    fp, fx, root_p, root_x = _deformed_spectra(spectrum, mu, nu)
+    fp, fx = fp[:odd], fx[:odd]  # odd functions live on the singular values
+    # the P side sees each sector through the signs of D
+    up = _signs(len(u))[:, None] * u
+    wp = _signs(odd)[:, None] * w
+    m_e, m_o = (interior_dim + 1) // 2, interior_dim // 2
+    # (A B)[:m, :m] = A[:m, :] B[:m, :]^T for symmetric B.  With A_p, A_x
+    # the real even-odd blocks of P and X, [P, X] is -i (A_p A_x^T + A_x
+    # A_p^T) on the even states and i (A_p^T A_x + A_x^T A_p) on the odd
+    k_e = _rows(up, fp, wp, m_e) @ _rows(u, fx, w, m_e).T
+    k_e -= c * _rows(up, root_p, up, m_e) @ _rows(u, root_x, u, m_e).T
+    k_e += k_e.T
+    k_o = _rows(wp, fp, up, m_o) @ _rows(w, fx, u, m_o).T
+    k_o += c * _rows(wp, root_p[:odd], wp, m_o) @ _rows(w, root_x[:odd], w, m_o).T
+    k_o += k_o.T
 
-    # D v is unitary, so the Frobenius norms of these functions of p are
-    # the 2-norms of their spectra
-    cosh_p = np.cosh(mu * w)
+    # the eigenvalues of the even functions sqrt(1 + mu^2 P^2) and
+    # cosh(mu p) are their values on the spectra of both sectors
+    cosh_p = np.cosh(mu * spectrum)
+    diff = root_p - cosh_p
     return ResidualReport(
         dim=dim,
         interior_dim=interior_dim,
         mu=mu,
         nu=nu,
-        residual_frobenius=float(np.linalg.norm(block)),
-        residual_spectral=float(np.linalg.norm(block, 2)),
-        sqrt_cosh_xcheck=float(np.linalg.norm(root_p - cosh_p)),
-        cosh_norm=float(np.linalg.norm(cosh_p)),
+        residual_frobenius=math.hypot(np.linalg.norm(k_e), np.linalg.norm(k_o)),
+        residual_spectral=float(
+            max(np.abs(np.linalg.eigvalsh(k)).max() for k in (k_e, k_o))
+        ),
+        sqrt_cosh_xcheck=math.hypot(
+            np.linalg.norm(diff), np.linalg.norm(diff[:odd])
+        ),
+        cosh_norm=math.hypot(np.linalg.norm(cosh_p), np.linalg.norm(cosh_p[:odd])),
     )
 
 
@@ -198,7 +236,7 @@ def convergence_scan(
     Passes when the residual at the largest N is below ``threshold`` and
     does not exceed the residual at the smallest N -- except that values
     below ``noise_floor`` count as converged regardless of ordering,
-    since projected residuals bottom out at the eigensolver's round-off
+    since projected residuals bottom out at the decomposition's round-off
     floor long before the scan ends and then fluctuate without meaning.
     """
     dims = [int(n) for n in dims]

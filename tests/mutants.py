@@ -80,6 +80,41 @@ MUTANTS = (
         "if False:",
         ("tests/test_cli.py", "tests/test_cli_grammar.py"),
     ),
+    Mutant(
+        "parity basis drops the zero mode of odd N",
+        "src/qdeform/matrixrep.py",
+        "u, s, wt = np.linalg.svd(b)",
+        "u, s, wt = np.linalg.svd(b, full_matrices=False)",
+        ("tests/test_matrixrep.py",),
+    ),
+    Mutant(
+        "odd-sector sign vector of D flipped",
+        "src/qdeform/matrixrep.py",
+        "wp = _signs(odd)[:, None] * w",
+        "wp = -_signs(odd)[:, None] * w",
+        ("tests/test_matrixrep.py",),
+    ),
+    Mutant(
+        "odd-sector anticommutator enters with the even sector's sign",
+        "src/qdeform/matrixrep.py",
+        "k_o += c *",
+        "k_o -= c *",
+        ("tests/test_matrixrep.py",),
+    ),
+    Mutant(
+        "symbolic degree without its upper bound",
+        "src/qdeform/cli.py",
+        "if not 0 <= degree <= MAX_DEGREE:",
+        "if degree < 0:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "scan --n without its upper bound",
+        "src/qdeform/cli.py",
+        "if max(ns) > MAX_N:",
+        "if False:",
+        ("tests/test_cli.py", "tests/test_cli_grammar.py"),
+    ),
 )
 
 

@@ -693,6 +693,75 @@ def test_expand_negative_degree_is_symbolic_error(invoke):
     assert payload["verdict"] == "error"
 
 
+@pytest.mark.parametrize(
+    "argv,lines,named",
+    [
+        # the cases just past the bound come first: without the bound they
+        # finish (and fail the test) where the others would run on
+        (["expand", "--target", "eq8-rhs", "--degree", "65"], "",
+         "--degree must lie in 0..64, got 65"),
+        (["verify", "--engine", "symbolic"], "symbolic.degree = 65",
+         "symbolic.degree must lie in 0..64, got 65"),
+        # ran without limit before
+        (["verify", "--engine", "symbolic", "--degree", "100000000"], "",
+         "--degree must lie in 0..64, got 100000000"),
+        (["expand", "--target", "P"], "symbolic.degree = 100000000",
+         "symbolic.degree must lie in 0..64, got 100000000"),
+    ],
+)
+def test_degree_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):
+    cfg = tmp_path / "degree.cfg"
+    cfg.write_text(lines + "\n")
+    code, out = invoke(argv + ["--config", str(cfg)])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["engine"] == "symbolic"
+    assert payload["parameters"]["error"] == f"ValueError: {named}"
+
+
+def test_degree_at_bound_runs(invoke):
+    code, out = invoke(["expand", "--target", "P", "--degree", "64"])
+    assert code == 0
+    assert out == expand_text("P", 64) + "\n"
+
+
+BIG_N = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv,n",
+    [
+        # OverflowError naming neither --n nor the value before
+        (["scan", "--path", "hbar-to-0", "--alpha", "1", "--beta", "1"], BIG_N),
+        # a table with deviation 0.0 for this n and exit 0 before
+        (["scan", "--engine", "clock-shift", "--alpha", "1"], BIG_N),
+        (["scan", "--path", "hbar-to-0"], f"0,{2**62 + 1}"),
+        (["scan", "--engine", "clock-shift", "--alpha", "1"], f"{2**62 + 1}"),
+    ],
+)
+def test_n_beyond_bound_is_named_error(invoke, argv, n):
+    code, out = invoke(argv + ["--n", n, "--format", "csv"])
+    assert code == 2
+    largest = max(int(value) for value in n.split(","))
+    assert json.loads(out)["parameters"]["error"] == (
+        f"ValueError: --n must be at most 2^62 = {2**62}, got {largest}"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--path", "hbar-to-0", "--alpha", "1", "--beta", "1"],
+        ["scan", "--engine", "clock-shift", "--alpha", "1"],
+    ],
+)
+def test_n_at_bound_runs(invoke, argv):
+    code, out = invoke(argv + ["--n", f"0,{2**62}"])
+    assert code == 0
+    table = json.loads(out)["table"]
+    assert [row[table["columns"].index("n")] for row in table["rows"]] == [0, 2**62]
+
+
 def test_scan_without_engine_or_path_reports_params_error(invoke):
     code, out = invoke(["scan", "--dims", "16,32"])
     assert code == 2

@@ -5,8 +5,10 @@ numbers, empty lists, out-of-range values; small sizes only), sometimes
 with a config file.  Every argv must end in exit 0, 1 or 2 without an
 uncaught exception or a numpy warning, and print strict JSON whenever a
 report is JSON (an expansion prints its canonical text, and takes no
---format).  No report prints a non-finite table cell in any format, and
-no failing report (exit 1) carries a non-finite metric.
+--format).  An error report carries a ValueError or ConfigError, the
+errors that name an input, not an exception from deep inside.  No report
+prints a non-finite table cell in any format, and no failing report
+(exit 1) carries a non-finite metric.
 """
 
 import io
@@ -28,7 +30,8 @@ INTS = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "5", "8", "nan", "x"])
 SMALL_DIMS = st.sampled_from(["2", "3", "5", "8", "12", "16", "24"])
 INT_LISTS = st.sampled_from(
     ["", ",", " , ", "0", "1", "7,0,3", "0..5", "5..0", "-2..2", "-1", "1..3",
-     "0..40", "1074", "1075", "0..1074", "999990..1000000", "a..b", "1,x"]
+     "0..40", "1074", "1075", "0..1074", "999990..1000000", "a..b", "1,x",
+     "4611686018427387904", "0,4611686018427387905"]
 )
 DIM_LISTS = st.sampled_from(
     ["", ",", "1", "0,1", "2", "2..12", "5,17,3", "10,12,14,16", "16,12",
@@ -37,7 +40,8 @@ DIM_LISTS = st.sampled_from(
 CONFIG_LINES = st.sampled_from(
     ["symbolic.degree = 3", "symbolic.degree = -1", "symbolic.degree = x",
      "matrix.residual_threshold = nan", "matrix.residual_threshold = 1e-30",
-     "matrix.residual_treshold = 1e-30", "matrix.overflow_guard = inf",
+     "symbolic.degree = 100000000", "matrix.residual_treshold = 1e-30",
+     "matrix.overflow_guard = inf",
      "matrix.noise_floor = -1", "clockshift.periodicity_threshold = inf",
      "params.alpha = 7", "params.beta = 0", "params.mu0 = 0", "params.mu0 = nan",
      "params.nu0 = inf", "params.mu0 = -1", "params.mu0 = 1e300",
@@ -63,7 +67,7 @@ def commands(draw):
         engine = draw(st.sampled_from(["symbolic", "matrix", "clock-shift", "dense"]))
         argv += ["--engine", engine]
         argv += _flags(draw, {
-            "--degree": st.sampled_from(["-1", "0", "2", "5", "x"]),
+            "--degree": st.sampled_from(["-1", "0", "2", "5", "65", "x"]),
             "--dim": SMALL_DIMS | INTS,
             "--interior": INTS,
             "--mu": FLOATS,
@@ -92,7 +96,9 @@ def commands(draw):
         argv += ["--target", draw(st.sampled_from(
             ["P", "X", "prefactor", "eq8-rhs", "eq9", "Q"]
         ))]
-        argv += _flags(draw, {"--degree": st.sampled_from(["-1", "0", "3", "6", "x"])})
+        argv += _flags(draw, {
+            "--degree": st.sampled_from(["-1", "0", "3", "6", "65", "100000000", "x"])
+        })
     argv += _flags(draw, {"--format": st.sampled_from(["json", "csv", "text", "xml"])})
     # "=" keeps values that start with "-" from reading as flags
     return [argv[0]] + [
@@ -109,6 +115,7 @@ def _strict_json(text):
 
 
 NON_FINITE = {"nan", "inf", "-inf"}
+NAMED_ERRORS = ("ValueError: ", "ConfigError: ")
 
 
 def _non_finite_numbers(text, fmt):
@@ -143,6 +150,13 @@ def config_dir(tmp_path_factory):
          config=["params.mu0 = 1e300", "params.nu0 = 1e300"])
 @example(argv=["scan", "--path=hbar-to-0", "--beta=1e306", "--n=999990..1000000",
                "--format=csv"], config=None)
+# inputs past the degree and --n bounds, which once ran without limit, or
+# ended in an unnamed OverflowError or a table with a 0.0 deviation
+@example(argv=["verify", "--engine=symbolic", "--degree=100000000"], config=None)
+@example(argv=["expand", "--target=eq8-rhs"], config=["symbolic.degree = 100000000"])
+@example(argv=["scan", "--path=hbar-to-0", "--n=1" + "0" * 400], config=None)
+@example(argv=["scan", "--engine=clock-shift", "--alpha=1", "--n=1" + "0" * 400,
+               "--format=text"], config=None)
 def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config):
     if config is not None:
         path = config_dir / "run.cfg"
@@ -168,7 +182,7 @@ def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config)
         report = _strict_json(out.getvalue())
         assert report["verdict"] == {0: "pass", 1: "fail", 2: "error"}[code]
         if code == 2:
-            assert report["parameters"]["error"]
+            assert report["parameters"]["error"].startswith(NAMED_ERRORS)
     elif code != 2:
         assert not _non_finite_numbers(out.getvalue(), fmt)
         if code == 1 and fmt == "csv":  # a CSV report prints no metrics

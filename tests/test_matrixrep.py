@@ -23,17 +23,35 @@ from oracles import (
 RT2 = math.sqrt(2.0)
 
 
+def parity_operators(dim: int, mu: float, nu: float) -> dict[str, np.ndarray]:
+    """P, X and sqrt(1 + mu^2 P^2) as full N x N matrices, assembled from
+    the engine's parity factors: the SVD of x[0::2, 1::2], the spectra on
+    it and the signs of D = diag(i^n) on each sector."""
+    u, spectrum, w = matrixrep._parity_basis(dim)
+    even, odd = len(u), len(w)
+    fp, fx, root_p, _ = matrixrep._deformed_spectra(spectrum, mu, nu)
+    up = matrixrep._signs(even)[:, None] * u
+    wp = matrixrep._signs(odd)[:, None] * w
+    ops = {name: np.zeros((dim, dim), dtype=complex) for name in ("P", "X", "sqrt_p")}
+    ops["P"][0::2, 1::2] = -1j * matrixrep._rows(up, fp[:odd], wp, even)
+    ops["X"][0::2, 1::2] = matrixrep._rows(u, fx[:odd], w, even)
+    for name in ("P", "X"):
+        ops[name][1::2, 0::2] = ops[name][0::2, 1::2].conj().T
+    ops["sqrt_p"][0::2, 0::2] = matrixrep._rows(up, root_p, up, even)
+    ops["sqrt_p"][1::2, 1::2] = matrixrep._rows(wp, root_p[:odd], wp, odd)
+    return ops
+
+
 def deformed_ops(
     dim: int, mu: float, nu: float
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """P = sinh(mu*p)/mu and X = sinh(nu*x)/nu through the engine's shared
-    eigenbasis of x; parameter 0 means undeformed."""
+    """P = sinh(mu*p)/mu and X = sinh(nu*x)/nu from the engine's parity
+    factors; parameter 0 means undeformed."""
     matrixrep._check_parameters(mu, nu)
     x, p = oscillator_xp(dim)
-    w, v, phase = matrixrep._eigenbasis(dim)
-    fp, fx, _, _ = matrixrep._deformed_spectra(w, mu, nu)
-    pd = OperatorMatrix(matrixrep._p_rows(v, phase, fp, dim)) if mu > 0 else p
-    xd = OperatorMatrix(matrixrep._x_rows(v, fx, dim)) if nu > 0 else x
+    ops = parity_operators(dim, mu, nu)
+    pd = OperatorMatrix(ops["P"]) if mu > 0 else p
+    xd = OperatorMatrix(ops["X"]) if nu > 0 else x
     return pd, xd
 
 
@@ -307,15 +325,66 @@ def test_residual_matches_dense_oracle(dim, interior, mu, nu):
     assert abs(row.cosh_norm - cosh_norm) <= 1e-12 * cosh_norm
 
 
+# odd N has the zero mode of x; odd M splits the interior unevenly
+PARITY_DIMS = [
+    (3, 2), (9, 4), (9, 5), (17, 4), (33, 8), (65, 16), (129, 32), (129, 33),
+    (4, 3), (8, 4), (10, 5), (16, 8), (64, 16), (128, 32),
+]
+
+
+@pytest.mark.parametrize("dim, interior", PARITY_DIMS)
+@pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.2, 0.2), (0.3, 0.0), (0.0, 0.3)])
+def test_parity_engine_matches_dense_oracle(dim, interior, mu, nu):
+    row = identity_residual(dim, interior, mu, nu)
+    dense = dense_identity_residual(dim, interior, mu, nu)
+    block = dense["block"]
+    assert abs(row.residual_frobenius - np.linalg.norm(block)) <= 1e-11
+    assert abs(row.residual_spectral - np.linalg.norm(block, 2)) <= 1e-11
+    cosh_norm = np.linalg.norm(dense["cosh_p"])
+    assert abs(row.cosh_norm - cosh_norm) <= 1e-12 * cosh_norm
+
+
+@pytest.mark.parametrize("dim, interior", [(9, 5), (16, 8), (17, 8), (33, 9)])
+@pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.2, 0.2), (0.45, 0.1), (0.0, 0.4)])
+def test_dense_residual_block_is_parity_diagonal_and_anti_hermitian(
+    dim, interior, mu, nu
+):
+    # the structure the engine's parity split relies on, seen on the dense
+    # oracle: [P, X] - R has no even-odd entries, and on each sector it is
+    # i times a real symmetric matrix
+    block = dense_identity_residual(dim, interior, mu, nu)["block"]
+    assert np.max(np.abs(block[0::2, 1::2])) <= 1e-13
+    assert np.max(np.abs(block[1::2, 0::2])) <= 1e-13
+    assert np.max(np.abs(block + block.conj().T)) <= 1e-13
+    assert np.max(np.abs(block.real)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [3, 8, 9, 16, 17])
+def test_parity_basis_diagonalizes_x(dim):
+    # eigenpairs +-s with (u, +-w)/sqrt(2), and the zero mode (u0, 0) at odd N
+    x, _ = oscillator_xp(dim)
+    u, spectrum, w = matrixrep._parity_basis(dim)
+    odd = len(w)
+    vecs = np.zeros((dim, dim))
+    vecs[0::2, :odd] = vecs[0::2, odd : 2 * odd] = u[:, :odd] / RT2
+    vecs[1::2, :odd] = w / RT2
+    vecs[1::2, odd : 2 * odd] = -w / RT2
+    vecs[0::2, 2 * odd :] = u[:, odd:]
+    values = np.concatenate((spectrum[:odd], -spectrum[:odd], spectrum[odd:]))
+    assert np.max(np.abs(x.mat @ vecs - vecs * values)) <= 1e-13
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(dim))) <= 1e-13
+    assert len(spectrum) == len(u) == (dim + 1) // 2
+    assert np.all(spectrum[odd:] == 0.0)
+
+
 @pytest.mark.parametrize("dim", [8, 16, 32, 64])
 @pytest.mark.parametrize("mu", [0.1, 0.3, 0.6])
 def test_shared_basis_sqrt_matches_dense_principal_sqrt(dim, mu):
-    # the engine takes sqrt(1 + mu^2 P^2) as a function on the spectrum of
-    # x; the oracle takes the principal square root of the dense matrix
-    # 1 + mu^2 P @ P, so the cosh identity is not assumed on either side
-    w, v, phase = matrixrep._eigenbasis(dim)
-    _, _, root_p, _ = matrixrep._deformed_spectra(w, mu, 0.0)
-    shared = matrixrep._p_rows(v, phase, root_p, dim)
+    # the engine takes sqrt(1 + mu^2 P^2) as a function on the spectra of
+    # the parity sectors of x; the oracle takes the principal square root
+    # of the dense matrix 1 + mu^2 P @ P, so the cosh identity is not
+    # assumed on either side
+    shared = parity_operators(dim, mu, 0.0)["sqrt_p"]
     dense = dense_identity_residual(dim, 4, mu, 0.0)["sqrt_p"]
     assert np.linalg.norm(shared - dense) <= 1e-12 * np.linalg.norm(dense)
 
