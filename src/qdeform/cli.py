@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -29,8 +30,32 @@ MAX_DEGREE = 64
 # scans; theta is formed in floats, which have no value at all for n past
 # about 1.8e308
 MAX_N = 2**62
+# longest --n or --dims list, and most (N, k) pairs in a clock-shift grid
+# (one table row each): the widest table, scan --path hbar-to-0 over 2^18
+# n, takes about 1.1 s and 260 MB as JSON (4.5 s and 950 MB at 2^20)
+MAX_POINTS = 2**18
+# largest matrix dimension (--dim, matrix.dim, scan --engine matrix --dims):
+# verify at mu = nu = 0 takes about 0.9 s and 105 MB there, and the cost
+# grows as N^3 in time and N^2 in memory
+MAX_MATRIX_DIM = 2048
+# largest clock-shift pair (verify --engine clock-shift --dim): about 1.3 s
+# and 95 MB there, linear in N
+MAX_PAIR_DIM = 2**20
+# largest dimension in a clock-shift grid (scan --engine clock-shift
+# --dims), which holds an N x N phase table: about 80 MB there, and four
+# times that per doubling of N
+MAX_GRID_DIM = 1024
 
 
+def _at_most(value: int, bound: int, source: str) -> None:
+    """Refuse a size past its bound, naming the flag or key it came from."""
+    if value > bound:
+        raise ValueError(f"{source} must be at most {bound}, got {value}")
+
+
+# the parser depends on no input, and parse_args leaves it as it is, so
+# every call in one process shares it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdeform",
@@ -97,8 +122,9 @@ def _n_list(text: str) -> list[int]:
     return ns
 
 
-def parse_int_list(text: Optional[str], what: str) -> list[int]:
-    """Accept 'a..b' (inclusive), 'a,b,c' or a single integer."""
+def parse_int_list(text: Optional[str], what: str, flag: str = "--n") -> list[int]:
+    """Accept 'a..b' (inclusive), 'a,b,c' or a single integer, with at most
+    MAX_POINTS values; a range is counted from its ends, before it is built."""
     if text is None or not text.strip():
         raise ValueError(f"empty {what} list")
     text = text.strip()
@@ -107,10 +133,12 @@ def parse_int_list(text: Optional[str], what: str) -> list[int]:
         lo, hi = int(lo_txt), int(hi_txt)
         if hi < lo:
             raise ValueError(f"bad {what} range: {text!r}")
+        _at_most(hi - lo + 1, MAX_POINTS, f"{flag} length")
         return list(range(lo, hi + 1))
     values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"empty {what} list")
+    _at_most(len(values), MAX_POINTS, f"{flag} length")
     return values
 
 
@@ -209,7 +237,11 @@ def run_verify(args, cfg) -> VerificationReport:
     if args.engine == "symbolic":
         return _verify_symbolic(_symbolic_degree(args, cfg), cfg)
     if args.engine == "matrix":
-        dim = args.dim if args.dim is not None else config.get_int(cfg, "matrix.dim")
+        if args.dim is not None:
+            dim, source = args.dim, "--dim"
+        else:
+            dim, source = config.get_int(cfg, "matrix.dim"), "matrix.dim"
+        _at_most(dim, MAX_MATRIX_DIM, source)
         interior = (
             args.interior
             if args.interior is not None
@@ -219,6 +251,7 @@ def run_verify(args, cfg) -> VerificationReport:
         nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
         return _verify_matrix(dim, interior, mu, nu, cfg)
     dim = args.dim if args.dim is not None else 16
+    _at_most(dim, MAX_PAIR_DIM, "--dim")
     level = args.level if args.level is not None else 1
     return _verify_clockshift(dim, level, cfg)
 
@@ -229,7 +262,8 @@ def run_verify(args, cfg) -> VerificationReport:
 
 
 def _scan_matrix(args, cfg) -> VerificationReport:
-    dims = parse_int_list(args.dims, "dimension")
+    dims = parse_int_list(args.dims, "dimension", "--dims")
+    _at_most(max(dims), MAX_MATRIX_DIM, "--dims")
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
     interior = args.interior if args.interior is not None else 8
@@ -283,7 +317,11 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
 
 
 def _scan_clockshift_grid(args, cfg) -> VerificationReport:
-    dims = parse_int_list(args.dims, "dimension")
+    dims = parse_int_list(args.dims, "dimension", "--dims")
+    _at_most(max(dims), MAX_GRID_DIM, "--dims")
+    # one table row per pair (N, k), 1 <= k < N
+    pairs = sum(max(dim - 1, 0) for dim in dims)
+    _at_most(pairs, MAX_POINTS, "--dims pair count")
     threshold = config.get_float(cfg, "clockshift.residual_threshold")
     command = f"scan --engine clock-shift --dims {args.dims}"
     sizes, levels, residuals = [], [], []

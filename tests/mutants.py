@@ -115,6 +115,62 @@ MUTANTS = (
         "if False:",
         ("tests/test_cli.py", "tests/test_cli_grammar.py"),
     ),
+    Mutant(
+        "size bounds refuse the bound itself",
+        "src/qdeform/cli.py",
+        "if value > bound:",
+        "if value >= bound:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a..b ranges without their length bound",
+        "src/qdeform/cli.py",
+        '_at_most(hi - lo + 1, MAX_POINTS, f"{flag} length")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "comma lists without their length bound",
+        "src/qdeform/cli.py",
+        '_at_most(len(values), MAX_POINTS, f"{flag} length")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "verify --engine matrix without its dimension bound",
+        "src/qdeform/cli.py",
+        "_at_most(dim, MAX_MATRIX_DIM, source)",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "scan --engine matrix without its dimension bound",
+        "src/qdeform/cli.py",
+        '_at_most(max(dims), MAX_MATRIX_DIM, "--dims")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "verify --engine clock-shift without its dimension bound",
+        "src/qdeform/cli.py",
+        '_at_most(dim, MAX_PAIR_DIM, "--dim")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "clock-shift grid without its dimension bound",
+        "src/qdeform/cli.py",
+        '_at_most(max(dims), MAX_GRID_DIM, "--dims")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "clock-shift grid without its pair-count bound",
+        "src/qdeform/cli.py",
+        '_at_most(pairs, MAX_POINTS, "--dims pair count")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
 )
 
 

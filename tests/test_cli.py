@@ -1,9 +1,13 @@
+import io
 import json
+import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import qdeform.cli as cli
 from qdeform import weyl
 from qdeform.cli import expand_text, parse_int_list
 from qdeform.config import (
@@ -760,6 +764,137 @@ def test_n_at_bound_runs(invoke, argv):
     assert code == 0
     table = json.loads(out)["table"]
     assert [row[table["columns"].index("n")] for row in table["rows"]] == [0, 2**62]
+
+
+# 2^18 (N, k) pairs: 256 grids of N = 1024 and one of N = 257; the leading
+# N = 1 is refused by the engine before any grid is built
+GRID_AT_BOUND = "1," + "1024," * 256 + "257"
+
+
+@pytest.mark.parametrize(
+    "argv,lines,named",
+    [
+        # one past each bound; without the bound each of these runs (and
+        # fails the test) in about a second at most
+        (["scan", "--engine", "clock-shift", "--alpha", "1", "--n", "0..262144"], "",
+         "--n length must be at most 262144, got 262145"),
+        (["scan", "--engine", "clock-shift", "--alpha", "1",
+          "--n", "0," * 262144 + "0"], "",
+         "--n length must be at most 262144, got 262145"),
+        (["scan", "--engine", "matrix", "--dims", "3..262147"], "",
+         "--dims length must be at most 262144, got 262145"),
+        (["verify", "--engine", "matrix", "--dim", "2049"], "",
+         "--dim must be at most 2048, got 2049"),
+        (["verify", "--engine", "matrix"], "matrix.dim = 2049",
+         "matrix.dim must be at most 2048, got 2049"),
+        (["scan", "--engine", "matrix", "--dims", "16,2049"], "",
+         "--dims must be at most 2048, got 2049"),
+        (["verify", "--engine", "clock-shift", "--dim", "1048577"], "",
+         "--dim must be at most 1048576, got 1048577"),
+        (["scan", "--engine", "clock-shift", "--dims", "2,1025"], "",
+         "--dims must be at most 1024, got 1025"),
+        (["scan", "--engine", "clock-shift", "--dims", GRID_AT_BOUND + ",2"], "",
+         "--dims pair count must be at most 262144, got 262145"),
+        # far past: these would need terabytes or hours
+        (["scan", "--path", "hbar-to-0", "--n", "0..1000000000000"], "",
+         "--n length must be at most 262144, got 1000000000001"),
+        (["scan", "--path", "q-to-1", "--n", "0..1000000000000"], "",
+         "--n length must be at most 262144, got 1000000000001"),
+        (["verify", "--engine", "clock-shift", "--dim", "1000000000"], "",
+         "--dim must be at most 1048576, got 1000000000"),
+    ],
+)
+def test_size_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):
+    cfg = tmp_path / "size.cfg"
+    cfg.write_text(lines + "\n")
+    start = time.perf_counter()
+    code, out = invoke(argv + ["--config", str(cfg)])
+    # refused from the endpoints, before any list or array is built
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == f"ValueError: {named}"
+
+
+@pytest.mark.parametrize(
+    "argv,lines,named",
+    [
+        # at each dimension bound the next, cheap check decides: the bound
+        # lets the value through
+        (["verify", "--engine", "matrix", "--dim", "2048", "--interior", "2048"], "",
+         "interior dimension must satisfy 2 <= M < N"),
+        (["verify", "--engine", "matrix", "--interior", "2048"], "matrix.dim = 2048",
+         "interior dimension must satisfy 2 <= M < N"),
+        (["scan", "--engine", "matrix", "--dims", "2048", "--interior", "2048"], "",
+         "all dimensions must exceed the interior dimension"),
+        (["verify", "--engine", "clock-shift", "--dim", "1048576",
+          "--level", "1048576"], "",
+         "level must satisfy 1 <= k < N, got k=1048576"),
+        (["scan", "--engine", "clock-shift", "--dims", GRID_AT_BOUND], "",
+         "dimension must be >= 2, got N=1"),
+    ],
+)
+def test_dimension_at_bound_passes_the_bound(invoke, tmp_path, argv, lines, named):
+    cfg = tmp_path / "size.cfg"
+    cfg.write_text(lines + "\n")
+    code, out = invoke(argv + ["--config", str(cfg)])
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == f"ValueError: {named}"
+
+
+@pytest.mark.parametrize(
+    "ntext", ["0..262143", "0," * 262143 + "0"], ids=["range", "list"]
+)
+def test_n_list_at_length_bound_runs(invoke, ntext):
+    code, out = invoke(
+        ["scan", "--engine", "clock-shift", "--alpha", "1", "--n", ntext,
+         "--format", "csv"]
+    )
+    assert code == 0
+    assert out.count("\n") == 1 + 2**18
+
+
+def test_grid_at_dimension_bound_runs(invoke):
+    code, out = invoke(["scan", "--engine", "clock-shift", "--dims", "1024"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["pairs"] == 1023
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    return code, mask_timestamp(out.getvalue()), err.getvalue()
+
+
+# a usage error, a flag given then left out twice over, and an expansion
+REUSE_SEQUENCE = (
+    ["verify", "--engine", "dense"],
+    ["scan", "--engine", "clock-shift", "--alpha", "1", "--n", "0..3",
+     "--format", "csv"],
+    ["scan", "--engine", "clock-shift", "--alpha", "1", "--n", "0..3"],
+    ["verify", "--engine", "matrix", "--dim", "12", "--interior", "4", "--mu", "0.3"],
+    ["verify", "--engine", "matrix", "--dim", "12", "--interior", "4"],
+    ["expand", "--target", "P", "--degree", "3"],
+)
+
+
+def test_shared_parser_carries_no_state_between_calls(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    shared = [_run_cli(argv) for argv in REUSE_SEQUENCE]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_run_cli(argv) for argv in REUSE_SEQUENCE]
+    assert shared == fresh
+    codes, outs, errs = zip(*shared)
+    assert codes == (2, 0, 0, 0, 0, 0)
+    assert "usage:" in errs[0] and not outs[0]
+    assert outs[1].startswith("alpha,n,deviation\n")
+    assert json.loads(outs[2])["table"]["columns"] == ["alpha", "n", "deviation"]
+    assert json.loads(outs[3])["parameters"]["mu"] == 0.3
+    assert json.loads(outs[4])["parameters"]["mu"] == 0.2
+    assert outs[5] == expand_text("P", 3) + "\n"
 
 
 def test_scan_without_engine_or_path_reports_params_error(invoke):

@@ -1,8 +1,8 @@
 """Property test over the command-line grammar.
 
 Hypothesis draws commands, engines, flags and values (nan, inf, negative
-numbers, empty lists, out-of-range values; small sizes only), sometimes
-with a config file.  Every argv must end in exit 0, 1 or 2 without an
+numbers, empty lists, out-of-range values; small sizes, plus a few just
+past the CLI's size bounds), sometimes with a config file.  Every argv must end in exit 0, 1 or 2 without an
 uncaught exception or a numpy warning, and print strict JSON whenever a
 report is JSON (an expansion prints its canonical text, and takes no
 --format).  An error report carries a ValueError or ConfigError, the
@@ -31,17 +31,18 @@ SMALL_DIMS = st.sampled_from(["2", "3", "5", "8", "12", "16", "24"])
 INT_LISTS = st.sampled_from(
     ["", ",", " , ", "0", "1", "7,0,3", "0..5", "5..0", "-2..2", "-1", "1..3",
      "0..40", "1074", "1075", "0..1074", "999990..1000000", "a..b", "1,x",
-     "4611686018427387904", "0,4611686018427387905"]
+     "4611686018427387904", "0,4611686018427387905", "0..262144",
+     "0..1000000000000"]
 )
 DIM_LISTS = st.sampled_from(
     ["", ",", "1", "0,1", "2", "2..12", "5,17,3", "10,12,14,16", "16,12",
-     "-4", "2..1", "x"]
+     "-4", "2..1", "x", "1025", "16,2049", "2..262146"]
 )
 CONFIG_LINES = st.sampled_from(
     ["symbolic.degree = 3", "symbolic.degree = -1", "symbolic.degree = x",
      "matrix.residual_threshold = nan", "matrix.residual_threshold = 1e-30",
      "symbolic.degree = 100000000", "matrix.residual_treshold = 1e-30",
-     "matrix.overflow_guard = inf",
+     "matrix.overflow_guard = inf", "matrix.dim = 2049",
      "matrix.noise_floor = -1", "clockshift.periodicity_threshold = inf",
      "params.alpha = 7", "params.beta = 0", "params.mu0 = 0", "params.mu0 = nan",
      "params.nu0 = inf", "params.mu0 = -1", "params.mu0 = 1e300",
@@ -68,7 +69,7 @@ def commands(draw):
         argv += ["--engine", engine]
         argv += _flags(draw, {
             "--degree": st.sampled_from(["-1", "0", "2", "5", "65", "x"]),
-            "--dim": SMALL_DIMS | INTS,
+            "--dim": SMALL_DIMS | INTS | st.sampled_from(["2049", "1048577"]),
             "--interior": INTS,
             "--mu": FLOATS,
             "--nu": FLOATS,
@@ -157,6 +158,19 @@ def config_dir(tmp_path_factory):
 @example(argv=["scan", "--path=hbar-to-0", "--n=1" + "0" * 400], config=None)
 @example(argv=["scan", "--engine=clock-shift", "--alpha=1", "--n=1" + "0" * 400,
                "--format=text"], config=None)
+# one past each size bound, and far past the list bound; without its bound
+# each of these ran for up to 15 s, or needed terabytes
+@example(argv=["scan", "--engine=clock-shift", "--alpha=1", "--n=0..262144"],
+         config=None)
+@example(argv=["scan", "--path=hbar-to-0", "--n=0..1000000000000"], config=None)
+@example(argv=["scan", "--path=omega-to-0", "--n=0..262144"], config=None)
+@example(argv=["verify", "--engine=matrix", "--dim=2049"], config=None)
+@example(argv=["verify", "--engine=matrix"], config=["matrix.dim = 2049"])
+@example(argv=["scan", "--engine=matrix", "--dims=16,2049"], config=None)
+@example(argv=["verify", "--engine=clock-shift", "--dim=1048577"], config=None)
+@example(argv=["scan", "--engine=clock-shift", "--dims=1025"], config=None)
+@example(argv=["scan", "--engine=clock-shift", "--dims=" + "1024," * 256 + "258"],
+         config=None)
 def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config):
     if config is not None:
         path = config_dir / "run.cfg"
