@@ -24,7 +24,8 @@ EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
 # last step of a contraction path: 2.0 ** -1074 is the smallest double
 MAX_STEP = 1074
 # largest symbolic truncation degree (--degree, symbolic.degree): verify
-# takes about 0.8 s there, and the exact work grows steeply with degree
+# takes about 0.8 s there as a whole process (one core of a 2-vCPU x86-64
+# host), and the exact work grows steeply with degree
 MAX_DEGREE = 64
 # largest n of theta = alpha + 2*pi*n on the periodicity and hbar-to-0
 # scans; theta is formed in floats, which have no value at all for n past
@@ -38,7 +39,7 @@ MAX_POINTS = 2**18
 # verify at mu = nu = 0 takes about 0.9 s and 105 MB there, and the cost
 # grows as N^3 in time and N^2 in memory
 MAX_MATRIX_DIM = 2048
-# largest clock-shift pair (verify --engine clock-shift --dim): about 1.3 s
+# largest clock-shift pair (verify --engine clock-shift --dim): about 0.7 s
 # and 95 MB there, linear in N
 MAX_PAIR_DIM = 2**20
 # largest dimension in a clock-shift grid (scan --engine clock-shift

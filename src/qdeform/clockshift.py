@@ -44,17 +44,24 @@ class ClockShiftPair:
         return 2.0 * math.pi * self.level / self.dim
 
 
-def _root_of_unity(exponent: int, order: int) -> complex:
-    """exp(2*pi*i*exponent/order), exact at the quadrant angles."""
-    exponent %= order
-    if 4 * exponent % order == 0:
-        return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[4 * exponent // order]
-    return cmath.exp(2j * math.pi * exponent / order)
+# exp(2*pi*i*e/N) at the quadrant angles e/N = 0, 1/4, 1/2, 3/4
+_QUADRANT_ROOTS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
-def _roots_of_unity(order: int) -> np.ndarray:
-    """All order-th roots of unity, indexed by exponent."""
-    return np.array([_root_of_unity(e, order) for e in range(order)])
+def _roots_of_unity(order: int, exponents) -> np.ndarray:
+    """exp(2*pi*i*e/order) for each integer exponent e, exact at the quadrant
+    angles.
+
+    The angle is (2*pi*e)/order with e reduced mod order, rounded step by
+    step as cmath.exp(2j*pi*e/order) rounds it, so each root equals that
+    per-root formula bit for bit.
+    """
+    e = np.asarray(exponents) % order
+    roots = np.exp(1j * (2 * math.pi * e / order))
+    quarters = 4 * e
+    quadrant = quarters % order == 0
+    roots[quadrant] = _QUADRANT_ROOTS[quarters[quadrant] // order]
+    return roots
 
 
 def _check_dim(dim: int) -> None:
@@ -68,7 +75,7 @@ def build_pair(dim: int, level: int) -> ClockShiftPair:
     _check_dim(dim)
     if not 1 <= level < dim:
         raise ValueError(f"level must satisfy 1 <= k < N, got k={level}")
-    phases = _roots_of_unity(dim)[np.arange(dim) * level % dim]
+    phases = _roots_of_unity(dim, np.arange(dim) * level)
     return ClockShiftPair(dim=dim, level=level, phases=phases)
 
 
@@ -99,7 +106,8 @@ def verify_qplane(pair: ClockShiftPair) -> float:
     continuation at alpha = pi (even N with k = N/2), where the quotient
     itself is 0/0.
     """
-    return float(_qplane_max(pair.phases, _root_of_unity(-pair.level, pair.dim)))
+    # q = omega^(-k) is the last clock phase omega^((N-1)k), as -k = (N-1)k mod N
+    return float(_qplane_max(pair.phases, pair.phases[-1]))
 
 
 def qplane_residuals(dim: int) -> np.ndarray:
@@ -110,7 +118,7 @@ def qplane_residuals(dim: int) -> np.ndarray:
     per-pair one bit for bit.  Costs O(dim^2) time and memory.
     """
     _check_dim(dim)
-    roots = _roots_of_unity(dim)
+    roots = _roots_of_unity(dim, np.arange(dim))
     levels = np.arange(1, dim)
     phases = roots[np.outer(levels, np.arange(dim)) % dim]
     return _qplane_max(phases, roots[-levels % dim, np.newaxis])

@@ -69,10 +69,16 @@ class RationalComplex:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + -other
+        if type(other) is not RationalComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(
+            self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2
+        )
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -158,9 +164,11 @@ def _raw(a: int, b: int, d: int) -> RationalComplex:
 def _reduced(a: int, b: int, d: int) -> RationalComplex:
     """Canonical form of (a + b*i)/d for d > 0."""
     g = gcd(a, b, d)
-    if g == 1:
-        return _raw(a, b, d)
-    return _raw(a // g, b // g, d // g)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new(RationalComplex)
+    z._a, z._b, z._d = a, b, d
+    return z
 
 
 def _coerce(value) -> "RationalComplex | None":

@@ -20,11 +20,12 @@ behind the quantum-plane limit, and the free-particle commutator rule
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple, Optional, Union
 
-from .rational import I, MINUS_I, ONE, RationalComplex
+from .rational import MINUS_I, RationalComplex, _reduced
 from .series import (
     ScalarSeries,
     cos_series,
@@ -33,8 +34,9 @@ from .series import (
     term_text,
 )
 
-# (-i)^k for k mod 4; the central scalar in the reordering rule.
-_MINUS_I_POW = (ONE, MINUS_I, RationalComplex(-1), I)
+# (-i)^k for k mod 4 as (re, im); the central unit in the reordering rule.
+_MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
+_HALF = RationalComplex(Fraction(1, 2))
 
 
 class WeylMonomial(NamedTuple):
@@ -84,33 +86,18 @@ class ParamPolynomial:
         return bool(self.terms)
 
     def __add__(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            if key in out:
-                value = out[key] + value
-                if value.is_zero:
-                    del out[key]
-                    continue
-            out[key] = value
-        return _poly(out)
+        return _poly(_merge(self.terms, other.terms, operator.add))
 
     def __sub__(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        return self + (-other)
+        return _poly(_merge(self.terms, other.terms, operator.sub, operator.neg))
 
     def __neg__(self) -> "ParamPolynomial":
         return _poly({k: -v for k, v in self.terms.items()})
 
     def mul(self, other: "ParamPolynomial", cap: int) -> "ParamPolynomial":
-        out: dict[tuple[int, int], RationalComplex] = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                m, n = m1 + m2, n1 + n2
-                if m + n > cap:
-                    continue
-                key = (m, n)
-                value = c1 * c2
-                out[key] = out[key] + value if key in out else value
-        return _poly({k: v for k, v in out.items() if not v.is_zero})
+        out: dict = {}
+        _product_into(out, _triples(self), _triples(other), cap)
+        return _poly(_canonical(out))
 
     def scaled(self, scalar) -> "ParamPolynomial":
         scalar = _as_scalar(scalar)
@@ -234,18 +221,13 @@ class WeylSeriesElement:
 
     def __add__(self, other: "WeylSeriesElement") -> "WeylSeriesElement":
         _check_degree(self, other)
-        out = dict(self.terms)
-        for mono, poly in other.terms.items():
-            if mono in out:
-                poly = out[mono] + poly
-                if not poly:
-                    del out[mono]
-                    continue
-            out[mono] = poly
-        return _element(self.degree, out)
+        return _element(self.degree, _merge(self.terms, other.terms, operator.add))
 
     def __sub__(self, other: "WeylSeriesElement") -> "WeylSeriesElement":
-        return self + (-other)
+        _check_degree(self, other)
+        return _element(
+            self.degree, _merge(self.terms, other.terms, operator.sub, operator.neg)
+        )
 
     def __neg__(self) -> "WeylSeriesElement":
         return _element(self.degree, {m: -p for m, p in self.terms.items()})
@@ -262,12 +244,11 @@ class WeylSeriesElement:
         )
 
     def scaled_by_poly(self, poly: ParamPolynomial) -> "WeylSeriesElement":
-        out = {}
+        factor = _triples(poly)
+        acc: dict = {}
         for mono, p in self.terms.items():
-            p = p.mul(poly, self.degree)
-            if p:
-                out[mono] = p
-        return _element(self.degree, out)
+            _product_into(acc.setdefault(mono, {}), _triples(p), factor, self.degree)
+        return _from_accumulator(acc, self.degree)
 
     def scaled_by_theta(self, series: ScalarSeries) -> "WeylSeriesElement":
         """Multiply by a central series in theta = mu*nu."""
@@ -283,11 +264,11 @@ class WeylSeriesElement:
         On a normal-ordered term c * x^a p^b this gives conj(c) * p^b x^a,
         which is reordered back to normal form.
         """
-        acc: dict[WeylMonomial, dict[tuple[int, int], RationalComplex]] = {}
-        for mono, poly in self.terms.items():
-            conj = poly.conjugated()
-            for rmono, scalar in _reorder(mono.p_pow, mono.x_pow):
-                _accumulate(acc, rmono, conj, scalar)
+        acc: dict = {}
+        for (x_pow, p_pow), poly in self.terms.items():
+            conj = {(m, n): (a, b, d) for m, n, a, b, d in _triples(poly.conjugated())}
+            for k, re, im in _reorder(p_pow, x_pow):
+                _accumulate(acc.setdefault((x_pow - k, p_pow - k), {}), conj, re, im)
         return _from_accumulator(acc, self.degree)
 
     # -- derivative -----------------------------------------------------
@@ -355,39 +336,98 @@ def _param_factors(key: tuple[int, int]) -> list[str]:
     return out
 
 
-def _reorder(p_pow: int, x_pow: int):
+def _merge(left: dict, right: dict, op, lone=None) -> dict:
+    """left op right on dicts of nonzero values, dropping zero results;
+    ``lone`` maps a right value whose key is missing on the left."""
+    out = dict(left)
+    for key, value in right.items():
+        if key in out:
+            value = op(out[key], value)
+            if value.is_zero:
+                del out[key]
+                continue
+        elif lone is not None:
+            value = lone(value)
+        out[key] = value
+    return out
+
+
+# The product kernel works on raw coefficients: a list [a, b, d] stands
+# for (a + b*i)/d with d > 0 but is not reduced.  Contributions are summed
+# in these lists with integer arithmetic only, and each output coefficient
+# is brought to canonical form by one gcd when the result is built.
+
+
+def _reorder(p_pow: int, x_pow: int) -> list[tuple[int, int, int]]:
     """Normal-order the word p^b x^a.
 
     Repeated use of px = xp - i gives the closed form
 
         p^b x^a = sum_k C(b,k) C(a,k) k! (-i)^k  x^(a-k) p^(b-k),
 
-    which is also the engine's product rule; yields (monomial, scalar) pairs.
+    which is also the engine's product rule; returns one (k, re, im) per
+    term, re + i*im being the Gaussian-integer weight of x^(a-k) p^(b-k).
     """
-    yield WeylMonomial(x_pow, p_pow), ONE
+    rule = [(0, 1, 0)]
+    weight = 1
     for k in range(1, min(p_pow, x_pow) + 1):
-        weight = comb(p_pow, k) * comb(x_pow, k) * factorial(k)
-        yield WeylMonomial(x_pow - k, p_pow - k), _MINUS_I_POW[k % 4] * weight
+        # C(b,k) C(a,k) k! = C(b,k-1) C(a,k-1) (k-1)! * (b-k+1)(a-k+1)/k
+        weight = weight * (p_pow - k + 1) * (x_pow - k + 1) // k
+        re, im = _MINUS_I_POW[k % 4]
+        rule.append((k, re * weight, im * weight))
+    return rule
 
 
-def _accumulate(acc, mono, poly: ParamPolynomial, scalar: RationalComplex) -> None:
-    """acc[mono] += scalar * poly, on raw coefficient dicts."""
-    dst = acc.setdefault(mono, {})
-    if scalar is ONE:
-        for key, value in poly.terms.items():
-            dst[key] = dst[key] + value if key in dst else value
+def _triples(poly: ParamPolynomial) -> list[tuple[int, int, int, int, int]]:
+    """(mu power, nu power, a, b, d) for each coefficient (a + b*i)/d."""
+    return [(m, n, c._a, c._b, c._d) for (m, n), c in poly.terms.items()]
+
+
+def _add_raw(dst: dict, key, a: int, b: int, d: int) -> None:
+    """dst[key] += (a + b*i)/d on raw coefficients, with no gcd."""
+    cur = dst.get(key)
+    if cur is None:
+        dst[key] = [a, b, d]
+    elif cur[2] == d:
+        cur[0] += a
+        cur[1] += b
     else:
-        for key, value in poly.terms.items():
-            value = value * scalar
-            dst[key] = dst[key] + value if key in dst else value
+        e = cur[2]
+        cur[0] = cur[0] * d + a * e
+        cur[1] = cur[1] * d + b * e
+        cur[2] = e * d
 
 
-def _from_accumulator(acc, degree: int) -> WeylSeriesElement:
+def _product_into(dst: dict, left: list, right: list, cap: int) -> None:
+    """dst += left * right for two polynomials given as _triples, keeping
+    total (mu, nu) degree <= cap."""
+    for m1, n1, a1, b1, d1 in left:
+        room = cap - m1 - n1
+        for m2, n2, a2, b2, d2 in right:
+            if m2 + n2 <= room:
+                _add_raw(
+                    dst, (m1 + m2, n1 + n2),
+                    a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2,
+                )
+
+
+def _accumulate(dst: dict, src: dict, re: int, im: int) -> None:
+    """dst += (re + i*im) * src on raw coefficient dicts."""
+    for key, (a, b, d) in src.items():
+        _add_raw(dst, key, a * re - b * im, a * im + b * re, d)
+
+
+def _canonical(raw: dict) -> dict:
+    """Raw coefficients to canonical scalars, zeros dropped: one gcd each."""
+    return {key: _reduced(a, b, d) for key, (a, b, d) in raw.items() if a or b}
+
+
+def _from_accumulator(acc: dict, degree: int) -> WeylSeriesElement:
     out = {}
-    for mono, d in acc.items():
-        d = {k: v for k, v in d.items() if not v.is_zero}
-        if d:
-            out[mono] = _poly(d)
+    for mono, raw in acc.items():
+        terms = _canonical(raw)
+        if terms:
+            out[WeylMonomial(*mono)] = _poly(terms)
     return _element(degree, out)
 
 
@@ -400,21 +440,31 @@ def normal_product(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElem
     """Exact product, normal-ordered, coefficients truncated by total degree.
 
     For each pair of words, x^a1 p^b1 * x^a2 p^b2 reorders the inner
-    p^b1 x^a2 with the closed-form rule in :func:`_reorder`.
+    p^b1 x^a2 with the closed-form rule in :func:`_reorder`, built once per
+    (b1, a2) in a call.  A pair whose rule is the identity (b1 = 0 or
+    a2 = 0) adds its coefficient product straight into the output word.
     """
     _check_degree(a, b)
     cap = a.degree
-    acc: dict[WeylMonomial, dict[tuple[int, int], RationalComplex]] = {}
-    for ma, pa in a.terms.items():
-        for mb, pb in b.terms.items():
-            pab = pa.mul(pb, cap)
-            if not pab:
+    acc: dict = {}
+    rules: dict = {}
+    right = [(x2, p2, _triples(poly)) for (x2, p2), poly in b.terms.items()]
+    for (x1, p1), poly in a.terms.items():
+        left = _triples(poly)
+        for x2, p2, coeffs in right:
+            if not p1 or not x2:
+                _product_into(acc.setdefault((x1 + x2, p1 + p2), {}), left, coeffs, cap)
                 continue
-            for inner, scalar in _reorder(ma.p_pow, mb.x_pow):
-                mono = WeylMonomial(
-                    ma.x_pow + inner.x_pow, inner.p_pow + mb.p_pow
-                )
-                _accumulate(acc, mono, pab, scalar)
+            pair: dict = {}
+            _product_into(pair, left, coeffs, cap)
+            if not pair:
+                continue
+            rule = rules.get((p1, x2))
+            if rule is None:
+                rule = rules[(p1, x2)] = _reorder(p1, x2)
+            for k, re, im in rule:
+                mono = (x1 + x2 - k, p1 + p2 - k)
+                _accumulate(acc.setdefault(mono, {}), pair, re, im)
     return _from_accumulator(acc, cap)
 
 
@@ -489,33 +539,55 @@ def prefactor_series(degree: int) -> ScalarSeries:
 
 
 def binomial_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:
-    """Principal square root as a binomial series sum_k C(1/2,k) (e-1)^k.
+    """Principal square root sum_k C(1/2,k) (e-1)^k, built degree by degree.
 
     Requires the argument to involve a single generator (so all of its
     terms commute and the square root is an unambiguous formal series)
     and to be 1 plus terms of parameter degree >= 1 (so the series
     terminates under truncation).
+
+    With u_t the part of u = e - 1 of total (mu, nu) degree t, the root is
+    g = sum_t g_t with g_0 = 1 and, from the degree-t part of g^2 = 1 + u,
+
+        g_t = (u_t - sum_{s=1}^{t-1} g_s g_(t-s)) / 2;
+
+    the pieces commute, so the sum is twice the pairs s < t - s plus
+    g_(t/2)^2 for even t.  That is O(degree^2) products of pieces.
     """
     if len(element.generators_used()) > 1:
         raise ValueError("square-root argument must involve a single generator")
-    u = element - WeylSeriesElement.one(element.degree)
+    degree = element.degree
+    one = WeylSeriesElement.one(degree)
+    u = element - one
     low = u.min_param_degree()
     if not u.is_zero and (low is None or low < 1):
         raise ValueError(
             "square-root argument must be 1 + terms of parameter degree >= 1"
         )
-    result = WeylSeriesElement.one(element.degree)
-    if u.is_zero:
-        return result
-    power = WeylSeriesElement.one(element.degree)
-    binom = Fraction(1)
-    for k in range(1, element.degree // low + 1):
-        power = normal_product(power, u)
-        if power.is_zero:
-            break
-        binom = binom * Fraction(2 * (1 - k) + 1, 2 * k)  # C(1/2,k)/C(1/2,k-1)
-        result = result + power.scaled(binom)
-    return result
+    pieces = _graded_pieces(u)
+    root = [one]
+    for t in range(1, degree + 1):
+        cross = _element(degree, {})
+        for s in range(1, (t + 1) // 2):
+            if not (root[s].is_zero or root[t - s].is_zero):
+                cross = cross + normal_product(root[s], root[t - s])
+        cross = cross.scaled(2)
+        if t % 2 == 0 and not root[t // 2].is_zero:
+            cross = cross + normal_product(root[t // 2], root[t // 2])
+        root.append((pieces[t] - cross).scaled(_HALF))
+    return sum(root[1:], root[0])
+
+
+def _graded_pieces(u: WeylSeriesElement) -> list[WeylSeriesElement]:
+    """u split by total (mu, nu) degree: entry t holds the degree-t terms."""
+    pieces: list[dict] = [{} for _ in range(u.degree + 1)]
+    for mono, poly in u.terms.items():
+        for key, value in poly.terms.items():
+            pieces[key[0] + key[1]].setdefault(mono, {})[key] = value
+    return [
+        _element(u.degree, {mono: _poly(terms) for mono, terms in piece.items()})
+        for piece in pieces
+    ]
 
 
 def sqrt_one_plus_square(side: str, degree: int) -> WeylSeriesElement:
@@ -611,14 +683,13 @@ def exchange_residual(degree: int) -> WeylSeriesElement:
     """
     exp_p = _exp_element("momentum", degree)
     exp_x = _exp_element("position", degree)
-    phase = ParamPolynomial(
-        {
-            (j, j): _MINUS_I_POW[j % 4] * Fraction(1, factorial(j))
-            for j in range(degree // 2 + 1)
-        }
-    )
+    phase = {}
+    for j in range(degree // 2 + 1):
+        re, im = _MINUS_I_POW[j % 4]
+        f = factorial(j)
+        phase[(j, j)] = RationalComplex(Fraction(re, f), Fraction(im, f))
     lhs = normal_product(exp_p, exp_x)
-    rhs = normal_product(exp_x, exp_p).scaled_by_poly(phase)
+    rhs = normal_product(exp_x, exp_p).scaled_by_poly(ParamPolynomial(phase))
     return lhs - rhs
 
 

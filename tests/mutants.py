@@ -171,6 +171,41 @@ MUTANTS = (
         "pass",
         ("tests/test_cli.py",),
     ),
+    Mutant(
+        "clock phases at the quadrant angles left to cos and sin",
+        "src/qdeform/clockshift.py",
+        "roots[quadrant] = _QUADRANT_ROOTS[quarters[quadrant] // order]",
+        "pass",
+        ("tests/test_clockshift.py",),
+    ),
+    Mutant(
+        "reorder rule takes (-i)^(k+1) for (-i)^k",
+        "src/qdeform/weyl.py",
+        "re, im = _MINUS_I_POW[k % 4]",
+        "re, im = _MINUS_I_POW[(k + 1) % 4]",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "product results keep their unreduced accumulator triples",
+        "src/qdeform/weyl.py",
+        "{key: _reduced(a, b, d) for",
+        '{key: __import__("qdeform.rational", fromlist=["_raw"])._raw(a, b, d) for',
+        ("tests/test_weyl_properties.py",),
+    ),
+    Mutant(
+        "graded square root drops the factor 2 on cross terms",
+        "src/qdeform/weyl.py",
+        "cross = cross.scaled(2)",
+        "cross = cross.scaled(1)",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "raw sum over unequal denominators keeps the old denominator",
+        "src/qdeform/weyl.py",
+        "cur[2] = e * d",
+        "cur[2] = e",
+        ("tests/test_weyl_properties.py",),
+    ),
 )
 
 

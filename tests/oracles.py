@@ -2,15 +2,18 @@
 
 Deliberately avoid the library's computation paths: the reordering
 oracle applies the single rewrite px -> xp - i one occurrence at a time;
-the series helpers work on plain Fraction lists; the Q(i) scalar oracle
-keeps a pair of Fractions instead of the library's integer triple; the
-matrix residual is
-built densely, one complex eigensolve per operator, with the square
-roots taken of 1 + mu^2 P^2 itself rather than of the spectrum of p;
-the clock-shift pair is built as dense matrices and checked by matrix
-products; scan tables are built point by point, one tuple per row, with
-tan evaluated once per n; reports render through json.dumps(indent=2)
-and cell by cell.
+the term-by-term product does one reduced RationalComplex operation per
+contribution, and its square root sums the binomial series power by
+power, where the library delays reduction to the end of a product and
+builds the root degree by degree; the series helpers work on plain
+Fraction lists; the Q(i) scalar oracle keeps a pair of Fractions instead
+of the library's integer triple; the matrix residual is built densely,
+one complex eigensolve per operator, with the square roots taken of
+1 + mu^2 P^2 itself rather than of the spectrum of p; the clock-shift
+pair is built as dense matrices, one cmath root of unity per phase, and
+checked by matrix products; scan tables are built point by point, one
+tuple per row, with tan evaluated once per n; reports render through
+json.dumps(indent=2) and cell by cell.
 
 The library surface that only tests reach lives here too, at the end:
 the dense ladder operators, symbolic elements evaluated on matrices, the
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from qdeform import cli, config, params
-from qdeform.clockshift import Q_POLE_TOL, _root_of_unity
+from qdeform.clockshift import Q_POLE_TOL
 from qdeform.params import UNIT_TAGS, parse_quantity
 from qdeform.rational import MINUS_I, RationalComplex
 from qdeform.report import SCHEMA_VERSION, Metric, Table, VerificationReport
@@ -163,6 +166,79 @@ def normal_order_word(word: str) -> dict[tuple[int, int], RationalComplex]:
     return {k: v for k, v in done.items() if not v.is_zero}
 
 
+# (-i)^k for k mod 4
+_MINUS_I_POWERS = (
+    RationalComplex(1), MINUS_I, RationalComplex(-1), RationalComplex(0, 1)
+)
+
+
+def _reorder(p_pow: int, x_pow: int):
+    """p^b x^a = sum_k C(b,k) C(a,k) k! (-i)^k x^(a-k) p^(b-k), as
+    ((x_pow, p_pow), scalar) pairs."""
+    for k in range(min(p_pow, x_pow) + 1):
+        weight = math.comb(p_pow, k) * math.comb(x_pow, k) * math.factorial(k)
+        yield (x_pow - k, p_pow - k), _MINUS_I_POWERS[k % 4] * weight
+
+
+def _poly_product(
+    pa: ParamPolynomial, pb: ParamPolynomial, cap: int
+) -> dict[tuple[int, int], RationalComplex]:
+    out: dict[tuple[int, int], RationalComplex] = {}
+    for (m1, n1), c1 in pa.terms.items():
+        for (m2, n2), c2 in pb.terms.items():
+            if m1 + n1 + m2 + n2 <= cap:
+                key = (m1 + m2, n1 + n2)
+                out[key] = out.get(key, RationalComplex(0)) + c1 * c2
+    return out
+
+
+def _accumulate(acc: dict, mono, coeffs: dict, scalar: RationalComplex) -> None:
+    dst = acc.setdefault(mono, {})
+    for key, value in coeffs.items():
+        dst[key] = dst.get(key, RationalComplex(0)) + value * scalar
+
+
+def _from_accumulator(acc: dict, degree: int) -> WeylSeriesElement:
+    # the constructor drops zero coefficients and words left empty
+    return WeylSeriesElement(
+        degree, {mono: ParamPolynomial(coeffs) for mono, coeffs in acc.items()}
+    )
+
+
+def normal_product_by_terms(
+    a: WeylSeriesElement, b: WeylSeriesElement
+) -> WeylSeriesElement:
+    """a*b in normal order, truncated by total (mu, nu) degree, with every
+    contribution a reduced RationalComplex product added into a reduced sum."""
+    assert a.degree == b.degree
+    acc: dict = {}
+    for (x1, p1), pa in a.terms.items():
+        for (x2, p2), pb in b.terms.items():
+            pab = _poly_product(pa, pb, a.degree)
+            for (x, p), scalar in _reorder(p1, x2):
+                _accumulate(acc, (x1 + x, p + p2), pab, scalar)
+    return _from_accumulator(acc, a.degree)
+
+
+def binomial_series_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:
+    """sum_k C(1/2,k) u^k with u = element - 1, one full product per power.
+
+    The caller keeps to the library's contract: one generator, and u of
+    parameter degree >= 1, so u^k vanishes past k = degree.
+    """
+    one = WeylSeriesElement.one(element.degree)
+    u = element + one.scaled(-1)
+    result = power = one
+    binom = Fraction(1)
+    for k in range(1, element.degree + 1):
+        power = normal_product_by_terms(power, u)
+        if power.is_zero:
+            break
+        binom *= Fraction(3 - 2 * k, 2 * k)  # C(1/2,k)/C(1/2,k-1)
+        result = result + power.scaled(binom)
+    return result
+
+
 def tan_coefficients(max_power: int) -> list[Fraction]:
     """Maclaurin coefficients of tan via the recurrence from tan' = 1 + tan^2."""
     coeffs = [Fraction(0)] * (max_power + 1)
@@ -258,22 +334,33 @@ def dense_identity_residual(dim: int, interior: int, mu: float, nu: float) -> di
     }
 
 
+def root_of_unity(exponent: int, order: int) -> complex:
+    """exp(2*pi*i*exponent/order) by cmath, one root at a time, exact at the
+    quadrant angles; the library's vectorised roots must equal it bit for
+    bit."""
+    exponent %= order
+    if 4 * exponent % order == 0:
+        return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[4 * exponent // order]
+    return cmath.exp(2j * math.pi * exponent / order)
+
+
 def dense_pair(dim: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """The Weyl pair as dense N x N matrices: the shift U (basis state j to
-    j+1 mod N) and the clock V = diag(omega^(j*level)), with the library's
-    clock phases so that the arithmetic, not the phases, is what is judged.
+    j+1 mod N) and the clock V = diag(omega^(j*level)), with the phases of
+    root_of_unity, which equal the library's bit for bit, so that the
+    arithmetic, not the phases, is what is judged.
     """
     idx = np.arange(dim)
     shift = np.zeros((dim, dim), dtype=complex)
     shift[(idx + 1) % dim, idx] = 1.0
-    clock = np.diag([_root_of_unity(j * level, dim) for j in range(dim)])
+    clock = np.diag([root_of_unity(j * level, dim) for j in range(dim)])
     return shift, clock
 
 
 def dense_qplane_residual(dim: int, level: int) -> float:
     """Max entrywise |UV - q VU| by dense matrix products."""
     u, v = dense_pair(dim, level)
-    q = _root_of_unity(-level, dim)
+    q = root_of_unity(-level, dim)
     return float(np.max(np.abs(u @ v - q * (v @ u))))
 
 

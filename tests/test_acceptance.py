@@ -48,16 +48,24 @@ def test_central_identity_exact_at_degree_ten(invoke):
     _gate(f"central identity exact at degree 10 ({elapsed:.2f}s)", ok)
 
 
-def test_every_symbolic_check_exact_at_degree_twenty_four(invoke):
+def _every_symbolic_check_exact(invoke, degree: int) -> None:
     start = time.perf_counter()
-    code, out = invoke(["verify", "--engine", "symbolic", "--degree", "24"])
+    code, out = invoke(["verify", "--engine", "symbolic", "--degree", str(degree)])
     elapsed = time.perf_counter() - start
     values = [m["value"] for m in json.loads(out)["metrics"]]
     ok = (
         code == 0 and len(values) == 4 and all(v == 0 for v in values)
         and elapsed < 10.0
     )
-    _gate(f"every symbolic check exact at degree 24 ({elapsed:.2f}s)", ok)
+    _gate(f"every symbolic check exact at degree {degree} ({elapsed:.2f}s)", ok)
+
+
+def test_every_symbolic_check_exact_at_degree_twenty_four(invoke):
+    _every_symbolic_check_exact(invoke, 24)
+
+
+def test_every_symbolic_check_exact_at_degree_thirty_two(invoke):
+    _every_symbolic_check_exact(invoke, 32)
 
 
 def test_q_oscillator_form_correct_through_degree_three():

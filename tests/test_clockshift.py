@@ -7,6 +7,7 @@ import pytest
 
 from qdeform.clockshift import (
     ClockShiftPair,
+    _roots_of_unity,
     build_pair,
     exchange_phase,
     pair_defects,
@@ -24,6 +25,7 @@ from oracles import (
     dense_qplane_residual,
     per_n_tan_half_deviations,
     prefactor_periodicity,
+    root_of_unity,
     scaling_path,
     scaling_points,
 )
@@ -100,6 +102,18 @@ def test_phases_are_the_dense_clock_diagonal():
         for level in range(1, dim):
             clock = dense_pair(dim, level)[1]
             assert np.array_equal(build_pair(dim, level).phases, np.diag(clock))
+
+
+def test_roots_of_unity_equal_the_per_root_formula_bitwise():
+    def check(order, exponents):
+        got = _roots_of_unity(order, exponents)
+        expected = np.array([root_of_unity(int(e), order) for e in exponents])
+        assert got.tobytes() == expected.tobytes(), order
+
+    for order in range(2, 400):
+        check(order, np.arange(-order, 2 * order))  # reduced mod order
+    for order in (512, 825, 4096, 2**16, 2**20):
+        check(order, np.arange(order))
 
 
 def test_grid_residuals_match_dense_oracle():

@@ -3,20 +3,21 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdeform.rational import RationalComplex
 from qdeform.weyl import (
     ParamPolynomial,
     WeylSeriesElement,
+    binomial_sqrt,
     commutator,
     normal_product,
     p_op,
     x_op,
 )
 
-from oracles import normal_order_word
+from oracles import binomial_series_sqrt, normal_order_word, normal_product_by_terms
 
 DEGREE = 4
 
@@ -30,6 +31,74 @@ monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
 elements = st.dictionaries(monomials, polys, max_size=3).map(
     lambda terms: WeylSeriesElement(DEGREE, terms)
 )
+
+
+# few distinct values, so that contributions often cancel to exactly zero
+small_scalars = st.sampled_from(
+    [RationalComplex(1), RationalComplex(-1), RationalComplex(0, 1),
+     RationalComplex(0, -1), RationalComplex(Fraction(1, 2)),
+     RationalComplex(Fraction(-1, 3), 2)]
+)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one degree in 0..12, over both generators, with
+    multi-term coefficients."""
+    degree = draw(st.integers(0, 12))
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    poly = st.dictionaries(keys, small_scalars, min_size=1, max_size=3)
+    words = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+    def element():
+        terms = draw(st.dictionaries(words, poly, max_size=4))
+        return WeylSeriesElement(degree, terms)
+
+    return element(), element()
+
+
+# (p + 1)(x + i) = xp + ip + x: the constant terms -i and i cancel
+P_PLUS_ONE = WeylSeriesElement(2, {(0, 1): {(0, 0): 1}, (0, 0): {(0, 0): 1}})
+X_PLUS_I = WeylSeriesElement(
+    2, {(1, 0): {(0, 0): 1}, (0, 0): {(0, 0): RationalComplex(0, 1)}}
+)
+# (1 + mu nu) p + x and p + (nu^2 - 1) x: multi-term coefficients cut at degree 3
+MIXED_A = WeylSeriesElement(3, {(0, 1): {(0, 0): 1, (1, 1): 1}, (1, 0): {(0, 0): 1}})
+MIXED_B = WeylSeriesElement(3, {(0, 1): {(0, 0): 1}, (1, 0): {(0, 0): -1, (0, 2): 1}})
+
+
+@given(element_pairs())
+@settings(max_examples=150)
+@example((P_PLUS_ONE, X_PLUS_I))
+@example((MIXED_A, MIXED_B))
+def test_product_matches_term_by_term_oracle(pair):
+    a, b = pair
+    assert normal_product(a, b) == normal_product_by_terms(a, b)
+    assert normal_product(b, a) == normal_product_by_terms(b, a)
+
+
+@st.composite
+def sqrt_arguments(draw):
+    """1 + u for u in one generator with parameter degree >= 1 and word-0
+    terms allowed: nothing like the cosh squares the library roots."""
+    degree = draw(st.integers(0, 32))
+    side = draw(st.sampled_from([0, 1]))
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    poly = st.dictionaries(keys, small_scalars, min_size=1, max_size=2)
+    powers = draw(st.dictionaries(st.integers(0, 3), poly, min_size=1, max_size=3))
+    terms = {((k, 0) if side else (0, k)): p for k, p in powers.items()}
+    terms.setdefault((0, 0), {})[(0, 0)] = 1
+    return WeylSeriesElement(degree, terms)
+
+
+@given(sqrt_arguments())
+@settings(max_examples=60)
+# 1 + mu + mu^2 p^2 at degree 32
+@example(WeylSeriesElement(32, {(0, 0): {(0, 0): 1, (1, 0): 1}, (0, 2): {(2, 0): 1}}))
+def test_graded_sqrt_matches_binomial_series(element):
+    root = binomial_sqrt(element)
+    assert root == binomial_series_sqrt(element)
+    assert normal_product(root, root) == element
 
 
 @given(elements, elements, elements)
@@ -94,7 +163,7 @@ def test_product_matches_rewriting_oracle_exhaustively():
                     assert got == expected, (a, b, c, d)
 
 
-def _random_element(rng, degree=6, n_terms=4):
+def _randomWeylSeriesElement(rng, degree=6, n_terms=4):
     terms = {}
     for _ in range(n_terms):
         mono = (rng.randint(0, 4), rng.randint(0, 4))
@@ -115,9 +184,9 @@ def _random_element(rng, degree=6, n_terms=4):
 def test_associativity_at_degree_six_randomized():
     rng = random.Random(20260808)
     for _ in range(8):
-        a = _random_element(rng)
-        b = _random_element(rng)
-        c = _random_element(rng)
+        a = _randomWeylSeriesElement(rng)
+        b = _randomWeylSeriesElement(rng)
+        c = _randomWeylSeriesElement(rng)
         assert normal_product(normal_product(a, b), c) == normal_product(
             a, normal_product(b, c)
         )
@@ -126,7 +195,7 @@ def test_associativity_at_degree_six_randomized():
 def test_jacobi_at_degree_six_randomized():
     rng = random.Random(8)
     for _ in range(5):
-        a, b, c = (_random_element(rng) for _ in range(3))
+        a, b, c = (_randomWeylSeriesElement(rng) for _ in range(3))
         total = (
             commutator(commutator(a, b), c)
             + commutator(commutator(b, c), a)
