@@ -281,13 +281,10 @@ def _scan_matrix(args, cfg) -> VerificationReport:
         columns=matrixrep.RESIDUAL_CSV_COLUMNS,
         rows=tuple(row.csv_row() for row in scan.rows),
     )
-    first = scan.rows[0].residual_frobenius
-    last = scan.rows[-1].residual_frobenius
-    excess = max(0.0, last - max(first, noise_floor))
     metrics = [
-        Metric("residual_at_largest_dim", last, threshold),
-        Metric("residual_at_smallest_dim", first, None),
-        Metric("residual_excess", excess, 0.0),
+        Metric("residual_at_largest_dim", scan.rows[-1].residual_frobenius, threshold),
+        Metric("residual_at_smallest_dim", scan.rows[0].residual_frobenius, None),
+        Metric("residual_excess", scan.excess, 0.0),
     ]
     parameters = {
         "mu": mu,
@@ -418,11 +415,14 @@ def run_scan(args, cfg) -> VerificationReport:
         return _scan_path(args, cfg)
     if args.engine == "matrix":
         return _scan_matrix(args, cfg)
+    if (args.alpha is None) == (args.dims is None):
+        raise ValueError(
+            "clock-shift scan needs exactly one of --alpha (periodicity) "
+            "or --dims (grid)"
+        )
     if args.alpha is not None:
         return _scan_clockshift_periodicity(args, cfg)
-    if args.dims is not None:
-        return _scan_clockshift_grid(args, cfg)
-    raise ValueError("clock-shift scan needs --alpha (periodicity) or --dims (grid)")
+    return _scan_clockshift_grid(args, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def expand_text(target: str, degree: int) -> str:
     if target == "X":
         return weyl.deformed_position(degree).to_text()
     if target == "prefactor":
-        return weyl.prefactor_series(degree).to_text("theta")
+        return weyl.theta_text(weyl.prefactor_series(degree))
     if target == "eq8-rhs":
         return weyl.identity_rhs(degree).to_text()
     if target == "eq9":
@@ -454,10 +454,12 @@ def expand_text(target: str, degree: int) -> str:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    sys.stdout.write(text)
+    # the file first, so that a path that cannot be written fails the
+    # command before anything reaches stdout: stdout gets one report at most
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    sys.stdout.write(text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

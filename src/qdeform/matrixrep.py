@@ -220,6 +220,7 @@ class ConvergenceScan:
     rows: tuple[ResidualReport, ...]
     threshold: float
     noise_floor: float
+    excess: float  # last residual above max(first residual, noise_floor), or 0
     passed: bool
 
 
@@ -247,9 +248,12 @@ def convergence_scan(
     if dims[0] <= interior_dim:
         raise ValueError("all dimensions must exceed the interior dimension")
     rows = tuple(identity_residual(n, interior_dim, mu, nu) for n in dims)
-    first = rows[0].residual_frobenius
     last = rows[-1].residual_frobenius
-    passed = last <= threshold and last <= max(first, noise_floor)
+    excess = max(0.0, last - max(rows[0].residual_frobenius, noise_floor))
     return ConvergenceScan(
-        rows=rows, threshold=threshold, noise_floor=noise_floor, passed=passed
+        rows=rows,
+        threshold=threshold,
+        noise_floor=noise_floor,
+        excess=excess,
+        passed=last <= threshold and not excess,
     )

@@ -23,16 +23,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
-from .rational import MINUS_I, RationalComplex, _reduced
-from .series import (
-    ScalarSeries,
-    cos_series,
-    join_terms,
-    sin_series,
-    term_text,
-)
+from .rational import MINUS_I, ONE, RationalComplex, _reduced, format_scalar
 
 # (-i)^k for k mod 4 as (re, im); the central unit in the reordering rule.
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -70,13 +63,6 @@ class ParamPolynomial:
     @classmethod
     def monomial(cls, value, mu_pow: int = 0, nu_pow: int = 0) -> "ParamPolynomial":
         return cls({(mu_pow, nu_pow): value})
-
-    @classmethod
-    def from_theta_series(cls, series: ScalarSeries, cap: int) -> "ParamPolynomial":
-        """Substitute theta -> mu*nu, keeping total degree <= cap."""
-        return cls(
-            {(j, j): c for j, c in series.coeffs.items() if 2 * j <= cap}
-        )
 
     @property
     def is_zero(self) -> bool:
@@ -180,10 +166,6 @@ class WeylSeriesElement:
     def one(cls, degree: int) -> "WeylSeriesElement":
         return cls.scalar(1, degree)
 
-    @classmethod
-    def from_poly(cls, poly: ParamPolynomial, degree: int) -> "WeylSeriesElement":
-        return cls(degree, {(0, 0): poly})
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -250,12 +232,6 @@ class WeylSeriesElement:
             _product_into(acc.setdefault(mono, {}), _triples(p), factor, self.degree)
         return _from_accumulator(acc, self.degree)
 
-    def scaled_by_theta(self, series: ScalarSeries) -> "WeylSeriesElement":
-        """Multiply by a central series in theta = mu*nu."""
-        return self.scaled_by_poly(
-            ParamPolynomial.from_theta_series(series, self.degree)
-        )
-
     # -- involution -----------------------------------------------------
 
     def dagger(self) -> "WeylSeriesElement":
@@ -295,8 +271,8 @@ class WeylSeriesElement:
             poly = self.terms[mono]
             word = _word_factors(mono)
             for key in sorted(poly.terms):
-                chunks.append(term_text(poly.terms[key], _param_factors(key) + word))
-        return join_terms(chunks)
+                chunks.append(_term_text(poly.terms[key], _param_factors(key) + word))
+        return _join_terms(chunks)
 
     def __repr__(self):
         return f"WeylSeriesElement(degree={self.degree}, {self.to_text()!r})"
@@ -334,6 +310,31 @@ def _param_factors(key: tuple[int, int]) -> list[str]:
     if n:
         out.append("nu" if n == 1 else f"nu^{n}")
     return out
+
+
+def _term_text(scalar: RationalComplex, factors: list[str]) -> tuple[int, str]:
+    """Render one product term; returns (sign, body) with sign pulled out
+    when the scalar is pure real or pure imaginary."""
+    sign = 1
+    if not scalar.im and scalar.re < 0:
+        sign, scalar = -1, -scalar
+    elif not scalar.re and scalar.im < 0:
+        sign, scalar = -1, -scalar
+    if not factors:
+        return sign, format_scalar(scalar)
+    if scalar == ONE:
+        return sign, "*".join(factors)
+    return sign, f"({format_scalar(scalar)})*" + "*".join(factors)
+
+
+def _join_terms(chunks: list[tuple[int, str]]) -> str:
+    parts = []
+    for idx, (sign, body) in enumerate(chunks):
+        if idx == 0:
+            parts.append(("-" if sign < 0 else "") + body)
+        else:
+            parts.append((" - " if sign < 0 else " + ") + body)
+    return "".join(parts)
 
 
 def _merge(left: dict, right: dict, op, lone=None) -> dict:
@@ -500,42 +501,57 @@ def p_op(degree: int) -> WeylSeriesElement:
     return WeylSeriesElement(degree, {(0, 1): ParamPolynomial.constant(1)})
 
 
+def _generator_series(
+    side: str, degree: int, start: int, step: int
+) -> WeylSeriesElement:
+    """sum_k t^(k - start) g^k / k! over k = start, start + step, ... while
+    k - start <= degree, with (t, g) = (mu, p) on side="momentum" and
+    (nu, x) on side="position"."""
+    if side not in ("momentum", "position"):
+        raise ValueError(f"unknown side: {side!r}")
+    terms = {}
+    for k in range(start, start + degree + 1, step):
+        word = (0, k) if side == "momentum" else (k, 0)
+        key = (k - start, 0) if side == "momentum" else (0, k - start)
+        terms[word] = {key: Fraction(1, factorial(k))}
+    return WeylSeriesElement(degree, terms)
+
+
 def deformed_position(degree: int) -> WeylSeriesElement:
     """X = sinh(nu*x)/nu = sum_m nu^(2m) x^(2m+1) / (2m+1)!."""
-    terms = {}
-    m = 0
-    while 2 * m <= degree:
-        terms[(2 * m + 1, 0)] = ParamPolynomial.monomial(
-            Fraction(1, factorial(2 * m + 1)), nu_pow=2 * m
-        )
-        m += 1
-    return WeylSeriesElement(degree, terms)
+    return _generator_series("position", degree, 1, 2)
 
 
 def deformed_momentum(degree: int) -> WeylSeriesElement:
     """P = sinh(mu*p)/mu = sum_m mu^(2m) p^(2m+1) / (2m+1)!."""
-    terms = {}
-    m = 0
-    while 2 * m <= degree:
-        terms[(0, 2 * m + 1)] = ParamPolynomial.monomial(
-            Fraction(1, factorial(2 * m + 1)), mu_pow=2 * m
-        )
-        m += 1
-    return WeylSeriesElement(degree, terms)
+    return _generator_series("momentum", degree, 1, 2)
 
 
-def prefactor_series(degree: int) -> ScalarSeries:
-    """Taylor series of sin(t) / (t*(1 + cos t)) about t = 0.
+def prefactor_series(degree: int) -> list[RationalComplex]:
+    """Taylor coefficients c_0..c_degree of c(t) = sin(t) / (t*(1 + cos t)).
 
-    Computed by exact division of sin(t)/t by 1 + cos(t); the value at
-    t = 0 is 1/2.
+    From c(t) (1 + cos t) = sin(t)/t, with d_j and s_k the coefficients
+    of cos t and sin(t)/t, 2 c_k = s_k - sum_{0<j<=k} d_j c_(k-j); c is
+    even, so only even k are computed.  The value at t = 0 is 1/2.
     """
-    numer = sin_series(degree + 1)
-    sinc = ScalarSeries(
-        degree, {k - 1: v for k, v in numer.coeffs.items()}
-    )
-    denom = cos_series(degree) + ScalarSeries.constant(1, degree)
-    return sinc.divide(denom)
+    coeffs = [Fraction(0)] * (degree + 1)
+    for k in range(0, degree + 1, 2):
+        acc = Fraction((-1) ** (k // 2), factorial(k + 1))
+        for j in range(2, k + 1, 2):
+            acc -= Fraction((-1) ** (j // 2), factorial(j)) * coeffs[k - j]
+        coeffs[k] = acc / 2
+    return [RationalComplex(c) for c in coeffs]
+
+
+def theta_text(coeffs: list[RationalComplex]) -> str:
+    """Canonical text of sum_k coeffs[k] * theta^k, zero terms left out,
+    e.g. ``1/2 + (1/24)*theta^2``."""
+    chunks = [
+        _term_text(c, [] if k == 0 else ["theta" if k == 1 else f"theta^{k}"])
+        for k, c in enumerate(coeffs)
+        if not c.is_zero
+    ]
+    return _join_terms(chunks) if chunks else "0"
 
 
 def binomial_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:
@@ -610,18 +626,7 @@ def sqrt_one_plus_square(side: str, degree: int) -> WeylSeriesElement:
 
 def cosh_element(side: str, degree: int) -> WeylSeriesElement:
     """cosh(mu*p) or cosh(nu*x) as a truncated element."""
-    if side not in ("momentum", "position"):
-        raise ValueError(f"unknown side: {side!r}")
-    terms = {}
-    m = 0
-    while 2 * m <= degree:
-        coeff = Fraction(1, factorial(2 * m))
-        if side == "momentum":
-            terms[(0, 2 * m)] = ParamPolynomial.monomial(coeff, mu_pow=2 * m)
-        else:
-            terms[(2 * m, 0)] = ParamPolynomial.monomial(coeff, nu_pow=2 * m)
-        m += 1
-    return WeylSeriesElement(degree, terms)
+    return _generator_series(side, degree, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +646,11 @@ def _rhs_from_roots(
     sqrt_p: WeylSeriesElement, sqrt_x: WeylSeriesElement
 ) -> WeylSeriesElement:
     anti = anticommutator(sqrt_p, sqrt_x)
-    return anti.scaled_by_theta(prefactor_series(sqrt_p.degree)).scaled(MINUS_I)
+    # c(mu*nu): c_j multiplies mu^j nu^j, of degree 2j, so j <= degree/2
+    c = prefactor_series(sqrt_p.degree // 2)
+    return anti.scaled_by_poly(
+        ParamPolynomial({(j, j): c_j for j, c_j in enumerate(c)})
+    ).scaled(MINUS_I)
 
 
 def identity_residual(degree: int) -> WeylSeriesElement:
@@ -720,36 +729,22 @@ def identity_checks(degree: int) -> IdentityChecks:
 
 
 def _exp_element(side: str, degree: int) -> WeylSeriesElement:
-    terms = {}
-    for k in range(degree + 1):
-        coeff = Fraction(1, factorial(k))
-        if side == "momentum":
-            terms[(0, k)] = ParamPolynomial.monomial(coeff, mu_pow=k)
-        else:
-            terms[(k, 0)] = ParamPolynomial.monomial(coeff, nu_pow=k)
-    return WeylSeriesElement(degree, terms)
+    """exp(mu*p) or exp(nu*x) as a truncated element."""
+    return _generator_series(side, degree, 0, 1)
 
 
 def free_particle_rule(
-    f: Union[ScalarSeries, WeylSeriesElement], degree: int
+    f: WeylSeriesElement, degree: int
 ) -> tuple[WeylSeriesElement, WeylSeriesElement]:
-    """[f(p), x] = -i f'(p), for f a series in p alone.
+    """[f(p), x] = -i f'(p), for f an element that is free of x.
 
-    Accepts either a ScalarSeries (interpreted in powers of p) or an
-    element that is free of x.  Returns (lhs, rhs); the two are equal
-    exactly, term by term.  With f = tan this reproduces the free
-    relativistic commutator -i(1 + f^2); with f = sinh(mu*p)/mu it gives
-    -i cosh(mu*p), the square-root variant.
+    Returns (lhs, rhs); the two are equal exactly, term by term.  With
+    f = tan this reproduces the free relativistic commutator -i(1 + f^2);
+    with f = sinh(mu*p)/mu it gives -i cosh(mu*p), the square-root variant.
     """
-    if isinstance(f, ScalarSeries):
-        element = WeylSeriesElement(
-            degree,
-            {(0, k): ParamPolynomial.constant(c) for k, c in f.coeffs.items()},
-        )
-    else:
-        if "x" in f.generators_used():
-            raise ValueError("f must be a series in p alone (no x powers)")
-        element = f.truncated(degree) if f.degree != degree else f
+    if "x" in f.generators_used():
+        raise ValueError("f must be a series in p alone (no x powers)")
+    element = f.truncated(degree) if f.degree != degree else f
     lhs = commutator(element, x_op(degree))
     rhs = element.p_derivative().scaled(MINUS_I)
     return lhs, rhs

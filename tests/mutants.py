@@ -206,6 +206,20 @@ MUTANTS = (
         "cur[2] = e",
         ("tests/test_weyl_properties.py",),
     ),
+    Mutant(
+        "prefactor recurrence adds the inner sum",
+        "src/qdeform/weyl.py",
+        "acc -= Fraction((-1) ** (j // 2), factorial(j)) * coeffs[k - j]",
+        "acc += Fraction((-1) ** (j // 2), factorial(j)) * coeffs[k - j]",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "clock-shift scan takes --alpha and --dims together",
+        "src/qdeform/cli.py",
+        "if (args.alpha is None) == (args.dims is None):",
+        "if args.alpha is None and args.dims is None:",
+        ("tests/test_cli.py",),
+    ),
 )
 
 

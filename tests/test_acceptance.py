@@ -206,7 +206,7 @@ def test_matrix_convergence_with_frozen_threshold():
 def test_free_particle_rule_symbolically():
     # tan realization at degree 10
     tan = tan_coefficients(9)
-    f = weyl.ScalarSeries(9, {k: tan[k] for k in range(10)})
+    f = WeylSeriesElement(9, {(0, k): {(0, 0): tan[k]} for k in range(10)})
     lhs, rhs = weyl.free_particle_rule(f, 10)
     sq = square_coefficients(tan, 8)
     expected_terms = {}
@@ -226,7 +226,7 @@ def test_free_particle_rule_symbolically():
             k: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for k in range(rng.randint(1, 9))
         }
-        f = weyl.ScalarSeries(8, coeffs)
+        f = WeylSeriesElement(8, {(0, k): {(0, 0): c} for k, c in coeffs.items()})
         lhs, rhs = weyl.free_particle_rule(f, 8)
         if lhs != rhs:
             prop_ok = False

@@ -525,6 +525,31 @@ def test_scan_requires_engine_xor_path(invoke):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["scan", "--dims", "16,32"], ("--engine", "--path")),
+        (
+            ["scan", "--engine", "matrix", "--path", "q-to-1", "--dims", "16,32"],
+            ("--engine", "--path"),
+        ),
+        (["scan", "--engine", "clock-shift"], ("--alpha", "--dims")),
+        (
+            ["scan", "--engine", "clock-shift", "--alpha", "1.0", "--dims", "4"],
+            ("--alpha", "--dims"),
+        ),
+    ],
+    ids=["no-selector", "engine-and-path", "no-clock-shift-mode", "alpha-and-dims"],
+)
+def test_scan_selector_errors_name_both_flags(invoke, argv, named):
+    code, out = invoke(argv)
+    assert code == 2
+    error = json.loads(out)["parameters"]["error"]
+    assert error.startswith("ValueError: ")
+    for flag in named:
+        assert flag in error
+
+
 def test_csv_without_table_is_error(invoke):
     code, out = invoke(
         ["verify", "--engine", "symbolic", "--degree", "4", "--format", "csv"]
@@ -554,6 +579,25 @@ def test_out_file_matches_stdout(invoke, tmp_path):
     )
     assert code == 0
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--engine", "symbolic", "--degree", "2"],
+        ["expand", "--target", "P", "--degree", "2"],
+    ],
+    ids=["verify", "expand"],
+)
+def test_unwritable_out_path_is_error_with_one_report_at_most(argv, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = _run_cli(argv + ["--out", str(target)])
+    assert code == 2
+    # no pass report or expansion; an error report, if any, is the only text
+    if out:
+        assert json.loads(out)["verdict"] == "error"
+    assert str(target) in out + err
+    assert not target.exists()
 
 
 def test_config_defaults_and_overrides(invoke, tmp_path):

@@ -171,6 +171,9 @@ def config_dir(tmp_path_factory):
 @example(argv=["scan", "--engine=clock-shift", "--dims=1025"], config=None)
 @example(argv=["scan", "--engine=clock-shift", "--dims=" + "1024," * 256 + "258"],
          config=None)
+# both clock-shift selectors, which once ran the periodicity scan and
+# dropped --dims without a word
+@example(argv=["scan", "--engine=clock-shift", "--alpha=1", "--dims=4"], config=None)
 def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config):
     if config is not None:
         path = config_dir / "run.cfg"
