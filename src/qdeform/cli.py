@@ -275,7 +275,8 @@ def _scan_matrix(args, cfg) -> VerificationReport:
         f"--dims {args.dims}"
     )
     scan = matrixrep.convergence_scan(
-        mu, nu, interior, dims, threshold=threshold, noise_floor=noise_floor
+        mu, nu, interior, dims, threshold=threshold, noise_floor=noise_floor,
+        overflow_guard=config.get_float(cfg, "matrix.overflow_guard"),
     )
     table = Table(
         columns=matrixrep.RESIDUAL_CSV_COLUMNS,
@@ -356,7 +357,8 @@ def _scan_path(args, cfg) -> VerificationReport:
     mu0 = config.get_float(cfg, "params.mu0")
     nu0 = config.get_float(cfg, "params.nu0")
     endpoint_tol = config.get_float(cfg, "params.endpoint_tol")
-    path = params.contraction_path(args.path, mu0=mu0, nu0=nu0, alpha=alpha, beta=beta)
+    # refuses a bad params.mu0 or params.nu0 on every path, hbar-to-0 too
+    path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
 
     if args.path == "hbar-to-0":
         ntext = args.n if args.n is not None else "0..5"
@@ -488,8 +490,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fmt = getattr(args, "format", "json")
         try:
             _emit(report.render("json" if fmt == "csv" else fmt), args.out)
-        except OSError:
-            sys.stderr.write(str(exc) + "\n")
+        except OSError as unwritable:
+            # the error, and the --out file too when that is another error
+            for line in dict.fromkeys((str(exc), str(unwritable))):
+                sys.stderr.write(line + "\n")
         return 2
     return {"pass": 0, "fail": 1}.get(report.verdict, 2)
 

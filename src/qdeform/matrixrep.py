@@ -231,6 +231,7 @@ def convergence_scan(
     dims: Sequence[int],
     threshold: float,
     noise_floor: float = NOISE_FLOOR,
+    overflow_guard: float = OVERFLOW_GUARD,
 ) -> ConvergenceScan:
     """Residual rows over increasing N with a convergence verdict.
 
@@ -247,7 +248,9 @@ def convergence_scan(
         raise ValueError("dimensions must be strictly increasing")
     if dims[0] <= interior_dim:
         raise ValueError("all dimensions must exceed the interior dimension")
-    rows = tuple(identity_residual(n, interior_dim, mu, nu) for n in dims)
+    rows = tuple(
+        identity_residual(n, interior_dim, mu, nu, overflow_guard) for n in dims
+    )
     last = rows[-1].residual_frobenius
     excess = max(0.0, last - max(rows[0].residual_frobenius, noise_floor))
     return ConvergenceScan(

@@ -8,7 +8,8 @@ contraction paths between the deformation regimes:
 * ``omega-to-0`` nu -> 0 at fixed mu: the oscillator interaction is
   switched off, leaving the free-particle deformation of p alone.
 * ``hbar-to-0``  mu, nu -> infinity along the scaling path: the
-  quantum-plane regime, from which hbar has dropped out.
+  quantum-plane regime, from which hbar has dropped out.  It is walked
+  in n, not t, by :func:`qdeform.clockshift.scaling_columns`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Optional
-
-from .clockshift import scaling_columns
 
 PATH_NAMES = ("q-to-1", "hbar-to-0", "omega-to-0")
 
@@ -35,8 +34,6 @@ class ContractionPath:
     name: str
     mu0: float = 1.0
     nu0: float = 1.0
-    alpha: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.name not in PATH_NAMES:
@@ -68,19 +65,7 @@ class ContractionPath:
                 "omega_ratio": nu / mu,
                 "q": 1.0 + mu * nu / 2.0,
             }
-        n = math.ceil(1.0 / t) - 1
-        mu, nu = scaling_columns(self.alpha, self.beta, [n])
-        return {"t": t, "n": n, "mu": float(mu[0]), "nu": float(nu[0])}
-
-
-def contraction_path(
-    name: str,
-    mu0: float = 1.0,
-    nu0: float = 1.0,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-) -> ContractionPath:
-    return ContractionPath(name=name, mu0=mu0, nu0=nu0, alpha=alpha, beta=beta)
+        raise ValueError(f"{self.name} is walked in n, not in t")
 
 
 def parse_quantity(text: str, unit: Optional[str] = None) -> float:

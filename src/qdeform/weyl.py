@@ -29,7 +29,6 @@ from .rational import MINUS_I, ONE, RationalComplex, _reduced, format_scalar
 
 # (-i)^k for k mod 4 as (re, im); the central unit in the reordering rule.
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
-_HALF = RationalComplex(Fraction(1, 2))
 
 
 class WeylMonomial(NamedTuple):
@@ -554,76 +553,6 @@ def theta_text(coeffs: list[RationalComplex]) -> str:
     return _join_terms(chunks) if chunks else "0"
 
 
-def binomial_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:
-    """Principal square root sum_k C(1/2,k) (e-1)^k, built degree by degree.
-
-    Requires the argument to involve a single generator (so all of its
-    terms commute and the square root is an unambiguous formal series)
-    and to be 1 plus terms of parameter degree >= 1 (so the series
-    terminates under truncation).
-
-    With u_t the part of u = e - 1 of total (mu, nu) degree t, the root is
-    g = sum_t g_t with g_0 = 1 and, from the degree-t part of g^2 = 1 + u,
-
-        g_t = (u_t - sum_{s=1}^{t-1} g_s g_(t-s)) / 2;
-
-    the pieces commute, so the sum is twice the pairs s < t - s plus
-    g_(t/2)^2 for even t.  That is O(degree^2) products of pieces.
-    """
-    if len(element.generators_used()) > 1:
-        raise ValueError("square-root argument must involve a single generator")
-    degree = element.degree
-    one = WeylSeriesElement.one(degree)
-    u = element - one
-    low = u.min_param_degree()
-    if not u.is_zero and (low is None or low < 1):
-        raise ValueError(
-            "square-root argument must be 1 + terms of parameter degree >= 1"
-        )
-    pieces = _graded_pieces(u)
-    root = [one]
-    for t in range(1, degree + 1):
-        cross = _element(degree, {})
-        for s in range(1, (t + 1) // 2):
-            if not (root[s].is_zero or root[t - s].is_zero):
-                cross = cross + normal_product(root[s], root[t - s])
-        cross = cross.scaled(2)
-        if t % 2 == 0 and not root[t // 2].is_zero:
-            cross = cross + normal_product(root[t // 2], root[t // 2])
-        root.append((pieces[t] - cross).scaled(_HALF))
-    return sum(root[1:], root[0])
-
-
-def _graded_pieces(u: WeylSeriesElement) -> list[WeylSeriesElement]:
-    """u split by total (mu, nu) degree: entry t holds the degree-t terms."""
-    pieces: list[dict] = [{} for _ in range(u.degree + 1)]
-    for mono, poly in u.terms.items():
-        for key, value in poly.terms.items():
-            pieces[key[0] + key[1]].setdefault(mono, {})[key] = value
-    return [
-        _element(u.degree, {mono: _poly(terms) for mono, terms in piece.items()})
-        for piece in pieces
-    ]
-
-
-def sqrt_one_plus_square(side: str, degree: int) -> WeylSeriesElement:
-    """sqrt(1 + mu^2 P^2) (side="momentum") or sqrt(1 + nu^2 X^2) (side="position").
-
-    Since 1 + sinh^2 = cosh^2, the result must equal the cosh Taylor
-    series of the corresponding generator, term by term.
-    """
-    if side == "momentum":
-        base = deformed_momentum(degree)
-        par = ParamPolynomial.monomial(1, mu_pow=2)
-    elif side == "position":
-        base = deformed_position(degree)
-        par = ParamPolynomial.monomial(1, nu_pow=2)
-    else:
-        raise ValueError(f"unknown side: {side!r}")
-    square = normal_product(base, base).scaled_by_poly(par)
-    return binomial_sqrt(WeylSeriesElement.one(degree) + square)
-
-
 def cosh_element(side: str, degree: int) -> WeylSeriesElement:
     """cosh(mu*p) or cosh(nu*x) as a truncated element."""
     return _generator_series(side, degree, 0, 2)
@@ -635,22 +564,47 @@ def cosh_element(side: str, degree: int) -> WeylSeriesElement:
 
 
 def identity_rhs(degree: int) -> WeylSeriesElement:
-    """-i * c(mu*nu) * {sqrt(1 + mu^2 P^2), sqrt(1 + nu^2 X^2)}."""
-    return _rhs_from_roots(
-        sqrt_one_plus_square("momentum", degree),
-        sqrt_one_plus_square("position", degree),
+    """-i * c(mu*nu) * {sqrt(1 + mu^2 P^2), sqrt(1 + nu^2 X^2)}.
+
+    Since 1 + sinh^2 = cosh^2, the roots are cosh(mu*p) and cosh(nu*x);
+    :func:`sqrt_defects` checks that each is the principal root.
+    """
+    anti = anticommutator(
+        cosh_element("momentum", degree), cosh_element("position", degree)
     )
-
-
-def _rhs_from_roots(
-    sqrt_p: WeylSeriesElement, sqrt_x: WeylSeriesElement
-) -> WeylSeriesElement:
-    anti = anticommutator(sqrt_p, sqrt_x)
     # c(mu*nu): c_j multiplies mu^j nu^j, of degree 2j, so j <= degree/2
-    c = prefactor_series(sqrt_p.degree // 2)
+    c = prefactor_series(degree // 2)
     return anti.scaled_by_poly(
         ParamPolynomial({(j, j): c_j for j, c_j in enumerate(c)})
     ).scaled(MINUS_I)
+
+
+def sqrt_defects(
+    side: str, root: WeylSeriesElement
+) -> tuple[WeylSeriesElement, WeylSeriesElement]:
+    """root^2 - (1 + mu^2 P^2) (side="momentum") or root^2 - (1 + nu^2 X^2)
+    (side="position"), and the part of root of total (mu, nu) degree 0
+    minus 1.
+
+    Both vanish exactly when root is the principal square root.  With
+    g_0 = 1, the degree-t part of g^2 = 1 + u reads 2 g_t + sum_{0<s<t}
+    g_s g_(t-s) = u_t, which fixes each graded piece g_t in turn; the
+    second element tells the root from its negative.
+    """
+    degree = root.degree
+    base = _generator_series(side, degree, 1, 2)  # P or X
+    par = ParamPolynomial({(2, 0) if side == "momentum" else (0, 2): 1})
+    one = WeylSeriesElement.one(degree)
+    argument = one + normal_product(base, base).scaled_by_poly(par)
+    constant = {
+        mono: {(0, 0): poly.terms[(0, 0)]}
+        for mono, poly in root.terms.items()
+        if (0, 0) in poly.terms
+    }
+    return (
+        normal_product(root, root) - argument,
+        WeylSeriesElement(degree, constant) - one,
+    )
 
 
 def identity_residual(degree: int) -> WeylSeriesElement:
@@ -707,23 +661,21 @@ class IdentityChecks(NamedTuple):
 
     identity: WeylSeriesElement  # as identity_residual
     exchange: WeylSeriesElement  # as exchange_residual
-    sqrt_cosh: tuple[WeylSeriesElement, WeylSeriesElement]  # momentum, position
+    # sqrt_defects of cosh(mu*p), then of cosh(nu*x)
+    sqrt_cosh: tuple[WeylSeriesElement, ...]
     leading_order: WeylSeriesElement  # as leading_order_residual's element
 
 
 def identity_checks(degree: int) -> IdentityChecks:
-    """All four checks, with [P, X], both square roots and the right-hand
-    side each built once and shared between the checks that need them."""
-    sides = ("momentum", "position")
-    roots = [sqrt_one_plus_square(side, degree) for side in sides]
-    rhs = _rhs_from_roots(*roots)
+    """All four checks, with [P, X] and the right-hand side each built
+    once and shared between the checks that need them."""
+    rhs = identity_rhs(degree)
     lhs = commutator(deformed_momentum(degree), deformed_position(degree))
     return IdentityChecks(
         identity=lhs - rhs,
         exchange=exchange_residual(degree),
-        sqrt_cosh=tuple(
-            root - cosh_element(side, degree) for root, side in zip(roots, sides)
-        ),
+        sqrt_cosh=sqrt_defects("momentum", cosh_element("momentum", degree))
+        + sqrt_defects("position", cosh_element("position", degree)),
         leading_order=rhs - leading_order_target(degree),
     )
 

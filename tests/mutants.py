@@ -193,10 +193,17 @@ MUTANTS = (
         ("tests/test_weyl_properties.py",),
     ),
     Mutant(
-        "graded square root drops the factor 2 on cross terms",
+        "square-root check squares against 1 - mu^2 P^2",
         "src/qdeform/weyl.py",
-        "cross = cross.scaled(2)",
-        "cross = cross.scaled(1)",
+        "argument = one + normal_product(base, base)",
+        "argument = one - normal_product(base, base)",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "square-root check drops the branch element",
+        "src/qdeform/weyl.py",
+        "WeylSeriesElement(degree, constant) - one,",
+        "WeylSeriesElement.zero(degree),",
         ("tests/test_weyl.py",),
     ),
     Mutant(
@@ -212,6 +219,20 @@ MUTANTS = (
         "acc -= Fraction((-1) ** (j // 2), factorial(j)) * coeffs[k - j]",
         "acc += Fraction((-1) ** (j // 2), factorial(j)) * coeffs[k - j]",
         ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "matrix scan leaves the configured overflow guard out",
+        "src/qdeform/cli.py",
+        'noise_floor=noise_floor,\n        overflow_guard=config.get_float(cfg, "matrix.overflow_guard"),',
+        "noise_floor=noise_floor,",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "convergence scan drops the overflow guard it is given",
+        "src/qdeform/matrixrep.py",
+        "identity_residual(n, interior_dim, mu, nu, overflow_guard)",
+        "identity_residual(n, interior_dim, mu, nu)",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "clock-shift scan takes --alpha and --dims together",

@@ -5,7 +5,8 @@ oracle applies the single rewrite px -> xp - i one occurrence at a time;
 the term-by-term product does one reduced RationalComplex operation per
 contribution, and its square root sums the binomial series power by
 power, where the library delays reduction to the end of a product and
-builds the root degree by degree; the series helpers work on plain
+takes the roots to be cosh, checking only that they square back; the
+series helpers work on plain
 Fraction lists; the Q(i) scalar oracle keeps a pair of Fractions instead
 of the library's integer triple; the matrix residual is built densely,
 one complex eigensolve per operator, with the square roots taken of
@@ -223,8 +224,9 @@ def normal_product_by_terms(
 def binomial_series_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:
     """sum_k C(1/2,k) u^k with u = element - 1, one full product per power.
 
-    The caller keeps to the library's contract: one generator, and u of
-    parameter degree >= 1, so u^k vanishes past k = degree.
+    The caller passes one generator, so that the root is an unambiguous
+    formal series, and u of parameter degree >= 1, so that u^k vanishes
+    past k = degree.
     """
     one = WeylSeriesElement.one(element.degree)
     u = element + one.scaled(-1)
@@ -237,6 +239,19 @@ def binomial_series_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:
         binom *= Fraction(3 - 2 * k, 2 * k)  # C(1/2,k)/C(1/2,k-1)
         result = result + power.scaled(binom)
     return result
+
+
+def one_plus_square(side: str, degree: int) -> WeylSeriesElement:
+    """1 + mu^2 P^2 (side="momentum") or 1 + nu^2 X^2 (side="position"):
+    sinh(mu p) summed from factorials and squared term by term."""
+    assert side in ("momentum", "position")
+    terms = {}
+    for k in range(1, degree + 1, 2):
+        word = (0, k) if side == "momentum" else (k, 0)
+        key = (k, 0) if side == "momentum" else (0, k)
+        terms[word] = {key: Fraction(1, math.factorial(k))}
+    sinh = WeylSeriesElement(degree, terms)
+    return WeylSeriesElement.one(degree) + normal_product_by_terms(sinh, sinh)
 
 
 def tan_coefficients(max_power: int) -> list[Fraction]:
@@ -515,7 +530,7 @@ def reference_scan(argv) -> VerificationReport:
     endpoint_tol = config.get_float(cfg, "params.endpoint_tol")
     ntext = args.n if args.n is not None else "0..10"
     steps = cli.parse_int_list(ntext, "step")
-    path = params.contraction_path(args.path, mu0=mu0, nu0=nu0, alpha=alpha, beta=beta)
+    path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
     rows = []
     for k in steps:
         t = 2.0 ** (-k)

@@ -21,7 +21,9 @@ from qdeform.report import Metric, Table, VerificationReport
 
 from conftest import mask_timestamp
 from oracles import (
+    binomial_series_sqrt,
     dense_qplane_residual,
+    one_plus_square,
     reference_csv,
     reference_json,
     reference_scan,
@@ -131,7 +133,7 @@ def test_verify_symbolic_metrics_match_public_weyl(invoke, degree):
         "sqrt_cosh_mismatch_terms": sum(
             len(
                 (
-                    weyl.sqrt_one_plus_square(side, degree)
+                    binomial_series_sqrt(one_plus_square(side, degree))
                     - weyl.cosh_element(side, degree)
                 ).terms
             )
@@ -152,7 +154,8 @@ def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
     for name in (
         "commutator",
         "anticommutator",
-        "sqrt_one_plus_square",
+        "identity_rhs",
+        "sqrt_defects",
         "exchange_residual",
     ):
         def counted(*args, _fn=getattr(weyl, name), _name=name):
@@ -162,11 +165,13 @@ def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
         monkeypatch.setattr(weyl, name, counted)
     code, _ = invoke(["verify", "--engine", "symbolic", "--degree", "6"])
     assert code == 0
-    # [P, X]; the anticommutator inside the right-hand side; one root per side
+    # [P, X]; the anticommutator inside the one right-hand side; one
+    # square-root check per side
     assert calls == {
         "commutator": 1,
         "anticommutator": 1,
-        "sqrt_one_plus_square": 2,
+        "identity_rhs": 1,
+        "sqrt_defects": 2,
         "exchange_residual": 1,
     }
 
@@ -600,6 +605,26 @@ def test_unwritable_out_path_is_error_with_one_report_at_most(argv, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["verify", "--engine", "symbolic", "--degree", "99"],
+         "--degree must lie in 0..64, got 99"),
+        (["scan", "--dims", "16,32"], "scan needs exactly one of --engine or --path"),
+        (["expand", "--target", "P", "--degree", "99"],
+         "--degree must lie in 0..64, got 99"),
+    ],
+    ids=["verify", "scan", "expand"],
+)
+def test_input_error_and_unwritable_out_path_are_both_named(argv, named, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = _run_cli(argv + ["--out", str(target)])
+    assert (code, out) == (2, "")
+    assert named in err
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_config_defaults_and_overrides(invoke, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nsymbolic.degree = 4  # inline comment\n")
@@ -710,6 +735,24 @@ def test_non_finite_overflow_guard_is_named_error(invoke, tmp_path, value):
         "ConfigError: config value for matrix.overflow_guard must be finite, "
         f"got {value}"
     )
+
+
+def test_scan_matrix_keeps_the_configured_overflow_guard(invoke, tmp_path):
+    # 0.5 * sqrt(2 * 64) = 5.7 is past a guard of 5, and 0.5 * sqrt(2 * 32)
+    # = 4 is inside it: the scan reached N = 64 and passed
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text("matrix.overflow_guard = 5\n")
+    common = ["--mu", "0.5", "--nu", "0.5", "--config", str(cfg)]
+    named = "ValueError: overflow guard: parameter * sqrt(2N) exceeds 5.0"
+    for argv in (
+        ["verify", "--engine", "matrix", "--dim", "64"],
+        ["scan", "--engine", "matrix", "--dims", "16,32,64"],
+    ):
+        code, out = invoke(argv + common)
+        assert code == 2
+        assert json.loads(out)["parameters"]["error"] == named
+    code, _ = invoke(["scan", "--engine", "matrix", "--dims", "16,32"] + common)
+    assert code == 0
 
 
 def test_json_report_refuses_non_finite_values():

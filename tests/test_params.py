@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qdeform import weyl
-from qdeform.params import PATH_NAMES, ContractionPath, contraction_path, parse_quantity
+from qdeform.clockshift import exchange_phase, scaling_columns
+from qdeform.params import PATH_NAMES, ContractionPath, parse_quantity
 from qdeform.rational import MINUS_I
 
 from oracles import (
@@ -148,13 +153,13 @@ def test_parameter_set_from_config_defaults_to_natural_units():
 
 def test_path_names_are_validated():
     for name in PATH_NAMES:
-        assert contraction_path(name).name == name
+        assert ContractionPath(name).name == name
     with pytest.raises(ValueError, match="unknown contraction path"):
-        contraction_path("c-to-infinity")
+        ContractionPath("c-to-infinity")
 
 
 def test_q_to_one_path():
-    path = contraction_path("q-to-1", mu0=0.8, nu0=0.4)
+    path = ContractionPath("q-to-1", mu0=0.8, nu0=0.4)
     start = path.point(1.0)
     assert (start["mu"], start["nu"]) == (0.8, 0.4)
     end = path.point(2.0**-20)
@@ -163,7 +168,7 @@ def test_q_to_one_path():
 
 
 def test_omega_to_zero_path_keeps_mu():
-    path = contraction_path("omega-to-0", mu0=0.5, nu0=0.3)
+    path = ContractionPath("omega-to-0", mu0=0.5, nu0=0.3)
     for t in (1.0, 0.25, 2.0**-16):
         pt = path.point(t)
         assert pt["mu"] == 0.5
@@ -172,17 +177,19 @@ def test_omega_to_zero_path_keeps_mu():
 
 
 def test_hbar_to_zero_path_walks_the_scaling_ladder():
-    path = contraction_path("hbar-to-0", alpha=1.0, beta=1.0)
-    assert path.point(1.0)["n"] == 0
-    assert path.point(1.0 / 3.0)["n"] == 2
-    pt = path.point(0.01)
-    sp = ScalingPoint(alpha=1.0, beta=1.0, n=pt["n"])
-    assert pt["mu"] == sp.mu and pt["nu"] == sp.nu
-    assert pt["mu"] > 20.0  # diverging parameters
+    # the ladder is walked in n, by clockshift.scaling_columns alone
+    with pytest.raises(ValueError, match="hbar-to-0 is walked in n, not in t"):
+        ContractionPath("hbar-to-0").point(1.0)
+    ns = [0, 2, 99]
+    mu, nu = scaling_columns(1.0, 1.0, ns)
+    for n, mu_n, nu_n in zip(ns, mu, nu):
+        sp = ScalingPoint(alpha=1.0, beta=1.0, n=n)
+        assert (mu_n, nu_n) == (sp.mu, sp.nu)
+    assert mu[-1] > 20.0  # diverging parameters
 
 
 def test_path_variable_range():
-    path = contraction_path("q-to-1")
+    path = ContractionPath("q-to-1")
     with pytest.raises(ValueError, match="t must lie"):
         path.point(0.0)
     with pytest.raises(ValueError, match="t must lie"):
@@ -210,11 +217,18 @@ def test_omega_to_zero_endpoint_is_cosh_commutator():
 
 
 def test_hbar_to_zero_endpoint_has_constant_phase():
-    path = contraction_path("hbar-to-0", alpha=0.9, beta=2.0)
-    phases = []
-    for t in (1.0, 0.5, 1.0 / 3.0):
-        pt = path.point(t)
-        sp = ScalingPoint(alpha=0.9, beta=2.0, n=pt["n"])
-        phases.append(sp.exchange_phase())
-    assert phases[0] == phases[1] == phases[2]
+    phases = [
+        ScalingPoint(alpha=0.9, beta=2.0, n=n).exchange_phase() for n in (0, 1, 2)
+    ]
+    assert phases[0] == phases[1] == phases[2] == exchange_phase(0.9)
     assert abs(phases[0] - (math.cos(0.9) - 1j * math.sin(0.9))) <= 1e-15
+
+
+def test_config_loads_without_numpy():
+    # params takes nothing from clockshift, so reading a config costs no numpy
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, qdeform.config; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src))
+    )
+    assert result.returncode == 0

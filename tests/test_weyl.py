@@ -11,7 +11,6 @@ from qdeform.weyl import (
     bracket,
     commutator,
     cosh_element,
-    binomial_sqrt,
     deformed_momentum,
     deformed_position,
     exchange_residual,
@@ -24,13 +23,15 @@ from qdeform.weyl import (
     normal_product,
     p_op,
     prefactor_series,
-    sqrt_one_plus_square,
+    sqrt_defects,
     x_op,
     _exp_element,
 )
 
 from oracles import (
+    binomial_series_sqrt,
     normal_order_word,
+    one_plus_square,
     prefactor_coefficients,
     substituted_zero,
     tan_coefficients,
@@ -177,13 +178,13 @@ def test_prefactor_matches_tan_half_oracle():
 
 
 def test_sqrt_momentum_degree2():
-    assert sqrt_one_plus_square("momentum", 2) == element(
+    assert binomial_series_sqrt(one_plus_square("momentum", 2)) == element(
         2, {(0, 0): {(0, 0): 1}, (0, 2): {(2, 0): Fraction(1, 2)}}
     )
 
 
 def test_sqrt_position_degree4():
-    assert sqrt_one_plus_square("position", 4) == element(
+    assert binomial_series_sqrt(one_plus_square("position", 4)) == element(
         4,
         {
             (0, 0): {(0, 0): 1},
@@ -196,24 +197,51 @@ def test_sqrt_position_degree4():
 @pytest.mark.parametrize("degree", range(0, 13))
 @pytest.mark.parametrize("side", ["momentum", "position"])
 def test_sqrt_equals_cosh_series(side, degree):
-    assert sqrt_one_plus_square(side, degree) == cosh_element(side, degree)
+    assert binomial_series_sqrt(one_plus_square(side, degree)) == cosh_element(
+        side, degree
+    )
 
 
-def test_sqrt_rejects_mixed_generators():
-    mixed = WeylSeriesElement.one(4) + element(4, {(1, 1): {(1, 1): 1}})
-    with pytest.raises(ValueError, match="single generator"):
-        binomial_sqrt(mixed)
+SIDES = ("momentum", "position")
 
 
-def test_sqrt_rejects_shifted_constant():
-    shifted = element(4, {(0, 0): {(0, 0): 2}, (2, 0): {(0, 2): 1}})
-    with pytest.raises(ValueError, match="parameter degree >= 1"):
-        binomial_sqrt(shifted)
+@pytest.mark.parametrize("degree", range(0, 33))
+@pytest.mark.parametrize("side", SIDES)
+def test_cosh_is_the_principal_root(side, degree):
+    assert all(d.is_zero for d in sqrt_defects(side, cosh_element(side, degree)))
+
+
+def _changed_coefficient(e, mono, key):
+    terms = {m: dict(p.terms) for m, p in e.terms.items()}
+    coeffs = terms.setdefault(mono, {})
+    coeffs[key] = coeffs.get(key, RationalComplex(0)) + 1
+    return WeylSeriesElement(e.degree, terms)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 12])
+@pytest.mark.parametrize("side", SIDES)
+def test_sqrt_defects_refuse_every_other_root(side, degree):
+    cosh = cosh_element(side, degree)
+    square, branch = sqrt_defects(side, -cosh)
+    # -cosh squares back: only the degree-0 element tells the branch
+    assert square.is_zero and not branch.is_zero
+    t = degree - degree % 2
+    word = (0, t) if side == "momentum" else (t, 0)
+    key = (t, 0) if side == "momentum" else (0, t)
+    for changed in (
+        _changed_coefficient(cosh, word, key),  # the top coefficient
+        _changed_coefficient(cosh, (0, 0), (0, 0)),  # the constant
+        _changed_coefficient(cosh, (1, 1), (degree, 0)),  # a word cosh lacks
+    ):
+        assert any(not d.is_zero for d in sqrt_defects(side, changed))
+    if degree >= 2:
+        other = cosh_element(SIDES[side == "momentum"], degree)
+        assert any(not d.is_zero for d in sqrt_defects(side, other))
 
 
 def test_unknown_side_raises():
     with pytest.raises(ValueError, match="unknown side"):
-        sqrt_one_plus_square("sideways", 4)
+        sqrt_defects("sideways", cosh_element("momentum", 4))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +297,10 @@ def test_identity_checks_match_the_separate_builds(degree):
     checks = identity_checks(degree)
     assert checks.identity == identity_residual(degree)
     assert checks.exchange == exchange_residual(degree)
-    assert checks.sqrt_cosh == tuple(
-        sqrt_one_plus_square(side, degree) - cosh_element(side, degree)
-        for side in ("momentum", "position")
-    )
+    assert checks.sqrt_cosh == sqrt_defects(
+        "momentum", cosh_element("momentum", degree)
+    ) + sqrt_defects("position", cosh_element("position", degree))
+    assert len(checks.sqrt_cosh) == 4
     assert checks.leading_order == leading_order_residual(degree)[0]
 
 
@@ -357,7 +385,9 @@ def test_free_particle_rule_sinh_variant_gives_cosh():
     lhs, rhs = free_particle_rule(deformed_momentum(10), 10)
     assert lhs == rhs
     assert rhs == cosh_element("momentum", 10).scaled(MINUS_I)
-    assert rhs == sqrt_one_plus_square("momentum", 10).scaled(MINUS_I)
+    assert rhs == binomial_series_sqrt(one_plus_square("momentum", 10)).scaled(
+        MINUS_I
+    )
 
 
 def test_free_particle_rule_rejects_x_dependence():
@@ -390,8 +420,7 @@ def test_commutator_is_antihermitian_anticommutator_hermitian():
     comm = commutator(deformed_momentum(degree), deformed_position(degree))
     assert comm.dagger() == -comm
     anti = anticommutator(
-        sqrt_one_plus_square("momentum", degree),
-        sqrt_one_plus_square("position", degree),
+        cosh_element("momentum", degree), cosh_element("position", degree)
     )
     assert anti.dagger() == anti
 
@@ -407,9 +436,7 @@ def test_truncation_consistency_of_constructors():
     assert prefactor_series(10)[:7] == prefactor_series(6)
     assert identity_rhs(10).truncated(6) == identity_rhs(6)
     for side in ("momentum", "position"):
-        assert sqrt_one_plus_square(side, 10).truncated(6) == sqrt_one_plus_square(
-            side, 6
-        )
+        assert cosh_element(side, 10).truncated(6) == cosh_element(side, 6)
 
 
 def test_leading_order_target_form():
@@ -488,7 +515,7 @@ def test_elements_are_homogeneous_under_the_scaling_grading(degree):
     ]
     for side in ("momentum", "position"):
         invariant += [
-            sqrt_one_plus_square(side, degree),
+            one_plus_square(side, degree),
             cosh_element(side, degree),
             _exp_element(side, degree),
         ]

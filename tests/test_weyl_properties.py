@@ -10,14 +10,15 @@ from qdeform.rational import RationalComplex
 from qdeform.weyl import (
     ParamPolynomial,
     WeylSeriesElement,
-    binomial_sqrt,
     commutator,
+    cosh_element,
     normal_product,
     p_op,
+    sqrt_defects,
     x_op,
 )
 
-from oracles import binomial_series_sqrt, normal_order_word, normal_product_by_terms
+from oracles import normal_order_word, normal_product_by_terms
 
 DEGREE = 4
 
@@ -78,27 +79,29 @@ def test_product_matches_term_by_term_oracle(pair):
 
 
 @st.composite
-def sqrt_arguments(draw):
-    """1 + u for u in one generator with parameter degree >= 1 and word-0
-    terms allowed: nothing like the cosh squares the library roots."""
+def perturbed_roots(draw):
+    """(side, cosh of that side plus a nonzero element) at one degree in
+    0..32, the added element over both generators: never the principal
+    root of 1 + mu^2 P^2 (1 + nu^2 X^2)."""
+    side = draw(st.sampled_from(["momentum", "position"]))
     degree = draw(st.integers(0, 32))
-    side = draw(st.sampled_from([0, 1]))
-    keys = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    mu_pow = st.integers(0, min(degree, 3))
+    keys = mu_pow.flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, min(degree - m, 3)))
+    )
     poly = st.dictionaries(keys, small_scalars, min_size=1, max_size=2)
-    powers = draw(st.dictionaries(st.integers(0, 3), poly, min_size=1, max_size=3))
-    terms = {((k, 0) if side else (0, k)): p for k, p in powers.items()}
-    terms.setdefault((0, 0), {})[(0, 0)] = 1
-    return WeylSeriesElement(degree, terms)
+    words = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(words, poly, min_size=1, max_size=3))
+    return side, cosh_element(side, degree) + WeylSeriesElement(degree, terms)
 
 
-@given(sqrt_arguments())
+@given(perturbed_roots())
 @settings(max_examples=60)
-# 1 + mu + mu^2 p^2 at degree 32
-@example(WeylSeriesElement(32, {(0, 0): {(0, 0): 1, (1, 0): 1}, (0, 2): {(2, 0): 1}}))
-def test_graded_sqrt_matches_binomial_series(element):
-    root = binomial_sqrt(element)
-    assert root == binomial_series_sqrt(element)
-    assert normal_product(root, root) == element
+# -cosh(mu p) at degree 32: it squares back, so only the branch element sees it
+@example(("momentum", cosh_element("momentum", 32).scaled(-1)))
+def test_sqrt_defects_vanish_only_at_the_principal_root(case):
+    side, root = case
+    assert any(not d.is_zero for d in sqrt_defects(side, root))
 
 
 @given(elements, elements, elements)
