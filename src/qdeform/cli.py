@@ -204,7 +204,9 @@ def _verify_clockshift(dim: int, level: int, cfg) -> VerificationReport:
     unitary_tol = config.get_float(cfg, "clockshift.unitary_threshold")
     power_tol = config.get_float(cfg, "clockshift.power_threshold")
     try:
-        q_dev = abs(clockshift.q_from_alpha(pair.alpha) - cmath.exp(-1j * pair.alpha))
+        # the quotient form of q against the q that verify_qplane uses, the
+        # last clock phase omega^(-k)
+        q_dev = float(abs(clockshift.q_from_alpha(pair.alpha) - pair.phases[-1]))
     except ValueError:
         q_dev = 0.0  # quotient form undefined at alpha = pi; phase used directly
     metrics = [
@@ -275,7 +277,7 @@ def _scan_matrix(args, cfg) -> VerificationReport:
         f"--dims {args.dims}"
     )
     scan = matrixrep.convergence_scan(
-        mu, nu, interior, dims, threshold=threshold, noise_floor=noise_floor,
+        mu, nu, interior, dims, noise_floor=noise_floor,
         overflow_guard=config.get_float(cfg, "matrix.overflow_guard"),
     )
     table = Table(
@@ -366,7 +368,7 @@ def _scan_path(args, cfg) -> VerificationReport:
         command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
         mu, nu = clockshift.scaling_columns(alpha, beta, ns)
         _refuse_overflow({"mu": mu, "nu": nu}, "n", ns, f"alpha={alpha}, beta={beta}")
-        phase = clockshift.exchange_phase(alpha)
+        phase = cmath.exp(-1j * alpha)
         # 0 by construction: every point's phase is e^(-i*alpha), the
         # reference phase itself
         phase_dev = 0.0

@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 Q_POLE_TOL = 1e-12
-# gate on |q - e^(-i*alpha)|: the quotient formula against the exact phase
+# gate on |q - c_(N-1)|: the quotient formula against the q of the pair,
+# its last clock phase
 Q_IDENTITY_TOL = 1e-12
 
 
@@ -163,12 +164,6 @@ def pair_defects(pair: ClockShiftPair) -> tuple[float, float, float, float]:
         0.0,
         float(np.max(np.abs(_power_by_squaring(c, pair.dim) - 1.0))),
     )
-
-
-def exchange_phase(alpha: float) -> complex:
-    """e^(-i*theta) at theta = alpha + 2*pi*n, with the 2*pi*n part removed
-    exactly: the same for every n."""
-    return cmath.exp(-1j * alpha)
 
 
 def scaling_columns(

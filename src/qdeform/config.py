@@ -5,8 +5,9 @@ line, ``#`` comments, values either numbers, bare strings, or SI
 quantities with a unit tag (``hbar = 1.054571817e-34 J.s``).  Flags
 always override config values; the ``QDEFORM_CONFIG`` environment
 variable names a config file to use when ``--config`` is not given.
-A file may set only the keys of ``DEFAULTS`` and ``QUANTITY_KEYS``, so a
-misspelled key is an error rather than a setting silently ignored.
+A file may set only the keys of ``DEFAULTS`` and ``QUANTITY_KEYS``, each
+at most once, so a misspelled or repeated key is an error rather than a
+setting silently ignored.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class ConfigError(ValueError):
 
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -83,6 +85,13 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"config line {lineno}: empty key or value")
+        # a second setting would leave the first one doing nothing
+        if key in first_line:
+            raise ConfigError(
+                f"config line {lineno}: key {key} already set on line "
+                f"{first_line[key]}"
+            )
+        first_line[key] = lineno
         out[key] = value
     return out
 

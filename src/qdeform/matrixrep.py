@@ -33,6 +33,7 @@ formed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,13 +85,14 @@ def _deformed_spectra(
 ) -> tuple[np.ndarray, ...]:
     """P, X, sqrt(1 + mu^2 P^2) and sqrt(1 + nu^2 X^2) on a spectrum of x.
 
-    The P functions act through p = D x D*; a zero parameter gives the
-    undeformed operator.
+    The P functions act through p = D x D*.  A zero or subnormal parameter
+    gives the undeformed operator: there sinh(mu*s)/mu rounds to s exactly,
+    while mu*s has already lost the low bits that the quotient would need.
     """
     s_mu, s_nu = np.sinh(mu * spectrum), np.sinh(nu * spectrum)
     return (
-        s_mu / mu if mu > 0 else spectrum,
-        s_nu / nu if nu > 0 else spectrum,
+        s_mu / mu if mu >= sys.float_info.min else spectrum,
+        s_nu / nu if nu >= sys.float_info.min else spectrum,
         np.sqrt(1.0 + s_mu**2),
         np.sqrt(1.0 + s_nu**2),
     )
@@ -218,10 +220,7 @@ DEFAULT_SCAN_DIMS = (10, 12, 14, 16)
 @dataclass(frozen=True)
 class ConvergenceScan:
     rows: tuple[ResidualReport, ...]
-    threshold: float
-    noise_floor: float
     excess: float  # last residual above max(first residual, noise_floor), or 0
-    passed: bool
 
 
 def convergence_scan(
@@ -229,17 +228,16 @@ def convergence_scan(
     nu: float,
     interior_dim: int,
     dims: Sequence[int],
-    threshold: float,
     noise_floor: float = NOISE_FLOOR,
     overflow_guard: float = OVERFLOW_GUARD,
 ) -> ConvergenceScan:
-    """Residual rows over increasing N with a convergence verdict.
+    """Residual rows over increasing N, and how far the residual at the
+    largest N exceeds the one at the smallest N.
 
-    Passes when the residual at the largest N is below ``threshold`` and
-    does not exceed the residual at the smallest N -- except that values
-    below ``noise_floor`` count as converged regardless of ordering,
-    since projected residuals bottom out at the decomposition's round-off
-    floor long before the scan ends and then fluctuate without meaning.
+    Values below ``noise_floor`` count as converged regardless of
+    ordering, since projected residuals bottom out at the decomposition's
+    round-off floor long before the scan ends and then fluctuate without
+    meaning.
     """
     dims = [int(n) for n in dims]
     if not dims:
@@ -253,10 +251,4 @@ def convergence_scan(
     )
     last = rows[-1].residual_frobenius
     excess = max(0.0, last - max(rows[0].residual_frobenius, noise_floor))
-    return ConvergenceScan(
-        rows=rows,
-        threshold=threshold,
-        noise_floor=noise_floor,
-        excess=excess,
-        passed=last <= threshold and not excess,
-    )
+    return ConvergenceScan(rows=rows, excess=excess)

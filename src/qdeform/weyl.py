@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .rational import MINUS_I, ONE, RationalComplex, _reduced, format_scalar
 
@@ -79,11 +79,6 @@ class ParamPolynomial:
     def __neg__(self) -> "ParamPolynomial":
         return _poly({k: -v for k, v in self.terms.items()})
 
-    def mul(self, other: "ParamPolynomial", cap: int) -> "ParamPolynomial":
-        out: dict = {}
-        _product_into(out, _triples(self), _triples(other), cap)
-        return _poly(_canonical(out))
-
     def scaled(self, scalar) -> "ParamPolynomial":
         scalar = _as_scalar(scalar)
         if scalar.is_zero:
@@ -91,17 +86,8 @@ class ParamPolynomial:
         # Q(i) is a field: nonzero times nonzero stays nonzero
         return _poly({k: v * scalar for k, v in self.terms.items()})
 
-    def conjugated(self) -> "ParamPolynomial":
-        # mu, nu are real parameters; conjugation touches coefficients only.
-        return _poly({k: v.conjugate() for k, v in self.terms.items()})
-
     def truncated(self, cap: int) -> "ParamPolynomial":
         return _poly({k: v for k, v in self.terms.items() if k[0] + k[1] <= cap})
-
-    def min_degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(m + n for m, n in self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, ParamPolynomial):
@@ -174,11 +160,6 @@ class WeylSeriesElement:
     def coefficient(self, x_pow: int, p_pow: int) -> ParamPolynomial:
         return self.terms.get(WeylMonomial(x_pow, p_pow), ParamPolynomial())
 
-    def min_param_degree(self) -> Optional[int]:
-        degrees = [p.min_degree() for p in self.terms.values()]
-        degrees = [d for d in degrees if d is not None]
-        return min(degrees) if degrees else None
-
     def truncated(self, degree: int) -> "WeylSeriesElement":
         return WeylSeriesElement(degree, self.terms)
 
@@ -229,21 +210,6 @@ class WeylSeriesElement:
         acc: dict = {}
         for mono, p in self.terms.items():
             _product_into(acc.setdefault(mono, {}), _triples(p), factor, self.degree)
-        return _from_accumulator(acc, self.degree)
-
-    # -- involution -----------------------------------------------------
-
-    def dagger(self) -> "WeylSeriesElement":
-        """Formal adjoint: x -> x, p -> p, i -> -i, (ab)* = b*a*.
-
-        On a normal-ordered term c * x^a p^b this gives conj(c) * p^b x^a,
-        which is reordered back to normal form.
-        """
-        acc: dict = {}
-        for (x_pow, p_pow), poly in self.terms.items():
-            conj = {(m, n): (a, b, d) for m, n, a, b, d in _triples(poly.conjugated())}
-            for k, re, im in _reorder(p_pow, x_pow):
-                _accumulate(acc.setdefault((x_pow - k, p_pow - k), {}), conj, re, im)
         return _from_accumulator(acc, self.degree)
 
     # -- derivative -----------------------------------------------------
@@ -468,23 +434,12 @@ def normal_product(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElem
     return _from_accumulator(acc, cap)
 
 
-def bracket(
-    a: WeylSeriesElement, b: WeylSeriesElement, sign: str
-) -> WeylSeriesElement:
-    """ab - ba (``sign="commutator"``) or ab + ba (``sign="anticommutator"``)."""
-    if sign == "commutator":
-        return normal_product(a, b) - normal_product(b, a)
-    if sign == "anticommutator":
-        return normal_product(a, b) + normal_product(b, a)
-    raise ValueError(f"unknown bracket sign: {sign!r}")
-
-
 def commutator(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
-    return bracket(a, b, "commutator")
+    return normal_product(a, b) - normal_product(b, a)
 
 
 def anticommutator(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
-    return bracket(a, b, "anticommutator")
+    return normal_product(a, b) + normal_product(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +562,6 @@ def sqrt_defects(
     )
 
 
-def identity_residual(degree: int) -> WeylSeriesElement:
-    """[P, X] minus the anticommutator form; exactly zero at every degree."""
-    lhs = commutator(deformed_momentum(degree), deformed_position(degree))
-    return lhs - identity_rhs(degree)
-
-
 def leading_order_target(degree: int) -> WeylSeriesElement:
     """-i * (1 + mu^2 p^2 / 2 + nu^2 x^2 / 2), the q-oscillator form."""
     half = Fraction(1, 2)
@@ -622,20 +571,6 @@ def leading_order_target(degree: int) -> WeylSeriesElement:
         (2, 0): ParamPolynomial.monomial(half, nu_pow=2),
     }
     return WeylSeriesElement(degree, terms).scaled(MINUS_I)
-
-
-def leading_order_residual(
-    degree: int,
-) -> tuple[WeylSeriesElement, Optional[int]]:
-    """Full identity right-hand side minus the q-oscillator form.
-
-    Returns the residual and the lowest total (mu, nu) degree appearing
-    in it (None when the residual vanishes, e.g. below degree 4).  Every
-    surviving term must have degree >= 4: the quadratic form is exact
-    through degree 3.
-    """
-    residual = identity_rhs(degree) - leading_order_target(degree)
-    return residual, residual.min_param_degree()
 
 
 def exchange_residual(degree: int) -> WeylSeriesElement:
@@ -659,11 +594,13 @@ def exchange_residual(degree: int) -> WeylSeriesElement:
 class IdentityChecks(NamedTuple):
     """Residuals of the exact checks behind ``verify``; each is zero when it holds."""
 
-    identity: WeylSeriesElement  # as identity_residual
+    identity: WeylSeriesElement  # [P, X] minus identity_rhs: zero at every degree
     exchange: WeylSeriesElement  # as exchange_residual
     # sqrt_defects of cosh(mu*p), then of cosh(nu*x)
     sqrt_cosh: tuple[WeylSeriesElement, ...]
-    leading_order: WeylSeriesElement  # as leading_order_residual's element
+    # identity_rhs minus the q-oscillator form: every term of total (mu, nu)
+    # degree >= 4, since the quadratic form is exact through degree 3
+    leading_order: WeylSeriesElement
 
 
 def identity_checks(degree: int) -> IdentityChecks:

@@ -12,7 +12,8 @@ files with pytest (stopping at the first failure), puts the file back and
 prints ``killed`` or ``survived``.  It exits 1 when a mutant
 survives or when its pattern no longer occurs exactly once in the source.
 A survivor is a missing test, and a pattern that stopped matching means
-the code moved: rewrite the mutant, do not drop it.  Only the standard
+the code moved: rewrite the mutant, do not drop it.  The patterns alone
+are checked on every test run, by tests/test_mutants.py.  Only the standard
 library is used, and pytest does not collect this file.
 """
 
@@ -232,6 +233,34 @@ MUTANTS = (
         "src/qdeform/matrixrep.py",
         "identity_residual(n, interior_dim, mu, nu, overflow_guard)",
         "identity_residual(n, interior_dim, mu, nu)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a subnormal mu divides sinh(mu*s) by mu",
+        "src/qdeform/matrixrep.py",
+        "s_mu / mu if mu >= sys.float_info.min else spectrum",
+        "s_mu / mu if mu > 0 else spectrum",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a subnormal nu divides sinh(nu*s) by nu",
+        "src/qdeform/matrixrep.py",
+        "s_nu / nu if nu >= sys.float_info.min else spectrum",
+        "s_nu / nu if nu > 0 else spectrum",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a repeated config key overrides the first",
+        "src/qdeform/config.py",
+        "if key in first_line:",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "q_identity_dev compares the quotient with e^(-i alpha), not the pair's q",
+        "src/qdeform/cli.py",
+        "q_from_alpha(pair.alpha) - pair.phases[-1]",
+        "q_from_alpha(pair.alpha) - cmath.exp(-1j * pair.alpha)",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -16,10 +16,11 @@ checked by matrix products; scan tables are built point by point, one
 tuple per row, with tan evaluated once per n; reports render through
 json.dumps(indent=2) and cell by cell.
 
-The library surface that only tests reach lives here too, at the end:
-the dense ladder operators, symbolic elements evaluated on matrices, the
-physical parameter set and its config form, and the mu = 0 / nu = 0
-slice of a symbolic element.
+The library surface that only tests reach lives here too: the formal
+adjoint of a symbolic element, built on the term-by-term reordering
+kernel, and, at the end, the dense ladder operators, symbolic elements
+evaluated on matrices, the physical parameter set and its config form,
+and the mu = 0 / nu = 0 slice of a symbolic element.
 """
 
 import cmath
@@ -219,6 +220,21 @@ def normal_product_by_terms(
             for (x, p), scalar in _reorder(p1, x2):
                 _accumulate(acc, (x1 + x, p + p2), pab, scalar)
     return _from_accumulator(acc, a.degree)
+
+
+def dagger(element: WeylSeriesElement) -> WeylSeriesElement:
+    """Formal adjoint: x -> x, p -> p, i -> -i, (ab)* = b*a*.
+
+    A normal-ordered term c * x^a p^b goes to conj(c) * p^b x^a, which
+    the closed-form rule puts back in normal order; mu and nu are real, so
+    conjugation touches the scalars only.
+    """
+    acc: dict = {}
+    for (x_pow, p_pow), poly in element.terms.items():
+        conj = {key: c.conjugate() for key, c in poly.terms.items()}
+        for mono, scalar in _reorder(p_pow, x_pow):
+            _accumulate(acc, mono, conj, scalar)
+    return _from_accumulator(acc, element.degree)
 
 
 def binomial_series_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:

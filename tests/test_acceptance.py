@@ -2,8 +2,9 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL
 lines.  Tolerances are pinned here and never loosened at runtime; the
-matrix-convergence threshold comes from the frozen calibration file in
-tests/golden/.
+matrix-convergence threshold and noise floor come from the frozen
+calibration file in tests/golden/, handed to ``scan --engine matrix`` as a
+config file.
 """
 
 import cmath
@@ -23,7 +24,7 @@ from qdeform.clockshift import (
     tan_half_deviations,
     verify_qplane,
 )
-from qdeform.matrixrep import convergence_scan, identity_residual
+from qdeform.matrixrep import identity_residual
 from qdeform.rational import MINUS_I, RationalComplex
 from qdeform.weyl import ParamPolynomial, WeylSeriesElement
 
@@ -78,8 +79,8 @@ def test_every_symbolic_check_exact_at_degree_thirty_two(invoke):
 def test_q_oscillator_form_correct_through_degree_three():
     ok = True
     for degree in range(4, 11):
-        residual, lowest = weyl.leading_order_residual(degree)
-        if residual.is_zero or lowest < 4:
+        residual = weyl.identity_checks(degree).leading_order
+        if residual.is_zero:
             ok = False
         if any(
             m + n < 4
@@ -164,17 +165,25 @@ def test_scaling_limit_phase_invariance(invoke):
     )
 
 
-def test_matrix_convergence_with_frozen_threshold():
+def test_matrix_convergence_with_frozen_threshold(invoke, tmp_path):
     calib = json.loads((GOLDEN / "convergence_scan.json").read_text())
-    scan = convergence_scan(
-        calib["mu"],
-        calib["nu"],
-        calib["interior"],
-        calib["dims"],
-        threshold=calib["threshold"],
-        noise_floor=calib["noise_floor"],
+    cfg = tmp_path / "calibration.cfg"
+    cfg.write_text(
+        f"matrix.residual_threshold = {calib['threshold']!r}\n"
+        f"matrix.noise_floor = {calib['noise_floor']!r}\n"
     )
-    residuals = [row.residual_frobenius for row in scan.rows]
+
+    def scan(dims):
+        code, out = invoke(
+            ["scan", "--engine", "matrix", "--mu", repr(calib["mu"]),
+             "--nu", repr(calib["nu"]), "--interior", str(calib["interior"]),
+             "--dims", ",".join(map(str, dims)), "--config", str(cfg)]
+        )
+        table = json.loads(out)["table"]
+        column = table["columns"].index("res_fro")
+        return code, [row[column] for row in table["rows"]]
+
+    code, residuals = scan(calib["dims"])
     # converged residuals sit at the round-off floor; see calibration notes
     below_floor = all(r <= calib["noise_floor"] for r in residuals)
     decreasing_or_floor = residuals[-1] <= max(residuals[0], calib["noise_floor"])
@@ -185,18 +194,14 @@ def test_matrix_convergence_with_frozen_threshold():
         for r in residuals
     )
     # the genuine convergence window, where the signal is above the floor
-    window = convergence_scan(
-        calib["mu"], calib["nu"], calib["interior"], (10, 12, 14, 16),
-        threshold=calib["threshold"],
-    )
-    window_vals = [row.residual_frobenius for row in window.rows]
+    _, window_vals = scan((10, 12, 14, 16))
     strict = all(b < a for a, b in zip(window_vals, window_vals[1:]))
     zero_ok = all(
         identity_residual(dim, 8, 0.0, 0.0).residual_frobenius <= 1e-12
         for dim in (16, 32, 64, 128)
     )
     ok = (
-        scan.passed
+        code == 0
         and below_floor
         and decreasing_or_floor
         and regression_ok
@@ -245,7 +250,7 @@ def test_free_particle_rule_symbolically():
 
 
 def test_contraction_endpoints():
-    heisenberg = weyl.identity_residual(0).is_zero and weyl.commutator(
+    heisenberg = weyl.identity_checks(0).identity.is_zero and weyl.commutator(
         weyl.p_op(0), weyl.x_op(0)
     ) == WeylSeriesElement.scalar(MINUS_I, 0)
     lhs, rhs = weyl.free_particle_rule(weyl.deformed_momentum(10), 10)

@@ -1,5 +1,7 @@
+import cmath
 import io
 import json
+import math
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +12,7 @@ import pytest
 import qdeform.cli as cli
 from qdeform import weyl
 from qdeform.cli import expand_text, parse_int_list
+from qdeform.clockshift import q_from_alpha
 from qdeform.config import (
     DEFAULTS,
     ConfigError,
@@ -28,6 +31,7 @@ from oracles import (
     reference_json,
     reference_scan,
     reference_text,
+    root_of_unity,
 )
 
 
@@ -126,9 +130,12 @@ def test_verify_symbolic_metrics_match_public_weyl(invoke, degree):
     code, out = invoke(["verify", "--engine", "symbolic", "--degree", str(degree)])
     assert code == 0
     reported = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
-    residual9, _ = weyl.leading_order_residual(degree)
+    # the two residuals built separately, not through identity_checks
+    rhs = weyl.identity_rhs(degree)
+    lhs = weyl.commutator(weyl.deformed_momentum(degree), weyl.deformed_position(degree))
+    residual9 = rhs - weyl.leading_order_target(degree)
     expected = {
-        "residual_terms": len(weyl.identity_residual(degree).terms),
+        "residual_terms": len((lhs - rhs).terms),
         "exchange_residual_terms": len(weyl.exchange_residual(degree).terms),
         "sqrt_cosh_mismatch_terms": sum(
             len(
@@ -208,6 +215,32 @@ def test_verify_clockshift_passes(invoke):
     assert metrics["max_residual"] <= 1e-13
 
 
+@pytest.mark.parametrize("dim,level", [(4, 1), (5, 1), (3, 2)])
+def test_q_identity_dev_checks_the_pairs_own_q(invoke, dim, level):
+    # the pair's q is its last clock phase omega^((N-1)k) = omega^(-k); at
+    # these (N, k) it differs from cmath.exp(-i*alpha) in the last bits,
+    # and at (4, 1) it is -i exactly, as the quotient form rounds it
+    code, out = invoke(
+        ["verify", "--engine", "clock-shift", "--dim", str(dim), "--level", str(level)]
+    )
+    assert code == 0
+    metrics = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
+    alpha = 2.0 * math.pi * level / dim
+    q_pair = root_of_unity((dim - 1) * level, dim)
+    assert q_pair != cmath.exp(-1j * alpha)
+    assert metrics["q_identity_dev"] == abs(q_from_alpha(alpha) - q_pair)
+    if (dim, level) == (4, 1):
+        assert metrics["q_identity_dev"] == 0.0
+
+
+def test_q_identity_dev_is_zero_at_the_pole(invoke):
+    # alpha = pi: the quotient form is 0/0, and the phase is used directly
+    code, out = invoke(["verify", "--engine", "clock-shift", "--dim", "8", "--level", "4"])
+    assert code == 0
+    metrics = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
+    assert metrics["q_identity_dev"] == 0.0
+
+
 def test_verify_failure_exit_code(invoke, tmp_path):
     cfg = tmp_path / "strict.cfg"
     cfg.write_text("matrix.residual_threshold = 1e-30\n")
@@ -284,6 +317,32 @@ def test_verify_matrix_passes_at_envelope_edge(invoke):
     assert code == 0
     metrics = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
     assert metrics["res_fro"] <= 1e-10
+
+
+def _res_fro_column(out):
+    table = json.loads(out)["table"]
+    column = table["columns"].index("res_fro")
+    return [row[column] for row in table["rows"]]
+
+
+@pytest.mark.parametrize("value", ["1e-315", "5e-324"])
+@pytest.mark.parametrize("flag", ["--mu", "--nu"])
+def test_subnormal_parameter_gives_the_undeformed_operator(invoke, flag, value):
+    # sinh(mu*s)/mu at a subnormal mu divided by a value that had lost its
+    # low bits: verify at N = 64 failed with res_fro 1.7e-8 at 1e-315 and
+    # 4.27 at 5e-324; sinh(mu*s)/mu rounds to s there, as at mu = 0
+    other = "--nu" if flag == "--mu" else "--mu"
+    verify = ["verify", "--engine", "matrix", "--dim", "64", other, "0.2"]
+    code, out = invoke(verify + [flag, value])
+    _, undeformed = invoke(verify + [flag, "0"])
+    assert code == 0
+    assert json.loads(out)["metrics"] == json.loads(undeformed)["metrics"]
+    scan = ["scan", "--engine", "matrix", "--dims", "16,32,64", other, "0.2"]
+    code, out = invoke(scan + [flag, value])
+    _, undeformed = invoke(scan + [flag, "0"])
+    assert code == 0
+    assert _res_fro_column(out) == _res_fro_column(undeformed)
+    assert max(_res_fro_column(out)) <= 1e-12
 
 
 def test_scan_matrix_from_roundoff_floor_passes(invoke):
@@ -768,7 +827,20 @@ def test_config_parsing():
     assert merged == {"a.b": "1", "c": "x y"}
     with pytest.raises(ValueError, match="expected"):
         parse_config_text("not a pair\n")
+    with pytest.raises(ConfigError, match="line 4: key a.b already set on line 1"):
+        parse_config_text("a.b = 1\n# note\nc = x\na.b = 1\n")
     assert load_config(None) == DEFAULTS
+
+
+def test_repeated_config_key_is_named_error(invoke, tmp_path):
+    # the second setting won and the first did nothing: mu = 0.3, exit 0
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("matrix.mu = 0.2\nmatrix.dim = 32\nmatrix.mu = 0.3\n")
+    code, out = invoke(["verify", "--engine", "matrix", "--config", str(cfg)])
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == (
+        "ConfigError: config line 3: key matrix.mu already set on line 1"
+    )
 
 
 def test_unknown_flag_is_usage_error(invoke):

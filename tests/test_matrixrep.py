@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -278,36 +279,50 @@ def test_default_interior():
 # ---------------------------------------------------------------------------
 
 
+def _converged(scan, threshold):
+    """The verdict of scan --engine matrix: the residual at the largest N
+    within the threshold, and no excess over the smallest N."""
+    return scan.rows[-1].residual_frobenius <= threshold and scan.excess == 0.0
+
+
 def test_scan_strictly_decreases_inside_signal_window():
-    scan = convergence_scan(0.2, 0.2, 8, DEFAULT_SCAN_DIMS, threshold=1e-12)
+    scan = convergence_scan(0.2, 0.2, 8, DEFAULT_SCAN_DIMS)
     values = [row.residual_frobenius for row in scan.rows]
     assert all(b < a for a, b in zip(values, values[1:]))
-    assert scan.passed
+    assert _converged(scan, 1e-12)
 
 
 def test_scan_underflows_to_noise_floor_at_large_dims():
-    scan = convergence_scan(0.2, 0.2, 8, (16, 32, 64), threshold=1e-12)
-    assert scan.passed
+    scan = convergence_scan(0.2, 0.2, 8, (16, 32, 64))
+    assert _converged(scan, 1e-12)
     assert all(row.residual_frobenius <= 1e-12 for row in scan.rows)
 
 
 def test_scan_zero_deformation_passes():
-    scan = convergence_scan(0.0, 0.0, 8, (16, 32, 64), threshold=1e-12)
-    assert scan.passed
+    scan = convergence_scan(0.0, 0.0, 8, (16, 32, 64))
+    assert _converged(scan, 1e-12)
 
 
 def test_scan_input_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
-        convergence_scan(0.1, 0.1, 4, (8, 4), threshold=1e-8)
+        convergence_scan(0.1, 0.1, 4, (8, 4))
     with pytest.raises(ValueError, match="empty"):
-        convergence_scan(0.1, 0.1, 4, (), threshold=1e-8)
+        convergence_scan(0.1, 0.1, 4, ())
     with pytest.raises(ValueError, match="exceed the interior"):
-        convergence_scan(0.1, 0.1, 8, (8, 16), threshold=1e-8)
+        convergence_scan(0.1, 0.1, 8, (8, 16))
 
 
-def test_scan_fails_when_threshold_unreachable():
-    scan = convergence_scan(0.2, 0.2, 8, (10, 12), threshold=1e-30)
-    assert not scan.passed
+def test_scan_fails_when_threshold_unreachable(invoke, tmp_path):
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("matrix.residual_threshold = 1e-30\n")
+    code, out = invoke(
+        ["scan", "--engine", "matrix", "--mu", "0.2", "--nu", "0.2",
+         "--interior", "8", "--dims", "10,12", "--config", str(cfg)]
+    )
+    assert code == 1
+    metrics = {m["name"]: m for m in json.loads(out)["metrics"]}
+    largest = metrics["residual_at_largest_dim"]
+    assert largest["threshold"] == 1e-30 < largest["value"]
 
 
 # ---------------------------------------------------------------------------

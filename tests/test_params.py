@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qdeform import weyl
-from qdeform.clockshift import exchange_phase, scaling_columns
+from qdeform.clockshift import scaling_columns
 from qdeform.params import PATH_NAMES, ContractionPath, parse_quantity
 from qdeform.rational import MINUS_I
 
@@ -204,7 +205,7 @@ def test_path_variable_range():
 
 def test_q_to_one_endpoint_is_heisenberg():
     # at mu = nu = 0 the symbolic engine reduces to [p, x] = -i exactly
-    assert weyl.identity_residual(0).is_zero
+    assert weyl.identity_checks(0).identity.is_zero
     comm = weyl.commutator(weyl.p_op(0), weyl.x_op(0))
     assert comm == weyl.WeylSeriesElement.scalar(MINUS_I, 0)
 
@@ -220,7 +221,7 @@ def test_hbar_to_zero_endpoint_has_constant_phase():
     phases = [
         ScalingPoint(alpha=0.9, beta=2.0, n=n).exchange_phase() for n in (0, 1, 2)
     ]
-    assert phases[0] == phases[1] == phases[2] == exchange_phase(0.9)
+    assert phases[0] == phases[1] == phases[2] == cmath.exp(-1j * 0.9)
     assert abs(phases[0] - (math.cos(0.9) - 1j * math.sin(0.9))) <= 1e-15
 
 

@@ -8,7 +8,6 @@ from qdeform.weyl import (
     WeylMonomial,
     WeylSeriesElement,
     anticommutator,
-    bracket,
     commutator,
     cosh_element,
     deformed_momentum,
@@ -16,9 +15,7 @@ from qdeform.weyl import (
     exchange_residual,
     free_particle_rule,
     identity_checks,
-    identity_residual,
     identity_rhs,
-    leading_order_residual,
     leading_order_target,
     normal_product,
     p_op,
@@ -30,6 +27,7 @@ from qdeform.weyl import (
 
 from oracles import (
     binomial_series_sqrt,
+    dagger,
     normal_order_word,
     one_plus_square,
     prefactor_coefficients,
@@ -103,11 +101,6 @@ def test_commutator_p_xsquared():
     x2 = normal_product(x_op(4), x_op(4))
     got = commutator(p_op(4), x2)
     assert got == element(4, {(1, 0): {(0, 0): RationalComplex(0, -2)}})
-
-
-def test_bracket_sign_validation():
-    with pytest.raises(ValueError, match="unknown bracket sign"):
-        bracket(p_op(2), x_op(2), "nonsense")
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +244,26 @@ def test_unknown_side_raises():
 
 def test_identity_residual_heisenberg_corner():
     # degree 0: everything collapses to [p, x] + i = 0
-    assert identity_residual(0).is_zero
+    assert identity_checks(0).identity.is_zero
     assert commutator(p_op(0), x_op(0)) == WeylSeriesElement.scalar(MINUS_I, 0)
 
 
 @pytest.mark.parametrize("degree", range(0, 13))
 def test_identity_residual_is_exactly_zero(degree):
-    assert identity_residual(degree).is_zero
+    assert identity_checks(degree).identity.is_zero
+
+
+def _lowest_param_degree(element):
+    """Lowest total (mu, nu) degree of a term, None for the zero element."""
+    return min(
+        (m + n for poly in element.terms.values() for m, n in poly.terms),
+        default=None,
+    )
 
 
 def test_leading_order_residual_starts_at_degree_four():
-    residual, lowest = leading_order_residual(4)
-    assert lowest == 4
+    residual = identity_checks(4).leading_order
+    assert _lowest_param_degree(residual) == 4
     # hand-expanded degree-4 residual:
     # -i mu^4 p^4/24 - i nu^4 x^4/24 + mu^2 nu^2 (i/6 - x p/2 - i x^2 p^2/4)
     assert residual == element(
@@ -278,14 +279,14 @@ def test_leading_order_residual_starts_at_degree_four():
 
 
 def test_leading_order_residual_below_degree_four_is_zero():
-    residual, lowest = leading_order_residual(2)
+    residual = identity_checks(2).leading_order
     assert residual.is_zero
-    assert lowest is None
+    assert _lowest_param_degree(residual) is None
 
 
 def test_leading_order_residual_mu_slice():
     # nu = 0 leaves only the cosh correction -i mu^4 p^4 / 24 at degree 4
-    residual, _ = leading_order_residual(4)
+    residual = identity_checks(4).leading_order
     sliced = substituted_zero(residual, "nu")
     assert sliced == element(
         4, {(0, 4): {(4, 0): RationalComplex(0, Fraction(-1, 24))}}
@@ -295,13 +296,14 @@ def test_leading_order_residual_mu_slice():
 @pytest.mark.parametrize("degree", [0, 3, 4, 7, 10])
 def test_identity_checks_match_the_separate_builds(degree):
     checks = identity_checks(degree)
-    assert checks.identity == identity_residual(degree)
+    lhs = commutator(deformed_momentum(degree), deformed_position(degree))
+    assert checks.identity == lhs - identity_rhs(degree)
     assert checks.exchange == exchange_residual(degree)
     assert checks.sqrt_cosh == sqrt_defects(
         "momentum", cosh_element("momentum", degree)
     ) + sqrt_defects("position", cosh_element("position", degree))
     assert len(checks.sqrt_cosh) == 4
-    assert checks.leading_order == leading_order_residual(degree)[0]
+    assert checks.leading_order == identity_rhs(degree) - leading_order_target(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -401,28 +403,28 @@ def test_free_particle_rule_rejects_x_dependence():
 
 
 def test_generators_are_self_adjoint():
-    assert x_op(4).dagger() == x_op(4)
-    assert p_op(4).dagger() == p_op(4)
+    assert dagger(x_op(4)) == x_op(4)
+    assert dagger(p_op(4)) == p_op(4)
 
 
 def test_dagger_conjugates_scalars():
     e = WeylSeriesElement.scalar(I, 3)
-    assert e.dagger() == WeylSeriesElement.scalar(MINUS_I, 3)
+    assert dagger(e) == WeylSeriesElement.scalar(MINUS_I, 3)
 
 
 def test_deformed_operators_are_fixed_points():
-    assert deformed_position(10).dagger() == deformed_position(10)
-    assert deformed_momentum(10).dagger() == deformed_momentum(10)
+    assert dagger(deformed_position(10)) == deformed_position(10)
+    assert dagger(deformed_momentum(10)) == deformed_momentum(10)
 
 
 def test_commutator_is_antihermitian_anticommutator_hermitian():
     degree = 8
     comm = commutator(deformed_momentum(degree), deformed_position(degree))
-    assert comm.dagger() == -comm
+    assert dagger(comm) == -comm
     anti = anticommutator(
         cosh_element("momentum", degree), cosh_element("position", degree)
     )
-    assert anti.dagger() == anti
+    assert dagger(anti) == anti
 
 
 # ---------------------------------------------------------------------------

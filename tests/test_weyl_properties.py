@@ -18,7 +18,7 @@ from qdeform.weyl import (
     x_op,
 )
 
-from oracles import normal_order_word, normal_product_by_terms
+from oracles import dagger, normal_order_word, normal_product_by_terms
 
 DEGREE = 4
 
@@ -132,13 +132,13 @@ def test_distributivity(a, b, c):
 @given(elements, elements)
 @settings(max_examples=40)
 def test_dagger_is_antiautomorphism(a, b):
-    assert normal_product(a, b).dagger() == normal_product(b.dagger(), a.dagger())
+    assert dagger(normal_product(a, b)) == normal_product(dagger(b), dagger(a))
 
 
 @given(elements)
 @settings(max_examples=40)
 def test_dagger_is_involutive(a):
-    assert a.dagger().dagger() == a
+    assert dagger(dagger(a)) == a
 
 
 @given(elements, elements)
