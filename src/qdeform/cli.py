@@ -3,6 +3,10 @@
 Exit status: 0 when the report verdict is pass, 1 on fail, 2 on error
 (including usage errors).  Reports are deterministic for fixed inputs
 and tool version; only the timestamp field differs between runs.
+
+numpy and the numeric engines are imported only by the matrix,
+clock-shift and path commands, so a symbolic verify or an expand runs
+on integers alone and never loads numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import clockshift, config, matrixrep, params, weyl
+from . import config, params, weyl
 from .rational import I
 from .report import Metric, Table, VerificationReport
 
@@ -24,7 +26,7 @@ EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
 # last step of a contraction path: 2.0 ** -1074 is the smallest double
 MAX_STEP = 1074
 # largest symbolic truncation degree (--degree, symbolic.degree): verify
-# takes about 0.8 s there as a whole process (one core of a 2-vCPU x86-64
+# takes about 0.4 s there as a whole process (one core of a 2-vCPU x86-64
 # host), and the exact work grows steeply with degree
 MAX_DEGREE = 64
 # largest n of theta = alpha + 2*pi*n on the periodicity and hbar-to-0
@@ -46,6 +48,51 @@ MAX_PAIR_DIM = 2**20
 # --dims), which holds an N x N phase table: about 80 MB there, and four
 # times that per doubling of N
 MAX_GRID_DIM = 1024
+
+
+# The flags each command reads, by its row: the command and its engine or
+# path (a clock-shift scan runs its grid when --dims is set, else its
+# periodicity table).  --config, --out, --format, --engine, --path and
+# --target apply as the parser allows; any other flag set on a row that
+# does not list it exits 2, so that none is silently ignored.
+FLAGS_READ = {
+    "verify --engine symbolic": ("degree",),
+    "verify --engine matrix": ("dim", "interior", "mu", "nu"),
+    "verify --engine clock-shift": ("dim", "level"),
+    "scan --engine matrix": ("dims", "mu", "nu", "interior"),
+    "scan --engine clock-shift --alpha": ("alpha", "n"),
+    "scan --engine clock-shift --dims": ("dims",),
+    "scan --path hbar-to-0": ("alpha", "beta", "n"),
+    "scan --path q-to-1": ("n",),
+    "scan --path omega-to-0": ("n",),
+    "expand": ("degree",),
+}
+
+
+def _refuse_unread_flags(args) -> None:
+    """Find the FLAGS_READ row of parsed arguments and refuse every flag
+    set on it that the row does not read."""
+    if args.command == "verify":
+        row = f"verify --engine {args.engine}"
+    elif args.command == "expand":
+        row = "expand"
+    elif (args.engine is None) == (args.path is None):
+        raise ValueError("scan needs exactly one of --engine or --path")
+    elif args.path is not None:
+        row = f"scan --path {args.path}"
+    elif args.engine == "matrix":
+        row = "scan --engine matrix"
+    elif args.alpha is None and args.dims is None:
+        raise ValueError(
+            "clock-shift scan needs one of --alpha (periodicity) or --dims (grid)"
+        )
+    else:
+        mode = "--alpha" if args.dims is None else "--dims"
+        row = f"scan --engine clock-shift {mode}"
+    for flags in FLAGS_READ.values():
+        for flag in flags:
+            if getattr(args, flag, None) is not None and flag not in FLAGS_READ[row]:
+                raise ValueError(f"--{flag} does not apply to {row}")
 
 
 def _at_most(value: int, bound: int, source: str) -> None:
@@ -170,8 +217,12 @@ def _verify_symbolic(degree: int, cfg) -> VerificationReport:
 
 
 def _verify_matrix(
-    dim: int, interior: int, mu: float, nu: float, cfg
+    dim: int, interior: Optional[int], mu: float, nu: float, cfg
 ) -> VerificationReport:
+    from . import matrixrep
+
+    if interior is None:
+        interior = matrixrep.default_interior(dim)
     command = (
         f"verify --engine matrix --dim {dim} --interior {interior} "
         f"--mu {mu} --nu {nu}"
@@ -198,6 +249,8 @@ def _verify_matrix(
 
 
 def _verify_clockshift(dim: int, level: int, cfg) -> VerificationReport:
+    from . import clockshift
+
     command = f"verify --engine clock-shift --dim {dim} --level {level}"
     pair = clockshift.build_pair(dim, level)
     u_unitary, v_unitary, u_power, v_power = clockshift.pair_defects(pair)
@@ -245,14 +298,9 @@ def run_verify(args, cfg) -> VerificationReport:
         else:
             dim, source = config.get_int(cfg, "matrix.dim"), "matrix.dim"
         _at_most(dim, MAX_MATRIX_DIM, source)
-        interior = (
-            args.interior
-            if args.interior is not None
-            else matrixrep.default_interior(dim)
-        )
         mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
         nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
-        return _verify_matrix(dim, interior, mu, nu, cfg)
+        return _verify_matrix(dim, args.interior, mu, nu, cfg)
     dim = args.dim if args.dim is not None else 16
     _at_most(dim, MAX_PAIR_DIM, "--dim")
     level = args.level if args.level is not None else 1
@@ -265,6 +313,8 @@ def run_verify(args, cfg) -> VerificationReport:
 
 
 def _scan_matrix(args, cfg) -> VerificationReport:
+    from . import matrixrep
+
     dims = parse_int_list(args.dims, "dimension", "--dims")
     _at_most(max(dims), MAX_MATRIX_DIM, "--dims")
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
@@ -300,9 +350,9 @@ def _scan_matrix(args, cfg) -> VerificationReport:
 
 
 def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
-    alpha = args.alpha if args.alpha is not None else config.get_float(
-        cfg, "params.alpha"
-    )
+    from . import clockshift
+
+    alpha = args.alpha  # the periodicity row is the one with --alpha set
     ns = _n_list(args.n if args.n is not None else "0..100")
     threshold = config.get_float(cfg, "clockshift.periodicity_threshold")
     command = f"scan --engine clock-shift --alpha {alpha} --n {args.n or '0..100'}"
@@ -318,6 +368,8 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
 
 
 def _scan_clockshift_grid(args, cfg) -> VerificationReport:
+    from . import clockshift
+
     dims = parse_int_list(args.dims, "dimension", "--dims")
     _at_most(max(dims), MAX_GRID_DIM, "--dims")
     # one table row per pair (N, k), 1 <= k < N
@@ -342,6 +394,8 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
 def _refuse_overflow(columns: dict, index: str, values: Sequence, inputs: str) -> None:
     """Refuse a path table with a cell that overflowed, naming the column,
     the row and the inputs that made it."""
+    import numpy as np
+
     for name, cells in columns.items():
         finite = np.isfinite(cells)
         if not finite.all():
@@ -363,6 +417,8 @@ def _scan_path(args, cfg) -> VerificationReport:
     path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
 
     if args.path == "hbar-to-0":
+        from . import clockshift
+
         ntext = args.n if args.n is not None else "0..5"
         ns = _n_list(ntext)
         command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
@@ -413,20 +469,14 @@ def _scan_path(args, cfg) -> VerificationReport:
 
 
 def run_scan(args, cfg) -> VerificationReport:
-    if (args.engine is None) == (args.path is None):
-        raise ValueError("scan needs exactly one of --engine or --path")
+    """The scan that :func:`_refuse_unread_flags` found the row of."""
     if args.path is not None:
         return _scan_path(args, cfg)
     if args.engine == "matrix":
         return _scan_matrix(args, cfg)
-    if (args.alpha is None) == (args.dims is None):
-        raise ValueError(
-            "clock-shift scan needs exactly one of --alpha (periodicity) "
-            "or --dims (grid)"
-        )
-    if args.alpha is not None:
-        return _scan_clockshift_periodicity(args, cfg)
-    return _scan_clockshift_grid(args, cfg)
+    if args.dims is not None:
+        return _scan_clockshift_grid(args, cfg)
+    return _scan_clockshift_periodicity(args, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        _refuse_unread_flags(args)
         cfg = config.load_config(args.config)
         if args.command == "expand":
             degree = _symbolic_degree(args, cfg)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .rational import MINUS_I, ONE, RationalComplex, _reduced, format_scalar
+from .rational import MINUS_I, ONE, RationalComplex, _raw, _reduced, format_scalar
 
 # (-i)^k for k mod 4 as (re, im); the central unit in the reordering rule.
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -58,10 +58,6 @@ class ParamPolynomial:
     @classmethod
     def constant(cls, value) -> "ParamPolynomial":
         return cls({(0, 0): value})
-
-    @classmethod
-    def monomial(cls, value, mu_pow: int = 0, nu_pow: int = 0) -> "ParamPolynomial":
-        return cls({(mu_pow, nu_pow): value})
 
     @property
     def is_zero(self) -> bool:
@@ -162,15 +158,6 @@ class WeylSeriesElement:
 
     def truncated(self, degree: int) -> "WeylSeriesElement":
         return WeylSeriesElement(degree, self.terms)
-
-    def generators_used(self) -> set[str]:
-        used = set()
-        for mono in self.terms:
-            if mono.x_pow:
-                used.add("x")
-            if mono.p_pow:
-                used.add("p")
-        return used
 
     def __eq__(self, other):
         if not isinstance(other, WeylSeriesElement):
@@ -344,9 +331,13 @@ def _reorder(p_pow: int, x_pow: int) -> list[tuple[int, int, int]]:
     return rule
 
 
-def _triples(poly: ParamPolynomial) -> list[tuple[int, int, int, int, int]]:
-    """(mu power, nu power, a, b, d) for each coefficient (a + b*i)/d."""
-    return [(m, n, c._a, c._b, c._d) for (m, n), c in poly.terms.items()]
+def _triples(poly: ParamPolynomial, re: int = 1, im: int = 0) -> list:
+    """(mu power, nu power, a, b, d) for each coefficient (a + b*i)/d of
+    (re + i*im) * poly."""
+    return [
+        (m, n, c._a * re - c._b * im, c._a * im + c._b * re, c._d)
+        for (m, n), c in poly.terms.items()
+    ]
 
 
 def _add_raw(dst: dict, key, a: int, b: int, d: int) -> None:
@@ -383,15 +374,12 @@ def _accumulate(dst: dict, src: dict, re: int, im: int) -> None:
         _add_raw(dst, key, a * re - b * im, a * im + b * re, d)
 
 
-def _canonical(raw: dict) -> dict:
-    """Raw coefficients to canonical scalars, zeros dropped: one gcd each."""
-    return {key: _reduced(a, b, d) for key, (a, b, d) in raw.items() if a or b}
-
-
 def _from_accumulator(acc: dict, degree: int) -> WeylSeriesElement:
+    """Raw coefficients to canonical scalars, one gcd each; zeros, which
+    take no gcd, and words left empty are dropped."""
     out = {}
     for mono, raw in acc.items():
-        terms = _canonical(raw)
+        terms = {key: _reduced(a, b, d) for key, (a, b, d) in raw.items() if a or b}
         if terms:
             out[WeylMonomial(*mono)] = _poly(terms)
     return _element(degree, out)
@@ -402,44 +390,67 @@ def _from_accumulator(acc: dict, degree: int) -> WeylSeriesElement:
 # ---------------------------------------------------------------------------
 
 
-def normal_product(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
-    """Exact product, normal-ordered, coefficients truncated by total degree.
+def _by_low_degree(e: WeylSeriesElement, re: int, im: int) -> list:
+    """(lowest total degree, x power, p power, _triples(poly, re, im)) per
+    word of e, lowest degree first."""
+    return sorted(
+        (min(m + n for m, n in poly.terms), x, p, _triples(poly, re, im))
+        for (x, p), poly in e.terms.items()
+    )
 
-    For each pair of words, x^a1 p^b1 * x^a2 p^b2 reorders the inner
-    p^b1 x^a2 with the closed-form rule in :func:`_reorder`, built once per
-    (b1, a2) in a call.  A pair whose rule is the identity (b1 = 0 or
-    a2 = 0) adds its coefficient product straight into the output word.
+
+def _add_product(
+    acc: dict, a: WeylSeriesElement, b: WeylSeriesElement, re: int, im: int
+) -> None:
+    """acc += (re + i*im) * a*b, normal-ordered, truncated by total degree.
+
+    ``acc`` maps words to raw coefficient dicts.  For each pair of words,
+    x^a1 p^b1 * x^a2 p^b2 reorders the inner p^b1 x^a2 with the rule in
+    :func:`_reorder`, built once per (b1, a2) in a call; a pair whose rule
+    is the identity (b1 = 0 or a2 = 0) adds straight into its output word.
+    Right words come lowest degree first, so the first one that puts the
+    pair past the cap ends the inner loop.
     """
     _check_degree(a, b)
     cap = a.degree
-    acc: dict = {}
     rules: dict = {}
-    right = [(x2, p2, _triples(poly)) for (x2, p2), poly in b.terms.items()]
-    for (x1, p1), poly in a.terms.items():
-        left = _triples(poly)
-        for x2, p2, coeffs in right:
+    right = _by_low_degree(b, 1, 0)
+    for low1, x1, p1, left in _by_low_degree(a, re, im):
+        for low2, x2, p2, coeffs in right:
+            if low1 + low2 > cap:
+                break
             if not p1 or not x2:
                 _product_into(acc.setdefault((x1 + x2, p1 + p2), {}), left, coeffs, cap)
                 continue
             pair: dict = {}
             _product_into(pair, left, coeffs, cap)
-            if not pair:
-                continue
             rule = rules.get((p1, x2))
             if rule is None:
                 rule = rules[(p1, x2)] = _reorder(p1, x2)
-            for k, re, im in rule:
+            for k, r, i in rule:
                 mono = (x1 + x2 - k, p1 + p2 - k)
-                _accumulate(acc.setdefault(mono, {}), pair, re, im)
-    return _from_accumulator(acc, cap)
+                _accumulate(acc.setdefault(mono, {}), pair, r, i)
+
+
+def _sum(degree: int, acc: dict, *products) -> WeylSeriesElement:
+    """acc plus (re + i*im) * a*b for each (a, b, re, im), reduced once: an
+    exact sum of products never reduces a partial result."""
+    for a, b, re, im in products:
+        _add_product(acc, a, b, re, im)
+    return _from_accumulator(acc, degree)
+
+
+def normal_product(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
+    """Exact product, normal-ordered, coefficients truncated by total degree."""
+    return _sum(a.degree, {}, (a, b, 1, 0))
 
 
 def commutator(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
-    return normal_product(a, b) - normal_product(b, a)
+    return _sum(a.degree, {}, (a, b, 1, 0), (b, a, -1, 0))
 
 
 def anticommutator(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
-    return normal_product(a, b) + normal_product(b, a)
+    return _sum(a.degree, {}, (a, b, 1, 0), (b, a, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +476,11 @@ def _generator_series(
         raise ValueError(f"unknown side: {side!r}")
     terms = {}
     for k in range(start, start + degree + 1, step):
-        word = (0, k) if side == "momentum" else (k, 0)
+        word = WeylMonomial(0, k) if side == "momentum" else WeylMonomial(k, 0)
         key = (k - start, 0) if side == "momentum" else (0, k - start)
-        terms[word] = {key: Fraction(1, factorial(k))}
-    return WeylSeriesElement(degree, terms)
+        # 1/k! is in lowest terms, and its degree k - start is within the cap
+        terms[word] = _poly({key: _raw(1, 0, factorial(k))})
+    return _element(degree, terms)
 
 
 def deformed_position(degree: int) -> WeylSeriesElement:
@@ -518,20 +530,29 @@ def cosh_element(side: str, degree: int) -> WeylSeriesElement:
 # ---------------------------------------------------------------------------
 
 
+def _rhs_sum(degree: int) -> dict:
+    """identity_rhs as a raw accumulator: the central factor c(mu*nu) is
+    folded into cosh(mu*p) first, which is exact because truncation by
+    total degree is multiplicative, and -i weights both products."""
+    # c(mu*nu): c_j multiplies mu^j nu^j, of degree 2j, so j <= degree/2
+    c = prefactor_series(degree // 2)
+    left = cosh_element("momentum", degree).scaled_by_poly(
+        ParamPolynomial({(j, j): c_j for j, c_j in enumerate(c)})
+    )
+    right = cosh_element("position", degree)
+    acc: dict = {}
+    _add_product(acc, left, right, 0, -1)
+    _add_product(acc, right, left, 0, -1)
+    return acc
+
+
 def identity_rhs(degree: int) -> WeylSeriesElement:
     """-i * c(mu*nu) * {sqrt(1 + mu^2 P^2), sqrt(1 + nu^2 X^2)}.
 
     Since 1 + sinh^2 = cosh^2, the roots are cosh(mu*p) and cosh(nu*x);
     :func:`sqrt_defects` checks that each is the principal root.
     """
-    anti = anticommutator(
-        cosh_element("momentum", degree), cosh_element("position", degree)
-    )
-    # c(mu*nu): c_j multiplies mu^j nu^j, of degree 2j, so j <= degree/2
-    c = prefactor_series(degree // 2)
-    return anti.scaled_by_poly(
-        ParamPolynomial({(j, j): c_j for j, c_j in enumerate(c)})
-    ).scaled(MINUS_I)
+    return _from_accumulator(_rhs_sum(degree), degree)
 
 
 def sqrt_defects(
@@ -550,14 +571,15 @@ def sqrt_defects(
     base = _generator_series(side, degree, 1, 2)  # P or X
     par = ParamPolynomial({(2, 0) if side == "momentum" else (0, 2): 1})
     one = WeylSeriesElement.one(degree)
-    argument = one + normal_product(base, base).scaled_by_poly(par)
+    minus_one = {(0, 0): {(0, 0): [-1, 0, 1]}}
+    square = ((root, root, 1, 0), (base.scaled_by_poly(par), base, -1, 0))
     constant = {
         mono: {(0, 0): poly.terms[(0, 0)]}
         for mono, poly in root.terms.items()
         if (0, 0) in poly.terms
     }
     return (
-        normal_product(root, root) - argument,
+        _sum(degree, minus_one, *square),
         WeylSeriesElement(degree, constant) - one,
     )
 
@@ -565,11 +587,7 @@ def sqrt_defects(
 def leading_order_target(degree: int) -> WeylSeriesElement:
     """-i * (1 + mu^2 p^2 / 2 + nu^2 x^2 / 2), the q-oscillator form."""
     half = Fraction(1, 2)
-    terms = {
-        (0, 0): ParamPolynomial.constant(1),
-        (0, 2): ParamPolynomial.monomial(half, mu_pow=2),
-        (2, 0): ParamPolynomial.monomial(half, nu_pow=2),
-    }
+    terms = {(0, 0): {(0, 0): 1}, (0, 2): {(2, 0): half}, (2, 0): {(0, 2): half}}
     return WeylSeriesElement(degree, terms).scaled(MINUS_I)
 
 
@@ -577,18 +595,17 @@ def exchange_residual(degree: int) -> WeylSeriesElement:
     """Residual of e^(mu p) e^(nu x) = e^(-i mu nu) e^(nu x) e^(mu p).
 
     Exact at every order because [mu p, nu x] = -i mu nu is central; this
-    is the algebraic bridge to the quantum-plane relation PX = qXP.
+    is the algebraic bridge to the quantum-plane relation PX = qXP.  The
+    central phase is folded into e^(nu x) before the second product.
     """
     exp_p = _exp_element("momentum", degree)
     exp_x = _exp_element("position", degree)
     phase = {}
     for j in range(degree // 2 + 1):
         re, im = _MINUS_I_POW[j % 4]
-        f = factorial(j)
-        phase[(j, j)] = RationalComplex(Fraction(re, f), Fraction(im, f))
-    lhs = normal_product(exp_p, exp_x)
-    rhs = normal_product(exp_x, exp_p).scaled_by_poly(ParamPolynomial(phase))
-    return lhs - rhs
+        phase[(j, j)] = _raw(re, im, factorial(j))  # one of re, im is +-1
+    phased = exp_x.scaled_by_poly(ParamPolynomial(phase))
+    return _sum(degree, {}, (exp_p, exp_x, 1, 0), (phased, exp_p, -1, 0))
 
 
 class IdentityChecks(NamedTuple):
@@ -604,16 +621,24 @@ class IdentityChecks(NamedTuple):
 
 
 def identity_checks(degree: int) -> IdentityChecks:
-    """All four checks, with [P, X] and the right-hand side each built
-    once and shared between the checks that need them."""
-    rhs = identity_rhs(degree)
-    lhs = commutator(deformed_momentum(degree), deformed_position(degree))
+    """All four checks, each residual summed raw in one accumulator and
+    reduced once; the right-hand side is summed once and shared."""
+    p, x = deformed_momentum(degree), deformed_position(degree)
+    rhs = _rhs_sum(degree)
+    minus_rhs = {
+        mono: {key: [-a, -b, d] for key, (a, b, d) in raw.items()}
+        for mono, raw in rhs.items()
+    }
+    # minus_rhs holds its own lists, so rhs becomes the leading order here
+    for mono, poly in leading_order_target(degree).terms.items():
+        for m, n, a, b, d in _triples(poly, -1):
+            _add_raw(rhs.setdefault(mono, {}), (m, n), a, b, d)
     return IdentityChecks(
-        identity=lhs - rhs,
+        identity=_sum(degree, minus_rhs, (p, x, 1, 0), (x, p, -1, 0)),
         exchange=exchange_residual(degree),
         sqrt_cosh=sqrt_defects("momentum", cosh_element("momentum", degree))
         + sqrt_defects("position", cosh_element("position", degree)),
-        leading_order=rhs - leading_order_target(degree),
+        leading_order=_from_accumulator(rhs, degree),
     )
 
 
@@ -631,7 +656,7 @@ def free_particle_rule(
     f = tan this reproduces the free relativistic commutator -i(1 + f^2);
     with f = sinh(mu*p)/mu it gives -i cosh(mu*p), the square-root variant.
     """
-    if "x" in f.generators_used():
+    if any(mono.x_pow for mono in f.terms):
         raise ValueError("f must be a series in p alone (no x powers)")
     element = f.truncated(degree) if f.degree != degree else f
     lhs = commutator(element, x_op(degree))

@@ -196,8 +196,8 @@ MUTANTS = (
     Mutant(
         "square-root check squares against 1 - mu^2 P^2",
         "src/qdeform/weyl.py",
-        "argument = one + normal_product(base, base)",
-        "argument = one - normal_product(base, base)",
+        "(base.scaled_by_poly(par), base, -1, 0)",
+        "(base.scaled_by_poly(par), base, 1, 0)",
         ("tests/test_weyl.py",),
     ),
     Mutant(
@@ -212,6 +212,20 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "cur[2] = e * d",
         "cur[2] = e",
+        ("tests/test_weyl_properties.py",),
+    ),
+    Mutant(
+        "exchange residual adds the phased product instead of subtracting it",
+        "src/qdeform/weyl.py",
+        "(phased, exp_p, -1, 0)",
+        "(phased, exp_p, 1, 0)",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "product kernel prunes word pairs whose lowest degree is the cap",
+        "src/qdeform/weyl.py",
+        "if low1 + low2 > cap:",
+        "if low1 + low2 >= cap:",
         ("tests/test_weyl_properties.py",),
     ),
     Mutant(
@@ -266,8 +280,22 @@ MUTANTS = (
     Mutant(
         "clock-shift scan takes --alpha and --dims together",
         "src/qdeform/cli.py",
-        "if (args.alpha is None) == (args.dims is None):",
-        "if args.alpha is None and args.dims is None:",
+        '"scan --engine clock-shift --dims": ("dims",),',
+        '"scan --engine clock-shift --dims": ("dims", "alpha"),',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "flag table drops the clock-shift verify row",
+        "src/qdeform/cli.py",
+        '    "verify --engine clock-shift": ("dim", "level"),\n',
+        "",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli imports numpy and the numeric engines eagerly",
+        "src/qdeform/cli.py",
+        "from . import config, params, weyl\n",
+        "import numpy as np\n\nfrom . import clockshift, config, matrixrep, params, weyl\n",
         ("tests/test_cli.py",),
     ),
 )

@@ -2,6 +2,9 @@ import cmath
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -157,30 +160,27 @@ def test_verify_symbolic_metrics_match_public_weyl(invoke, degree):
 
 
 def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
-    calls = Counter()
-    for name in (
-        "commutator",
-        "anticommutator",
-        "identity_rhs",
-        "sqrt_defects",
-        "exchange_residual",
-    ):
-        def counted(*args, _fn=getattr(weyl, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+    weights, rhs_sums = Counter(), Counter()
+    kernel, rhs_sum = weyl._add_product, weyl._rhs_sum
 
-        monkeypatch.setattr(weyl, name, counted)
+    def counted_product(acc, a, b, re, im):
+        weights[(re, im)] += 1
+        return kernel(acc, a, b, re, im)
+
+    def counted_rhs(degree):
+        rhs_sums[degree] += 1
+        return rhs_sum(degree)
+
+    monkeypatch.setattr(weyl, "_add_product", counted_product)
+    monkeypatch.setattr(weyl, "_rhs_sum", counted_rhs)
     code, _ = invoke(["verify", "--engine", "symbolic", "--degree", "6"])
     assert code == 0
-    # [P, X]; the anticommutator inside the one right-hand side; one
-    # square-root check per side
-    assert calls == {
-        "commutator": 1,
-        "anticommutator": 1,
-        "identity_rhs": 1,
-        "sqrt_defects": 2,
-        "exchange_residual": 1,
-    }
+    # ten signed products: P*X and -X*P; the right-hand side's two, each
+    # weighted -i; the exchange identity's two; and root*root and
+    # -(mu^2 P)*P (nu^2 X on the position side) per square-root side
+    assert weights == {(1, 0): 4, (-1, 0): 4, (0, -1): 2}
+    # the right-hand side is summed once and shared by two residuals
+    assert rhs_sums == {6: 1}
 
 
 def test_verify_matrix_passes(invoke):
@@ -612,6 +612,91 @@ def test_scan_selector_errors_name_both_flags(invoke, argv, named):
     assert error.startswith("ValueError: ")
     for flag in named:
         assert flag in error
+
+
+# one passing argv per row of cli.FLAGS_READ with the flags that row
+# reads, stated here independently of the table; expand takes no flag
+# that it does not read, so the parser itself refuses the rest
+ROW_ARGVS = {
+    "verify --engine symbolic": (["verify", "--engine", "symbolic"], ("degree",)),
+    "verify --engine matrix": (
+        ["verify", "--engine", "matrix", "--dim", "8", "--interior", "2"],
+        ("dim", "interior", "mu", "nu"),
+    ),
+    "verify --engine clock-shift": (
+        ["verify", "--engine", "clock-shift", "--dim", "4"], ("dim", "level")
+    ),
+    "scan --engine matrix": (
+        ["scan", "--engine", "matrix", "--dims", "8,10", "--interior", "2"],
+        ("dims", "mu", "nu", "interior"),
+    ),
+    "scan --engine clock-shift --alpha": (
+        ["scan", "--engine", "clock-shift", "--alpha", "1"], ("alpha", "n")
+    ),
+    "scan --engine clock-shift --dims": (
+        ["scan", "--engine", "clock-shift", "--dims", "2..4"], ("dims",)
+    ),
+    "scan --path hbar-to-0": (["scan", "--path", "hbar-to-0"], ("alpha", "beta", "n")),
+    "scan --path q-to-1": (["scan", "--path", "q-to-1"], ("n",)),
+    "scan --path omega-to-0": (["scan", "--path", "omega-to-0"], ("n",)),
+}
+# a value each flag accepts, in range for every row that reads it
+FLAG_VALUES = {
+    "degree": "2", "dim": "8", "interior": "2", "mu": "0.3", "nu": "0.3",
+    "level": "1", "dims": "2..4", "alpha": "1", "beta": "1", "n": "0..10",
+}
+VERIFY_FLAGS = ("degree", "dim", "interior", "mu", "nu", "level")
+SCAN_FLAGS = ("dims", "mu", "nu", "interior", "alpha", "beta", "n")
+UNREAD_CASES = [
+    (row, flag)
+    for row, (argv, reads) in ROW_ARGVS.items()
+    for flag in (VERIFY_FLAGS if argv[0] == "verify" else SCAN_FLAGS)
+    if flag not in reads
+]
+
+
+@pytest.mark.parametrize("row", ROW_ARGVS)
+def test_each_row_passes_with_every_flag_it_reads(invoke, row):
+    argv, reads = ROW_ARGVS[row]
+    extra = [a for flag in reads if f"--{flag}" not in argv
+             for a in (f"--{flag}", FLAG_VALUES[flag])]
+    code, _ = invoke(argv + extra)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "row,flag", UNREAD_CASES, ids=[f"{r} --{f}" for r, f in UNREAD_CASES]
+)
+def test_a_flag_the_row_does_not_read_is_refused(invoke, row, flag):
+    argv, _ = ROW_ARGVS[row]
+    code, out = invoke(argv + [f"--{flag}", FLAG_VALUES[flag]])
+    assert code == 2
+    if flag == "dims" and row.endswith("--alpha"):
+        # --dims selects the grid, which in turn does not read --alpha
+        row, flag = "scan --engine clock-shift --dims", "alpha"
+    assert json.loads(out)["parameters"]["error"] == (
+        f"ValueError: --{flag} does not apply to {row}"
+    )
+
+
+def test_flag_table_has_one_row_per_command_route():
+    assert set(cli.FLAGS_READ) == set(ROW_ARGVS) | {"expand"}
+
+
+def test_symbolic_verify_and_expand_never_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import io, sys, contextlib\n"
+        "import qdeform.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify', '--engine', 'symbolic', '--degree', '4']),\n"
+        "             cli.main(['expand', '--target', 'eq8-rhs', '--degree', '4'])]\n"
+        "sys.exit(codes != [0, 0] or 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src))
+    )
+    assert result.returncode == 0
 
 
 def test_csv_without_table_is_error(invoke):

@@ -29,6 +29,7 @@ from oracles import (
     binomial_series_sqrt,
     dagger,
     normal_order_word,
+    normal_product_by_terms,
     one_plus_square,
     prefactor_coefficients,
     substituted_zero,
@@ -304,6 +305,40 @@ def test_identity_checks_match_the_separate_builds(degree):
     ) + sqrt_defects("position", cosh_element("position", degree))
     assert len(checks.sqrt_cosh) == 4
     assert checks.leading_order == identity_rhs(degree) - leading_order_target(degree)
+
+
+def _oracle_checks(degree):
+    """The four residuals the old way: every product reduced by the
+    term-by-term oracle kernel, then reduced subtractions."""
+    cosh_p, cosh_x = cosh_element("momentum", degree), cosh_element("position", degree)
+    anti = normal_product_by_terms(cosh_p, cosh_x) + normal_product_by_terms(
+        cosh_x, cosh_p
+    )
+    prefactor = {(j, j): c for j, c in enumerate(prefactor_coefficients(degree // 2))}
+    scaled = normal_product_by_terms(anti, element(degree, {(0, 0): prefactor}))
+    rhs = scaled.scaled(MINUS_I)
+    p, x = deformed_momentum(degree), deformed_position(degree)
+    lhs = normal_product_by_terms(p, x) - normal_product_by_terms(x, p)
+    exp_p, exp_x = _exp_test_element("p", degree), _exp_test_element("x", degree)
+    phase, unit = {}, RationalComplex(1)
+    for j in range(degree + 1):
+        phase[(j, j)], unit = unit * Fraction(1, _fact(j)), unit * MINUS_I
+    swapped = normal_product_by_terms(exp_x, exp_p)
+    exchange = normal_product_by_terms(exp_p, exp_x) - normal_product_by_terms(
+        swapped, element(degree, {(0, 0): phase})
+    )
+    one = WeylSeriesElement.one(degree)
+    sqrt_cosh = ()
+    for side, root in (("momentum", cosh_p), ("position", cosh_x)):
+        square = normal_product_by_terms(root, root) - one_plus_square(side, degree)
+        constant = substituted_zero(substituted_zero(root, "mu"), "nu")
+        sqrt_cosh += (square, constant - one)
+    return lhs - rhs, exchange, sqrt_cosh, rhs - leading_order_target(degree)
+
+
+@pytest.mark.parametrize("degree", range(17))
+def test_fused_residuals_match_reduced_oracle_products(degree):
+    assert tuple(identity_checks(degree)) == _oracle_checks(degree)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from qdeform.rational import RationalComplex
 from qdeform.weyl import (
     ParamPolynomial,
     WeylSeriesElement,
+    anticommutator,
     commutator,
     cosh_element,
     normal_product,
@@ -76,6 +77,30 @@ def test_product_matches_term_by_term_oracle(pair):
     a, b = pair
     assert normal_product(a, b) == normal_product_by_terms(a, b)
     assert normal_product(b, a) == normal_product_by_terms(b, a)
+
+
+# x^2 p with lowest degree 2 times x with lowest degree 1, at cap 3: the
+# pair's lowest total degree is the cap itself, the last one kept
+AT_CAP_A = WeylSeriesElement(
+    3, {(2, 1): {(2, 0): Fraction(1, 2), (1, 2): 1}, (0, 0): {(0, 0): 1}}
+)
+AT_CAP_B = WeylSeriesElement(
+    3, {(1, 0): {(0, 1): Fraction(-1, 3)}, (0, 1): {(3, 0): 1}}
+)
+
+
+@given(element_pairs())
+@settings(max_examples=150)
+@example((P_PLUS_ONE, X_PLUS_I))
+@example((MIXED_A, MIXED_B))
+@example((AT_CAP_A, AT_CAP_B))
+def test_brackets_sum_both_products_like_the_oracle(pair):
+    # one accumulator holds both products, reduced once; the oracle
+    # reduces each product and then the sum or difference
+    a, b = pair
+    ab, ba = normal_product_by_terms(a, b), normal_product_by_terms(b, a)
+    assert commutator(a, b) == ab - ba
+    assert anticommutator(a, b) == ab + ba
 
 
 @st.composite
