@@ -1,5 +1,13 @@
 """Command-line front end: verify, scan, expand.
 
+An argv is routed in one place.  :func:`_row` names its row of
+:data:`ROUTES`: the command and its engine or path, and for a
+clock-shift scan its grid (--dims set) or its periodicity table (--alpha
+set).  The row lists the flags the command reads, and any other flag set
+on it exits 2 naming it, so none is silently ignored.  Its handler takes
+the parsed arguments and the config and resolves its own flags, config
+keys and defaults.
+
 Exit status: 0 when the report verdict is pass, 1 on fail, 2 on error
 (including usage errors).  Reports are deterministic for fixed inputs
 and tool version; only the timestamp field differs between runs.
@@ -48,51 +56,6 @@ MAX_PAIR_DIM = 2**20
 # --dims), which holds an N x N phase table: about 80 MB there, and four
 # times that per doubling of N
 MAX_GRID_DIM = 1024
-
-
-# The flags each command reads, by its row: the command and its engine or
-# path (a clock-shift scan runs its grid when --dims is set, else its
-# periodicity table).  --config, --out, --format, --engine, --path and
-# --target apply as the parser allows; any other flag set on a row that
-# does not list it exits 2, so that none is silently ignored.
-FLAGS_READ = {
-    "verify --engine symbolic": ("degree",),
-    "verify --engine matrix": ("dim", "interior", "mu", "nu"),
-    "verify --engine clock-shift": ("dim", "level"),
-    "scan --engine matrix": ("dims", "mu", "nu", "interior"),
-    "scan --engine clock-shift --alpha": ("alpha", "n"),
-    "scan --engine clock-shift --dims": ("dims",),
-    "scan --path hbar-to-0": ("alpha", "beta", "n"),
-    "scan --path q-to-1": ("n",),
-    "scan --path omega-to-0": ("n",),
-    "expand": ("degree",),
-}
-
-
-def _refuse_unread_flags(args) -> None:
-    """Find the FLAGS_READ row of parsed arguments and refuse every flag
-    set on it that the row does not read."""
-    if args.command == "verify":
-        row = f"verify --engine {args.engine}"
-    elif args.command == "expand":
-        row = "expand"
-    elif (args.engine is None) == (args.path is None):
-        raise ValueError("scan needs exactly one of --engine or --path")
-    elif args.path is not None:
-        row = f"scan --path {args.path}"
-    elif args.engine == "matrix":
-        row = "scan --engine matrix"
-    elif args.alpha is None and args.dims is None:
-        raise ValueError(
-            "clock-shift scan needs one of --alpha (periodicity) or --dims (grid)"
-        )
-    else:
-        mode = "--alpha" if args.dims is None else "--dims"
-        row = f"scan --engine clock-shift {mode}"
-    for flags in FLAGS_READ.values():
-        for flag in flags:
-            if getattr(args, flag, None) is not None and flag not in FLAGS_READ[row]:
-                raise ValueError(f"--{flag} does not apply to {row}")
 
 
 def _at_most(value: int, bound: int, source: str) -> None:
@@ -170,6 +133,13 @@ def _n_list(text: str) -> list[int]:
     return ns
 
 
+def _ints(tokens: list[str], flag: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:  # int() quotes the token it cannot read
+        raise ValueError(f"{flag} takes integers: {exc}") from None
+
+
 def parse_int_list(text: Optional[str], what: str, flag: str = "--n") -> list[int]:
     """Accept 'a..b' (inclusive), 'a,b,c' or a single integer, with at most
     MAX_POINTS values; a range is counted from its ends, before it is built."""
@@ -177,13 +147,12 @@ def parse_int_list(text: Optional[str], what: str, flag: str = "--n") -> list[in
         raise ValueError(f"empty {what} list")
     text = text.strip()
     if ".." in text:
-        lo_txt, hi_txt = text.split("..", 1)
-        lo, hi = int(lo_txt), int(hi_txt)
+        lo, hi = _ints(text.split("..", 1), flag)
         if hi < lo:
             raise ValueError(f"bad {what} range: {text!r}")
         _at_most(hi - lo + 1, MAX_POINTS, f"{flag} length")
         return list(range(lo, hi + 1))
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    values = _ints([tok for tok in text.split(",") if tok.strip()], flag)
     if not values:
         raise ValueError(f"empty {what} list")
     _at_most(len(values), MAX_POINTS, f"{flag} length")
@@ -195,7 +164,19 @@ def parse_int_list(text: Optional[str], what: str, flag: str = "--n") -> list[in
 # ---------------------------------------------------------------------------
 
 
-def _verify_symbolic(degree: int, cfg) -> VerificationReport:
+def _symbolic_degree(args, cfg) -> int:
+    """--degree, else the config's symbolic.degree, inside 0..MAX_DEGREE."""
+    if args.degree is not None:
+        degree, source = args.degree, "--degree"
+    else:
+        degree, source = config.get_int(cfg, "symbolic.degree"), "symbolic.degree"
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"{source} must lie in 0..{MAX_DEGREE}, got {degree}")
+    return degree
+
+
+def _verify_symbolic(args, cfg) -> VerificationReport:
+    degree = _symbolic_degree(args, cfg)
     command = f"verify --engine symbolic --degree {degree}"
     checks = weyl.identity_checks(degree)
     mismatch = sum(len(diff.terms) for diff in checks.sqrt_cosh)
@@ -216,11 +197,17 @@ def _verify_symbolic(degree: int, cfg) -> VerificationReport:
     )
 
 
-def _verify_matrix(
-    dim: int, interior: Optional[int], mu: float, nu: float, cfg
-) -> VerificationReport:
+def _verify_matrix(args, cfg) -> VerificationReport:
     from . import matrixrep
 
+    if args.dim is not None:
+        dim, source = args.dim, "--dim"
+    else:
+        dim, source = config.get_int(cfg, "matrix.dim"), "matrix.dim"
+    _at_most(dim, MAX_MATRIX_DIM, source)
+    mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
+    nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
+    interior = args.interior
     if interior is None:
         interior = matrixrep.default_interior(dim)
     command = (
@@ -248,9 +235,12 @@ def _verify_matrix(
     return VerificationReport.build("matrix", command, parameters, metrics)
 
 
-def _verify_clockshift(dim: int, level: int, cfg) -> VerificationReport:
+def _verify_clockshift(args, cfg) -> VerificationReport:
     from . import clockshift
 
+    dim = args.dim if args.dim is not None else 16
+    _at_most(dim, MAX_PAIR_DIM, "--dim")
+    level = args.level if args.level is not None else 1
     command = f"verify --engine clock-shift --dim {dim} --level {level}"
     pair = clockshift.build_pair(dim, level)
     u_unitary, v_unitary, u_power, v_power = clockshift.pair_defects(pair)
@@ -276,35 +266,6 @@ def _verify_clockshift(dim: int, level: int, cfg) -> VerificationReport:
     ]
     parameters = {"dim": dim, "level": level, "alpha": pair.alpha}
     return VerificationReport.build("clock-shift", command, parameters, metrics)
-
-
-def _symbolic_degree(args, cfg) -> int:
-    """--degree, else the config's symbolic.degree, inside 0..MAX_DEGREE."""
-    if args.degree is not None:
-        degree, source = args.degree, "--degree"
-    else:
-        degree, source = config.get_int(cfg, "symbolic.degree"), "symbolic.degree"
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"{source} must lie in 0..{MAX_DEGREE}, got {degree}")
-    return degree
-
-
-def run_verify(args, cfg) -> VerificationReport:
-    if args.engine == "symbolic":
-        return _verify_symbolic(_symbolic_degree(args, cfg), cfg)
-    if args.engine == "matrix":
-        if args.dim is not None:
-            dim, source = args.dim, "--dim"
-        else:
-            dim, source = config.get_int(cfg, "matrix.dim"), "matrix.dim"
-        _at_most(dim, MAX_MATRIX_DIM, source)
-        mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
-        nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
-        return _verify_matrix(dim, args.interior, mu, nu, cfg)
-    dim = args.dim if args.dim is not None else 16
-    _at_most(dim, MAX_PAIR_DIM, "--dim")
-    level = args.level if args.level is not None else 1
-    return _verify_clockshift(dim, level, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -405,44 +366,47 @@ def _refuse_overflow(columns: dict, index: str, values: Sequence, inputs: str) -
             )
 
 
-def _scan_path(args, cfg) -> VerificationReport:
+def _contraction_path(args, cfg) -> params.ContractionPath:
+    """The row's path from params.mu0 and params.nu0, which it checks."""
+    mu0 = config.get_float(cfg, "params.mu0")
+    nu0 = config.get_float(cfg, "params.nu0")
+    return params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
+
+
+def _scan_hbar(args, cfg) -> VerificationReport:
+    from . import clockshift
+
     alpha = args.alpha if args.alpha is not None else config.get_float(
         cfg, "params.alpha"
     )
     beta = args.beta if args.beta is not None else config.get_float(cfg, "params.beta")
-    mu0 = config.get_float(cfg, "params.mu0")
-    nu0 = config.get_float(cfg, "params.nu0")
+    # hbar-to-0 is walked in n, not t, but bad mu0 or nu0 are refused here too
+    _contraction_path(args, cfg)
+    ntext = args.n if args.n is not None else "0..5"
+    ns = _n_list(ntext)
+    command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
+    mu, nu = clockshift.scaling_columns(alpha, beta, ns)
+    _refuse_overflow({"mu": mu, "nu": nu}, "n", ns, f"alpha={alpha}, beta={beta}")
+    phase = cmath.exp(-1j * alpha)
+    # 0 by construction: every point's phase is e^(-i*alpha), the
+    # reference phase itself
+    phase_dev = 0.0
+    constants = (alpha, phase.real, phase.imag, phase_dev)
+    table = Table.from_columns(
+        ("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im", "phase_dev"),
+        [ns, mu.tolist(), nu.tolist()] + [[c] * len(ns) for c in constants],
+    )
+    threshold = config.get_float(cfg, "params.phase_threshold")
+    metrics = [Metric("max_phase_dev", phase_dev, threshold)]
+    parameters = {"alpha": alpha, "beta": beta, "n_count": len(ns)}
+    return VerificationReport.build("params", command, parameters, metrics, table)
+
+
+def _scan_contraction(args, cfg) -> VerificationReport:
+    """scan --path q-to-1 or omega-to-0, walked in t = 2^-step."""
+    path = _contraction_path(args, cfg)
+    mu0, nu0 = path.mu0, path.nu0
     endpoint_tol = config.get_float(cfg, "params.endpoint_tol")
-    # refuses a bad params.mu0 or params.nu0 on every path, hbar-to-0 too
-    path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
-
-    if args.path == "hbar-to-0":
-        from . import clockshift
-
-        ntext = args.n if args.n is not None else "0..5"
-        ns = _n_list(ntext)
-        command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
-        mu, nu = clockshift.scaling_columns(alpha, beta, ns)
-        _refuse_overflow({"mu": mu, "nu": nu}, "n", ns, f"alpha={alpha}, beta={beta}")
-        phase = cmath.exp(-1j * alpha)
-        # 0 by construction: every point's phase is e^(-i*alpha), the
-        # reference phase itself
-        phase_dev = 0.0
-        constants = (alpha, phase.real, phase.imag, phase_dev)
-        table = Table.from_columns(
-            ("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im", "phase_dev"),
-            [ns, mu.tolist(), nu.tolist()] + [[c] * len(ns) for c in constants],
-        )
-        metrics = [
-            Metric(
-                "max_phase_dev",
-                phase_dev,
-                config.get_float(cfg, "params.phase_threshold"),
-            )
-        ]
-        parameters = {"alpha": alpha, "beta": beta, "n_count": len(ns)}
-        return VerificationReport.build("params", command, parameters, metrics, table)
-
     # ten halvings of t land the endpoint metrics inside params.endpoint_tol
     ntext = args.n if args.n is not None else "0..10"
     steps = parse_int_list(ntext, "step")
@@ -452,9 +416,9 @@ def _scan_path(args, cfg) -> VerificationReport:
             f"--n steps must lie in 0..{MAX_STEP} (t = 2^-step underflows "
             f"to 0 beyond {MAX_STEP}), got {bad}"
         )
-    command = f"scan --path {args.path} --n {ntext}"
+    command = f"scan --path {path.name} --n {ntext}"
     points = [path.point(2.0 ** (-k)) for k in steps]
-    if args.path == "q-to-1":
+    if path.name == "q-to-1":
         names = ("t", "mu", "nu", "q")
         metric = Metric("final_q_offset", abs(points[-1]["q"] - 1.0), endpoint_tol)
     else:
@@ -463,20 +427,8 @@ def _scan_path(args, cfg) -> VerificationReport:
     columns = {name: [pt[name] for pt in points] for name in names}
     _refuse_overflow(columns, "step", steps, f"params.mu0={mu0}, params.nu0={nu0}")
     table = Table.from_columns(("step",) + names, [steps, *columns.values()])
-    metrics = [metric]
-    parameters = {"path": args.path, "mu0": mu0, "nu0": nu0, "steps": len(steps)}
-    return VerificationReport.build("params", command, parameters, metrics, table)
-
-
-def run_scan(args, cfg) -> VerificationReport:
-    """The scan that :func:`_refuse_unread_flags` found the row of."""
-    if args.path is not None:
-        return _scan_path(args, cfg)
-    if args.engine == "matrix":
-        return _scan_matrix(args, cfg)
-    if args.dims is not None:
-        return _scan_clockshift_grid(args, cfg)
-    return _scan_clockshift_periodicity(args, cfg)
+    parameters = {"path": path.name, "mu0": mu0, "nu0": nu0, "steps": len(steps)}
+    return VerificationReport.build("params", command, parameters, [metric], table)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +454,51 @@ def expand_text(target: str, degree: int) -> str:
     raise ValueError(f"unknown expand target: {target!r}")
 
 
+def _expand(args, cfg) -> str:
+    return expand_text(args.target, _symbolic_degree(args, cfg)) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+# Each row of an argv, as :func:`_row` names it: the flags it reads and the
+# handler that runs it.  --config, --out, --format, --engine, --path and
+# --target apply as the parser allows.
+ROUTES = {
+    "verify --engine symbolic": (("degree",), _verify_symbolic),
+    "verify --engine matrix": (("dim", "interior", "mu", "nu"), _verify_matrix),
+    "verify --engine clock-shift": (("dim", "level"), _verify_clockshift),
+    "scan --engine matrix": (("dims", "mu", "nu", "interior"), _scan_matrix),
+    "scan --engine clock-shift --alpha": (("alpha", "n"), _scan_clockshift_periodicity),
+    "scan --engine clock-shift --dims": (("dims",), _scan_clockshift_grid),
+    "scan --path hbar-to-0": (("alpha", "beta", "n"), _scan_hbar),
+    "scan --path q-to-1": (("n",), _scan_contraction),
+    "scan --path omega-to-0": (("n",), _scan_contraction),
+    "expand": (("degree",), _expand),
+}
+# every flag some row reads, each once, in the order the rows list them
+_ROUTED_FLAGS = tuple(dict.fromkeys(f for reads, _ in ROUTES.values() for f in reads))
+
+
+def _row(args) -> str:
+    """The ROUTES row of parsed arguments."""
+    if args.command == "expand":
+        return "expand"
+    if args.command == "verify":
+        return f"verify --engine {args.engine}"
+    if (args.engine is None) == (args.path is None):
+        raise ValueError("scan needs exactly one of --engine or --path")
+    if args.path is not None:
+        return f"scan --path {args.path}"
+    if args.engine == "matrix":
+        return "scan --engine matrix"
+    if args.alpha is None and args.dims is None:
+        raise ValueError(
+            "clock-shift scan needs one of --alpha (periodicity) or --dims (grid)"
+        )
+    return "scan --engine clock-shift " + ("--alpha" if args.dims is None else "--dims")
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -517,21 +511,19 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     try:
-        _refuse_unread_flags(args)
-        cfg = config.load_config(args.config)
-        if args.command == "expand":
-            degree = _symbolic_degree(args, cfg)
-            _emit(expand_text(args.target, degree) + "\n", args.out)
+        row = _row(args)
+        reads, handler = ROUTES[row]
+        for flag in _ROUTED_FLAGS:
+            if flag not in reads and getattr(args, flag, None) is not None:
+                raise ValueError(f"--{flag} does not apply to {row}")
+        result = handler(args, config.load_config(args.config))
+        if isinstance(result, str):  # an expansion: canonical text, no verdict
+            _emit(result, args.out)
             return 0
-        if args.command == "verify":
-            report = run_verify(args, cfg)
-        else:
-            report = run_scan(args, cfg)
-        _emit(report.render(args.format), args.out)
+        _emit(result.render(args.format), args.out)
     except Exception as exc:  # noqa: BLE001 - malformed input must not traceback
         engine = getattr(args, "engine", None)
         if engine is None:
@@ -548,7 +540,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for line in dict.fromkeys((str(exc), str(unwritable))):
                 sys.stderr.write(line + "\n")
         return 2
-    return {"pass": 0, "fail": 1}.get(report.verdict, 2)
+    return {"pass": 0, "fail": 1}.get(result.verdict, 2)
 
 
 if __name__ == "__main__":

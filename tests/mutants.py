@@ -278,17 +278,32 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
-        "clock-shift scan takes --alpha and --dims together",
+        "clock-shift grid row also reads --alpha",
         "src/qdeform/cli.py",
-        '"scan --engine clock-shift --dims": ("dims",),',
-        '"scan --engine clock-shift --dims": ("dims", "alpha"),',
+        '--dims": (("dims",), _scan_clockshift_grid),',
+        '--dims": (("dims", "alpha"), _scan_clockshift_grid),',
         ("tests/test_cli.py",),
     ),
     Mutant(
-        "flag table drops the clock-shift verify row",
+        "route table drops the clock-shift verify row",
         "src/qdeform/cli.py",
-        '    "verify --engine clock-shift": ("dim", "level"),\n',
+        '    "verify --engine clock-shift": (("dim", "level"), _verify_clockshift),\n',
         "",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "row finder sends --dims to the periodicity table",
+        "src/qdeform/cli.py",
+        '("--alpha" if args.dims is None else "--dims")',
+        '"--alpha"',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "hbar-to-0 reads params.endpoint_tol, which it has no metric for",
+        "src/qdeform/cli.py",
+        "\n    _contraction_path(args, cfg)\n",
+        "\n    _contraction_path(args, cfg)\n"
+        '    config.get_float(cfg, "params.endpoint_tol")\n',
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import io
 import json
@@ -562,6 +563,35 @@ def test_path_config_outside_domain_is_named_error(
 
 
 @pytest.mark.parametrize(
+    "path,line,named",
+    [
+        # each exited 2 on a key that the path does not read
+        ("q-to-1", "params.alpha = banana", None),
+        ("omega-to-0", "params.beta = x", None),
+        ("hbar-to-0", "params.endpoint_tol = inf", None),
+        # the paths that read them still refuse them
+        ("hbar-to-0", "params.alpha = banana",
+         "ConfigError: bad config value for params.alpha"),
+        ("hbar-to-0", "params.beta = x",
+         "ConfigError: bad config value for params.beta"),
+        ("omega-to-0", "params.endpoint_tol = inf",
+         "ConfigError: config value for params.endpoint_tol must be finite, got inf"),
+    ],
+)
+def test_path_scan_reads_only_its_own_config_keys(invoke, tmp_path, path, line, named):
+    cfg = tmp_path / "path.cfg"
+    cfg.write_text(line + "\n")
+    code, out = invoke(["scan", "--path", path, "--config", str(cfg)])
+    if named is None:
+        assert code == 0
+        _, default = invoke(["scan", "--path", path])
+        assert mask_timestamp(out) == mask_timestamp(default)
+    else:
+        assert code == 2
+        assert json.loads(out)["parameters"]["error"] == named
+
+
+@pytest.mark.parametrize(
     "beta,ns,named",
     [
         # nu = inf with verdict pass and exit 0 before
@@ -614,7 +644,7 @@ def test_scan_selector_errors_name_both_flags(invoke, argv, named):
         assert flag in error
 
 
-# one passing argv per row of cli.FLAGS_READ with the flags that row
+# one passing argv per row of cli.ROUTES with the flags that row
 # reads, stated here independently of the table; expand takes no flag
 # that it does not read, so the parser itself refuses the rest
 ROW_ARGVS = {
@@ -680,7 +710,61 @@ def test_a_flag_the_row_does_not_read_is_refused(invoke, row, flag):
 
 
 def test_flag_table_has_one_row_per_command_route():
-    assert set(cli.FLAGS_READ) == set(ROW_ARGVS) | {"expand"}
+    assert set(cli.ROUTES) == set(ROW_ARGVS) | {"expand"}
+
+
+def _parser_actions():
+    """(command, action) for each argument of each subcommand of the parser."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action) for name, p in sub.choices.items() for action in p._actions]
+
+
+def _choices(command, flag):
+    return next(
+        action.choices for name, action in _parser_actions()
+        if name == command and flag in action.option_strings
+    )
+
+
+# each route the parser allows, from its own choices: every verify engine,
+# scan path and scan engine (a clock-shift scan by either selector) and
+# every expand target
+SCAN_SELECTORS = {"clock-shift": (["--alpha", "1"], ["--dims", "2"])}
+PARSER_ROUTES = (
+    [["verify", "--engine", engine] for engine in _choices("verify", "--engine")]
+    + [["scan", "--path", path] for path in _choices("scan", "--path")]
+    + [
+        ["scan", "--engine", engine, *selector]
+        for engine in _choices("scan", "--engine")
+        for selector in SCAN_SELECTORS.get(engine, ([],))
+    ]
+    + [["expand", "--target", target] for target in _choices("expand", "--target")]
+)
+# the flags every row takes as the parser allows, and those that choose it
+ROUTING_FLAGS = {"--config", "--out", "--format", "--engine", "--path", "--target"}
+
+
+def test_each_parser_route_reaches_a_row_and_every_row_is_reached():
+    parse = cli.build_parser().parse_args
+    rows = {" ".join(argv): cli._row(parse(argv)) for argv in PARSER_ROUTES}
+    assert {argv: row for argv, row in rows.items() if row not in cli.ROUTES} == {}
+    assert set(rows.values()) == set(cli.ROUTES)
+
+
+def test_every_parser_flag_is_read_by_a_row_of_its_command():
+    flags = [
+        (command, action.dest)
+        for command, action in _parser_actions()
+        if action.option_strings
+        and "-h" not in action.option_strings
+        and not ROUTING_FLAGS & set(action.option_strings)
+    ]
+    read = {
+        (row.split()[0], flag) for row, (reads, _) in cli.ROUTES.items()
+        for flag in reads
+    }
+    assert flags and [pair for pair in flags if pair not in read] == []
 
 
 def test_symbolic_verify_and_expand_never_load_numpy():
@@ -1046,6 +1130,13 @@ GRID_AT_BOUND = "1," + "1024," * 256 + "257"
          "--n length must be at most 262144, got 1000000000001"),
         (["verify", "--engine", "clock-shift", "--dim", "1000000000"], "",
          "--dim must be at most 1048576, got 1000000000"),
+        # not integers: int()'s error named neither the flag nor the list before
+        (["scan", "--engine", "clock-shift", "--alpha", "1", "--n", "0..x"], "",
+         "--n takes integers: invalid literal for int() with base 10: 'x'"),
+        (["scan", "--engine", "matrix", "--dims", "10,abc"], "",
+         "--dims takes integers: invalid literal for int() with base 10: 'abc'"),
+        (["scan", "--path", "q-to-1", "--n", "1e3"], "",
+         "--n takes integers: invalid literal for int() with base 10: '1e3'"),
     ],
 )
 def test_size_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):
