@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -134,10 +135,19 @@ def _n_list(text: str) -> list[int]:
 
 
 def _ints(tokens: list[str], flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError as exc:  # int() quotes the token it cannot read
-        raise ValueError(f"{flag} takes integers: {exc}") from None
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError as exc:  # int() quotes the token it cannot read
+            if not re.fullmatch(r"\s*[+-]?\d+\s*", tok):
+                raise ValueError(f"{flag} takes integers: {exc}") from None
+            # an integer past int()'s 4300 digits, far past every bound
+            digits = len(tok.strip().lstrip("+-"))
+            raise ValueError(
+                f"{flag} value of {digits} digits is past the bound of {flag}"
+            ) from None
+    return values
 
 
 def parse_int_list(text: Optional[str], what: str, flag: str = "--n") -> list[int]:

@@ -105,7 +105,7 @@ def load_config(path: Optional[str] = None) -> dict[str, str]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         entries = parse_config_text(text)
         for key, value in entries.items():

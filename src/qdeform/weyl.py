@@ -20,7 +20,6 @@ behind the quantum-plane limit, and the free-particle commutator rule
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
@@ -65,22 +64,6 @@ class ParamPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __add__(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        return _poly(_merge(self.terms, other.terms, operator.add))
-
-    def __sub__(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        return _poly(_merge(self.terms, other.terms, operator.sub, operator.neg))
-
-    def __neg__(self) -> "ParamPolynomial":
-        return _poly({k: -v for k, v in self.terms.items()})
-
-    def scaled(self, scalar) -> "ParamPolynomial":
-        scalar = _as_scalar(scalar)
-        if scalar.is_zero:
-            return _poly({})
-        # Q(i) is a field: nonzero times nonzero stays nonzero
-        return _poly({k: v * scalar for k, v in self.terms.items()})
 
     def truncated(self, cap: int) -> "ParamPolynomial":
         return _poly({k: v for k, v in self.terms.items() if k[0] + k[1] <= cap})
@@ -167,49 +150,37 @@ class WeylSeriesElement:
     __hash__ = None
 
     # -- linear operations ---------------------------------------------
+    # each sums raw coefficients in one accumulator and reduces once
 
     def __add__(self, other: "WeylSeriesElement") -> "WeylSeriesElement":
         _check_degree(self, other)
-        return _element(self.degree, _merge(self.terms, other.terms, operator.add))
+        acc = _add_scaled({}, self.terms, 1)
+        return _from_accumulator(_add_scaled(acc, other.terms, 1), self.degree)
 
     def __sub__(self, other: "WeylSeriesElement") -> "WeylSeriesElement":
         _check_degree(self, other)
-        return _element(
-            self.degree, _merge(self.terms, other.terms, operator.sub, operator.neg)
-        )
+        acc = _add_scaled({}, self.terms, 1)
+        return _from_accumulator(_add_scaled(acc, other.terms, -1), self.degree)
 
     def __neg__(self) -> "WeylSeriesElement":
-        return _element(self.degree, {m: -p for m, p in self.terms.items()})
+        return self.scaled(-1)
 
     def __mul__(self, other: "WeylSeriesElement") -> "WeylSeriesElement":
         return normal_product(self, other)
 
     def scaled(self, scalar) -> "WeylSeriesElement":
-        scalar = _as_scalar(scalar)
-        if scalar.is_zero:
-            return _element(self.degree, {})
-        return _element(
-            self.degree, {m: p.scaled(scalar) for m, p in self.terms.items()}
+        s = _as_scalar(scalar)
+        return _from_accumulator(
+            _add_scaled({}, self.terms, s._a, s._b, s._d), self.degree
         )
-
-    def scaled_by_poly(self, poly: ParamPolynomial) -> "WeylSeriesElement":
-        factor = _triples(poly)
-        acc: dict = {}
-        for mono, p in self.terms.items():
-            _product_into(acc.setdefault(mono, {}), _triples(p), factor, self.degree)
-        return _from_accumulator(acc, self.degree)
-
-    # -- derivative -----------------------------------------------------
 
     def p_derivative(self) -> "WeylSeriesElement":
         """Termwise d/dp; only meaningful for elements free of x."""
-        out: dict[WeylMonomial, ParamPolynomial] = {}
-        for mono, poly in self.terms.items():
-            if mono.p_pow == 0:
-                continue
-            # distinct words stay distinct after lowering the p power
-            out[WeylMonomial(mono.x_pow, mono.p_pow - 1)] = poly.scaled(mono.p_pow)
-        return _element(self.degree, out)
+        acc: dict = {}
+        for (x, p), poly in self.terms.items():
+            if p:
+                _add_scaled(acc, {(x, p - 1): poly}, p)
+        return _from_accumulator(acc, self.degree)
 
     # -- serialization ----------------------------------------------------
 
@@ -289,26 +260,11 @@ def _join_terms(chunks: list[tuple[int, str]]) -> str:
     return "".join(parts)
 
 
-def _merge(left: dict, right: dict, op, lone=None) -> dict:
-    """left op right on dicts of nonzero values, dropping zero results;
-    ``lone`` maps a right value whose key is missing on the left."""
-    out = dict(left)
-    for key, value in right.items():
-        if key in out:
-            value = op(out[key], value)
-            if value.is_zero:
-                del out[key]
-                continue
-        elif lone is not None:
-            value = lone(value)
-        out[key] = value
-    return out
-
-
-# The product kernel works on raw coefficients: a list [a, b, d] stands
-# for (a + b*i)/d with d > 0 but is not reduced.  Contributions are summed
-# in these lists with integer arithmetic only, and each output coefficient
-# is brought to canonical form by one gcd when the result is built.
+# Every sum, scaling and product works on raw coefficients: a list
+# [a, b, d] stands for (a + b*i)/d with d > 0 but is not reduced.
+# Contributions are summed in these lists with integer arithmetic only,
+# and each output coefficient is brought to canonical form by one gcd when
+# the result is built.
 
 
 def _reorder(p_pow: int, x_pow: int) -> list[tuple[int, int, int]]:
@@ -353,6 +309,16 @@ def _add_raw(dst: dict, key, a: int, b: int, d: int) -> None:
         cur[0] = cur[0] * d + a * e
         cur[1] = cur[1] * d + b * e
         cur[2] = e * d
+
+
+def _add_scaled(acc: dict, terms: dict, re: int, im: int = 0, d: int = 1) -> dict:
+    """acc += ((re + i*im)/d) * e for the element e with these terms, on
+    raw coefficients with no gcd; returns acc."""
+    for mono, poly in terms.items():
+        dst = acc.setdefault(mono, {})
+        for m, n, a, b, e in _triples(poly, re, im):
+            _add_raw(dst, (m, n), a, b, e * d)
+    return acc
 
 
 def _product_into(dst: dict, left: list, right: list, cap: int) -> None:
@@ -530,15 +496,19 @@ def cosh_element(side: str, degree: int) -> WeylSeriesElement:
 # ---------------------------------------------------------------------------
 
 
+def _central(degree: int, coeffs: dict) -> WeylSeriesElement:
+    """The (mu, nu) polynomial with these coefficients, on the empty word."""
+    return WeylSeriesElement(degree, {(0, 0): coeffs})
+
+
 def _rhs_sum(degree: int) -> dict:
     """identity_rhs as a raw accumulator: the central factor c(mu*nu) is
     folded into cosh(mu*p) first, which is exact because truncation by
     total degree is multiplicative, and -i weights both products."""
     # c(mu*nu): c_j multiplies mu^j nu^j, of degree 2j, so j <= degree/2
     c = prefactor_series(degree // 2)
-    left = cosh_element("momentum", degree).scaled_by_poly(
-        ParamPolynomial({(j, j): c_j for j, c_j in enumerate(c)})
-    )
+    central = _central(degree, {(j, j): c_j for j, c_j in enumerate(c)})
+    left = _sum(degree, {}, (cosh_element("momentum", degree), central, 1, 0))
     right = cosh_element("position", degree)
     acc: dict = {}
     _add_product(acc, left, right, 0, -1)
@@ -569,18 +539,13 @@ def sqrt_defects(
     """
     degree = root.degree
     base = _generator_series(side, degree, 1, 2)  # P or X
-    par = ParamPolynomial({(2, 0) if side == "momentum" else (0, 2): 1})
+    par = _central(degree, {(2, 0) if side == "momentum" else (0, 2): 1})
+    scaled_base = _sum(degree, {}, (base, par, 1, 0))  # mu^2 P or nu^2 X
     one = WeylSeriesElement.one(degree)
-    minus_one = {(0, 0): {(0, 0): [-1, 0, 1]}}
-    square = ((root, root, 1, 0), (base.scaled_by_poly(par), base, -1, 0))
-    constant = {
-        mono: {(0, 0): poly.terms[(0, 0)]}
-        for mono, poly in root.terms.items()
-        if (0, 0) in poly.terms
-    }
+    square = ((root, root, 1, 0), (scaled_base, base, -1, 0))
     return (
-        _sum(degree, minus_one, *square),
-        WeylSeriesElement(degree, constant) - one,
+        _sum(degree, _add_scaled({}, one.terms, -1), *square),
+        WeylSeriesElement(degree, root.truncated(0).terms) - one,
     )
 
 
@@ -604,7 +569,7 @@ def exchange_residual(degree: int) -> WeylSeriesElement:
     for j in range(degree // 2 + 1):
         re, im = _MINUS_I_POW[j % 4]
         phase[(j, j)] = _raw(re, im, factorial(j))  # one of re, im is +-1
-    phased = exp_x.scaled_by_poly(ParamPolynomial(phase))
+    phased = _sum(degree, {}, (exp_x, _central(degree, phase), 1, 0))
     return _sum(degree, {}, (exp_p, exp_x, 1, 0), (phased, exp_p, -1, 0))
 
 
@@ -630,9 +595,7 @@ def identity_checks(degree: int) -> IdentityChecks:
         for mono, raw in rhs.items()
     }
     # minus_rhs holds its own lists, so rhs becomes the leading order here
-    for mono, poly in leading_order_target(degree).terms.items():
-        for m, n, a, b, d in _triples(poly, -1):
-            _add_raw(rhs.setdefault(mono, {}), (m, n), a, b, d)
+    _add_scaled(rhs, leading_order_target(degree).terms, -1)
     return IdentityChecks(
         identity=_sum(degree, minus_rhs, (p, x, 1, 0), (x, p, -1, 0)),
         exchange=exchange_residual(degree),

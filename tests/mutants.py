@@ -196,14 +196,14 @@ MUTANTS = (
     Mutant(
         "square-root check squares against 1 - mu^2 P^2",
         "src/qdeform/weyl.py",
-        "(base.scaled_by_poly(par), base, -1, 0)",
-        "(base.scaled_by_poly(par), base, 1, 0)",
+        "(scaled_base, base, -1, 0)",
+        "(scaled_base, base, 1, 0)",
         ("tests/test_weyl.py",),
     ),
     Mutant(
         "square-root check drops the branch element",
         "src/qdeform/weyl.py",
-        "WeylSeriesElement(degree, constant) - one,",
+        "WeylSeriesElement(degree, root.truncated(0).terms) - one,",
         "WeylSeriesElement.zero(degree),",
         ("tests/test_weyl.py",),
     ),
@@ -220,6 +220,20 @@ MUTANTS = (
         "(phased, exp_p, -1, 0)",
         "(phased, exp_p, 1, 0)",
         ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "exchange phase enters its central product with the sign flipped",
+        "src/qdeform/weyl.py",
+        "(exp_x, _central(degree, phase), 1, 0)",
+        "(exp_x, _central(degree, phase), -1, 0)",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "element subtraction adds instead of subtracting",
+        "src/qdeform/weyl.py",
+        "_add_scaled(acc, other.terms, -1)",
+        "_add_scaled(acc, other.terms, 1)",
+        ("tests/test_weyl_properties.py",),
     ),
     Mutant(
         "product kernel prunes word pairs whose lowest degree is the cap",

@@ -176,10 +176,12 @@ def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
     monkeypatch.setattr(weyl, "_rhs_sum", counted_rhs)
     code, _ = invoke(["verify", "--engine", "symbolic", "--degree", "6"])
     assert code == 0
-    # ten signed products: P*X and -X*P; the right-hand side's two, each
-    # weighted -i; the exchange identity's two; and root*root and
-    # -(mu^2 P)*P (nu^2 X on the position side) per square-root side
-    assert weights == {(1, 0): 4, (-1, 0): 4, (0, -1): 2}
+    # fourteen signed products: P*X and -X*P; the right-hand side's two,
+    # each weighted -i, after cosh(mu*p)*c(mu*nu); the exchange identity's
+    # two, after e^(nu*x) times its phase; and per square-root side
+    # root*root and -(mu^2 P)*P after mu^2*P (nu^2 X on the position
+    # side); every central factor is an element on the empty word
+    assert weights == {(1, 0): 8, (-1, 0): 4, (0, -1): 2}
     # the right-hand side is summed once and shared by two residuals
     assert rhs_sums == {6: 1}
 
@@ -882,6 +884,17 @@ def test_missing_config_file_is_error(invoke, tmp_path):
     assert code == 2
 
 
+def test_config_file_not_utf8_is_named_error(invoke, tmp_path):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfes\x00y\x00")
+    code, out = invoke(["verify", "--engine", "symbolic", "--config", str(path)])
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == (
+        f"ConfigError: cannot read config file {path}: 'utf-8' codec can't "
+        "decode byte 0xff in position 0: invalid start byte"
+    )
+
+
 @pytest.mark.parametrize(
     "line,named",
     [
@@ -1137,6 +1150,12 @@ GRID_AT_BOUND = "1," + "1024," * 256 + "257"
          "--dims takes integers: invalid literal for int() with base 10: 'abc'"),
         (["scan", "--path", "q-to-1", "--n", "1e3"], "",
          "--n takes integers: invalid literal for int() with base 10: '1e3'"),
+        # past int()'s 4300 digits: its own error pointed at
+        # sys.set_int_max_str_digits()
+        (["scan", "--path", "q-to-1", "--n", "7" * 5000], "",
+         "--n value of 5000 digits is past the bound of --n"),
+        (["scan", "--engine", "matrix", "--dims", "16,-" + "7" * 5000], "",
+         "--dims value of 5000 digits is past the bound of --dims"),
     ],
 )
 def test_size_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):

@@ -2,7 +2,9 @@
 
 Hypothesis draws commands, engines, flags and values (nan, inf, negative
 numbers, empty lists, out-of-range values; small sizes, plus a few just
-past the CLI's size bounds), sometimes with a config file.  Every argv must end in exit 0, 1 or 2 without an
+past the CLI's size bounds), sometimes with a config file; two draws
+in three follow one row of ``cli.ROUTES`` with valid values, so that
+most of those reach a verdict.  Every argv must end in exit 0, 1 or 2 without an
 uncaught exception or a numpy warning, and print strict JSON whenever a
 report is JSON (an expansion prints its canonical text, and takes no
 --format).  An error report carries a ValueError or ConfigError, the
@@ -52,6 +54,21 @@ CONFIG_LINES = st.sampled_from(
 )
 
 
+# small values that every ROUTES row reading the flag accepts
+VALID = {
+    "degree": st.sampled_from(["0", "2", "5"]),
+    "dim": st.sampled_from(["12", "16", "24"]),
+    "interior": st.sampled_from(["4", "8"]),
+    "mu": st.sampled_from(["0", "0.1", "0.5"]),
+    "nu": st.sampled_from(["0", "0.2", "0.5"]),
+    "level": st.sampled_from(["1", "2", "3"]),
+    "dims": st.sampled_from(["10,12,14,16", "9..12"]),
+    "alpha": st.sampled_from(["0.1", "1", "2.5"]),
+    "beta": st.sampled_from(["0.5", "1", "2.5"]),
+    "n": st.sampled_from(["0..5", "0,2,4", "7", "0..40"]),
+}
+
+
 def _flags(draw, options):
     argv = []
     for flag, values in options.items():
@@ -62,6 +79,10 @@ def _flags(draw, options):
 
 @st.composite
 def commands(draw):
+    # two draws in three take one ROUTES row and only the flags it reads,
+    # at valid values, so that most of them reach a verdict
+    if draw(st.sampled_from([True, True, False])):
+        return draw(route_commands())
     command = draw(st.sampled_from(["verify", "scan", "expand"]))
     argv = [command]
     if command == "verify":
@@ -101,6 +122,30 @@ def commands(draw):
             "--degree": st.sampled_from(["-1", "0", "3", "6", "65", "100000000", "x"])
         })
     argv += _flags(draw, {"--format": st.sampled_from(["json", "csv", "text", "xml"])})
+    return _joined(argv)
+
+
+@st.composite
+def route_commands(draw):
+    """A ROUTES row with valid values for some of the flags it reads (and
+    for its --alpha or --dims selector), in a format it can print."""
+    row = draw(st.sampled_from(sorted(cli.ROUTES)))
+    reads, _ = cli.ROUTES[row]
+    words = row.split()
+    argv, selector = words[:3], [word[2:] for word in words[3:]]
+    if argv[0] == "expand":
+        argv += ["--target", draw(st.sampled_from(cli.EXPAND_TARGETS))]
+    for flag in reads:
+        if flag in selector or draw(st.booleans()):
+            argv += [f"--{flag}", draw(VALID[flag])]
+    # only a scan has a table to print as CSV, and expand takes no --format
+    formats = {"verify": ["json", "text"], "scan": ["json", "csv", "text"]}
+    if argv[0] in formats:
+        argv += _flags(draw, {"--format": st.sampled_from(formats[argv[0]])})
+    return _joined(argv)
+
+
+def _joined(argv):
     # "=" keeps values that start with "-" from reading as flags
     return [argv[0]] + [
         f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])

@@ -103,6 +103,50 @@ def test_brackets_sum_both_products_like_the_oracle(pair):
     assert anticommutator(a, b) == ab + ba
 
 
+def _coefficients(element):
+    """word -> (mu, nu) powers -> scalar, as plain dicts."""
+    return {tuple(mono): dict(poly.terms) for mono, poly in element.terms.items()}
+
+
+def _linear_oracle(*parts):
+    """sum of scalar * element over (scalar, element), one RationalComplex
+    sum per coefficient, with zero coefficients and empty words dropped."""
+    out = {}
+    for scalar, element in parts:
+        for mono, poly in element.terms.items():
+            word = out.setdefault(tuple(mono), {})
+            for key, c in poly.terms.items():
+                word[key] = word.get(key, RationalComplex(0)) + scalar * c
+    out = {
+        mono: {key: c for key, c in word.items() if not c.is_zero}
+        for mono, word in out.items()
+    }
+    return {mono: word for mono, word in out.items() if word}
+
+
+# p + 2 and -p - 1: each word of P_PLUS_ONE cancels against one of them
+P_PLUS_TWO = WeylSeriesElement(2, {(0, 1): {(0, 0): 1}, (0, 0): {(0, 0): 2}})
+MINUS_P_MINUS_ONE = WeylSeriesElement(2, {(0, 1): {(0, 0): -1}, (0, 0): {(0, 0): -1}})
+
+
+@given(element_pairs(), small_scalars | scalars)
+@settings(max_examples=150)
+@example((P_PLUS_ONE, P_PLUS_TWO), RationalComplex(0))
+@example((P_PLUS_ONE, MINUS_P_MINUS_ONE), RationalComplex(1))
+@example((MIXED_A, MIXED_B), RationalComplex(Fraction(1, 3), Fraction(-2, 3)))
+def test_linear_operations_match_coefficientwise_oracle(pair, scalar):
+    a, b = pair
+    one, minus_one = RationalComplex(1), RationalComplex(-1)
+    for got, parts in (
+        (a + b, ((one, a), (one, b))),
+        (a - b, ((one, a), (minus_one, b))),
+        (-a, ((minus_one, a),)),
+        (a.scaled(scalar), ((scalar, a),)),
+    ):
+        assert got.degree == a.degree
+        assert _coefficients(got) == _linear_oracle(*parts)
+
+
 @st.composite
 def perturbed_roots(draw):
     """(side, cosh of that side plus a nonzero element) at one degree in
