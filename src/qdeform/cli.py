@@ -12,9 +12,17 @@ Exit status: 0 when the report verdict is pass, 1 on fail, 2 on error
 (including usage errors).  Reports are deterministic for fixed inputs
 and tool version; only the timestamp field differs between runs.
 
-numpy and the numeric engines are imported only by the matrix,
-clock-shift and path commands, so a symbolic verify or an expand runs
-on integers alone and never loads numpy.
+Each handler imports the engine it runs, so start-up loads only this
+module, config, params and report, and neither numpy nor dataclasses.
+The rows load in addition:
+
+* ``verify --engine symbolic`` and ``expand``: weyl and rational; they
+  run on integers alone and never load numpy;
+* ``verify`` and ``scan --engine matrix``: matrixrep and numpy;
+* ``verify`` and ``scan --engine clock-shift`` and ``scan --path
+  hbar-to-0``: clockshift and numpy;
+* ``scan --path q-to-1`` and ``omega-to-0``: numpy, to find an overflowed
+  cell.
 """
 
 from __future__ import annotations
@@ -26,8 +34,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import config, params, weyl
-from .rational import I
+from . import config, params
 from .report import Metric, Table, VerificationReport
 
 EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
@@ -186,6 +193,8 @@ def _symbolic_degree(args, cfg) -> int:
 
 
 def _verify_symbolic(args, cfg) -> VerificationReport:
+    from . import weyl
+
     degree = _symbolic_degree(args, cfg)
     command = f"verify --engine symbolic --degree {degree}"
     checks = weyl.identity_checks(degree)
@@ -448,6 +457,9 @@ def _scan_contraction(args, cfg) -> VerificationReport:
 
 def expand_text(target: str, degree: int) -> str:
     """Canonical series text for the CLI expansion targets."""
+    from . import weyl
+    from .rational import I
+
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if target == "P":

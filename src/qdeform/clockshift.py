@@ -125,27 +125,57 @@ def qplane_residuals(dim: int) -> np.ndarray:
     return _qplane_max(phases, roots[-levels % dim, np.newaxis])
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a*b elementwise, each real product rounded on its own as in a dense
-    matrix product; numpy's complex multiply may fuse one product into the
-    sum (FMA), which rounds differently."""
-    out = np.empty(len(a), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _square(re: np.ndarray, im: np.ndarray, scratch: np.ndarray) -> None:
+    """(re + i*im)**2 elementwise, in place: re*re - im*im and
+    (re*im) + (re*im), each real product rounded on its own as in a dense
+    matrix product (numpy's complex multiply may fuse one product into the
+    sum, which rounds differently)."""
+    np.multiply(re, im, out=scratch)
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    np.subtract(re, im, out=re)
+    np.add(scratch, scratch, out=im)
+
+
+def _multiply(
+    re: np.ndarray, im: np.ndarray, by_re: np.ndarray, by_im: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """(re + i*im) *= (by_re + i*by_im) elementwise, in place: re*by_re -
+    im*by_im and re*by_im + im*by_re, each real product rounded on its own."""
+    cross, skew = scratch
+    np.multiply(re, by_im, out=cross)
+    np.multiply(re, by_re, out=re)
+    np.multiply(im, by_im, out=skew)
+    np.subtract(re, skew, out=re)
+    np.multiply(im, by_re, out=im)
+    np.add(cross, im, out=im)
 
 
 def _power_by_squaring(values: np.ndarray, exponent: int) -> np.ndarray:
     """values**exponent elementwise, exponent >= 1, multiplied in the order
     np.linalg.matrix_power uses (squares taken from the lowest bit up), so
-    the rounding follows that of the dense power of diag(values)."""
-    result = square = None
-    while exponent:
-        square = values if square is None else _product(square, square)
+    the rounding follows that of the dense power of diag(values).
+
+    The chain runs in place on real and imaginary buffers allocated
+    once, so no step allocates an array.
+    """
+    square_re, square_im = values.real.copy(), values.imag.copy()
+    scratch = (np.empty_like(square_re), np.empty_like(square_re))
+    result = None
+    while True:
         exponent, bit = divmod(exponent, 2)
-        if bit:
-            result = square if result is None else _product(result, square)
-    return result
+        if bit and result is None:
+            result = square_re.copy(), square_im.copy()
+        elif bit:
+            _multiply(*result, square_re, square_im, scratch)
+        if not exponent:
+            break
+        _square(square_re, square_im, scratch[0])
+    del square_re, square_im, scratch  # freed before the complex result
+    power = np.empty_like(values)
+    power.real, power.imag = result
+    return power
 
 
 def pair_defects(pair: ClockShiftPair) -> tuple[float, float, float, float]:
@@ -155,12 +185,13 @@ def pair_defects(pair: ClockShiftPair) -> tuple[float, float, float, float]:
     shift by N, which is the identity permutation.  V's are read off its
     diagonal, with V^N multiplied out rather than reduced to exponents
     mod N, so that its defect measures the accumulated rounding of the
-    clock phases.
+    clock phases.  A diagonal entry of V V^dag is re*re + im*im, with an
+    imaginary part of exactly 0.
     """
     c = pair.phases
     return (
         0.0,
-        float(np.max(np.abs(_product(c, c.conj()) - 1.0))),
+        float(np.max(np.abs(c.real * c.real + c.imag * c.imag - 1.0))),
         0.0,
         float(np.max(np.abs(_power_by_squaring(c, pair.dim) - 1.0))),
     )

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 PATH_NAMES = ("q-to-1", "hbar-to-0", "omega-to-0")
 
@@ -27,28 +26,36 @@ UNIT_TAGS = {"hbar": "J.s", "m": "kg", "c": "m/s", "omega": "1/s"}
 _QUANTITY_RE = re.compile(r"^\s*([^\s]+)(?:\s+([^\s]+))?\s*$")
 
 
-@dataclass(frozen=True)
-class ContractionPath:
-    """Executable path t in (0, 1] -> parameter values toward a limit regime."""
-
+class _PathFields(NamedTuple):
     name: str
     mu0: float = 1.0
     nu0: float = 1.0
 
-    def __post_init__(self):
-        if self.name not in PATH_NAMES:
+
+class ContractionPath(_PathFields):
+    """Executable path t in (0, 1] -> parameter values toward a limit regime."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, mu0: float = 1.0, nu0: float = 1.0):
+        if name not in PATH_NAMES:
             raise ValueError(
-                f"unknown contraction path {self.name!r}; expected one of {PATH_NAMES}"
+                f"unknown contraction path {name!r}; expected one of {PATH_NAMES}"
             )
-        for key in ("mu0", "nu0"):
-            value = getattr(self, key)
+        for key, value in (("mu0", mu0), ("nu0", nu0)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"params.{key} must be finite and >= 0, got {value}")
-        if self.name == "omega-to-0" and self.mu0 == 0:
+        if name == "omega-to-0" and mu0 == 0:
             raise ValueError(
                 f"params.mu0 must be > 0 on omega-to-0 (omega_ratio = nu / mu0), "
-                f"got {self.mu0}"
+                f"got {mu0}"
             )
+        return super().__new__(cls, name, mu0, nu0)
+
+    @classmethod
+    def _make(cls, iterable) -> "ContractionPath":
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
     def point(self, t: float) -> dict:
         if not 0.0 < t <= 1.0:

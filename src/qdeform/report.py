@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+import time
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+from . import __version__
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(NamedTuple):
     name: str
     value: float
     threshold: Optional[float] = None
@@ -74,26 +74,34 @@ class Table:
         return f"Table(columns={self.columns!r}, rows={self.rows!r})"
 
 
-@dataclass
 class VerificationReport:
-    engine: str
-    command: str
-    parameters: dict
-    metrics: list[Metric] = field(default_factory=list)
-    table: Optional[Table] = None
-    verdict: str = "pass"
-    tool_version: str = ""
-    timestamp: str = ""
+    """One verdict with its metrics, parameters and optional table.
 
-    def __post_init__(self):
-        if not self.tool_version:
-            from . import __version__
+    An empty ``tool_version`` or ``timestamp`` is filled in with this
+    package's version and the current UTC time.
+    """
 
-            self.tool_version = __version__
-        if not self.timestamp:
-            self.timestamp = (
-                datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-            )
+    def __init__(
+        self,
+        engine: str,
+        command: str,
+        parameters: dict,
+        metrics: Optional[list[Metric]] = None,
+        table: Optional[Table] = None,
+        verdict: str = "pass",
+        tool_version: str = "",
+        timestamp: str = "",
+    ):
+        self.engine = engine
+        self.command = command
+        self.parameters = parameters
+        self.metrics = [] if metrics is None else metrics
+        self.table = table
+        self.verdict = verdict
+        self.tool_version = tool_version or __version__
+        self.timestamp = timestamp or time.strftime(
+            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
+        )
 
     @classmethod
     def build(
@@ -150,20 +158,24 @@ class VerificationReport:
             "timestamp": self.timestamp,
         }
         text = json.dumps(payload, indent=2, allow_nan=False)
-        if table is not None and _row_count(table):
-            # the table's rows are the last "rows" key at its depth: a JSON
-            # string cannot hold the raw newline in front of it
-            head, _, tail = text.rpartition('\n    "rows": []')
-            text = f"{head}\n    \"rows\": {_json_rows(table)}{tail}"
-        return text + "\n"
+        if table is None or not _row_count(table):
+            return text + "\n"
+        # the table's rows are the last "rows" key at its depth: a JSON
+        # string cannot hold the raw newline in front of it.  One join, so
+        # the rows are copied once more, not once per enclosing piece.
+        head, _, tail = text.rpartition('\n    "rows": []')
+        return "".join(
+            (head, '\n    "rows": [\n      [\n        ', *_json_rows(table),
+             "\n      ]\n    ]", tail, "\n")
+        )
 
     def to_csv(self) -> str:
         if self.table is None:
             raise ValueError("report has no table; csv format needs one")
-        lines = [",".join(self.table.columns)]
-        if _row_count(self.table):
-            lines.append(_csv_lines(self.table, "\n"))
-        return "\n".join(lines) + "\n"
+        header = ",".join(self.table.columns) + "\n"
+        if not _row_count(self.table):
+            return header
+        return "".join((header, *_csv_lines(self.table, "\n"), "\n"))
 
     def to_text(self) -> str:
         lines = [
@@ -184,9 +196,10 @@ class VerificationReport:
         if self.table is not None:
             lines.append("table:")
             lines.append("  " + ",".join(self.table.columns))
-            if _row_count(self.table):
-                lines.append("  " + _csv_lines(self.table, "\n  "))
-        return "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
+        if self.table is None or not _row_count(self.table):
+            return text
+        return "".join((text, "  ", *_csv_lines(self.table, "\n  "), "\n"))
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -258,9 +271,12 @@ def _cell_texts(table: Table, formats: dict, refused: frozenset = frozenset()):
     return texts
 
 
-def _join_rows(texts: list, count: int, cell_sep: str, row_sep: str) -> str:
+def _join_rows(
+    texts: list, count: int, cell_sep: str, row_sep: str
+) -> tuple[str, str, str]:
     """``row_sep.join(cell_sep.join(row) for row in rows)`` over ``count``
-    rows, where a str in ``texts`` stands for a column of that one text.
+    rows, where a str in ``texts`` stands for a column of that one text,
+    as three pieces for the caller to join with the text around them.
 
     The constant columns before the first and after the last varying one
     go into the row separator, so a table with one varying column is one
@@ -268,25 +284,24 @@ def _join_rows(texts: list, count: int, cell_sep: str, row_sep: str) -> str:
     """
     varying = [i for i, column in enumerate(texts) if not isinstance(column, str)]
     if not varying:
-        return row_sep.join(repeat(cell_sep.join(texts), count))
+        return "", row_sep.join(repeat(cell_sep.join(texts), count)), ""
     first, last = varying[0], varying[-1]
     head = "".join(text + cell_sep for text in texts[:first])
     tail = "".join(cell_sep + text for text in texts[last + 1 :])
     middle = [repeat(c) if isinstance(c, str) else c for c in texts[first : last + 1]]
     rows = middle[0] if len(middle) == 1 else map(cell_sep.join, zip(*middle))
-    return head + (tail + row_sep + head).join(rows) + tail
+    return head, (tail + row_sep + head).join(rows), tail
 
 
-def _json_rows(table: Table) -> str:
-    """The rows of a table that has rows, as json.dumps(indent=2) renders
-    them at the depth of a report's table rows."""
+def _json_rows(table: Table) -> tuple[str, str, str]:
+    """The cells of a table that has rows, as json.dumps(indent=2) lays
+    them out inside the brackets of a report's table rows, in pieces."""
     texts = _cell_texts(table, _JSON_CELLS, _NON_FINITE)
-    body = _join_rows(texts, _row_count(table), _CELL_BREAK, _ROW_BREAK)
-    return "[\n      [\n        " + body + "\n      ]\n    ]"
+    return _join_rows(texts, _row_count(table), _CELL_BREAK, _ROW_BREAK)
 
 
-def _csv_lines(table: Table, line_break: str) -> str:
-    """The rows of a table that has rows, as comma-joined lines; str of a
-    float is its repr."""
+def _csv_lines(table: Table, line_break: str) -> tuple[str, str, str]:
+    """The rows of a table that has rows, as comma-joined lines in pieces;
+    str of a float is its repr."""
     texts = _cell_texts(table, _CSV_CELLS)
     return _join_rows(texts, _row_count(table), ",", line_break)

@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "row separator folds the tail columns in after the head",
         "src/qdeform/report.py",
-        "return head + (tail + row_sep + head).join(rows) + tail",
-        "return head + (row_sep + head + tail).join(rows) + tail",
+        "return head, (tail + row_sep + head).join(rows), tail",
+        "return head, (row_sep + head + tail).join(rows), tail",
         ("tests/test_report.py",),
     ),
     Mutant(
@@ -323,8 +323,15 @@ MUTANTS = (
     Mutant(
         "cli imports numpy and the numeric engines eagerly",
         "src/qdeform/cli.py",
+        "from . import config, params\n",
+        "import numpy as np\n\nfrom . import clockshift, config, matrixrep, params\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli imports the symbolic engine eagerly",
+        "src/qdeform/cli.py",
+        "from . import config, params\n",
         "from . import config, params, weyl\n",
-        "import numpy as np\n\nfrom . import clockshift, config, matrixrep, params, weyl\n",
         ("tests/test_cli.py",),
     ),
 )

@@ -12,9 +12,10 @@ of the library's integer triple; the matrix residual is built densely,
 one complex eigensolve per operator, with the square roots taken of
 1 + mu^2 P^2 itself rather than of the spectrum of p; the clock-shift
 pair is built as dense matrices, one cmath root of unity per phase, and
-checked by matrix products; scan tables are built point by point, one
-tuple per row, with tan evaluated once per n; reports render through
-json.dumps(indent=2) and cell by cell.
+checked by matrix products, and its defects are also multiplied out as
+complex products into a fresh array each; scan tables are built point
+by point, one tuple per row, with tan evaluated once per n; reports
+render through json.dumps(indent=2) and cell by cell.
 
 The library surface that only tests reach lives here too: the formal
 adjoint of a symbolic element, built on the term-by-term reordering
@@ -404,6 +405,34 @@ def dense_pair_defects(dim: int, level: int) -> tuple[float, float, float, float
         float(np.max(np.abs(v @ v.conj().T - eye))),
         float(np.max(np.abs(np.linalg.matrix_power(u, dim) - eye))),
         float(np.max(np.abs(np.linalg.matrix_power(v, dim) - eye))),
+    )
+
+
+def _rounded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*b elementwise into a fresh array, each of the four real products
+    and two sums rounded on its own, as in a dense matrix product."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def product_chain_pair_defects(pair) -> tuple[float, float, float, float]:
+    """pair_defects of a clockshift pair by whole complex products: V V^dag
+    as c times conj(c), and V^N squared from the lowest bit up, in the
+    order of np.linalg.matrix_power."""
+    c = pair.phases
+    exponent, result, square = pair.dim, None, None
+    while exponent:
+        square = c if square is None else _rounded_product(square, square)
+        exponent, bit = divmod(exponent, 2)
+        if bit:
+            result = square if result is None else _rounded_product(result, square)
+    return (
+        0.0,
+        float(np.max(np.abs(_rounded_product(c, c.conj()) - 1.0))),
+        0.0,
+        float(np.max(np.abs(result - 1.0))),
     )
 
 

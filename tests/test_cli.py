@@ -769,20 +769,48 @@ def test_every_parser_flag_is_read_by_a_row_of_its_command():
     assert flags and [pair for pair in flags if pair not in read] == []
 
 
-def test_symbolic_verify_and_expand_never_load_numpy():
+def _run_fresh(argvs, names):
+    """Run cli.main on each argv in turn in a fresh interpreter; its exit
+    codes and which of the modules ``names`` it has loaded by then."""
     src = Path(__file__).resolve().parent.parent / "src"
     probe = (
-        "import io, sys, contextlib\n"
+        "import contextlib, io, json, sys\n"
         "import qdeform.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['verify', '--engine', 'symbolic', '--degree', '4']),\n"
-        "             cli.main(['expand', '--target', 'eq8-rhs', '--degree', '4'])]\n"
-        "sys.exit(codes != [0, 0] or 'numpy' in sys.modules)\n"
+        f"    codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
+        f"print(json.dumps([codes, [m for m in {list(names)!r} if m in sys.modules]]))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src))
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert result.returncode == 0
+    return json.loads(result.stdout)
+
+
+def test_cli_import_loads_no_engine_numpy_or_dataclasses():
+    names = ("numpy", "qdeform.weyl", "qdeform.rational", "dataclasses")
+    assert _run_fresh([], names) == [[], []]
+
+
+def test_non_symbolic_rows_never_load_the_symbolic_engine():
+    # ROW_ARGVS has every row but expand (see the route table test above)
+    argvs = [argv for row, (argv, _) in ROW_ARGVS.items() if row != "verify --engine symbolic"]
+    codes, loaded = _run_fresh(argvs, ("qdeform.weyl", "qdeform.rational"))
+    assert codes == [0] * len(argvs)
+    assert loaded == []
+
+
+def test_symbolic_verify_and_expand_never_load_numpy():
+    # nor dataclasses or datetime: they run on integers and the report alone
+    argvs = [["verify", "--engine", "symbolic", "--degree", "4"]] + [
+        ["expand", "--target", target, "--degree", "4"] for target in cli.EXPAND_TARGETS
+    ]
+    codes, loaded = _run_fresh(argvs, ("numpy", "dataclasses", "datetime"))
+    assert codes == [0] * len(argvs)
+    assert loaded == []
 
 
 def test_csv_without_table_is_error(invoke):

@@ -24,6 +24,7 @@ from oracles import (
     dense_qplane_residual,
     per_n_tan_half_deviations,
     prefactor_periodicity,
+    product_chain_pair_defects,
     root_of_unity,
     scaling_path,
     scaling_points,
@@ -134,6 +135,18 @@ def test_pair_defects_match_dense_oracle(dim):
         assert u_unitary == u_power == 0.0
         dense = dense_pair_defects(dim, level)
         assert max(abs(a - b) for a, b in zip(defects, dense)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "dims", [range(2, 200), [4096], [2**20]], ids=["2..199", "4096", "2^20"]
+)
+def test_pair_defects_are_bit_identical_to_the_product_chain(dims):
+    # the in-place chain rounds every real product and sum as the whole
+    # complex products do
+    for dim in dims:
+        for level in sorted({1, max(dim // 3, 1), dim - 1}):
+            pair = build_pair(dim, level)
+            assert pair_defects(pair) == product_chain_pair_defects(pair)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,17 @@ def test_path_variable_range():
     assert isinstance(path, ContractionPath)
 
 
+def test_contraction_path_is_immutable():
+    path = ContractionPath("omega-to-0", mu0=0.5)
+    assert (path.name, path.mu0, path.nu0) == ("omega-to-0", 0.5, 1.0)
+    with pytest.raises(AttributeError):
+        path.mu0 = 0.0
+    assert path == ContractionPath("omega-to-0", 0.5, 1.0)
+    assert path._replace(nu0=0.25) == ContractionPath("omega-to-0", 0.5, 0.25)
+    with pytest.raises(ValueError, match="params.mu0 must be > 0"):
+        path._replace(mu0=0.0)
+
+
 # ---------------------------------------------------------------------------
 # endpoints against the other engines
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import re
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdeform import __version__
 from qdeform.report import Metric, Table, VerificationReport
 
 from oracles import reference_csv, reference_json, reference_text
@@ -211,3 +213,23 @@ def test_non_finite_column_cell_is_refused(bad, where):
     # csv and text print the float as it is, as the reference does
     assert report.to_csv() == reference_csv(report)
     assert report.to_text() == reference_text(report)
+
+
+def test_report_defaults_and_utc_timestamp():
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    report = VerificationReport("symbolic", "verify", {})
+    after = datetime.now(timezone.utc)
+    assert (report.metrics, report.table, report.verdict) == ([], None, "pass")
+    assert report.tool_version == __version__
+    stamp = datetime.strptime(report.timestamp, "%Y-%m-%dT%H:%M:%SZ")
+    assert before <= stamp.replace(tzinfo=timezone.utc) <= after
+    # a given version and stamp are kept as they are
+    kept = VerificationReport("symbolic", "verify", {}, tool_version="x", timestamp="t")
+    assert (kept.tool_version, kept.timestamp) == ("x", "t")
+
+
+def test_metric_passes_at_or_under_its_threshold():
+    assert Metric("a", 1.0, 1.0).passed and Metric("a", 5.0).passed
+    assert not Metric("a", 2.0, 1.0).passed
+    with pytest.raises(AttributeError):
+        Metric("a", 1.0).value = 2.0
