@@ -22,9 +22,6 @@ from typing import Sequence
 import numpy as np
 
 Q_POLE_TOL = 1e-12
-# gate on |q - c_(N-1)|: the quotient formula against the q of the pair,
-# its last clock phase
-Q_IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)

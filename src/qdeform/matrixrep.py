@@ -35,17 +35,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # double precision dies around exp(25)^2 in the anticommutator products
 OVERFLOW_GUARD = 25.0
 PREFACTOR_POLE_TOL = 1e-9
-# round-off floor of the decomposition for interior residuals (see config docs)
-NOISE_FLOOR = 1e-12
-
-RESIDUAL_CSV_COLUMNS = ("N", "M", "mu", "nu", "res_fro", "res_spec", "sqrt_cosh_xcheck")
 
 
 def _check_parameters(mu: float, nu: float) -> None:
@@ -122,25 +117,10 @@ def prefactor(theta: float) -> float:
 class ResidualReport:
     """Interior-projected residual of the commutator identity at finite N."""
 
-    dim: int
-    interior_dim: int
-    mu: float
-    nu: float
     residual_frobenius: float
     residual_spectral: float
     sqrt_cosh_xcheck: float
-    cosh_norm: float  # normalization for the cross-check; not serialized
-
-    def csv_row(self) -> tuple:
-        return (
-            self.dim,
-            self.interior_dim,
-            self.mu,
-            self.nu,
-            self.residual_frobenius,
-            self.residual_spectral,
-            self.sqrt_cosh_xcheck,
-        )
+    cosh_norm: float  # normalization for the cross-check
 
 
 def identity_residual(
@@ -193,10 +173,6 @@ def identity_residual(
     cosh_p = np.cosh(mu * spectrum)
     diff = root_p - cosh_p
     return ResidualReport(
-        dim=dim,
-        interior_dim=interior_dim,
-        mu=mu,
-        nu=nu,
         residual_frobenius=math.hypot(np.linalg.norm(k_e), np.linalg.norm(k_o)),
         residual_spectral=float(
             max(np.abs(np.linalg.eigvalsh(k)).max() for k in (k_e, k_o))
@@ -206,49 +182,3 @@ def identity_residual(
         ),
         cosh_norm=math.hypot(np.linalg.norm(cosh_p), np.linalg.norm(cosh_p[:odd])),
     )
-
-
-def default_interior(dim: int) -> int:
-    return max(4, dim // 4)
-
-
-# window where the truncation error is still above the round-off floor
-# at the reference parameters mu = nu = 0.2, M = 8
-DEFAULT_SCAN_DIMS = (10, 12, 14, 16)
-
-
-@dataclass(frozen=True)
-class ConvergenceScan:
-    rows: tuple[ResidualReport, ...]
-    excess: float  # last residual above max(first residual, noise_floor), or 0
-
-
-def convergence_scan(
-    mu: float,
-    nu: float,
-    interior_dim: int,
-    dims: Sequence[int],
-    noise_floor: float = NOISE_FLOOR,
-    overflow_guard: float = OVERFLOW_GUARD,
-) -> ConvergenceScan:
-    """Residual rows over increasing N, and how far the residual at the
-    largest N exceeds the one at the smallest N.
-
-    Values below ``noise_floor`` count as converged regardless of
-    ordering, since projected residuals bottom out at the decomposition's
-    round-off floor long before the scan ends and then fluctuate without
-    meaning.
-    """
-    dims = [int(n) for n in dims]
-    if not dims:
-        raise ValueError("empty dimension list")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dimensions must be strictly increasing")
-    if dims[0] <= interior_dim:
-        raise ValueError("all dimensions must exceed the interior dimension")
-    rows = tuple(
-        identity_residual(n, interior_dim, mu, nu, overflow_guard) for n in dims
-    )
-    last = rows[-1].residual_frobenius
-    excess = max(0.0, last - max(rows[0].residual_frobenius, noise_floor))
-    return ConvergenceScan(rows=rows, excess=excess)

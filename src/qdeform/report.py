@@ -34,37 +34,22 @@ class Metric(NamedTuple):
 
 
 class Table:
-    """Column names and one list of cells per column.
+    """Column names and one list of cells per column, all of one length.
 
-    ``Table(columns, rows)`` takes the cells row by row and transposes
-    them; ``Table.from_columns(columns, cells)`` takes one list of cells
-    per column, all of one length, as it is.  ``rows`` reads the cells
-    row by row when asked for.  A cell is an int, float, str, bool or
-    None; rendering refuses any other type.
+    ``rows`` reads the cells row by row when asked for.  A cell is an int,
+    float, str, bool or None; rendering refuses any other type.
     """
 
     __slots__ = ("columns", "cells")
 
-    def __init__(self, columns: Sequence[str], rows: Sequence[tuple] = ()):
-        self.columns = tuple(columns)
-        rows = tuple(rows)
-        width = len(self.columns)
-        if rows and (not width or any(len(row) != width for row in rows)):
-            raise ValueError(
-                f"a table needs one cell per column ({width}) in every row"
-            )
-        self.cells = list(zip(*rows)) if rows else [() for _ in self.columns]
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[str], cells: Sequence[list]) -> "Table":
+    def __init__(self, columns: Sequence[str], cells: Sequence[list]):
         cells = list(cells)
         if len(cells) != len(columns) or len(set(map(len, cells))) > 1:
             raise ValueError(
                 "a table needs one list of cells per column, all of one length"
             )
-        table = cls(columns)
-        table.cells = cells
-        return table
+        self.columns = tuple(columns)
+        self.cells = cells
 
     @property
     def rows(self) -> tuple[tuple, ...]:

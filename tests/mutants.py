@@ -252,15 +252,29 @@ MUTANTS = (
     Mutant(
         "matrix scan leaves the configured overflow guard out",
         "src/qdeform/cli.py",
-        'noise_floor=noise_floor,\n        overflow_guard=config.get_float(cfg, "matrix.overflow_guard"),',
-        "noise_floor=noise_floor,",
+        "identity_residual(n, interior, mu, nu, guard)",
+        "identity_residual(n, interior, mu, nu)",
         ("tests/test_cli.py",),
     ),
     Mutant(
-        "convergence scan drops the overflow guard it is given",
-        "src/qdeform/matrixrep.py",
-        "identity_residual(n, interior_dim, mu, nu, overflow_guard)",
-        "identity_residual(n, interior_dim, mu, nu)",
+        "excess measured from the last residual",
+        "src/qdeform/cli.py",
+        "max(0.0, last - max(first, noise_floor))",
+        "max(0.0, last - max(last, noise_floor))",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "the M column echoes N",
+        "src/qdeform/cli.py",
+        "[interior] * count",
+        "dims",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "the default interior may reach N",
+        "src/qdeform/cli.py",
+        "min(max(4, dim // 4), dim - 1)",
+        "max(4, dim // 4)",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -14,8 +14,9 @@ one complex eigensolve per operator, with the square roots taken of
 pair is built as dense matrices, one cmath root of unity per phase, and
 checked by matrix products, and its defects are also multiplied out as
 complex products into a fresh array each; scan tables are built point
-by point, one tuple per row, with tan evaluated once per n; reports
-render through json.dumps(indent=2) and cell by cell.
+by point, one tuple per row, with tan evaluated once per n and one
+identity_residual per N; reports render through json.dumps(indent=2) and
+cell by cell.
 
 The library surface that only tests reach lives here too: the formal
 adjoint of a symbolic element, built on the term-by-term reordering
@@ -35,6 +36,7 @@ import numpy as np
 
 from qdeform import cli, config, params
 from qdeform.clockshift import Q_POLE_TOL
+from qdeform.matrixrep import identity_residual
 from qdeform.params import UNIT_TAGS, parse_quantity
 from qdeform.rational import MINUS_I, RationalComplex
 from qdeform.report import SCHEMA_VERSION, Metric, Table, VerificationReport
@@ -522,13 +524,52 @@ def prefactor_periodicity(alpha: float, ns, reduced: bool = True) -> float:
     return max(devs) if devs else 0.0
 
 
+def rows_table(columns, rows) -> Table:
+    """A report table from its cells given row by row."""
+    return Table(columns, [[row[i] for row in rows] for i in range(len(columns))])
+
+
+def _reference_matrix_scan(args, cfg) -> VerificationReport:
+    """scan --engine matrix, one identity_residual row per N."""
+    mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
+    nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
+    interior = args.interior if args.interior is not None else 8
+    guard = config.get_float(cfg, "matrix.overflow_guard")
+    noise_floor = config.get_float(cfg, "matrix.noise_floor")
+    dims = cli.parse_int_list(args.dims, "dimension", "--dims")
+    rows = []
+    for n in dims:
+        res = identity_residual(n, interior, mu, nu, guard)
+        rows.append((n, interior, mu, nu, res.residual_frobenius,
+                     res.residual_spectral, res.sqrt_cosh_xcheck))
+    first, last = rows[0][4], rows[-1][4]
+    # how far the last residual rises above the first or the floor, the higher
+    excess = last - max(first, noise_floor) if last > max(first, noise_floor) else 0.0
+    return VerificationReport.build(
+        "matrix",
+        f"scan --engine matrix --mu {mu} --nu {nu} --interior {interior} "
+        f"--dims {args.dims}",
+        {"mu": mu, "nu": nu, "interior": interior, "dims": dims,
+         "noise_floor": noise_floor},
+        [Metric("residual_at_largest_dim", last,
+                config.get_float(cfg, "matrix.residual_threshold")),
+         Metric("residual_at_smallest_dim", first, None),
+         Metric("residual_excess", excess, 0.0)],
+        rows_table(("N", "M", "mu", "nu", "res_fro", "res_spec", "sqrt_cosh_xcheck"),
+                   rows),
+    )
+
+
 def reference_scan(argv) -> VerificationReport:
-    """The report of a periodicity or path scan (``scan --engine clock-shift
-    --alpha``, ``scan --path ...``) with default config, built point by
-    point: one ScalingPoint, path point or tan evaluation per n and one
+    """The report of a matrix, periodicity or path scan (``scan --engine
+    matrix``, ``scan --engine clock-shift --alpha``, ``scan --path ...``)
+    with default config, built point by point: one identity_residual per
+    N, or one ScalingPoint, path point or tan evaluation per n, and one
     tuple per row."""
     args = cli.build_parser().parse_args(argv)
     cfg = config.load_config(None)
+    if args.engine == "matrix":
+        return _reference_matrix_scan(args, cfg)
     alpha = args.alpha if args.alpha is not None else config.get_float(
         cfg, "params.alpha"
     )
@@ -542,9 +583,9 @@ def reference_scan(argv) -> VerificationReport:
             {"alpha": alpha, "n_count": len(ns)},
             [Metric("max_deviation", max(devs),
                     config.get_float(cfg, "clockshift.periodicity_threshold"))],
-            Table(
-                columns=("alpha", "n", "deviation"),
-                rows=tuple((alpha, n, d) for n, d in zip(ns, devs)),
+            rows_table(
+                ("alpha", "n", "deviation"),
+                [(alpha, n, d) for n, d in zip(ns, devs)],
             ),
         )
     beta = args.beta if args.beta is not None else config.get_float(cfg, "params.beta")
@@ -564,10 +605,10 @@ def reference_scan(argv) -> VerificationReport:
             {"alpha": alpha, "beta": beta, "n_count": len(ns)},
             [Metric("max_phase_dev", max(devs),
                     config.get_float(cfg, "params.phase_threshold"))],
-            Table(
-                columns=("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im",
-                         "phase_dev"),
-                rows=tuple(rows),
+            rows_table(
+                ("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im",
+                 "phase_dev"),
+                rows,
             ),
         )
     mu0 = config.get_float(cfg, "params.mu0")
@@ -595,7 +636,7 @@ def reference_scan(argv) -> VerificationReport:
         f"scan --path {args.path} --n {ntext}",
         {"path": args.path, "mu0": mu0, "nu0": nu0, "steps": len(steps)},
         [metric],
-        Table(columns=columns, rows=tuple(rows)),
+        rows_table(columns, rows),
     )
 
 

@@ -24,7 +24,7 @@ from qdeform.config import (
     load_config,
     parse_config_text,
 )
-from qdeform.report import Metric, Table, VerificationReport
+from qdeform.report import Metric, VerificationReport
 
 from conftest import mask_timestamp
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     reference_scan,
     reference_text,
     root_of_unity,
+    rows_table,
 )
 
 
@@ -207,6 +208,39 @@ def test_verify_matrix_interior_error_golden(invoke, golden_dir):
     assert mask_timestamp(out) == (
         golden_dir / "error_matrix_interior.json"
     ).read_text()
+
+
+@pytest.mark.parametrize(
+    "flags, lines, named",
+    [
+        (["--dim", "2"], "", "--dim must be at least 3, got 2"),
+        ([], "matrix.dim = 2", "matrix.dim must be at least 3, got 2"),
+        # N is the bad input, not the interior block the user set
+        (["--dim", "-5", "--interior", "2"], "", "--dim must be at least 3, got -5"),
+        (["--dim", "3"], "", None),
+        ([], "matrix.dim = 3", None),
+        (["--dim", "4"], "", None),
+        ([], "matrix.dim = 4", None),
+    ],
+    ids=["2-flag", "2-config", "negative-flag", "3-flag", "3-config", "4-flag",
+         "4-config"],
+)
+def test_verify_matrix_at_the_smallest_dims(invoke, tmp_path, flags, lines, named):
+    # the default interior max(4, N // 4) reached N at N <= 4, and these
+    # exited 2 naming an interior block that was never set; N = 3 and 4
+    # now take M = N - 1 and fail on truncation
+    cfg = tmp_path / "dim.cfg"
+    cfg.write_text(lines + "\n")
+    code, out = invoke(["verify", "--engine", "matrix", "--config", str(cfg)] + flags)
+    payload = json.loads(out)
+    if named is not None:
+        assert code == 2
+        assert payload["parameters"]["error"] == f"ValueError: {named}"
+        return
+    dim = payload["parameters"]["dim"]
+    assert code == 1 and payload["verdict"] == "fail"
+    assert payload["parameters"]["interior"] == dim - 1
+    assert f"--dim {dim} --interior {dim - 1} " in payload["command"]
 
 
 def test_verify_clockshift_passes(invoke):
@@ -396,7 +430,7 @@ def test_scan_clockshift_grid_bytes_match_dense_oracle(invoke, fmt):
         "scan --engine clock-shift --dims 2..64",
         {"dims": dims, "pairs": len(rows)},
         [Metric("max_residual", max(row[2] for row in rows), 1e-12)],
-        Table(columns=("N", "k", "residual"), rows=rows),
+        rows_table(("N", "k", "residual"), rows),
     )
     render = {"json": reference_json, "csv": reference_csv}[fmt]
     code, out = invoke(
@@ -407,6 +441,15 @@ def test_scan_clockshift_grid_bytes_match_dense_oracle(invoke, fmt):
 
 
 SCAN_ROUTE_CASES = {
+    "matrix-window": ["--engine", "matrix", "--mu", "0.2", "--nu", "0.2",
+                      "--dims", "10,12,14,16"],
+    "matrix-single": ["--engine", "matrix", "--dims", "64"],
+    "matrix-undeformed-range": ["--engine", "matrix", "--mu", "0", "--nu", "0",
+                                "--interior", "2", "--dims", "3..20"],
+    # round-off at M = 16 grows with N past the noise floor: residual_excess
+    # 4.7e-13 > 0, verdict fail
+    "matrix-excess": ["--engine", "matrix", "--mu", "0.7", "--nu", "0.7",
+                      "--interior", "16", "--dims", "48,384"],
     "hbar-negative-alpha": ["--path", "hbar-to-0", "--alpha", "-1", "--beta", "1.5",
                             "--n", "1..40"],
     "hbar-unsorted": ["--path", "hbar-to-0", "--alpha", "0.7", "--beta", "0.3",
@@ -432,8 +475,8 @@ SCAN_ROUTE_CASES = {
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("case", SCAN_ROUTE_CASES)
 def test_scan_bytes_match_per_point_route(invoke, case, fmt):
-    # the report built point by point, one tuple per row, and rendered cell
-    # by cell
+    # the report built point by point (one identity_residual per N of a
+    # matrix scan), one tuple per row, and rendered cell by cell
     argv = ["scan"] + SCAN_ROUTE_CASES[case]
     expected = reference_scan(argv)
     render = {"json": reference_json, "csv": reference_csv, "text": reference_text}
@@ -801,6 +844,12 @@ def test_non_symbolic_rows_never_load_the_symbolic_engine():
     codes, loaded = _run_fresh(argvs, ("qdeform.weyl", "qdeform.rational"))
     assert codes == [0] * len(argvs)
     assert loaded == []
+
+
+def test_contraction_paths_never_load_numpy():
+    # their cells are plain floats, and math.isfinite finds an overflowed one
+    argvs = [["scan", "--path", "q-to-1"], ["scan", "--path", "omega-to-0"]]
+    assert _run_fresh(argvs, ("numpy",)) == [[0, 0], []]
 
 
 def test_symbolic_verify_and_expand_never_load_numpy():

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from qdeform import matrixrep, weyl
-from qdeform.matrixrep import (
-    DEFAULT_SCAN_DIMS,
-    convergence_scan,
-    default_interior,
-    identity_residual,
-    prefactor,
-)
+from qdeform.matrixrep import identity_residual, prefactor
 
 from oracles import (
     OperatorMatrix,
@@ -269,9 +263,14 @@ def test_pole_guard_reached_through_residual():
         identity_residual(16, 8, mu, mu)
 
 
-def test_default_interior():
-    assert default_interior(8) == 4
-    assert default_interior(64) == 16
+def test_default_interior(invoke):
+    # max(4, N // 4), as the command that verify echoes states it
+    for dim, interior in ((8, 4), (64, 16)):
+        code, out = invoke(["verify", "--engine", "matrix", "--dim", str(dim)])
+        payload = json.loads(out)
+        assert code == 0
+        assert f"--dim {dim} --interior {interior} " in payload["command"]
+        assert payload["parameters"]["interior"] == interior
 
 
 # ---------------------------------------------------------------------------
@@ -279,37 +278,59 @@ def test_default_interior():
 # ---------------------------------------------------------------------------
 
 
-def _converged(scan, threshold):
-    """The verdict of scan --engine matrix: the residual at the largest N
-    within the threshold, and no excess over the smallest N."""
-    return scan.rows[-1].residual_frobenius <= threshold and scan.excess == 0.0
+def _scan(invoke, mu, nu, interior, dims):
+    """scan --engine matrix: its exit code, metrics and res_fro column."""
+    code, out = invoke(
+        ["scan", "--engine", "matrix", "--mu", str(mu), "--nu", str(nu),
+         "--interior", str(interior), "--dims", ",".join(map(str, dims))]
+    )
+    payload = json.loads(out)
+    metrics = {m["name"]: m["value"] for m in payload["metrics"]}
+    column = payload["table"]["columns"].index("res_fro")
+    return code, metrics, [row[column] for row in payload["table"]["rows"]]
 
 
-def test_scan_strictly_decreases_inside_signal_window():
-    scan = convergence_scan(0.2, 0.2, 8, DEFAULT_SCAN_DIMS)
-    values = [row.residual_frobenius for row in scan.rows]
+def _converged(code, metrics):
+    """The verdict of scan --engine matrix, and at a 1e-12 threshold: the
+    residual at the largest N within it, and no excess over the smallest N."""
+    return (
+        code == 0
+        and metrics["residual_at_largest_dim"] <= 1e-12
+        and metrics["residual_excess"] == 0.0
+    )
+
+
+def test_scan_strictly_decreases_inside_signal_window(invoke):
+    # where the truncation error is still above the round-off floor at the
+    # reference parameters mu = nu = 0.2, M = 8
+    code, metrics, values = _scan(invoke, 0.2, 0.2, 8, (10, 12, 14, 16))
     assert all(b < a for a, b in zip(values, values[1:]))
-    assert _converged(scan, 1e-12)
+    assert _converged(code, metrics)
 
 
-def test_scan_underflows_to_noise_floor_at_large_dims():
-    scan = convergence_scan(0.2, 0.2, 8, (16, 32, 64))
-    assert _converged(scan, 1e-12)
-    assert all(row.residual_frobenius <= 1e-12 for row in scan.rows)
+def test_scan_underflows_to_noise_floor_at_large_dims(invoke):
+    code, metrics, values = _scan(invoke, 0.2, 0.2, 8, (16, 32, 64))
+    assert _converged(code, metrics)
+    assert all(value <= 1e-12 for value in values)
 
 
-def test_scan_zero_deformation_passes():
-    scan = convergence_scan(0.0, 0.0, 8, (16, 32, 64))
-    assert _converged(scan, 1e-12)
+def test_scan_zero_deformation_passes(invoke):
+    code, metrics, _ = _scan(invoke, 0.0, 0.0, 8, (16, 32, 64))
+    assert _converged(code, metrics)
 
 
-def test_scan_input_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        convergence_scan(0.1, 0.1, 4, (8, 4))
-    with pytest.raises(ValueError, match="empty"):
-        convergence_scan(0.1, 0.1, 4, ())
-    with pytest.raises(ValueError, match="exceed the interior"):
-        convergence_scan(0.1, 0.1, 8, (8, 16))
+def test_scan_input_validation(invoke):
+    for interior, dims, named in (
+        ("4", "8,4", "dimensions must be strictly increasing"),
+        ("4", "", "empty dimension list"),
+        ("8", "8,16", "all dimensions must exceed the interior dimension"),
+    ):
+        code, out = invoke(
+            ["scan", "--engine", "matrix", "--mu", "0.1", "--nu", "0.1",
+             "--interior", interior, "--dims", dims]
+        )
+        assert code == 2
+        assert json.loads(out)["parameters"]["error"] == f"ValueError: {named}"
 
 
 def test_scan_fails_when_threshold_unreachable(invoke, tmp_path):
