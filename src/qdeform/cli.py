@@ -46,7 +46,7 @@ EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
 # last step of a contraction path: 2.0 ** -1074 is the smallest double
 MAX_STEP = 1074
 # largest symbolic truncation degree (--degree, symbolic.degree): verify
-# takes about 0.4 s there as a whole process (one core of a 2-vCPU x86-64
+# takes about 0.27 s there as a whole process (one core of a 2-vCPU x86-64
 # host), and the exact work grows steeply with degree
 MAX_DEGREE = 64
 # largest n of theta = alpha + 2*pi*n on the periodicity and hbar-to-0
@@ -74,6 +74,18 @@ def _at_most(value: int, bound: int, source: str) -> None:
     """Refuse a size past its bound, naming the flag or key it came from."""
     if value > bound:
         raise ValueError(f"{source} must be at most {bound}, got {value}")
+
+
+def _check_interior(
+    interior: int, interior_source: str, dim: int, dim_source: str
+) -> None:
+    """Refuse an interior block M outside 2 <= M < N, naming M, N and the
+    flag, key or default each came from."""
+    if not 2 <= interior < dim:
+        raise ValueError(
+            f"interior dimension must satisfy 2 <= M < N, got M={interior} "
+            f"({interior_source}) and N={dim} ({dim_source})"
+        )
 
 
 # the parser depends on no input, and parse_args leaves it as it is, so
@@ -233,9 +245,10 @@ def _verify_matrix(args, cfg) -> VerificationReport:
     _at_most(dim, MAX_MATRIX_DIM, source)
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
-    interior = args.interior
+    interior, interior_source = args.interior, "--interior"
     if interior is None:
-        interior = min(max(4, dim // 4), dim - 1)
+        interior, interior_source = min(max(4, dim // 4), dim - 1), "default"
+    _check_interior(interior, interior_source, dim, source)
     command = (
         f"verify --engine matrix --dim {dim} --interior {interior} "
         f"--mu {mu} --nu {nu}"
@@ -311,14 +324,15 @@ def _scan_matrix(args, cfg) -> VerificationReport:
     _at_most(max(dims), MAX_MATRIX_DIM, "--dims")
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
-    interior = args.interior if args.interior is not None else 8
+    interior, interior_source = args.interior, "--interior"
+    if interior is None:
+        interior, interior_source = 8, "default"
     threshold = config.get_float(cfg, "matrix.residual_threshold")
     noise_floor = config.get_float(cfg, "matrix.noise_floor")
     guard = config.get_float(cfg, "matrix.overflow_guard")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dimensions must be strictly increasing")
-    if dims[0] <= interior:
-        raise ValueError("all dimensions must exceed the interior dimension")
+    _check_interior(interior, interior_source, dims[0], "smallest of --dims")
     command = (
         f"scan --engine matrix --mu {mu} --nu {nu} --interior {interior} "
         f"--dims {args.dims}"

@@ -21,7 +21,7 @@ behind the quantum-plane limit, and the free-particle commutator rule
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 from typing import NamedTuple
 
 from .rational import MINUS_I, ONE, RationalComplex, _raw, _reduced, format_scalar
@@ -260,11 +260,12 @@ def _join_terms(chunks: list[tuple[int, str]]) -> str:
     return "".join(parts)
 
 
-# Every sum, scaling and product works on raw coefficients: a list
-# [a, b, d] stands for (a + b*i)/d with d > 0 but is not reduced.
-# Contributions are summed in these lists with integer arithmetic only,
-# and each output coefficient is brought to canonical form by one gcd when
-# the result is built.
+# Every sum, scaling and product works on one flat raw accumulator: it
+# maps (x power, p power, mu power, nu power) to a list [a, b, d], which
+# stands for (a + b*i)/d with d > 0 but is not reduced.  Contributions
+# are summed in these lists with integer arithmetic only, and each output
+# coefficient is brought to canonical form by one gcd when the result is
+# built.
 
 
 def _reorder(p_pow: int, x_pow: int) -> list[tuple[int, int, int]]:
@@ -287,68 +288,75 @@ def _reorder(p_pow: int, x_pow: int) -> list[tuple[int, int, int]]:
     return rule
 
 
-def _triples(poly: ParamPolynomial, re: int = 1, im: int = 0) -> list:
-    """(mu power, nu power, a, b, d) for each coefficient (a + b*i)/d of
-    (re + i*im) * poly."""
-    return [
-        (m, n, c._a * re - c._b * im, c._a * im + c._b * re, c._d)
+def _terms(terms: dict, re: int, im: int) -> list:
+    """(total degree, x, p, m, n, a, b, d) for each coefficient (a + b*i)/d
+    of x^x p^p mu^m nu^n in (re + i*im) * e, for the element e with these
+    terms, lowest total degree first."""
+    return sorted(
+        (m + n, x, p, m, n, c._a * re - c._b * im, c._a * im + c._b * re, c._d)
+        for (x, p), poly in terms.items()
         for (m, n), c in poly.terms.items()
-    ]
+    )
 
 
-def _add_raw(dst: dict, key, a: int, b: int, d: int) -> None:
-    """dst[key] += (a + b*i)/d on raw coefficients, with no gcd."""
-    cur = dst.get(key)
-    if cur is None:
-        dst[key] = [a, b, d]
-    elif cur[2] == d:
-        cur[0] += a
-        cur[1] += b
-    else:
-        e = cur[2]
-        cur[0] = cur[0] * d + a * e
-        cur[1] = cur[1] * d + b * e
-        cur[2] = e * d
+def _add_terms(acc: dict, left: list, right: list, cap) -> None:
+    """acc += left * right for two factors given as _terms, normal-ordered,
+    keeping total (mu, nu) degree <= cap.
+
+    x^a1 p^b1 * x^a2 p^b2 reorders the inner p^b1 x^a2 with the rule in
+    :func:`_reorder`, built once per (b1, a2) in a call.  Right terms come
+    lowest degree first, so the first one past the cap ends the inner loop.
+    """
+    rules: dict = {}
+    for deg1, x1, p1, m1, n1, a1, b1, d1 in left:
+        room = cap - deg1
+        for deg2, x2, p2, m2, n2, a2, b2, d2 in right:
+            if deg2 > room:
+                break
+            rule = rules.get((p1, x2))
+            if rule is None:
+                rule = rules[(p1, x2)] = _reorder(p1, x2)
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            x, p, m, n = x1 + x2, p1 + p2, m1 + m2, n1 + n2
+            for k, re, im in rule:
+                key = (x - k, p - k, m, n)
+                ra, rb = a * re - b * im, a * im + b * re
+                cur = acc.get(key)
+                if cur is None:
+                    acc[key] = [ra, rb, d]
+                elif cur[2] == d:
+                    cur[0] += ra
+                    cur[1] += rb
+                else:
+                    e = cur[2]
+                    cur[0] = cur[0] * d + ra * e
+                    cur[1] = cur[1] * d + rb * e
+                    cur[2] = e * d
 
 
 def _add_scaled(acc: dict, terms: dict, re: int, im: int = 0, d: int = 1) -> dict:
-    """acc += ((re + i*im)/d) * e for the element e with these terms, on
-    raw coefficients with no gcd; returns acc."""
-    for mono, poly in terms.items():
-        dst = acc.setdefault(mono, {})
-        for m, n, a, b, e in _triples(poly, re, im):
-            _add_raw(dst, (m, n), a, b, e * d)
+    """acc += ((re + i*im)/d) * e for the element e with these terms, as
+    its product with the scalar 1/d in the product loop; the terms are
+    truncated already and 1/d has degree 0, so no cap applies.  Returns
+    acc."""
+    _add_terms(acc, _terms(terms, re, im), [(0, 0, 0, 0, 0, 1, 0, d)], inf)
     return acc
 
 
-def _product_into(dst: dict, left: list, right: list, cap: int) -> None:
-    """dst += left * right for two polynomials given as _triples, keeping
-    total (mu, nu) degree <= cap."""
-    for m1, n1, a1, b1, d1 in left:
-        room = cap - m1 - n1
-        for m2, n2, a2, b2, d2 in right:
-            if m2 + n2 <= room:
-                _add_raw(
-                    dst, (m1 + m2, n1 + n2),
-                    a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2,
-                )
-
-
-def _accumulate(dst: dict, src: dict, re: int, im: int) -> None:
-    """dst += (re + i*im) * src on raw coefficient dicts."""
-    for key, (a, b, d) in src.items():
-        _add_raw(dst, key, a * re - b * im, a * im + b * re, d)
-
-
 def _from_accumulator(acc: dict, degree: int) -> WeylSeriesElement:
-    """Raw coefficients to canonical scalars, one gcd each; zeros, which
-    take no gcd, and words left empty are dropped."""
-    out = {}
-    for mono, raw in acc.items():
-        terms = {key: _reduced(a, b, d) for key, (a, b, d) in raw.items() if a or b}
-        if terms:
-            out[WeylMonomial(*mono)] = _poly(terms)
-    return _element(degree, out)
+    """Raw coefficients to canonical scalars, one gcd each, grouped into
+    words once; zeros, which take no gcd, and words left empty are
+    dropped."""
+    words: dict = {}
+    for (x, p, m, n), (a, b, d) in acc.items():
+        if a or b:
+            coeffs = words.get((x, p))
+            if coeffs is None:
+                coeffs = words[(x, p)] = {}
+            coeffs[(m, n)] = _reduced(a, b, d)
+    return _element(
+        degree, {WeylMonomial(*word): _poly(c) for word, c in words.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,46 +364,13 @@ def _from_accumulator(acc: dict, degree: int) -> WeylSeriesElement:
 # ---------------------------------------------------------------------------
 
 
-def _by_low_degree(e: WeylSeriesElement, re: int, im: int) -> list:
-    """(lowest total degree, x power, p power, _triples(poly, re, im)) per
-    word of e, lowest degree first."""
-    return sorted(
-        (min(m + n for m, n in poly.terms), x, p, _triples(poly, re, im))
-        for (x, p), poly in e.terms.items()
-    )
-
-
 def _add_product(
     acc: dict, a: WeylSeriesElement, b: WeylSeriesElement, re: int, im: int
 ) -> None:
-    """acc += (re + i*im) * a*b, normal-ordered, truncated by total degree.
-
-    ``acc`` maps words to raw coefficient dicts.  For each pair of words,
-    x^a1 p^b1 * x^a2 p^b2 reorders the inner p^b1 x^a2 with the rule in
-    :func:`_reorder`, built once per (b1, a2) in a call; a pair whose rule
-    is the identity (b1 = 0 or a2 = 0) adds straight into its output word.
-    Right words come lowest degree first, so the first one that puts the
-    pair past the cap ends the inner loop.
-    """
+    """acc += (re + i*im) * a*b into the flat raw accumulator acc,
+    normal-ordered, truncated by total degree."""
     _check_degree(a, b)
-    cap = a.degree
-    rules: dict = {}
-    right = _by_low_degree(b, 1, 0)
-    for low1, x1, p1, left in _by_low_degree(a, re, im):
-        for low2, x2, p2, coeffs in right:
-            if low1 + low2 > cap:
-                break
-            if not p1 or not x2:
-                _product_into(acc.setdefault((x1 + x2, p1 + p2), {}), left, coeffs, cap)
-                continue
-            pair: dict = {}
-            _product_into(pair, left, coeffs, cap)
-            rule = rules.get((p1, x2))
-            if rule is None:
-                rule = rules[(p1, x2)] = _reorder(p1, x2)
-            for k, r, i in rule:
-                mono = (x1 + x2 - k, p1 + p2 - k)
-                _accumulate(acc.setdefault(mono, {}), pair, r, i)
+    _add_terms(acc, _terms(a.terms, re, im), _terms(b.terms, 1, 0), a.degree)
 
 
 def _sum(degree: int, acc: dict, *products) -> WeylSeriesElement:
@@ -590,10 +565,7 @@ def identity_checks(degree: int) -> IdentityChecks:
     reduced once; the right-hand side is summed once and shared."""
     p, x = deformed_momentum(degree), deformed_position(degree)
     rhs = _rhs_sum(degree)
-    minus_rhs = {
-        mono: {key: [-a, -b, d] for key, (a, b, d) in raw.items()}
-        for mono, raw in rhs.items()
-    }
+    minus_rhs = {key: [-a, -b, d] for key, (a, b, d) in rhs.items()}
     # minus_rhs holds its own lists, so rhs becomes the leading order here
     _add_scaled(rhs, leading_order_target(degree).terms, -1)
     return IdentityChecks(

@@ -189,8 +189,8 @@ MUTANTS = (
     Mutant(
         "product results keep their unreduced accumulator triples",
         "src/qdeform/weyl.py",
-        "{key: _reduced(a, b, d) for",
-        '{key: __import__("qdeform.rational", fromlist=["_raw"])._raw(a, b, d) for',
+        "coeffs[(m, n)] = _reduced(a, b, d)",
+        "coeffs[(m, n)] = _raw(a, b, d)",
         ("tests/test_weyl_properties.py",),
     ),
     Mutant(
@@ -215,6 +215,13 @@ MUTANTS = (
         ("tests/test_weyl_properties.py",),
     ),
     Mutant(
+        "product kernel flips the sign of the weight's imaginary part",
+        "src/qdeform/weyl.py",
+        "c._a * re - c._b * im, c._a * im + c._b * re",
+        "c._a * re + c._b * im, -c._a * im + c._b * re",
+        ("tests/test_weyl_properties.py",),
+    ),
+    Mutant(
         "exchange residual adds the phased product instead of subtracting it",
         "src/qdeform/weyl.py",
         "(phased, exp_p, -1, 0)",
@@ -236,10 +243,10 @@ MUTANTS = (
         ("tests/test_weyl_properties.py",),
     ),
     Mutant(
-        "product kernel prunes word pairs whose lowest degree is the cap",
+        "product kernel drops term pairs whose total degree is the cap",
         "src/qdeform/weyl.py",
-        "if low1 + low2 > cap:",
-        "if low1 + low2 >= cap:",
+        "if deg2 > room:",
+        "if deg2 >= room:",
         ("tests/test_weyl_properties.py",),
     ),
     Mutant(

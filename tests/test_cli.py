@@ -243,6 +243,28 @@ def test_verify_matrix_at_the_smallest_dims(invoke, tmp_path, flags, lines, name
     assert f"--dim {dim} --interior {dim - 1} " in payload["command"]
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # M = 8 is the scan's default, which the user never typed
+        (["scan", "--engine", "matrix", "--dims", "5,6"],
+         "M=8 (default) and N=5 (smallest of --dims)"),
+        (["scan", "--engine", "matrix", "--dims", "4,6", "--interior", "1"],
+         "M=1 (--interior) and N=4 (smallest of --dims)"),
+        (["verify", "--engine", "matrix", "--dim", "5", "--interior", "5"],
+         "M=5 (--interior) and N=5 (--dim)"),
+        (["verify", "--engine", "matrix", "--dim", "5", "--interior", "1"],
+         "M=1 (--interior) and N=5 (--dim)"),
+    ],
+)
+def test_interior_out_of_range_names_m_n_and_their_sources(invoke, argv, named):
+    code, out = invoke(argv)
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == (
+        f"ValueError: interior dimension must satisfy 2 <= M < N, got {named}"
+    )
+
+
 def test_verify_clockshift_passes(invoke):
     code, out = invoke(["verify", "--engine", "clock-shift", "--dim", "16",
                         "--level", "3"])
@@ -1252,11 +1274,14 @@ def test_size_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):
         # at each dimension bound the next, cheap check decides: the bound
         # lets the value through
         (["verify", "--engine", "matrix", "--dim", "2048", "--interior", "2048"], "",
-         "interior dimension must satisfy 2 <= M < N"),
+         "interior dimension must satisfy 2 <= M < N, got M=2048 (--interior) "
+         "and N=2048 (--dim)"),
         (["verify", "--engine", "matrix", "--interior", "2048"], "matrix.dim = 2048",
-         "interior dimension must satisfy 2 <= M < N"),
+         "interior dimension must satisfy 2 <= M < N, got M=2048 (--interior) "
+         "and N=2048 (matrix.dim)"),
         (["scan", "--engine", "matrix", "--dims", "2048", "--interior", "2048"], "",
-         "all dimensions must exceed the interior dimension"),
+         "interior dimension must satisfy 2 <= M < N, got M=2048 (--interior) "
+         "and N=2048 (smallest of --dims)"),
         (["verify", "--engine", "clock-shift", "--dim", "1048576",
           "--level", "1048576"], "",
          "level must satisfy 1 <= k < N, got k=1048576"),

@@ -323,7 +323,8 @@ def test_scan_input_validation(invoke):
     for interior, dims, named in (
         ("4", "8,4", "dimensions must be strictly increasing"),
         ("4", "", "empty dimension list"),
-        ("8", "8,16", "all dimensions must exceed the interior dimension"),
+        ("8", "8,16", "interior dimension must satisfy 2 <= M < N, got M=8 "
+         "(--interior) and N=8 (smallest of --dims)"),
     ):
         code, out = invoke(
             ["scan", "--engine", "matrix", "--mu", "0.1", "--nu", "0.1",

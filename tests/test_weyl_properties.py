@@ -10,6 +10,8 @@ from qdeform.rational import RationalComplex
 from qdeform.weyl import (
     ParamPolynomial,
     WeylSeriesElement,
+    _add_product,
+    _from_accumulator,
     anticommutator,
     commutator,
     cosh_element,
@@ -122,6 +124,32 @@ def _linear_oracle(*parts):
         for mono, word in out.items()
     }
     return {mono: word for mono, word in out.items() if word}
+
+
+@given(element_pairs(), st.sampled_from([(0, -1), (2, -3)]))
+@settings(max_examples=150)
+@example((P_PLUS_ONE, X_PLUS_I), (0, -1))
+@example((MIXED_A, MIXED_B), (2, -3))
+@example((AT_CAP_A, AT_CAP_B), (0, -1))
+def test_product_kernel_adds_the_weighted_oracle_product(pair, weight):
+    # -i weights the right-hand side's products; 2 - 3i is no unit.  The
+    # accumulator starts with every coefficient of a*b over 7, raw, a
+    # denominator no contribution has, so each add into one of them takes
+    # the unequal-denominator branch
+    a, b = pair
+    re, im = weight
+    ab = normal_product_by_terms(a, b)
+    seventh = RationalComplex(Fraction(1, 7))
+    acc = {
+        (x, p, m, n): [c._a, c._b, 7 * c._d]
+        for (x, p), poly in ab.terms.items()
+        for (m, n), c in poly.terms.items()
+    }
+    _add_product(acc, a, b, re, im)
+    got = _from_accumulator(acc, a.degree)
+    assert got.degree == a.degree
+    expected = _linear_oracle((seventh, ab), (RationalComplex(re, im), ab))
+    assert _coefficients(got) == expected
 
 
 # p + 2 and -p - 1: each word of P_PLUS_ONE cancels against one of them
