@@ -187,16 +187,30 @@ MINUS_I = RationalComplex(0, -1)
 
 def format_scalar(z: RationalComplex) -> str:
     """Canonical text form: ``a/b``, ``c/d*i`` or ``a/b + c/d*i``, lowest terms."""
-    re, im = z.re, z.im
-    if not im:
-        return str(re)
-    if not re:
-        if im == 1:
+    return format_triple(z._a, z._b, z._d)
+
+
+def format_triple(a: int, b: int, d: int) -> str:
+    """format_scalar of (a + b*i)/d, d > 0, straight from the ints: the
+    sign comes from a and b, and each printed ratio takes one gcd."""
+    if not b:
+        return _ratio(a, d)
+    if not a:
+        im = _ratio(b, d)
+        if im == "1":
             return "i"
-        if im == -1:
+        if im == "-1":
             return "-i"
         return f"{im}*i"
-    mag = abs(im)
-    imtxt = "i" if mag == 1 else f"{mag}*i"
-    sign = "+" if im > 0 else "-"
-    return f"{re} {sign} {imtxt}"
+    mag = _ratio(abs(b), d)
+    imtxt = "i" if mag == "1" else f"{mag}*i"
+    sign = "+" if b > 0 else "-"
+    return f"{_ratio(a, d)} {sign} {imtxt}"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, printed as ``str(Fraction(n, d))`` prints it."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"

@@ -20,11 +20,10 @@ behind the quantum-plane limit, and the free-particle commutator rule
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, inf
+from math import comb, factorial, inf
 from typing import NamedTuple
 
-from .rational import MINUS_I, ONE, RationalComplex, _raw, _reduced, format_scalar
+from .rational import MINUS_I, ZERO, RationalComplex, _raw, _reduced, format_triple
 
 # (-i)^k for k mod 4 as (re, im); the central unit in the reordering rule.
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -236,18 +235,17 @@ def _param_factors(key: tuple[int, int]) -> list[str]:
 
 
 def _term_text(scalar: RationalComplex, factors: list[str]) -> tuple[int, str]:
-    """Render one product term; returns (sign, body) with sign pulled out
-    when the scalar is pure real or pure imaginary."""
+    """Render one product term from the scalar's ints; returns (sign, body)
+    with sign pulled out when the scalar is pure real or pure imaginary."""
+    a, b, d = scalar._a, scalar._b, scalar._d
     sign = 1
-    if not scalar.im and scalar.re < 0:
-        sign, scalar = -1, -scalar
-    elif not scalar.re and scalar.im < 0:
-        sign, scalar = -1, -scalar
+    if (a < 0 and not b) or (b < 0 and not a):
+        sign, a, b = -1, -a, -b
     if not factors:
-        return sign, format_scalar(scalar)
-    if scalar == ONE:
+        return sign, format_triple(a, b, d)
+    if a == d == 1 and not b:
         return sign, "*".join(factors)
-    return sign, f"({format_scalar(scalar)})*" + "*".join(factors)
+    return sign, f"({format_triple(a, b, d)})*" + "*".join(factors)
 
 
 def _join_terms(chunks: list[tuple[int, str]]) -> str:
@@ -439,15 +437,23 @@ def prefactor_series(degree: int) -> list[RationalComplex]:
 
     From c(t) (1 + cos t) = sin(t)/t, with d_j and s_k the coefficients
     of cos t and sin(t)/t, 2 c_k = s_k - sum_{0<j<=k} d_j c_(k-j); c is
-    even, so only even k are computed.  The value at t = 0 is 1/2.
+    even, so only even k are computed.  The value at t = 0 is 1/2.  The
+    recurrence runs on integers: with c_k = C_k / ((k+1)! 2^(k/2+1)),
+
+        C_k = (-1)^(k/2) 2^(k/2)
+              - sum_{j=2,4..k} (-1)^(j/2) C(k+1, j) 2^(j/2-1) C_(k-j),
+
+    and each c_k is reduced once.
     """
-    coeffs = [Fraction(0)] * (degree + 1)
+    numerators = [0] * (degree + 1)
+    coeffs = [ZERO] * (degree + 1)
     for k in range(0, degree + 1, 2):
-        acc = Fraction((-1) ** (k // 2), factorial(k + 1))
+        acc = (-1) ** (k // 2) << (k // 2)
         for j in range(2, k + 1, 2):
-            acc -= Fraction((-1) ** (j // 2), factorial(j)) * coeffs[k - j]
-        coeffs[k] = acc / 2
-    return [RationalComplex(c) for c in coeffs]
+            acc -= (-1) ** (j // 2) * comb(k + 1, j) * numerators[k - j] << (j // 2 - 1)
+        numerators[k] = acc
+        coeffs[k] = _reduced(acc, 0, factorial(k + 1) << (k // 2 + 1))
+    return coeffs
 
 
 def theta_text(coeffs: list[RationalComplex]) -> str:
@@ -526,9 +532,9 @@ def sqrt_defects(
 
 def leading_order_target(degree: int) -> WeylSeriesElement:
     """-i * (1 + mu^2 p^2 / 2 + nu^2 x^2 / 2), the q-oscillator form."""
-    half = Fraction(1, 2)
-    terms = {(0, 0): {(0, 0): 1}, (0, 2): {(2, 0): half}, (2, 0): {(0, 2): half}}
-    return WeylSeriesElement(degree, terms).scaled(MINUS_I)
+    half = _raw(0, -1, 2)  # -i/2
+    terms = {(0, 0): {(0, 0): MINUS_I}, (0, 2): {(2, 0): half}, (2, 0): {(0, 2): half}}
+    return WeylSeriesElement(degree, terms)
 
 
 def exchange_residual(degree: int) -> WeylSeriesElement:

@@ -252,9 +252,30 @@ MUTANTS = (
     Mutant(
         "prefactor recurrence adds the inner sum",
         "src/qdeform/weyl.py",
-        "acc -= Fraction((-1) ** (j // 2), factorial(j)) * coeffs[k - j]",
-        "acc += Fraction((-1) ** (j // 2), factorial(j)) * coeffs[k - j]",
+        "acc -= (-1) ** (j // 2)",
+        "acc += (-1) ** (j // 2)",
         ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "prefactor recurrence shifts by j/2 instead of j/2 - 1",
+        "src/qdeform/weyl.py",
+        "<< (j // 2 - 1)",
+        "<< (j // 2)",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "term text pulls the sign out whenever b < 0, also when a != 0",
+        "src/qdeform/weyl.py",
+        "(b < 0 and not a)",
+        "b < 0",
+        ("tests/test_weyl_properties.py",),
+    ),
+    Mutant(
+        "ratio text skips its gcd",
+        "src/qdeform/rational.py",
+        "n, d = n // g, d // g",
+        "pass",
+        ("tests/test_weyl_properties.py",),
     ),
     Mutant(
         "matrix scan leaves the configured overflow guard out",

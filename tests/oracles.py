@@ -8,9 +8,11 @@ power, where the library delays reduction to the end of a product and
 takes the roots to be cosh, checking only that they square back; the
 series helpers work on plain
 Fraction lists; the Q(i) scalar oracle keeps a pair of Fractions instead
-of the library's integer triple; the matrix residual is built densely,
-one complex eigensolve per operator, with the square roots taken of
-1 + mu^2 P^2 itself rather than of the spectrum of p; the clock-shift
+of the library's integer triple, and the canonical text renders each
+scalar from that pair where the library prints the triple's ints; the
+matrix residual is built densely, one complex eigensolve per operator,
+with the square roots taken of 1 + mu^2 P^2 itself rather than of the
+spectrum of p; the clock-shift
 pair is built as dense matrices, one cmath root of unity per phase, and
 checked by matrix products, and its defects are also multiplied out as
 complex products into a fresh array each; scan tables are built point
@@ -145,6 +147,60 @@ def format_fraction_pair(z: FractionPairComplex) -> str:
     imtxt = "i" if mag == 1 else f"{mag}*i"
     sign = "+" if z.im > 0 else "-"
     return f"{z.re} {sign} {imtxt}"
+
+
+def _power_text(name: str, k: int) -> list[str]:
+    if not k:
+        return []
+    return [name if k == 1 else f"{name}^{k}"]
+
+
+def fraction_term_text(z: FractionPairComplex, factors: list[str]) -> tuple[int, str]:
+    """One product term as (sign, body), rendered from the Fraction pair:
+    the sign is pulled out of a pure real or pure imaginary scalar."""
+    sign = 1
+    if (not z.im and z.re < 0) or (not z.re and z.im < 0):
+        sign, z = -1, -z
+    if not factors:
+        return sign, format_fraction_pair(z)
+    if z == 1:
+        return sign, "*".join(factors)
+    return sign, f"({format_fraction_pair(z)})*" + "*".join(factors)
+
+
+def _joined_text(chunks: list[tuple[int, str]]) -> str:
+    if not chunks:
+        return "0"
+    (sign, body), rest = chunks[0], chunks[1:]
+    return ("-" if sign < 0 else "") + body + "".join(
+        (" - " if s < 0 else " + ") + b for s, b in rest
+    )
+
+
+def element_text(element: WeylSeriesElement) -> str:
+    """The judge for WeylSeriesElement.to_text: one term per (word,
+    parameter monomial), sorted by word then powers, each scalar read as
+    a pair of Fractions."""
+    chunks = []
+    for x, p in sorted(element.terms):
+        word = _power_text("x", x) + _power_text("p", p)
+        poly = element.terms[(x, p)].terms
+        for m, n in sorted(poly):
+            c = poly[(m, n)]
+            factors = _power_text("mu", m) + _power_text("nu", n) + word
+            chunks.append(fraction_term_text(FractionPairComplex(c.re, c.im), factors))
+    return _joined_text(chunks)
+
+
+def series_text(coeffs: list[RationalComplex]) -> str:
+    """The judge for weyl.theta_text: sum_k coeffs[k] theta^k, zeros left out."""
+    return _joined_text(
+        [
+            fraction_term_text(FractionPairComplex(c.re, c.im), _power_text("theta", k))
+            for k, c in enumerate(coeffs)
+            if not c.is_zero
+        ]
+    )
 
 
 def normal_order_word(word: str) -> dict[tuple[int, int], RationalComplex]:

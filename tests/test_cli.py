@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import fractions
 import io
 import json
 import math
@@ -882,6 +883,25 @@ def test_symbolic_verify_and_expand_never_load_numpy():
     codes, loaded = _run_fresh(argvs, ("numpy", "dataclasses", "datetime"))
     assert codes == [0] * len(argvs)
     assert loaded == []
+
+
+def test_symbolic_rows_construct_no_fraction(invoke, monkeypatch):
+    # text, prefactor series and q-oscillator target run on integer triples
+    argvs = [["verify", "--engine", "symbolic", "--degree", "12"]] + [
+        ["expand", "--target", target, "--degree", "16"]
+        for target in cli.EXPAND_TARGETS
+    ]
+    before = [invoke(argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symbolic row constructed a Fraction")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    after = [invoke(argv) for argv in argvs]
+    assert [code for code, _ in after] == [0] * len(argvs)
+    assert [mask_timestamp(out) for _, out in after] == [
+        mask_timestamp(out) for _, out in before
+    ]
 
 
 def test_csv_without_table_is_error(invoke):

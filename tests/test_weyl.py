@@ -158,12 +158,11 @@ def test_prefactor_frozen_values():
 
 
 def test_prefactor_matches_tan_half_oracle():
-    # 64 is the largest --degree the CLI accepts
-    for degree in (12, 64):
-        series = prefactor_series(degree)
-        expected = prefactor_coefficients(degree)
-        for power in range(degree + 1):
-            assert series[power] == RationalComplex(expected[power])
+    # every --degree the CLI accepts, up to 64: the odd powers and the
+    # first even ones are the recurrence's edges
+    expected = [RationalComplex(c) for c in prefactor_coefficients(64)]
+    for degree in range(65):
+        assert prefactor_series(degree) == expected[: degree + 1]
 
 
 # ---------------------------------------------------------------------------

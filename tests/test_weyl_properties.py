@@ -18,10 +18,17 @@ from qdeform.weyl import (
     normal_product,
     p_op,
     sqrt_defects,
+    theta_text,
     x_op,
 )
 
-from oracles import dagger, normal_order_word, normal_product_by_terms
+from oracles import (
+    dagger,
+    element_text,
+    normal_order_word,
+    normal_product_by_terms,
+    series_text,
+)
 
 DEGREE = 4
 
@@ -173,6 +180,70 @@ def test_linear_operations_match_coefficientwise_oracle(pair, scalar):
     ):
         assert got.degree == a.degree
         assert _coefficients(got) == _linear_oracle(*parts)
+
+
+# canonical text: pure real and pure imaginary parts, units, mixed values
+# with either sign of the imaginary part, and 80-bit numerators and
+# denominators
+text_parts = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    fractions,
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
+)
+text_scalars = st.builds(RationalComplex, text_parts, text_parts)
+text_elements = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), text_scalars, max_size=3
+    ),
+    max_size=4,
+).map(lambda terms: WeylSeriesElement(6, terms))
+
+BIG = RationalComplex(Fraction(2**70 + 1, 3**40), Fraction(-(5**30), 2**61 - 1))
+# -3/4, -5/2*i, +-1, +-i, a mixed value with a negative imaginary part
+# whose parts need their own gcd ((2 - i)/2 = 1 - 1/2*i), and parts of
+# about 70 bits
+TEXT_CASES = [
+    RationalComplex(Fraction(-3, 4)),
+    RationalComplex(0, Fraction(-5, 2)),
+    RationalComplex(1),
+    RationalComplex(-1),
+    RationalComplex(0, 1),
+    RationalComplex(0, -1),
+    RationalComplex(1, Fraction(-1, 2)),
+    BIG,
+]
+
+
+def _with_text_cases(to_example):
+    """Add one example per TEXT_CASES entry, built by to_example."""
+
+    def decorate(test):
+        for case in TEXT_CASES:
+            test = example(to_example(case))(test)
+        return test
+
+    return decorate
+
+
+def _alone_and_with_factors(c):
+    """The scalar alone, plus the scalar times mu*x*p^2."""
+    return WeylSeriesElement(6, {(0, 0): {(0, 0): c}, (1, 2): {(1, 0): c}})
+
+
+@given(text_elements)
+@settings(max_examples=200)
+@_with_text_cases(_alone_and_with_factors)
+def test_to_text_matches_fraction_pair_oracle(element):
+    assert element.to_text() == element_text(element)
+
+
+@given(st.lists(text_scalars, max_size=8))
+@settings(max_examples=200)
+# each case alone, then times theta^2
+@_with_text_cases(lambda c: [c, RationalComplex(0), c])
+def test_theta_text_matches_fraction_pair_oracle(coeffs):
+    assert theta_text(coeffs) == series_text(coeffs)
 
 
 @st.composite
