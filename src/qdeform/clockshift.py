@@ -90,7 +90,8 @@ def q_from_alpha(alpha: float) -> complex:
 
 def _qplane_max(phases: np.ndarray, q) -> np.ndarray:
     """max_j |c_j - q*c_(j+1)| along the last axis of the clock phases."""
-    return np.max(np.abs(phases - q * np.roll(phases, -1, axis=-1)), axis=-1)
+    shifted = np.concatenate((phases[..., 1:], phases[..., :1]), axis=-1)
+    return np.max(np.abs(phases - q * shifted), axis=-1)
 
 
 def verify_qplane(pair: ClockShiftPair) -> float:
@@ -194,6 +195,14 @@ def pair_defects(pair: ClockShiftPair) -> tuple[float, float, float, float]:
     )
 
 
+def _smallest(ns: Sequence[int]) -> int:
+    """The least of a non-empty sequence of ints; a range's is one of its
+    ends, read without a pass over it."""
+    if isinstance(ns, range):
+        return min(ns[0], ns[-1])
+    return min(ns)
+
+
 def scaling_columns(
     alpha: float, beta: float, ns: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +218,7 @@ def scaling_columns(
         raise ValueError(f"alpha must lie in (-pi, pi], got alpha={alpha}")
     if not (beta > 0 and math.isfinite(beta)):
         raise ValueError(f"beta must be > 0 and finite, got beta={beta}")
-    if min(ns) < 0:
+    if _smallest(ns) < 0:
         raise ValueError("n must be >= 0")
     theta = alpha + (2.0 * math.pi) * np.array(ns, dtype=float)
     negative = np.flatnonzero(theta < 0)
@@ -222,12 +231,13 @@ def scaling_columns(
         return root / beta, beta * root
 
 
-def tan_half_deviations(alpha: float, ns: Sequence[int]) -> list[float]:
-    """|tan((alpha + 2*pi*n)/2) - tan(alpha/2)| for each n.
+def tan_half_deviations(alpha: float, ns: Sequence[int]) -> float:
+    """|tan((alpha + 2*pi*n)/2) - tan(alpha/2)|: the one value it takes at
+    every requested n.
 
     The half-angle is reduced by its exact period before evaluation:
     (alpha + 2*pi*n)/2 = alpha/2 + pi*n and tan has period pi, so the
-    n-dependence drops out before any floating-point rounding and every
+    n-dependence drops out before any floating-point rounding and the
     deviation is 0 by construction.  The check documents that identity
     and the pole; it does not test a floating-point evaluation.
     """
@@ -235,6 +245,6 @@ def tan_half_deviations(alpha: float, ns: Sequence[int]) -> list[float]:
         raise ValueError(f"alpha must be finite, got alpha={alpha}")
     if abs(1.0 + math.cos(alpha)) <= Q_POLE_TOL:
         raise ValueError("tan(alpha/2) pole at alpha = pi (mod 2*pi)")
-    if len(ns) and min(ns) < 0:
+    if len(ns) and _smallest(ns) < 0:
         raise ValueError("n must be >= 0")
-    return [0.0] * len(ns)
+    return 0.0

@@ -10,7 +10,6 @@ passes.
 from __future__ import annotations
 
 import json
-import operator
 import time
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -19,6 +18,11 @@ from typing import NamedTuple, Optional, Sequence
 from . import __version__
 
 SCHEMA_VERSION = 1
+
+
+# the column shapes that hold one cell per row; any other object in a
+# table's cells is one cell that every row repeats
+_SEQUENCES = (list, range)
 
 
 class Metric(NamedTuple):
@@ -34,26 +38,41 @@ class Metric(NamedTuple):
 
 
 class Table:
-    """Column names and one list of cells per column, all of one length.
+    """Column names and the cells of each column, in one of three shapes
+    that the producer declares:
 
-    ``rows`` reads the cells row by row when asked for.  A cell is an int,
-    float, str, bool or None; rendering refuses any other type.
+    * a list of cells;
+    * a ``range`` of ints;
+    * one cell that every row repeats: any object other than a list or a
+      range.
+
+    Every list and range holds one cell per row, and ``count`` is their
+    length, so a table with columns needs at least one of them.  ``rows``
+    reads the cells row by row when asked for.  A cell is an int, float,
+    str, bool or None; rendering refuses any other type.
     """
 
-    __slots__ = ("columns", "cells")
+    __slots__ = ("columns", "cells", "count")
 
-    def __init__(self, columns: Sequence[str], cells: Sequence[list]):
+    def __init__(self, columns: Sequence[str], cells: Sequence):
         cells = list(cells)
-        if len(cells) != len(columns) or len(set(map(len, cells))) > 1:
+        lengths = {len(c) for c in cells if isinstance(c, _SEQUENCES)}
+        if len(cells) != len(columns) or len(lengths) > 1:
             raise ValueError(
                 "a table needs one list of cells per column, all of one length"
             )
+        if cells and not lengths:
+            raise ValueError("a table needs a list or range column to count its rows")
         self.columns = tuple(columns)
         self.cells = cells
+        self.count = lengths.pop() if lengths else 0
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        return tuple(zip(*self.cells))
+        count = self.count
+        return tuple(zip(*(
+            c if isinstance(c, _SEQUENCES) else repeat(c, count) for c in self.cells
+        )))
 
     def __repr__(self) -> str:
         return f"Table(columns={self.columns!r}, rows={self.rows!r})"
@@ -143,7 +162,7 @@ class VerificationReport:
             "timestamp": self.timestamp,
         }
         text = json.dumps(payload, indent=2, allow_nan=False)
-        if table is None or not _row_count(table):
+        if table is None or not table.count:
             return text + "\n"
         # the table's rows are the last "rows" key at its depth: a JSON
         # string cannot hold the raw newline in front of it.  One join, so
@@ -158,7 +177,7 @@ class VerificationReport:
         if self.table is None:
             raise ValueError("report has no table; csv format needs one")
         header = ",".join(self.table.columns) + "\n"
-        if not _row_count(self.table):
+        if not self.table.count:
             return header
         return "".join((header, *_csv_lines(self.table, "\n"), "\n"))
 
@@ -182,7 +201,7 @@ class VerificationReport:
             lines.append("table:")
             lines.append("  " + ",".join(self.table.columns))
         text = "\n".join(lines) + "\n"
-        if self.table is None or not _row_count(self.table):
+        if self.table is None or not self.table.count:
             return text
         return "".join((text, "  ", *_csv_lines(self.table, "\n  "), "\n"))
 
@@ -221,38 +240,64 @@ _CELL_BREAK = ",\n        "
 _ROW_BREAK = "\n      ],\n      [\n        "
 
 
-def _row_count(table: Table) -> int:
-    return len(table.cells[0]) if table.cells else 0
+# The texts of 0..99, and the two-digit tails "00".."99" that end every
+# number from 100 on
+_SMALL = tuple(map(str, range(100)))
+_TAILS = tuple(f"{tail:02d}" for tail in range(100))
+
+
+def _decimal_blocks(numbers: range):
+    """The decimal texts of a non-empty range of ints with step 1 and start
+    >= 0, as (prefix, tails) pairs, each text a prefix and one of its
+    tails: the numbers below 100 have no prefix, and the rest share
+    ``str(n // 100)`` a hundred at a time.
+    """
+    start, stop = numbers.start, numbers.stop
+    first = max(start, 100)  # the first number with a prefix
+    if start < first:
+        yield "", _SMALL[start : min(stop, first)]
+    for hundred in range(first // 100, -(-stop // 100)):
+        base = 100 * hundred
+        yield str(hundred), _TAILS[max(first - base, 0) : min(stop - base, 100)]
+
+
+def _spelled(column) -> list:
+    """The texts of a varying column, one per row: a range's from its
+    prefixes, a list's as they are."""
+    if isinstance(column, range):
+        return [p + end for p, ends in _decimal_blocks(column) for end in ends]
+    return column
 
 
 def _cell_texts(table: Table, formats: dict, refused: frozenset = frozenset()):
-    """Each column's cell texts for a table that has rows, formatted once per
-    column: a str for a column that holds one object in every row, else a
-    list.  A cell whose type is not in ``formats``, or a float text in
-    ``refused``, raises ValueError.
+    """Each column's cell texts for a table that has rows: a str for a
+    repeated cell, formatted once; a range of ints with step 1 and start
+    >= 0 as it is, for _join_rows to spell from its decimal prefixes; else
+    a list, formatted cell by cell.  A cell whose type is not in
+    ``formats``, or a float text in ``refused``, raises ValueError.
     """
     texts = []
     for name, cells in zip(table.columns, table.cells):
-        first = cells[0]
-        # one object, not equal values: 0.0 == -0.0 and 1 == 1.0 == True
-        constant = all(map(operator.is_, cells, repeat(first)))
-        kinds = {type(first)} if constant else set(map(type, cells))
+        if isinstance(cells, range):
+            plain = cells.step == 1 and cells.start >= 0
+            texts.append(cells if plain else list(map(formats[int], cells)))
+            continue
+        repeated = not isinstance(cells, list)
+        values = (cells,) if repeated else cells
+        kinds = set(map(type, values))
         if not kinds.issubset(formats):
-            kind = next(type(v) for v in cells if type(v) not in formats)
+            kind = next(type(v) for v in values if type(v) not in formats)
             raise ValueError(
                 f"table column {name!r} holds a cell of type {kind.__name__}; "
                 f"cells must be int, float, str, bool or None"
             )
-        if constant:
-            column = formats[type(first)](first)
-            every = (column,)
-        elif len(kinds) == 1:
-            column = every = list(map(formats[type(first)], cells))
+        if len(kinds) == 1:
+            every = list(map(formats[type(values[0])], values))
         else:
-            column = every = [formats[type(v)](v) for v in cells]
+            every = [formats[type(v)](v) for v in values]
         if refused and float in kinds and not refused.isdisjoint(every):
             raise ValueError("Out of range float values are not JSON compliant")
-        texts.append(column)
+        texts.append(every[0] if repeated else every)
     return texts
 
 
@@ -260,12 +305,15 @@ def _join_rows(
     texts: list, count: int, cell_sep: str, row_sep: str
 ) -> tuple[str, str, str]:
     """``row_sep.join(cell_sep.join(row) for row in rows)`` over ``count``
-    rows, where a str in ``texts`` stands for a column of that one text,
-    as three pieces for the caller to join with the text around them.
+    rows of the column texts of :func:`_cell_texts`, where a str stands
+    for a column of that one text, as three pieces for the caller to join
+    with the text around them.
 
-    The constant columns before the first and after the last varying one
+    The repeated cells before the first and after the last varying column
     go into the row separator, so a table with one varying column is one
-    join over that column.
+    join over that column.  A range spelled from prefixes is one join per
+    hundred numbers when it is that column, and one concatenation per
+    number otherwise.
     """
     varying = [i for i, column in enumerate(texts) if not isinstance(column, str)]
     if not varying:
@@ -273,20 +321,27 @@ def _join_rows(
     first, last = varying[0], varying[-1]
     head = "".join(text + cell_sep for text in texts[:first])
     tail = "".join(cell_sep + text for text in texts[last + 1 :])
-    middle = [repeat(c) if isinstance(c, str) else c for c in texts[first : last + 1]]
+    sep = tail + row_sep + head
+    if first == last and isinstance(texts[first], range):
+        blocks = _decimal_blocks(texts[first])
+        return head, sep.join([p + (sep + p).join(ends) for p, ends in blocks]), tail
+    middle = [
+        repeat(c) if isinstance(c, str) else _spelled(c)
+        for c in texts[first : last + 1]
+    ]
     rows = middle[0] if len(middle) == 1 else map(cell_sep.join, zip(*middle))
-    return head, (tail + row_sep + head).join(rows), tail
+    return head, sep.join(rows), tail
 
 
 def _json_rows(table: Table) -> tuple[str, str, str]:
     """The cells of a table that has rows, as json.dumps(indent=2) lays
     them out inside the brackets of a report's table rows, in pieces."""
     texts = _cell_texts(table, _JSON_CELLS, _NON_FINITE)
-    return _join_rows(texts, _row_count(table), _CELL_BREAK, _ROW_BREAK)
+    return _join_rows(texts, table.count, _CELL_BREAK, _ROW_BREAK)
 
 
 def _csv_lines(table: Table, line_break: str) -> tuple[str, str, str]:
     """The rows of a table that has rows, as comma-joined lines in pieces;
     str of a float is its repr."""
     texts = _cell_texts(table, _CSV_CELLS)
-    return _join_rows(texts, _row_count(table), ",", line_break)
+    return _join_rows(texts, table.count, ",", line_break)

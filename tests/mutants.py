@@ -40,10 +40,31 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "constant column found by equality, not identity",
+        "mixed-type column formatted by its first cell's type",
         "src/qdeform/report.py",
-        "constant = all(map(operator.is_, cells, repeat(first)))",
-        "constant = all(map(operator.eq, cells, repeat(first)))",
+        "if len(kinds) == 1:",
+        "if True:",
+        ("tests/test_report.py",),
+    ),
+    Mutant(
+        "unprefixed head of a range stops at 10 instead of 100",
+        "src/qdeform/report.py",
+        "first = max(start, 100)",
+        "first = max(start, 10)",
+        ("tests/test_report.py",),
+    ),
+    Mutant(
+        "a block's digit slice of a range ends one early",
+        "src/qdeform/report.py",
+        "_TAILS[max(first - base, 0) : min(stop - base, 100)]",
+        "_TAILS[max(first - base, 0) : min(stop - base, 100) - 1]",
+        ("tests/test_report.py",),
+    ),
+    Mutant(
+        "a table with a repeated-cell column counts one row",
+        "src/qdeform/report.py",
+        "else repeat(c, count) for c in self.cells",
+        "else repeat(c, 1) for c in self.cells",
         ("tests/test_report.py",),
     ),
     Mutant(
@@ -70,8 +91,8 @@ MUTANTS = (
     Mutant(
         "row separator folds the tail columns in after the head",
         "src/qdeform/report.py",
-        "return head, (tail + row_sep + head).join(rows), tail",
-        "return head, (row_sep + head + tail).join(rows), tail",
+        "sep = tail + row_sep + head",
+        "sep = row_sep + head + tail",
         ("tests/test_report.py",),
     ),
     Mutant(
@@ -112,9 +133,16 @@ MUTANTS = (
     Mutant(
         "scan --n without its upper bound",
         "src/qdeform/cli.py",
-        "if max(ns) > MAX_N:",
+        "if largest > MAX_N:",
         "if False:",
         ("tests/test_cli.py", "tests/test_cli_grammar.py"),
+    ),
+    Mutant(
+        "largest n of a comma list read from its end",
+        "src/qdeform/cli.py",
+        "largest = ns[-1] if isinstance(ns, range) else max(ns)",
+        "largest = ns[-1]",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "size bounds refuse the bound itself",
@@ -171,6 +199,20 @@ MUTANTS = (
         '_at_most(pairs, MAX_POINTS, "--dims pair count")',
         "pass",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "q-plane check shifts the clock phases the wrong way",
+        "src/qdeform/clockshift.py",
+        "np.concatenate((phases[..., 1:], phases[..., :1]), axis=-1)",
+        "np.concatenate((phases[..., -1:], phases[..., :-1]), axis=-1)",
+        ("tests/test_clockshift.py",),
+    ),
+    Mutant(
+        "least n of a range read from its start alone",
+        "src/qdeform/clockshift.py",
+        "return min(ns[0], ns[-1])",
+        "return ns[0]",
+        ("tests/test_clockshift.py",),
     ),
     Mutant(
         "clock phases at the quadrant angles left to cos and sin",
@@ -294,8 +336,8 @@ MUTANTS = (
     Mutant(
         "the M column echoes N",
         "src/qdeform/cli.py",
-        "[interior] * count",
-        "dims",
+        "[dims, interior, mu, nu,",
+        "[dims, dims, mu, nu,",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -592,7 +592,7 @@ def _reference_matrix_scan(args, cfg) -> VerificationReport:
     interior = args.interior if args.interior is not None else 8
     guard = config.get_float(cfg, "matrix.overflow_guard")
     noise_floor = config.get_float(cfg, "matrix.noise_floor")
-    dims = cli.parse_int_list(args.dims, "dimension", "--dims")
+    dims = list(cli.parse_int_list(args.dims, "dimension", "--dims"))
     rows = []
     for n in dims:
         res = identity_residual(n, interior, mu, nu, guard)
@@ -616,16 +616,37 @@ def _reference_matrix_scan(args, cfg) -> VerificationReport:
     )
 
 
+def _reference_grid_scan(args, cfg) -> VerificationReport:
+    """scan --engine clock-shift --dims, one dense residual per pair (N, k)."""
+    dims = list(cli.parse_int_list(args.dims, "dimension", "--dims"))
+    rows = [
+        (dim, level, dense_qplane_residual(dim, level))
+        for dim in dims
+        for level in range(1, dim)
+    ]
+    return VerificationReport.build(
+        "clock-shift",
+        f"scan --engine clock-shift --dims {args.dims}",
+        {"dims": dims, "pairs": len(rows)},
+        [Metric("max_residual", max(row[2] for row in rows),
+                config.get_float(cfg, "clockshift.residual_threshold"))],
+        rows_table(("N", "k", "residual"), rows),
+    )
+
+
 def reference_scan(argv) -> VerificationReport:
-    """The report of a matrix, periodicity or path scan (``scan --engine
-    matrix``, ``scan --engine clock-shift --alpha``, ``scan --path ...``)
-    with default config, built point by point: one identity_residual per
-    N, or one ScalingPoint, path point or tan evaluation per n, and one
-    tuple per row."""
+    """The report of a matrix, grid, periodicity or path scan (``scan
+    --engine matrix``, ``scan --engine clock-shift --dims`` or ``--alpha``,
+    ``scan --path ...``) with default config, built point by point: one
+    identity_residual per N, one dense residual per pair (N, k), or one
+    ScalingPoint, path point or tan evaluation per n, and one tuple per
+    row."""
     args = cli.build_parser().parse_args(argv)
     cfg = config.load_config(None)
     if args.engine == "matrix":
         return _reference_matrix_scan(args, cfg)
+    if args.engine == "clock-shift" and args.dims is not None:
+        return _reference_grid_scan(args, cfg)
     alpha = args.alpha if args.alpha is not None else config.get_float(
         cfg, "params.alpha"
     )

@@ -265,6 +265,10 @@ def test_scaling_columns_match_points_bit_for_bit(alpha, beta, ns):
         (-1.0, float("nan"), [0]),
         (-1.0, 1.0, [3, -1, 0]),  # then n
         (-1.0, 1.0, [3, 0, -1]),
+        # a range's least n at its start, or at its end when it falls
+        (-1.0, 1.0, range(-3, 5)),
+        (-1.0, 1.0, range(5, -3, -1)),
+        (-1.0, 1.0, range(4, -8, -3)),
         (-1.0, 1.0, [3, 0, 2]),  # then alpha, named at the first such n
         (-0.5, 2.0, [5, 0]),
     ],
@@ -283,8 +287,7 @@ def test_scaling_columns_refuse_as_points_do(alpha, beta, ns):
 
 def test_reduced_deviation_vanishes():
     assert prefactor_periodicity(0.0, range(50)) == 0.0
-    devs = tan_half_deviations(math.pi / 2.0, range(101))
-    assert max(devs) <= 1e-11
+    assert tan_half_deviations(math.pi / 2.0, range(101)) <= 1e-11
 
 
 def test_periodicity_at_large_n():
@@ -310,6 +313,10 @@ def test_periodicity_pole_and_negative_n():
         tan_half_deviations(1.0, [-1])
     with pytest.raises(ValueError, match=">= 0"):
         tan_half_deviations(1.0, [5, 0, -2, 7])
+    for ns in (range(-3, 5), range(5, -3, -1), range(4, -8, -3)):
+        with pytest.raises(ValueError, match=">= 0"):
+            tan_half_deviations(1.0, ns)
+    assert tan_half_deviations(1.0, range(5, -1, -1)) == 0.0
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"alpha must be finite, got alpha={bad}"):
             tan_half_deviations(bad, [0])
@@ -317,8 +324,10 @@ def test_periodicity_pole_and_negative_n():
 
 @pytest.mark.parametrize("alpha", [0.0, -0.0, 1.0, -2.1, 3.0, -3.14, 1e-300, 1e300])
 def test_deviations_match_the_per_n_route(alpha):
+    # the one deviation returned is the one the per-n route gives at every n
     for ns in ([0], [7, 0, 3], range(1000), [10**6, 10**12], []):
-        assert tan_half_deviations(alpha, ns) == per_n_tan_half_deviations(alpha, ns)
+        deviation = tan_half_deviations(alpha, ns)
+        assert per_n_tan_half_deviations(alpha, ns) == [deviation] * len(ns)
 
 
 def test_pair_alpha_property():

@@ -68,7 +68,7 @@ def _assert_same_bytes_or_refused(report):
     bad = next(
         (
             (name, type(value))
-            for name, cells in zip(table.columns, table.cells)
+            for name, cells in zip(table.columns, zip(*table.rows))
             for value in cells
             if type(value) not in PLAIN_TYPES
         ),
@@ -128,18 +128,37 @@ def test_non_finite_cell_is_refused(bad):
         report.to_json()
 
 
+# range starts on both sides of the decimal boundaries a prefix crosses
+RANGE_STARTS = (
+    st.integers(min_value=-(2**70), max_value=2**70)
+    | st.integers(min_value=-120, max_value=10_120)
+    | st.sampled_from([0, 1, 9, 10, 95, 99, 100, 101, 195, 9_995, 10**12 - 3])
+)
+
+
 @st.composite
 def column_tables(draw, cells):
-    """Tables handed over column by column; some columns hold one object
-    in every row, as producers build constant columns."""
+    """Tables handed over column by column, in the three shapes producers
+    declare: a list of cells (some holding one object in every row), a
+    range of ints, or one cell that every row repeats."""
     width = draw(st.integers(min_value=0, max_value=4))
     count = draw(st.integers(min_value=0, max_value=6)) if width else 0
+    # the column that counts the rows is a list or a range
+    anchor = draw(st.integers(min_value=0, max_value=max(width - 1, 0)))
     columns = []
-    for _ in range(width):
-        if draw(st.booleans()):
-            columns.append([draw(cells)] * count)
-        else:
+    for i in range(width):
+        shapes = ["list", "one object", "range"] + ["repeated"] * (i != anchor)
+        shape = draw(st.sampled_from(shapes))
+        if shape == "list":
             columns.append(draw(st.lists(cells, min_size=count, max_size=count)))
+        elif shape == "one object":
+            columns.append([draw(cells)] * count)
+        elif shape == "range":
+            start = draw(RANGE_STARTS)
+            step = draw(st.sampled_from([1, 1, 1, 2, 3, -1, -7]))
+            columns.append(range(start, start + step * count, step))
+        else:  # any cell other than a list or range is a repeated one
+            columns.append(draw(cells.filter(lambda v: not isinstance(v, list))))
     names = draw(st.lists(TEXT, min_size=width, max_size=width))
     return Table(names, columns)
 
@@ -158,10 +177,18 @@ def test_column_table_reads_row_by_row():
     table = Table(("a", "b"), ([1, 2, 3], [0.5] * 3))
     assert table.rows == ((1, 0.5), (2, 0.5), (3, 0.5))
     assert Table((), ()).rows == ()
+    shaped = Table(("n", "x", "c"), (range(7, 10), [0.5, 1.5, 2.5], "c"))
+    assert shaped.rows == ((7, 0.5, "c"), (8, 1.5, "c"), (9, 2.5, "c"))
+    assert shaped.count == 3
+    assert Table(("c", "n"), (None, [])).rows == ()
     with pytest.raises(ValueError, match="one list of cells per column"):
         Table(("a", "b"), ([1, 2], [3]))
     with pytest.raises(ValueError, match="one list of cells per column"):
         Table(("a", "b"), ([1, 2],))
+    with pytest.raises(ValueError, match="one list of cells per column"):
+        Table(("a", "b"), (range(2), [3]))
+    with pytest.raises(ValueError, match="a list or range column to count its rows"):
+        Table(("a", "b"), (0.5, "x"))
 
 
 ZERO, NEGATIVE_ZERO = 0.0, -0.0
@@ -181,22 +208,43 @@ ZERO, NEGATIVE_ZERO = 0.0, -0.0
         [3, 1, 4, 1],
         [2**70, -(2**70), 0, 5],
         ["", "a\"b", "é", "x,y"],
+        range(0),
+        range(0, 100),
+        range(95, 106),
+        range(99, 202),
+        range(9_990, 10_111),
+        range(10**12, 10**12 + 151),
+        range(-105, 105),
+        range(90, 130, 2),
     ],
     ids=["zeros", "negative-zeros", "mixed-zeros", "negative-zero-first",
          "negative-zero-last", "int-bool-float", "bools", "falsy", "ints",
-         "big-ints", "strings"],
+         "big-ints", "strings", "range-empty", "range-0..99", "range-95..105",
+         "range-99..201", "range-9990..10110", "range-1e12..1e12+150",
+         "range-negative-start", "range-step-2"],
 )
 def test_column_cases_render_as_the_reference(cells):
-    tables = (Table(("c", "n"), (cells, list(range(4)))), Table(("c",), (cells,)))
+    count = len(cells)
+    tables = (
+        Table(("c", "n"), (cells, list(range(count)))),
+        Table(("c",), (cells,)),
+        # between repeated cells, as the periodicity table lays out its n
+        Table(("a", "c", "b"), (-0.0, cells, "x,y")),
+        # beside a list and a repeated cell, as the hbar-to-0 table does
+        Table(("c", "x", "a"), (cells, [1.5] * count, None)),
+    )
     for table in tables:
         _assert_same_bytes(_report(table))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("where", ["constant", "first", "last", "mixed-types"])
+@pytest.mark.parametrize(
+    "where", ["constant", "repeated", "first", "last", "mixed-types"]
+)
 def test_non_finite_column_cell_is_refused(bad, where):
     cells = {
         "constant": [bad] * 3,
+        "repeated": bad,
         "first": [bad, 0.5, 1.5],
         "last": [0.5, 1.5, bad],
         "mixed-types": [1, "x", bad],
@@ -209,6 +257,18 @@ def test_non_finite_column_cell_is_refused(bad, where):
     # csv and text print the float as it is, as the reference does
     assert report.to_csv() == reference_csv(report)
     assert report.to_text() == reference_text(report)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.float64(0.5), np.int64(3), 1j, (1, 2)],
+    ids=["float64", "int64", "complex", "tuple"],
+)
+def test_non_plain_repeated_cell_is_refused(bad):
+    report = _report(Table(("n", "x"), (range(3), bad)))
+    message = re.escape(f"table column 'x' holds a cell of type {type(bad).__name__}")
+    for render in (report.to_json, report.to_csv, report.to_text):
+        with pytest.raises(ValueError, match=message):
+            render()
 
 
 def test_report_defaults_and_utc_timestamp():
