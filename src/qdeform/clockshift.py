@@ -176,21 +176,19 @@ def _power_by_squaring(values: np.ndarray, exponent: int) -> np.ndarray:
     return power
 
 
-def pair_defects(pair: ClockShiftPair) -> tuple[float, float, float, float]:
-    """Max entrywise |U U^dag - 1|, |V V^dag - 1|, |U^N - 1| and |V^N - 1|.
+def pair_defects(pair: ClockShiftPair) -> tuple[float, float]:
+    """Max entrywise |V V^dag - 1| and |V^N - 1|.
 
-    U's are exactly 0: U^dag is U^(N-1), so U U^dag and U^N are both the
-    shift by N, which is the identity permutation.  V's are read off its
-    diagonal, with V^N multiplied out rather than reduced to exponents
-    mod N, so that its defect measures the accumulated rounding of the
-    clock phases.  A diagonal entry of V V^dag is re*re + im*im, with an
-    imaginary part of exactly 0.
+    They are read off V's diagonal, with V^N multiplied out rather than
+    reduced to exponents mod N, so that its defect measures the
+    accumulated rounding of the clock phases.  A diagonal entry of
+    V V^dag is re*re + im*im, with an imaginary part of exactly 0.  U has
+    no such defects: U^dag is U^(N-1), so U U^dag and U^N are both the
+    shift by N, the identity permutation.
     """
     c = pair.phases
     return (
-        0.0,
         float(np.max(np.abs(c.real * c.real + c.imag * c.imag - 1.0))),
-        0.0,
         float(np.max(np.abs(_power_by_squaring(c, pair.dim) - 1.0))),
     )
 
@@ -229,22 +227,3 @@ def scaling_columns(
     root = np.sqrt(theta)
     with np.errstate(over="ignore"):  # inf, as float arithmetic gives it
         return root / beta, beta * root
-
-
-def tan_half_deviations(alpha: float, ns: Sequence[int]) -> float:
-    """|tan((alpha + 2*pi*n)/2) - tan(alpha/2)|: the one value it takes at
-    every requested n.
-
-    The half-angle is reduced by its exact period before evaluation:
-    (alpha + 2*pi*n)/2 = alpha/2 + pi*n and tan has period pi, so the
-    n-dependence drops out before any floating-point rounding and the
-    deviation is 0 by construction.  The check documents that identity
-    and the pole; it does not test a floating-point evaluation.
-    """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got alpha={alpha}")
-    if abs(1.0 + math.cos(alpha)) <= Q_POLE_TOL:
-        raise ValueError("tan(alpha/2) pole at alpha = pi (mod 2*pi)")
-    if len(ns) and _smallest(ns) < 0:
-        raise ValueError("n must be >= 0")
-    return 0.0

@@ -29,22 +29,17 @@ DEFAULTS = {
     "matrix.nu": "0.2",
     # residual envelope validated for max(mu, nu) * sqrt(2N) <= 14 (see README)
     "matrix.residual_threshold": "1e-8",
-    "matrix.sqrt_cosh_threshold": "1e-10",
     # above the round-off floor of interior residuals (1e-14 to 5e-14, flat in N)
     "matrix.noise_floor": "1e-12",
-    "matrix.overflow_guard": "25.0",
     # clock-shift engine
     "clockshift.residual_threshold": "1e-12",
     "clockshift.unitary_threshold": "1e-13",
     "clockshift.power_threshold": "1e-12",
-    "clockshift.periodicity_threshold": "1e-9",
     # parameter maps and contraction paths
     "params.alpha": "1.0",
     "params.beta": "1.0",
     "params.mu0": "1.0",
     "params.nu0": "1.0",
-    "params.endpoint_tol": "1e-3",
-    "params.phase_threshold": "1e-12",
 }
 
 
@@ -59,11 +54,8 @@ QUANTITY_KEYS = {
 
 
 # A non-finite gate value would switch its gate off (inf) or fail it forever
-# (nan); a non-finite overflow guard would switch the guard off (inf, nan) or
-# refuse every input (-inf).
-_FINITE_KEY_SUFFIXES = (
-    "_threshold", ".noise_floor", ".endpoint_tol", ".overflow_guard"
-)
+# (nan).
+_FINITE_KEY_SUFFIXES = ("_threshold", ".noise_floor")
 
 
 class ConfigError(ValueError):

@@ -124,11 +124,7 @@ class ResidualReport:
 
 
 def identity_residual(
-    dim: int,
-    interior_dim: int,
-    mu: float,
-    nu: float,
-    overflow_guard: float = OVERFLOW_GUARD,
+    dim: int, interior_dim: int, mu: float, nu: float
 ) -> ResidualReport:
     """Frobenius and spectral norms of the projected identity residual.
 
@@ -144,10 +140,12 @@ def identity_residual(
     _check_parameters(mu, nu)
     # spectral radius of x, p is below sqrt(2N)
     radius = math.sqrt(2 * dim)
-    if mu * radius > overflow_guard or nu * radius > overflow_guard:
-        raise ValueError(
-            f"overflow guard: parameter * sqrt(2N) exceeds {overflow_guard}"
-        )
+    for name, value in (("mu", mu), ("nu", nu)):
+        if value * radius > OVERFLOW_GUARD:
+            raise ValueError(
+                f"overflow guard: {name} * sqrt(2N) exceeds {OVERFLOW_GUARD} "
+                f"at {name}={value}, N={dim}"
+            )
     c = prefactor(mu * nu)
 
     u, spectrum, w = _parity_basis(dim)

@@ -201,6 +201,13 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "V V^dag read as re*re - im*im",
+        "src/qdeform/clockshift.py",
+        "c.real * c.real + c.imag * c.imag - 1.0",
+        "c.real * c.real - c.imag * c.imag - 1.0",
+        ("tests/test_clockshift.py",),
+    ),
+    Mutant(
         "q-plane check shifts the clock phases the wrong way",
         "src/qdeform/clockshift.py",
         "np.concatenate((phases[..., 1:], phases[..., :1]), axis=-1)",
@@ -264,6 +271,13 @@ MUTANTS = (
         ("tests/test_weyl_properties.py",),
     ),
     Mutant(
+        "q-oscillator target divides its quadratic terms by 3, not 2",
+        "src/qdeform/weyl.py",
+        "half = _raw(0, -1, 2)",
+        "half = _raw(0, -1, 3)",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
         "exchange residual adds the phased product instead of subtracting it",
         "src/qdeform/weyl.py",
         "(phased, exp_p, -1, 0)",
@@ -320,10 +334,10 @@ MUTANTS = (
         ("tests/test_weyl_properties.py",),
     ),
     Mutant(
-        "matrix scan leaves the configured overflow guard out",
+        "res_spec gets a gate that no witness shows can fail",
         "src/qdeform/cli.py",
-        "identity_residual(n, interior, mu, nu, guard)",
-        "identity_residual(n, interior, mu, nu)",
+        'Metric("res_spec", row.residual_spectral, None)',
+        'Metric("res_spec", row.residual_spectral, 1.0)',
         ("tests/test_cli.py",),
     ),
     Mutant(
@@ -394,14 +408,6 @@ MUTANTS = (
         "src/qdeform/cli.py",
         '("--alpha" if args.dims is None else "--dims")',
         '"--alpha"',
-        ("tests/test_cli.py",),
-    ),
-    Mutant(
-        "hbar-to-0 reads params.endpoint_tol, which it has no metric for",
-        "src/qdeform/cli.py",
-        "\n    _contraction_path(args, cfg)\n",
-        "\n    _contraction_path(args, cfg)\n"
-        '    config.get_float(cfg, "params.endpoint_tol")\n',
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -475,7 +475,7 @@ def _rounded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_chain_pair_defects(pair) -> tuple[float, float, float, float]:
+def product_chain_pair_defects(pair) -> tuple[float, float]:
     """pair_defects of a clockshift pair by whole complex products: V V^dag
     as c times conj(c), and V^N squared from the lowest bit up, in the
     order of np.linalg.matrix_power."""
@@ -487,9 +487,7 @@ def product_chain_pair_defects(pair) -> tuple[float, float, float, float]:
         if bit:
             result = square if result is None else _rounded_product(result, square)
     return (
-        0.0,
         float(np.max(np.abs(_rounded_product(c, c.conj()) - 1.0))),
-        0.0,
         float(np.max(np.abs(result - 1.0))),
     )
 
@@ -590,12 +588,11 @@ def _reference_matrix_scan(args, cfg) -> VerificationReport:
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
     interior = args.interior if args.interior is not None else 8
-    guard = config.get_float(cfg, "matrix.overflow_guard")
     noise_floor = config.get_float(cfg, "matrix.noise_floor")
     dims = list(cli.parse_int_list(args.dims, "dimension", "--dims"))
     rows = []
     for n in dims:
-        res = identity_residual(n, interior, mu, nu, guard)
+        res = identity_residual(n, interior, mu, nu)
         rows.append((n, interior, mu, nu, res.residual_frobenius,
                      res.residual_spectral, res.sqrt_cosh_xcheck))
     first, last = rows[0][4], rows[-1][4]
@@ -639,8 +636,7 @@ def reference_scan(argv) -> VerificationReport:
     --engine matrix``, ``scan --engine clock-shift --dims`` or ``--alpha``,
     ``scan --path ...``) with default config, built point by point: one
     identity_residual per N, one dense residual per pair (N, k), or one
-    ScalingPoint, path point or tan evaluation per n, and one tuple per
-    row."""
+    ScalingPoint or path point per n, and one tuple per row."""
     args = cli.build_parser().parse_args(argv)
     cfg = config.load_config(None)
     if args.engine == "matrix":
@@ -653,44 +649,32 @@ def reference_scan(argv) -> VerificationReport:
     if args.engine == "clock-shift":
         ntext = args.n or "0..100"
         ns = cli.parse_int_list(ntext, "n")
-        devs = per_n_tan_half_deviations(alpha, ns)
         return VerificationReport.build(
             "clock-shift",
             f"scan --engine clock-shift --alpha {alpha} --n {ntext}",
             {"alpha": alpha, "n_count": len(ns)},
-            [Metric("max_deviation", max(devs),
-                    config.get_float(cfg, "clockshift.periodicity_threshold"))],
-            rows_table(
-                ("alpha", "n", "deviation"),
-                [(alpha, n, d) for n, d in zip(ns, devs)],
-            ),
+            [],
+            rows_table(("alpha", "n"), [(alpha, n) for n in ns]),
         )
     beta = args.beta if args.beta is not None else config.get_float(cfg, "params.beta")
     if args.path == "hbar-to-0":
         ntext = args.n if args.n is not None else "0..5"
         ns = cli.parse_int_list(ntext, "n")
-        points = scaling_points(alpha, beta, ns)
-        ref = points[0].exchange_phase()
-        rows, devs = [], []
-        for pt in points:
+        rows = []
+        for pt in scaling_points(alpha, beta, ns):
             phase = pt.exchange_phase()
-            devs.append(abs(phase - ref))
-            rows.append((pt.n, pt.mu, pt.nu, alpha, phase.real, phase.imag, devs[-1]))
+            rows.append((pt.n, pt.mu, pt.nu, alpha, phase.real, phase.imag))
         return VerificationReport.build(
             "params",
             f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}",
             {"alpha": alpha, "beta": beta, "n_count": len(ns)},
-            [Metric("max_phase_dev", max(devs),
-                    config.get_float(cfg, "params.phase_threshold"))],
+            [],
             rows_table(
-                ("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im",
-                 "phase_dev"),
-                rows,
+                ("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im"), rows
             ),
         )
     mu0 = config.get_float(cfg, "params.mu0")
     nu0 = config.get_float(cfg, "params.nu0")
-    endpoint_tol = config.get_float(cfg, "params.endpoint_tol")
     ntext = args.n if args.n is not None else "0..10"
     steps = cli.parse_int_list(ntext, "step")
     path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
@@ -704,15 +688,13 @@ def reference_scan(argv) -> VerificationReport:
             rows.append((k, t, pt["mu"], pt["nu"], pt["omega_ratio"], pt["q"]))
     if args.path == "q-to-1":
         columns = ("step", "t", "mu", "nu", "q")
-        metric = Metric("final_q_offset", abs(rows[-1][4] - 1.0), endpoint_tol)
     else:
         columns = ("step", "t", "mu", "nu", "omega_ratio", "q")
-        metric = Metric("final_omega_ratio", rows[-1][4], endpoint_tol)
     return VerificationReport.build(
         "params",
         f"scan --path {args.path} --n {ntext}",
         {"path": args.path, "mu0": mu0, "nu0": nu0, "steps": len(steps)},
-        [metric],
+        [],
         rows_table(columns, rows),
     )
 

@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from qdeform import weyl
-from qdeform.clockshift import (
-    build_pair,
-    q_from_alpha,
-    tan_half_deviations,
-    verify_qplane,
-)
+from qdeform.clockshift import build_pair, q_from_alpha, verify_qplane
 from qdeform.matrixrep import identity_residual
 from qdeform.rational import MINUS_I, RationalComplex
 from qdeform.weyl import ParamPolynomial, WeylSeriesElement
@@ -34,6 +29,7 @@ from oracles import (
     binomial_series_sqrt,
     one_plus_square,
     oscillator_xp,
+    prefactor_periodicity,
     square_coefficients,
     tan_coefficients,
 )
@@ -144,9 +140,7 @@ def test_clockshift_grid_to_256(invoke):
 def test_scaling_limit_phase_invariance(invoke):
     grid = np.linspace(-math.pi, math.pi, 103)[1:-1]
     ns = range(0, 10**4 + 1)
-    tan_ok = all(
-        tan_half_deviations(float(a), ns) <= 1e-9 for a in grid
-    )
+    tan_ok = all(prefactor_periodicity(float(a), ns) <= 1e-9 for a in grid)
     phase_ok = True
     for alpha in (-2.0, 0.5, 3.0):
         ref = ScalingPoint(alpha=alpha, beta=1.3, n=0).exchange_phase()
@@ -158,7 +152,12 @@ def test_scaling_limit_phase_invariance(invoke):
         ["scan", "--path", "hbar-to-0", "--alpha", "1.0", "--beta", "1.0",
          "--n", "0..5"]
     )
-    cli_ok = code == 0 and json.loads(out)["metrics"][0]["value"] <= 1e-12
+    # columns n, mu, nu, theta_mod_2pi, phase_re, phase_im: e^(-i) at every n
+    rows = json.loads(out)["table"]["rows"] if code == 0 else []
+    cli_ok = len(rows) == 6 and all(
+        abs(row[4] - math.cos(1.0)) <= 1e-12 and abs(row[5] + math.sin(1.0)) <= 1e-12
+        for row in rows
+    )
     _gate(
         "scaling-limit phase depends on alpha only (n up to 1e4)",
         tan_ok and phase_ok and cli_ok,

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ from qdeform.config import (
 from qdeform.report import Metric, VerificationReport
 
 from conftest import mask_timestamp
+from mutants import MUTANTS, ROOT
 from oracles import (
     binomial_series_sqrt,
     one_plus_square,
@@ -503,14 +505,35 @@ def test_scan_bytes_match_per_point_route(invoke, case, fmt):
 
 
 def test_scan_clockshift_periodicity(invoke):
+    # tan(alpha/2 + pi*n) = tan(alpha/2) holds exactly, so no metric is gated
     code, out = invoke(
         ["scan", "--engine", "clock-shift", "--alpha", "1.0", "--n", "0..100"]
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["table"]["columns"] == ["alpha", "n", "deviation"]
-    assert payload["metrics"][0]["name"] == "max_deviation"
-    assert payload["metrics"][0]["value"] <= 1e-9
+    assert payload["table"]["columns"] == ["alpha", "n"]
+    assert payload["metrics"] == []
+
+
+@pytest.mark.parametrize(
+    "alpha,ns,named",
+    [
+        ("3.141592653589793", "0,1", "tan(alpha/2) pole at alpha = pi (mod 2*pi)"),
+        ("-3.141592653589793", "0", "tan(alpha/2) pole at alpha = pi (mod 2*pi)"),
+        ("1", "-1", "n must be >= 0"),
+        ("1", "5,0,-2,7", "n must be >= 0"),
+        ("1", "-3..4", "n must be >= 0"),
+        ("nan", "0", "alpha must be finite, got alpha=nan"),
+        ("inf", "0", "alpha must be finite, got alpha=inf"),
+        ("-inf", "0", "alpha must be finite, got alpha=-inf"),
+    ],
+)
+def test_scan_periodicity_outside_domain_is_named_error(invoke, alpha, ns, named):
+    code, out = invoke(
+        ["scan", "--engine", "clock-shift", f"--alpha={alpha}", f"--n={ns}"]
+    )
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == f"ValueError: {named}"
 
 
 def test_scan_hbar_path_constant_phase(invoke):
@@ -570,7 +593,7 @@ def test_scan_omega_path(invoke):
     payload = json.loads(out)
     mus = {row[2] for row in payload["table"]["rows"]}
     assert mus == {1.0}  # mu held fixed along the path
-    assert payload["metrics"][0]["value"] <= 1e-3
+    assert payload["table"]["rows"][-1][4] <= 1e-3  # omega_ratio at t = 2^-10
 
 
 @pytest.mark.parametrize("path", ["q-to-1", "omega-to-0"])
@@ -630,14 +653,11 @@ def test_path_config_outside_domain_is_named_error(
         # each exited 2 on a key that the path does not read
         ("q-to-1", "params.alpha = banana", None),
         ("omega-to-0", "params.beta = x", None),
-        ("hbar-to-0", "params.endpoint_tol = inf", None),
-        # the paths that read them still refuse them
+        # the path that reads them still refuses them
         ("hbar-to-0", "params.alpha = banana",
          "ConfigError: bad config value for params.alpha"),
         ("hbar-to-0", "params.beta = x",
          "ConfigError: bad config value for params.beta"),
-        ("omega-to-0", "params.endpoint_tol = inf",
-         "ConfigError: config value for params.endpoint_tol must be finite, got inf"),
     ],
 )
 def test_path_scan_reads_only_its_own_config_keys(invoke, tmp_path, path, line, named):
@@ -773,6 +793,115 @@ def test_a_flag_the_row_does_not_read_is_refused(invoke, row, flag):
 
 def test_flag_table_has_one_row_per_command_route():
     assert set(cli.ROUTES) == set(ROW_ARGVS) | {"expand"}
+
+
+# ---------------------------------------------------------------------------
+# every gated metric can fail
+# ---------------------------------------------------------------------------
+
+# For each gated (cli.ROUTES row, metric) pair that the CLI emits, one
+# witness that the gate can fail: an accepted argv under which the metric
+# FAILs, or a mutant in tests/mutants.py under which a passing argv makes
+# it FAIL.  No witness takes a config file, so each is judged by the
+# default thresholds.  A gate without a witness fails the first test below.
+
+# past N = 825 the round-off of V^N grows past its gate, and next to the
+# pole so does that of q's quotient form
+PAIR_PAST_ENVELOPE = ["verify", "--engine", "clock-shift", "--dim", "262144",
+                      "--level", "131071"]
+INPUT_WITNESSES = {
+    # truncation at N = 16 is still large once mu = nu = 1.25: 2.4e-2
+    ("verify --engine matrix", "res_fro"): [
+        "verify", "--engine", "matrix", "--dim", "16", "--interior", "8",
+        "--mu", "1.25", "--nu", "1.25"],
+    ("verify --engine clock-shift", "v_power_defect"): PAIR_PAST_ENVELOPE,  # 2.0e-10
+    ("verify --engine clock-shift", "q_identity_dev"): PAIR_PAST_ENVELOPE,  # 3.9e-12
+    ("scan --engine matrix", "residual_at_largest_dim"): [  # 1.3e-8
+        "scan", "--engine", "matrix", "--dims", "8,16", "--interior", "4",
+        "--mu", "1.25", "--nu", "1.25"],
+    ("scan --engine matrix", "residual_excess"):  # 4.7e-13
+        ["scan"] + SCAN_ROUTE_CASES["matrix-excess"],
+}
+# the exact identities hold at every input, so only a mutant fails them
+SYMBOLIC = ["verify", "--engine", "symbolic", "--degree", "4"]
+PAIR = ["verify", "--engine", "clock-shift", "--dim", "16", "--level", "3"]
+MUTANT_WITNESSES = {
+    ("verify --engine symbolic", "residual_terms"):
+        ("prefactor recurrence adds the inner sum", SYMBOLIC),
+    ("verify --engine symbolic", "exchange_residual_terms"):
+        ("exchange residual adds the phased product instead of subtracting it",
+         SYMBOLIC),
+    ("verify --engine symbolic", "sqrt_cosh_mismatch_terms"):
+        ("square-root check squares against 1 - mu^2 P^2", SYMBOLIC),
+    ("verify --engine symbolic", "expansion_low_degree_terms"):
+        ("q-oscillator target divides its quadratic terms by 3, not 2", SYMBOLIC),
+    ("verify --engine clock-shift", "max_residual"):
+        ("q-plane check shifts the clock phases the wrong way", PAIR),
+    ("verify --engine clock-shift", "v_unitary_defect"):
+        ("V V^dag read as re*re - im*im", PAIR),
+    ("scan --engine clock-shift --dims", "max_residual"):
+        ("q-plane check shifts the clock phases the wrong way",
+         ["scan", "--engine", "clock-shift", "--dims", "2..8"]),
+}
+
+
+def _gated(row, out):
+    """The gated (row, metric) pairs of a JSON report."""
+    metrics = json.loads(out)["metrics"]
+    return {(row, m["name"]) for m in metrics if m["threshold"] is not None}
+
+
+def _failed(out, name):
+    metric = next(m for m in json.loads(out)["metrics"] if m["name"] == name)
+    return metric["value"] > metric["threshold"]
+
+
+def _witness_row(argv, row):
+    assert cli._row(cli.build_parser().parse_args(argv)) == row
+    assert not any(arg.startswith("--config") for arg in argv)
+
+
+def test_every_gated_metric_has_one_witness(invoke):
+    gated = set()
+    for row, (argv, _) in ROW_ARGVS.items():
+        code, out = invoke(argv)
+        assert code == 0
+        gated |= _gated(row, out)
+    assert not set(INPUT_WITNESSES) & set(MUTANT_WITNESSES)
+    assert set(INPUT_WITNESSES) | set(MUTANT_WITNESSES) == gated
+
+
+@pytest.mark.parametrize("row,metric", INPUT_WITNESSES)
+def test_input_witness_fails_its_metric(invoke, row, metric):
+    argv = INPUT_WITNESSES[row, metric]
+    _witness_row(argv, row)
+    code, out = invoke(argv)
+    assert code == 1
+    assert _failed(out, metric)
+    assert _gated(row, out) <= set(INPUT_WITNESSES) | set(MUTANT_WITNESSES)
+
+
+@pytest.mark.parametrize("row,metric", MUTANT_WITNESSES)
+def test_mutant_witness_fails_its_metric(invoke, tmp_path, row, metric):
+    name, argv = MUTANT_WITNESSES[row, metric]
+    _witness_row(argv, row)
+    code, out = invoke(argv)
+    assert code == 0 and not _failed(out, metric)
+    (mutant,) = [m for m in MUTANTS if m.name == name]
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "src" / "qdeform", tmp_path / "qdeform", ignore=ignore)
+    target = tmp_path / Path(mutant.path).relative_to("src")
+    source = target.read_text(encoding="utf-8")
+    assert source.count(mutant.old) == 1
+    target.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "qdeform.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert _failed(result.stdout, metric)
 
 
 def _parser_actions():
@@ -1063,50 +1192,56 @@ def test_non_finite_config_threshold_is_named_error(invoke, tmp_path, value):
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_every_gate_key_rejects_non_finite_values(value):
     gate_keys = [
-        key for key in DEFAULTS
-        if key.endswith(("_threshold", ".noise_floor", ".endpoint_tol"))
+        key for key in DEFAULTS if key.endswith(("_threshold", ".noise_floor"))
     ]
-    assert len(gate_keys) == 9
-    # the overflow guard is no gate, but inf or nan would switch it off
-    for key in gate_keys + ["matrix.overflow_guard"]:
+    assert len(gate_keys) == 5
+    for key in gate_keys:
         with pytest.raises(ConfigError, match=key):
             get_float({key: value}, key)
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-def test_non_finite_overflow_guard_is_named_error(invoke, tmp_path, value):
-    # inf or nan switched the guard off: mu = nu = 3 at N = 512 then gave
-    # res_fro 9.1e24 and "fail" instead of the guard's error
-    cfg = tmp_path / "guard.cfg"
-    cfg.write_text(f"matrix.overflow_guard = {value}\n")
+@pytest.mark.parametrize(
+    "line",
+    [
+        # a guard of 500 let sinh^2 overflow first: verify at N = 64 with
+        # mu = 40 exited 2 with a LinAlgError that named no input
+        "matrix.overflow_guard = 500",
+        "matrix.sqrt_cosh_threshold = 1",
+        "clockshift.periodicity_threshold = 1",
+        "params.phase_threshold = 1",
+        "params.endpoint_tol = 1",
+    ],
+)
+def test_removed_config_key_is_unknown(invoke, tmp_path, line):
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(line + "\n")
     code, out = invoke(
-        ["verify", "--engine", "matrix", "--dim", "512", "--mu", "3", "--nu", "3",
+        ["verify", "--engine", "matrix", "--dim", "64", "--mu", "40", "--nu", "0.001",
          "--config", str(cfg)]
     )
     assert code == 2
-    message = json.loads(out)["parameters"]["error"]
-    assert message == (
-        "ConfigError: config value for matrix.overflow_guard must be finite, "
-        f"got {value}"
+    key = line.split(" = ")[0]
+    assert json.loads(out)["parameters"]["error"] == (
+        f"ConfigError: unknown config key {key} in {cfg}"
     )
 
 
-def test_scan_matrix_keeps_the_configured_overflow_guard(invoke, tmp_path):
-    # 0.5 * sqrt(2 * 64) = 5.7 is past a guard of 5, and 0.5 * sqrt(2 * 32)
-    # = 4 is inside it: the scan reached N = 64 and passed
-    cfg = tmp_path / "guard.cfg"
-    cfg.write_text("matrix.overflow_guard = 5\n")
-    common = ["--mu", "0.5", "--nu", "0.5", "--config", str(cfg)]
-    named = "ValueError: overflow guard: parameter * sqrt(2N) exceeds 5.0"
-    for argv in (
-        ["verify", "--engine", "matrix", "--dim", "64"],
-        ["scan", "--engine", "matrix", "--dims", "16,32,64"],
-    ):
-        code, out = invoke(argv + common)
-        assert code == 2
-        assert json.loads(out)["parameters"]["error"] == named
-    code, _ = invoke(["scan", "--engine", "matrix", "--dims", "16,32"] + common)
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--engine", "matrix", "--dim", "64"],
+     ["scan", "--engine", "matrix", "--dims", "16,32,64"]],
+    ids=["verify", "scan"],
+)
+@pytest.mark.parametrize("name,other", [("mu", "nu"), ("nu", "mu")])
+def test_overflow_guard_names_the_parameter_its_value_and_n(invoke, argv, name, other):
+    # 3 * sqrt(2 * 64) = 33.9 is past the guard of 25, and 3 * sqrt(2 * 32)
+    # = 24 is inside it; the message read "parameter * sqrt(2N) exceeds 25.0"
+    code, out = invoke(argv + [f"--{name}", "3", f"--{other}", "0.1"])
+    assert code == 2
+    assert json.loads(out)["parameters"]["error"] == (
+        f"ValueError: overflow guard: {name} * sqrt(2N) exceeds 25.0 "
+        f"at {name}=3.0, N=64"
+    )
 
 
 def test_json_report_refuses_non_finite_values():
@@ -1191,7 +1326,7 @@ BIG_N = "1" + "0" * 400
     [
         # OverflowError naming neither --n nor the value before
         (["scan", "--path", "hbar-to-0", "--alpha", "1", "--beta", "1"], BIG_N),
-        # a table with deviation 0.0 for this n and exit 0 before
+        # a table for this n and exit 0 before
         (["scan", "--engine", "clock-shift", "--alpha", "1"], BIG_N),
         (["scan", "--path", "hbar-to-0"], f"0,{2**62 + 1}"),
         # a comma list's largest n may come first
@@ -1362,8 +1497,8 @@ def test_shared_parser_carries_no_state_between_calls(monkeypatch):
     codes, outs, errs = zip(*shared)
     assert codes == (2, 0, 0, 0, 0, 0)
     assert "usage:" in errs[0] and not outs[0]
-    assert outs[1].startswith("alpha,n,deviation\n")
-    assert json.loads(outs[2])["table"]["columns"] == ["alpha", "n", "deviation"]
+    assert outs[1].startswith("alpha,n\n")
+    assert json.loads(outs[2])["table"]["columns"] == ["alpha", "n"]
     assert json.loads(outs[3])["parameters"]["mu"] == 0.3
     assert json.loads(outs[4])["parameters"]["mu"] == 0.2
     assert outs[5] == expand_text("P", 3) + "\n"
@@ -1382,7 +1517,7 @@ def test_scan_text_format_includes_table(invoke):
     )
     assert code == 0
     assert "table:" in out
-    assert "alpha,n,deviation" in out
+    assert "alpha,n\n" in out
 
 
 def test_scan_matrix_without_dims_is_error(invoke):

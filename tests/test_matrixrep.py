@@ -252,9 +252,15 @@ def test_residual_input_validation():
 
 
 def test_overflow_guard():
-    # 3.0 * sqrt(128) ~ 34 exceeds the default guard of 25
-    with pytest.raises(ValueError, match="overflow guard"):
-        identity_residual(64, 8, 3.0, 0.1)
+    # 3.0 * sqrt(128) ~ 34 exceeds the guard of 25; the message names the
+    # parameter that tripped it, mu before nu when both do
+    for mu, nu, name, value in ((3.0, 0.1, "mu", 3.0), (0.1, 3.5, "nu", 3.5),
+                                (3.0, 3.5, "mu", 3.0)):
+        with pytest.raises(ValueError) as raised:
+            identity_residual(64, 8, mu, nu)
+        assert str(raised.value) == (
+            f"overflow guard: {name} * sqrt(2N) exceeds 25.0 at {name}={value}, N=64"
+        )
 
 
 def test_pole_guard_reached_through_residual():

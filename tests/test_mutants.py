@@ -17,3 +17,9 @@ def test_mutant_pattern_occurs_once_and_its_tests_exist(mutant):
     assert source.count(mutant.old) == 1
     missing = [test for test in mutant.tests if not (ROOT / test).is_file()]
     assert not missing
+
+
+def test_mutant_names_are_unique():
+    # tests/test_cli.py names its mutant witnesses by name
+    names = [mutant.name for mutant in MUTANTS]
+    assert len(names) == len(set(names))
