@@ -208,9 +208,11 @@ def scaling_columns(
     requested n, as arrays, with theta = alpha + 2*pi*n.
 
     Each entry is the IEEE result of those operations on one n, as a
-    per-point computation gives it.  alpha is theta mod 2*pi, so it must
-    lie in (-pi, pi]; mu and nu are square roots of theta, so no
-    requested n may make theta negative.
+    per-point computation gives it: n is held as int64, so each n must
+    lie below 2^63, and cast to float with rounding to nearest-even, as
+    float(n) rounds.  alpha is theta mod 2*pi, so it must lie in
+    (-pi, pi]; mu and nu are square roots of theta, so no requested n may
+    make theta negative.
     """
     if not -math.pi < alpha <= math.pi:
         raise ValueError(f"alpha must lie in (-pi, pi], got alpha={alpha}")
@@ -218,7 +220,11 @@ def scaling_columns(
         raise ValueError(f"beta must be > 0 and finite, got beta={beta}")
     if _smallest(ns) < 0:
         raise ValueError("n must be >= 0")
-    theta = alpha + (2.0 * math.pi) * np.array(ns, dtype=float)
+    if isinstance(ns, range):
+        n = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
+    else:
+        n = np.array(ns, dtype=np.int64)
+    theta = alpha + (2.0 * math.pi) * n.astype(float)
     negative = np.flatnonzero(theta < 0)
     if negative.size:
         raise ValueError(

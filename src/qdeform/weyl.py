@@ -297,13 +297,17 @@ def _terms(terms: dict, re: int, im: int) -> list:
     )
 
 
-def _add_terms(acc: dict, left: list, right: list, cap) -> None:
+def _add_terms(acc: dict, left: list, right: list, cap, start: int = 0) -> None:
     """acc += left * right for two factors given as _terms, normal-ordered,
-    keeping total (mu, nu) degree <= cap.
+    keeping total (mu, nu) degree <= cap and, of each term pair, only the
+    reordering terms k >= start.
 
     x^a1 p^b1 * x^a2 p^b2 reorders the inner p^b1 x^a2 with the rule in
-    :func:`_reorder`, built once per (b1, a2) in a call.  Right terms come
-    lowest degree first, so the first one past the cap ends the inner loop.
+    :func:`_reorder`, built once per (b1, a2) in a call.  Its k = 0 term
+    is x^a2 p^b1 itself, so with start=1 a p-only left times an x-only
+    right gives left*right - right*left.  Right terms come lowest degree
+    first, so the first one past the cap ends the inner loop; left terms
+    may come in any order.
     """
     rules: dict = {}
     for deg1, x1, p1, m1, n1, a1, b1, d1 in left:
@@ -313,7 +317,7 @@ def _add_terms(acc: dict, left: list, right: list, cap) -> None:
                 break
             rule = rules.get((p1, x2))
             if rule is None:
-                rule = rules[(p1, x2)] = _reorder(p1, x2)
+                rule = rules[(p1, x2)] = _reorder(p1, x2)[start:]
             a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
             x, p, m, n = x1 + x2, p1 + p2, m1 + m2, n1 + n2
             for k, re, im in rule:
@@ -330,6 +334,20 @@ def _add_terms(acc: dict, left: list, right: list, cap) -> None:
                     cur[0] = cur[0] * d + ra * e
                     cur[1] = cur[1] * d + rb * e
                     cur[2] = e * d
+
+
+def _times_central(terms: list, central: list, cap: int) -> list:
+    """A _terms list times the central factor, the sum of ((a + b*i)/d)
+    mu^m nu^n over central's (m, n, a, b, d), keeping total degree <= cap.
+    A central factor needs no reordering, so this is one product per pair
+    of terms; the result is not sorted by degree, so it serves only as the
+    left factor of :func:`_add_terms`."""
+    return [
+        (deg + m + n, x, p, m1 + m, n1 + n, a1 * a - b1 * b, a1 * b + b1 * a, d1 * d)
+        for deg, x, p, m1, n1, a1, b1, d1 in terms
+        for m, n, a, b, d in central
+        if deg + m + n <= cap
+    ]
 
 
 def _add_scaled(acc: dict, terms: dict, re: int, im: int = 0, d: int = 1) -> dict:
@@ -371,9 +389,10 @@ def _add_product(
     _add_terms(acc, _terms(a.terms, re, im), _terms(b.terms, 1, 0), a.degree)
 
 
-def _sum(degree: int, acc: dict, *products) -> WeylSeriesElement:
-    """acc plus (re + i*im) * a*b for each (a, b, re, im), reduced once: an
-    exact sum of products never reduces a partial result."""
+def _sum(degree: int, *products) -> WeylSeriesElement:
+    """The sum of (re + i*im) * a*b over each (a, b, re, im), reduced once:
+    an exact sum of products never reduces a partial result."""
+    acc: dict = {}
     for a, b, re, im in products:
         _add_product(acc, a, b, re, im)
     return _from_accumulator(acc, degree)
@@ -381,15 +400,15 @@ def _sum(degree: int, acc: dict, *products) -> WeylSeriesElement:
 
 def normal_product(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
     """Exact product, normal-ordered, coefficients truncated by total degree."""
-    return _sum(a.degree, {}, (a, b, 1, 0))
+    return _sum(a.degree, (a, b, 1, 0))
 
 
 def commutator(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
-    return _sum(a.degree, {}, (a, b, 1, 0), (b, a, -1, 0))
+    return _sum(a.degree, (a, b, 1, 0), (b, a, -1, 0))
 
 
 def anticommutator(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
-    return _sum(a.degree, {}, (a, b, 1, 0), (b, a, 1, 0))
+    return _sum(a.degree, (a, b, 1, 0), (b, a, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -477,23 +496,31 @@ def cosh_element(side: str, degree: int) -> WeylSeriesElement:
 # ---------------------------------------------------------------------------
 
 
-def _central(degree: int, coeffs: dict) -> WeylSeriesElement:
-    """The (mu, nu) polynomial with these coefficients, on the empty word."""
-    return WeylSeriesElement(degree, {(0, 0): coeffs})
-
-
 def _rhs_sum(degree: int) -> dict:
-    """identity_rhs as a raw accumulator: the central factor c(mu*nu) is
-    folded into cosh(mu*p) first, which is exact because truncation by
-    total degree is multiplicative, and -i weights both products."""
+    """identity_rhs as a raw accumulator.
+
+    The k = 0 term of reordering p^b x^a is x^a p^b, so for C = c(mu*nu)
+    cosh(mu*p), a p-series, and the x-series cosh(nu*x),
+
+        {C, cosh(nu*x)} = 2 cosh(nu*x) C + (the k >= 1 terms of C cosh(nu*x)),
+
+    and -i weights both products.  The central factor c(mu*nu) rides on
+    the left factor of each, which is exact because truncation by total
+    degree is multiplicative.
+    """
     # c(mu*nu): c_j multiplies mu^j nu^j, of degree 2j, so j <= degree/2
-    c = prefactor_series(degree // 2)
-    central = _central(degree, {(j, j): c_j for j, c_j in enumerate(c)})
-    left = _sum(degree, {}, (cosh_element("momentum", degree), central, 1, 0))
-    right = cosh_element("position", degree)
+    c = [
+        (j, j, c_j._a, c_j._b, c_j._d)
+        for j, c_j in enumerate(prefactor_series(degree // 2))
+        if not c_j.is_zero
+    ]
+    cosh_p = cosh_element("momentum", degree).terms
+    cosh_x = cosh_element("position", degree).terms
     acc: dict = {}
-    _add_product(acc, left, right, 0, -1)
-    _add_product(acc, right, left, 0, -1)
+    left = _times_central(_terms(cosh_p, 0, -1), c, degree)
+    _add_terms(acc, left, _terms(cosh_x, 1, 0), degree, 1)
+    left = _times_central(_terms(cosh_x, 0, -2), c, degree)
+    _add_terms(acc, left, _terms(cosh_p, 1, 0), degree)
     return acc
 
 
@@ -516,18 +543,25 @@ def sqrt_defects(
     Both vanish exactly when root is the principal square root.  With
     g_0 = 1, the degree-t part of g^2 = 1 + u reads 2 g_t + sum_{0<s<t}
     g_s g_(t-s) = u_t, which fixes each graded piece g_t in turn; the
-    second element tells the root from its negative.
+    second element tells the root from its negative.  The first is
+    root*root + (-mu^2 P)*P - 1, the central mu^2 (nu^2) riding on the
+    left factor; the second reads the (mu, nu)-free coefficients of root.
     """
     degree = root.degree
-    base = _generator_series(side, degree, 1, 2)  # P or X
-    par = _central(degree, {(2, 0) if side == "momentum" else (0, 2): 1})
-    scaled_base = _sum(degree, {}, (base, par, 1, 0))  # mu^2 P or nu^2 X
-    one = WeylSeriesElement.one(degree)
-    square = ((root, root, 1, 0), (scaled_base, base, -1, 0))
-    return (
-        _sum(degree, _add_scaled({}, one.terms, -1), *square),
-        WeylSeriesElement(degree, root.truncated(0).terms) - one,
-    )
+    m, n = (2, 0) if side == "momentum" else (0, 2)
+    base = _terms(_generator_series(side, degree, 1, 2).terms, 1, 0)  # P or X
+    root_terms = _terms(root.terms, 1, 0)
+    square = {(0, 0, 0, 0): [-1, 0, 1]}  # the constant -1
+    _add_terms(square, root_terms, root_terms, degree)
+    _add_terms(square, _times_central(base, [(m, n, -1, 0, 1)], degree), base, degree)
+    branch = {}
+    for (x, p), poly in root.terms.items():
+        c = poly.terms.get((0, 0))
+        if c is not None:
+            branch[(x, p, 0, 0)] = [c._a, c._b, c._d]
+    constant = branch.setdefault((0, 0, 0, 0), [0, 0, 1])
+    constant[0] -= constant[2]  # minus 1
+    return _from_accumulator(square, degree), _from_accumulator(branch, degree)
 
 
 def leading_order_target(degree: int) -> WeylSeriesElement:
@@ -542,16 +576,23 @@ def exchange_residual(degree: int) -> WeylSeriesElement:
 
     Exact at every order because [mu p, nu x] = -i mu nu is central; this
     is the algebraic bridge to the quantum-plane relation PX = qXP.  The
-    central phase is folded into e^(nu x) before the second product.
+    k = 0 term of reordering p^b x^a is x^a p^b, so the residual is
+
+        (the k >= 1 terms of e^(mu p) e^(nu x))
+            - (e^(-i mu nu) - 1) e^(nu x) e^(mu p),
+
+    the central phase minus its j = 0 term riding on e^(nu x).
     """
-    exp_p = _exp_element("momentum", degree)
-    exp_x = _exp_element("position", degree)
-    phase = {}
-    for j in range(degree // 2 + 1):
+    exp_p = _terms(_exp_element("momentum", degree).terms, 1, 0)
+    exp_x = _exp_element("position", degree).terms
+    phase = []  # (-i mu nu)^j / j! for 1 <= j <= degree/2
+    for j in range(1, degree // 2 + 1):
         re, im = _MINUS_I_POW[j % 4]
-        phase[(j, j)] = _raw(re, im, factorial(j))  # one of re, im is +-1
-    phased = _sum(degree, {}, (exp_x, _central(degree, phase), 1, 0))
-    return _sum(degree, {}, (exp_p, exp_x, 1, 0), (phased, exp_p, -1, 0))
+        phase.append((j, j, re, im, factorial(j)))
+    acc: dict = {}
+    _add_terms(acc, exp_p, _terms(exp_x, 1, 0), degree, 1)
+    _add_terms(acc, _times_central(_terms(exp_x, -1, 0), phase, degree), exp_p, degree)
+    return _from_accumulator(acc, degree)
 
 
 class IdentityChecks(NamedTuple):
@@ -568,14 +609,16 @@ class IdentityChecks(NamedTuple):
 
 def identity_checks(degree: int) -> IdentityChecks:
     """All four checks, each residual summed raw in one accumulator and
-    reduced once; the right-hand side is summed once and shared."""
+    reduced once; the right-hand side is summed once and shared.  X*P is
+    the k = 0 term of P*X, so [P, X] is the k >= 1 terms of P*X alone."""
     p, x = deformed_momentum(degree), deformed_position(degree)
     rhs = _rhs_sum(degree)
-    minus_rhs = {key: [-a, -b, d] for key, (a, b, d) in rhs.items()}
-    # minus_rhs holds its own lists, so rhs becomes the leading order here
+    identity = {key: [-a, -b, d] for key, (a, b, d) in rhs.items()}
+    # identity holds its own lists, so rhs becomes the leading order here
     _add_scaled(rhs, leading_order_target(degree).terms, -1)
+    _add_terms(identity, _terms(p.terms, 1, 0), _terms(x.terms, 1, 0), degree, 1)
     return IdentityChecks(
-        identity=_sum(degree, minus_rhs, (p, x, 1, 0), (x, p, -1, 0)),
+        identity=_from_accumulator(identity, degree),
         exchange=exchange_residual(degree),
         sqrt_cosh=sqrt_defects("momentum", cosh_element("momentum", degree))
         + sqrt_defects("position", cosh_element("position", degree)),

@@ -222,6 +222,13 @@ MUTANTS = (
         ("tests/test_clockshift.py",),
     ),
     Mutant(
+        "a range of n is spread in float, not in int64",
+        "src/qdeform/clockshift.py",
+        "n = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)",
+        "n = np.arange(ns.start, ns.stop, ns.step, dtype=float)",
+        ("tests/test_clockshift.py",),
+    ),
+    Mutant(
         "clock phases at the quadrant angles left to cos and sin",
         "src/qdeform/clockshift.py",
         "roots[quadrant] = _QUADRANT_ROOTS[quarters[quadrant] // order]",
@@ -245,15 +252,15 @@ MUTANTS = (
     Mutant(
         "square-root check squares against 1 - mu^2 P^2",
         "src/qdeform/weyl.py",
-        "(scaled_base, base, -1, 0)",
-        "(scaled_base, base, 1, 0)",
+        "[(m, n, -1, 0, 1)]",
+        "[(m, n, 1, 0, 1)]",
         ("tests/test_weyl.py",),
     ),
     Mutant(
         "square-root check drops the branch element",
         "src/qdeform/weyl.py",
-        "WeylSeriesElement(degree, root.truncated(0).terms) - one,",
-        "WeylSeriesElement.zero(degree),",
+        "_from_accumulator(branch, degree)",
+        "WeylSeriesElement.zero(degree)",
         ("tests/test_weyl.py",),
     ),
     Mutant(
@@ -280,15 +287,43 @@ MUTANTS = (
     Mutant(
         "exchange residual adds the phased product instead of subtracting it",
         "src/qdeform/weyl.py",
-        "(phased, exp_p, -1, 0)",
-        "(phased, exp_p, 1, 0)",
+        "_terms(exp_x, -1, 0)",
+        "_terms(exp_x, 1, 0)",
         ("tests/test_weyl.py",),
     ),
     Mutant(
         "exchange phase enters its central product with the sign flipped",
         "src/qdeform/weyl.py",
-        "(exp_x, _central(degree, phase), 1, 0)",
-        "(exp_x, _central(degree, phase), -1, 0)",
+        "phase.append((j, j, re, im, factorial(j)))",
+        "phase.append((j, j, -re, -im, factorial(j)))",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "exchange phase keeps its j = 0 term",
+        "src/qdeform/weyl.py",
+        "for j in range(1, degree // 2 + 1):",
+        "for j in range(degree // 2 + 1):",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "bracket keeps the k = 0 term",
+        "src/qdeform/weyl.py",
+        "_terms(x.terms, 1, 0), degree, 1)",
+        "_terms(x.terms, 1, 0), degree, 0)",
+        ("tests/test_weyl.py",),
+    ),
+    Mutant(
+        "a central factor leaves its own degree out of the term's total",
+        "src/qdeform/weyl.py",
+        "(deg + m + n, x, p,",
+        "(deg, x, p,",
+        ("tests/test_weyl_properties.py",),
+    ),
+    Mutant(
+        "right-hand side counts the k = 0 product of its anticommutator once",
+        "src/qdeform/weyl.py",
+        "_terms(cosh_x, 0, -2)",
+        "_terms(cosh_x, 0, -1)",
         ("tests/test_weyl.py",),
     ),
     Mutant(

@@ -162,30 +162,65 @@ def test_verify_symbolic_metrics_match_public_weyl(invoke, degree):
     assert reported == expected
 
 
-def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
-    weights, rhs_sums = Counter(), Counter()
-    kernel, rhs_sum = weyl._add_product, weyl._rhs_sum
+def _word_kind(terms):
+    """'1', 'p', 'x' or 'xp': which generators a kernel operand's words hold."""
+    has_x = any(t[1] for t in terms)
+    has_p = any(t[2] for t in terms)
+    return {(False, False): "1", (False, True): "p", (True, False): "x"}.get(
+        (has_x, has_p), "xp"
+    )
 
-    def counted_product(acc, a, b, re, im):
-        weights[(re, im)] += 1
-        return kernel(acc, a, b, re, im)
+
+def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
+    calls, rhs_sums, built = Counter(), Counter(), []
+    kernel, rhs_sum, wrap = weyl._add_terms, weyl._rhs_sum, weyl._element
+    init = weyl.WeylSeriesElement.__init__
+
+    def counted_kernel(acc, left, right, cap, start=0):
+        calls[(start, _word_kind(left), _word_kind(right))] += 1
+        return kernel(acc, left, right, cap, start)
 
     def counted_rhs(degree):
         rhs_sums[degree] += 1
         return rhs_sum(degree)
 
-    monkeypatch.setattr(weyl, "_add_product", counted_product)
+    def recorded_element(degree, terms):
+        built.append(terms)
+        return wrap(degree, terms)
+
+    def recorded_init(self, degree, terms=None):
+        init(self, degree, terms)
+        built.append(self.terms)
+
+    monkeypatch.setattr(weyl, "_add_terms", counted_kernel)
     monkeypatch.setattr(weyl, "_rhs_sum", counted_rhs)
+    monkeypatch.setattr(weyl, "_element", recorded_element)
+    monkeypatch.setattr(weyl.WeylSeriesElement, "__init__", recorded_init)
     code, _ = invoke(["verify", "--engine", "symbolic", "--degree", "6"])
     assert code == 0
-    # fourteen signed products: P*X and -X*P; the right-hand side's two,
-    # each weighted -i, after cosh(mu*p)*c(mu*nu); the exchange identity's
-    # two, after e^(nu*x) times its phase; and per square-root side
-    # root*root and -(mu^2 P)*P after mu^2*P (nu^2 X on the position
-    # side); every central factor is an element on the empty word
-    assert weights == {(1, 0): 8, (-1, 0): 4, (0, -1): 2}
+    assert calls == {
+        # from k = 1, a p-series times an x-series: [P, X] alone, the
+        # k >= 1 part of {c cosh(mu*p), cosh(nu*x)} and of e^(mu p) e^(nu x)
+        (1, "p", "x"): 3,
+        # the k = 0 products: 2 c cosh(nu*x) cosh(mu*p) and
+        # (e^(-i mu nu) - 1) e^(nu*x) e^(mu*p)
+        (0, "x", "p"): 2,
+        # per square-root side, root*root and (-mu^2 P)*P (-nu^2 X on x)
+        (0, "p", "p"): 2,
+        (0, "x", "x"): 2,
+        # the q-oscillator target subtracted from the right-hand side
+        (0, "xp", "1"): 1,
+    }
     # the right-hand side is summed once and shared by two residuals
     assert rhs_sums == {6: 1}
+    # every central factor rides on a term list: no element is built on
+    # the empty word alone with a (mu, nu)-dependent coefficient
+    assert built
+    central = [
+        terms for terms in built
+        if set(terms) == {(0, 0)} and set(terms[(0, 0)].terms) - {(0, 0)}
+    ]
+    assert not central
 
 
 def test_verify_matrix_passes(invoke):

@@ -243,6 +243,13 @@ SCALING_CASES = [
     (math.pi, 2.5, [4]),  # single n, alpha at the top of its range
     (-3.1, 0.8, range(999_000, 1_000_001)),  # n up to 10^6
     (1e-300, 1e-300, [0, 1, 10**15, 2**62]),
+    # n held as int64 and cast to float, which rounds a tie to even as
+    # float(n) does: ranges either way across 2^53 + 1 and up to 2^62
+    (0.3, 1.1, range(2**53 - 500, 2**53 + 501)),
+    (0.3, 1.1, range(2**53 + 1 + 7 * 300, 2**53 + 1 - 7 * 300, -7)),
+    (-2.0, 0.9, range(2**62 - 1001 * 300, 2**62 + 1, 1001)),
+    (-2.0, 0.9, range(2**62, 2**62 - 3 * 400, -3)),
+    (1.0, 1.0, [2**53 + 1, 2**53 + 3, 2**62 - 1, 2**62 - 511, 2**62]),
 ]
 
 

@@ -11,7 +11,10 @@ from qdeform.weyl import (
     ParamPolynomial,
     WeylSeriesElement,
     _add_product,
+    _add_terms,
     _from_accumulator,
+    _terms,
+    _times_central,
     anticommutator,
     commutator,
     cosh_element,
@@ -157,6 +160,67 @@ def test_product_kernel_adds_the_weighted_oracle_product(pair, weight):
     assert got.degree == a.degree
     expected = _linear_oracle((seventh, ab), (RationalComplex(re, im), ab))
     assert _coefficients(got) == expected
+
+
+# complex weights over several unequal denominators
+split_scalars = st.builds(
+    RationalComplex,
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 5, 7, 8, 9])),
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 5, 7, 8, 9])),
+).filter(lambda c: not c.is_zero)
+
+
+@st.composite
+def split_series(draw):
+    """A p-only f, an x-only g and a central (mu, nu) polynomial c, of one
+    degree in 0..12, each nonzero."""
+    degree = draw(st.integers(0, 12))
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    poly = st.dictionaries(keys, split_scalars, min_size=1, max_size=3)
+    powers = st.integers(0, 5)
+
+    def series(word):
+        terms = draw(st.dictionaries(powers.map(word), poly, min_size=1, max_size=4))
+        return WeylSeriesElement(degree, terms)
+
+    central = draw(st.dictionaries(keys, split_scalars, min_size=1, max_size=3))
+    return series(lambda b: (0, b)), series(lambda a: (a, 0)), degree, central
+
+
+# P and X at degree 4 with c = 1 + mu nu/3 - i mu^2 nu^2/5
+P_AND_X = (
+    WeylSeriesElement(4, {(0, 1): {(0, 0): 1}, (0, 3): {(2, 0): Fraction(1, 6)}}),
+    WeylSeriesElement(4, {(1, 0): {(0, 0): 1}, (3, 0): {(0, 2): Fraction(1, 6)}}),
+    4,
+    {(0, 0): RationalComplex(1), (1, 1): RationalComplex(Fraction(1, 3)),
+     (2, 2): RationalComplex(0, Fraction(-1, 5))},
+)
+
+
+@given(split_series())
+@settings(max_examples=150)
+@example(P_AND_X)
+def test_reordering_terms_from_k_one_give_both_brackets(case):
+    # the k = 0 term of reordering p^b x^a is x^a p^b, so for a p-only f
+    # and an x-only g the k >= 1 terms of f*g are [f, g], and 2 g*f plus
+    # them is {f, g}; a central c may ride on the left factor of each
+    f, g, degree, central = case
+    fg, gf = normal_product_by_terms(f, g), normal_product_by_terms(g, f)
+    acc = {}
+    _add_terms(acc, _terms(f.terms, 1, 0), _terms(g.terms, 1, 0), degree, 1)
+    assert _from_accumulator(acc, degree) == fg - gf
+    _add_terms(acc, _terms(g.terms, 2, 0), _terms(f.terms, 1, 0), degree)
+    assert _from_accumulator(acc, degree) == fg + gf
+    c = [(m, n, s._a, s._b, s._d) for (m, n), s in central.items()]
+    acc = {}
+    _add_terms(acc, _times_central(_terms(f.terms, 1, 0), c, degree),
+               _terms(g.terms, 1, 0), degree, 1)
+    _add_terms(acc, _times_central(_terms(g.terms, 2, 0), c, degree),
+               _terms(f.terms, 1, 0), degree)
+    expected = normal_product_by_terms(
+        fg + gf, WeylSeriesElement(degree, {(0, 0): central})
+    )
+    assert _from_accumulator(acc, degree) == expected
 
 
 # p + 2 and -p - 1: each word of P_PLUS_ONE cancels against one of them
