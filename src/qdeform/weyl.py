@@ -1,10 +1,9 @@
 """Exact normal-ordered algebra of x and p with [p, x] = -i.
 
-Elements are polynomials in the generators x, p (kept in normal order:
-all x to the left of all p) whose coefficients are exact polynomials in
-the two deformation parameters mu and nu, truncated by total (mu, nu)
-degree.  Natural units hbar = m = c = 1 throughout; all dimensional
-bookkeeping lives in :mod:`qdeform.params`.
+An element is a sum of terms c mu^m nu^n x^x p^p: normal-ordered words
+(all x to the left of all p) with exact Q(i) coefficients c, truncated
+by total (mu, nu) degree m + n.  Natural units hbar = m = c = 1
+throughout; all dimensional bookkeeping lives in :mod:`qdeform.params`.
 
 The engine exists to verify, with zero residual, the commutator identity
 of the sinh-deformed pair
@@ -29,62 +28,6 @@ from .rational import MINUS_I, ZERO, RationalComplex, _raw, _reduced, format_tri
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
-class WeylMonomial(NamedTuple):
-    """Normal-ordered word x^x_pow * p^p_pow."""
-
-    x_pow: int
-    p_pow: int
-
-
-class ParamPolynomial:
-    """Polynomial in (mu, nu) over RationalComplex; zero terms never stored."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[tuple[int, int], RationalComplex] = {}
-        for key, value in (terms or {}).items():
-            m, n = int(key[0]), int(key[1])
-            if m < 0 or n < 0:
-                raise ValueError("parameter powers must be >= 0")
-            if not isinstance(value, RationalComplex):
-                value = RationalComplex(value)
-            if not value.is_zero:
-                clean[(m, n)] = value
-        self.terms = clean
-
-    @classmethod
-    def constant(cls, value) -> "ParamPolynomial":
-        return cls({(0, 0): value})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def truncated(self, cap: int) -> "ParamPolynomial":
-        return _poly({k: v for k, v in self.terms.items() if k[0] + k[1] <= cap})
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ParamPolynomial({self.terms!r})"
-
-
-def _poly(terms: dict) -> ParamPolynomial:
-    """Wrap a dict of (mu, nu) powers to nonzero scalars without re-checking it."""
-    poly = object.__new__(ParamPolynomial)
-    poly.terms = terms
-    return poly
-
-
 def _as_scalar(value) -> RationalComplex:
     return value if isinstance(value, RationalComplex) else RationalComplex(value)
 
@@ -92,9 +35,11 @@ def _as_scalar(value) -> RationalComplex:
 class WeylSeriesElement:
     """Normal-ordered operator polynomial with truncated parameter coefficients.
 
-    ``degree`` is the truncation bound on the total (mu, nu) power of every
-    coefficient; operator powers are not independently capped.  Elements are
-    immutable values: every operation returns a new element.
+    ``terms`` maps (x, p, m, n), four ints >= 0, to the nonzero
+    RationalComplex coefficient of mu^m nu^n x^x p^p.  ``degree`` is the
+    truncation bound on m + n; operator powers are not independently
+    capped.  Elements are immutable values: every operation returns a new
+    element.
     """
 
     __slots__ = ("degree", "terms")
@@ -103,40 +48,29 @@ class WeylSeriesElement:
         if degree < 0:
             raise ValueError("truncation degree must be >= 0")
         self.degree = int(degree)
-        clean: dict[WeylMonomial, ParamPolynomial] = {}
-        for mono, poly in (terms or {}).items():
-            mono = WeylMonomial(int(mono[0]), int(mono[1]))
-            if mono.x_pow < 0 or mono.p_pow < 0:
-                raise ValueError("operator powers must be >= 0")
-            if not isinstance(poly, ParamPolynomial):
-                poly = ParamPolynomial(poly)
-            poly = poly.truncated(self.degree)
-            if poly:
-                clean[mono] = poly
+        clean: dict[tuple[int, int, int, int], RationalComplex] = {}
+        for key, value in (terms or {}).items():
+            if not (
+                type(key) is tuple
+                and len(key) == 4
+                and all(type(k) is int and k >= 0 for k in key)
+            ):
+                raise ValueError(
+                    "term key must be four ints >= 0 (x, p, mu, nu powers), "
+                    f"got {key!r}"
+                )
+            value = _as_scalar(value)
+            if key[2] + key[3] <= self.degree and not value.is_zero:
+                clean[key] = value
         self.terms = clean
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, degree: int) -> "WeylSeriesElement":
-        return cls(degree)
 
     @classmethod
     def scalar(cls, value, degree: int) -> "WeylSeriesElement":
-        return cls(degree, {(0, 0): ParamPolynomial.constant(value)})
-
-    @classmethod
-    def one(cls, degree: int) -> "WeylSeriesElement":
-        return cls.scalar(1, degree)
-
-    # -- structure ----------------------------------------------------
+        return cls(degree, {(0, 0, 0, 0): value})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, x_pow: int, p_pow: int) -> ParamPolynomial:
-        return self.terms.get(WeylMonomial(x_pow, p_pow), ParamPolynomial())
 
     def truncated(self, degree: int) -> "WeylSeriesElement":
         return WeylSeriesElement(degree, self.terms)
@@ -164,9 +98,6 @@ class WeylSeriesElement:
     def __neg__(self) -> "WeylSeriesElement":
         return self.scaled(-1)
 
-    def __mul__(self, other: "WeylSeriesElement") -> "WeylSeriesElement":
-        return normal_product(self, other)
-
     def scaled(self, scalar) -> "WeylSeriesElement":
         s = _as_scalar(scalar)
         return _from_accumulator(
@@ -175,33 +106,37 @@ class WeylSeriesElement:
 
     def p_derivative(self) -> "WeylSeriesElement":
         """Termwise d/dp; only meaningful for elements free of x."""
-        acc: dict = {}
-        for (x, p), poly in self.terms.items():
-            if p:
-                _add_scaled(acc, {(x, p - 1): poly}, p)
+        acc = {
+            (x, p - 1, m, n): [c._a * p, c._b * p, c._d]
+            for (x, p, m, n), c in self.terms.items()
+            if p
+        }
         return _from_accumulator(acc, self.degree)
 
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form: one chunk per (parameter monomial, word) pair,
-        sorted by word then parameter powers."""
+        """Canonical text form: one chunk per term, sorted by word then
+        parameter powers, which is the order of the (x, p, m, n) keys."""
         if not self.terms:
             return "0"
-        chunks = []
-        for mono in sorted(self.terms):
-            poly = self.terms[mono]
-            word = _word_factors(mono)
-            for key in sorted(poly.terms):
-                chunks.append(_term_text(poly.terms[key], _param_factors(key) + word))
-        return _join_terms(chunks)
+        return _join_terms(
+            [
+                _term_text(
+                    self.terms[(x, p, m, n)],
+                    _power("mu", m) + _power("nu", n) + _power("x", x) + _power("p", p),
+                )
+                for x, p, m, n in sorted(self.terms)
+            ]
+        )
 
     def __repr__(self):
         return f"WeylSeriesElement(degree={self.degree}, {self.to_text()!r})"
 
 
 def _element(degree: int, terms: dict) -> WeylSeriesElement:
-    """Wrap a dict of words to nonzero, truncated polynomials without re-checking it."""
+    """Wrap a dict of (x, p, m, n) keys to nonzero scalars with m + n <= degree
+    without re-checking it."""
     element = object.__new__(WeylSeriesElement)
     element.degree = degree
     element.terms = terms
@@ -215,23 +150,11 @@ def _check_degree(a: WeylSeriesElement, b: WeylSeriesElement) -> None:
         )
 
 
-def _word_factors(mono: WeylMonomial) -> list[str]:
-    out = []
-    if mono.x_pow:
-        out.append("x" if mono.x_pow == 1 else f"x^{mono.x_pow}")
-    if mono.p_pow:
-        out.append("p" if mono.p_pow == 1 else f"p^{mono.p_pow}")
-    return out
-
-
-def _param_factors(key: tuple[int, int]) -> list[str]:
-    m, n = key
-    out = []
-    if m:
-        out.append("mu" if m == 1 else f"mu^{m}")
-    if n:
-        out.append("nu" if n == 1 else f"nu^{n}")
-    return out
+def _power(name: str, k: int) -> list[str]:
+    """The text factor name^k as a list: empty for k = 0, bare for k = 1."""
+    if not k:
+        return []
+    return [name if k == 1 else f"{name}^{k}"]
 
 
 def _term_text(scalar: RationalComplex, factors: list[str]) -> tuple[int, str]:
@@ -292,8 +215,7 @@ def _terms(terms: dict, re: int, im: int) -> list:
     terms, lowest total degree first."""
     return sorted(
         (m + n, x, p, m, n, c._a * re - c._b * im, c._a * im + c._b * re, c._d)
-        for (x, p), poly in terms.items()
-        for (m, n), c in poly.terms.items()
+        for (x, p, m, n), c in terms.items()
     )
 
 
@@ -360,18 +282,10 @@ def _add_scaled(acc: dict, terms: dict, re: int, im: int = 0, d: int = 1) -> dic
 
 
 def _from_accumulator(acc: dict, degree: int) -> WeylSeriesElement:
-    """Raw coefficients to canonical scalars, one gcd each, grouped into
-    words once; zeros, which take no gcd, and words left empty are
-    dropped."""
-    words: dict = {}
-    for (x, p, m, n), (a, b, d) in acc.items():
-        if a or b:
-            coeffs = words.get((x, p))
-            if coeffs is None:
-                coeffs = words[(x, p)] = {}
-            coeffs[(m, n)] = _reduced(a, b, d)
+    """Raw coefficients to canonical scalars, one gcd each; zeros, which
+    take no gcd, are dropped."""
     return _element(
-        degree, {WeylMonomial(*word): _poly(c) for word, c in words.items()}
+        degree, {key: _reduced(a, b, d) for key, (a, b, d) in acc.items() if a or b}
     )
 
 
@@ -407,21 +321,17 @@ def commutator(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
     return _sum(a.degree, (a, b, 1, 0), (b, a, -1, 0))
 
 
-def anticommutator(a: WeylSeriesElement, b: WeylSeriesElement) -> WeylSeriesElement:
-    return _sum(a.degree, (a, b, 1, 0), (b, a, 1, 0))
-
-
 # ---------------------------------------------------------------------------
 # generators and deformed operators
 # ---------------------------------------------------------------------------
 
 
 def x_op(degree: int) -> WeylSeriesElement:
-    return WeylSeriesElement(degree, {(1, 0): ParamPolynomial.constant(1)})
+    return WeylSeriesElement(degree, {(1, 0, 0, 0): 1})
 
 
 def p_op(degree: int) -> WeylSeriesElement:
-    return WeylSeriesElement(degree, {(0, 1): ParamPolynomial.constant(1)})
+    return WeylSeriesElement(degree, {(0, 1, 0, 0): 1})
 
 
 def _generator_series(
@@ -434,10 +344,10 @@ def _generator_series(
         raise ValueError(f"unknown side: {side!r}")
     terms = {}
     for k in range(start, start + degree + 1, step):
-        word = WeylMonomial(0, k) if side == "momentum" else WeylMonomial(k, 0)
-        key = (k - start, 0) if side == "momentum" else (0, k - start)
-        # 1/k! is in lowest terms, and its degree k - start is within the cap
-        terms[word] = _poly({key: _raw(1, 0, factorial(k))})
+        t = k - start
+        key = (0, k, t, 0) if side == "momentum" else (k, 0, 0, t)
+        # 1/k! is in lowest terms, and its degree t is within the cap
+        terms[key] = _raw(1, 0, factorial(k))
     return _element(degree, terms)
 
 
@@ -479,7 +389,7 @@ def theta_text(coeffs: list[RationalComplex]) -> str:
     """Canonical text of sum_k coeffs[k] * theta^k, zero terms left out,
     e.g. ``1/2 + (1/24)*theta^2``."""
     chunks = [
-        _term_text(c, [] if k == 0 else ["theta" if k == 1 else f"theta^{k}"])
+        _term_text(c, _power("theta", k))
         for k, c in enumerate(coeffs)
         if not c.is_zero
     ]
@@ -554,11 +464,11 @@ def sqrt_defects(
     square = {(0, 0, 0, 0): [-1, 0, 1]}  # the constant -1
     _add_terms(square, root_terms, root_terms, degree)
     _add_terms(square, _times_central(base, [(m, n, -1, 0, 1)], degree), base, degree)
-    branch = {}
-    for (x, p), poly in root.terms.items():
-        c = poly.terms.get((0, 0))
-        if c is not None:
-            branch[(x, p, 0, 0)] = [c._a, c._b, c._d]
+    branch = {
+        key: [c._a, c._b, c._d]
+        for key, c in root.terms.items()
+        if key[2] == key[3] == 0
+    }
     constant = branch.setdefault((0, 0, 0, 0), [0, 0, 1])
     constant[0] -= constant[2]  # minus 1
     return _from_accumulator(square, degree), _from_accumulator(branch, degree)
@@ -567,7 +477,7 @@ def sqrt_defects(
 def leading_order_target(degree: int) -> WeylSeriesElement:
     """-i * (1 + mu^2 p^2 / 2 + nu^2 x^2 / 2), the q-oscillator form."""
     half = _raw(0, -1, 2)  # -i/2
-    terms = {(0, 0): {(0, 0): MINUS_I}, (0, 2): {(2, 0): half}, (2, 0): {(0, 2): half}}
+    terms = {(0, 0, 0, 0): MINUS_I, (0, 2, 2, 0): half, (2, 0, 0, 2): half}
     return WeylSeriesElement(degree, terms)
 
 
@@ -640,7 +550,7 @@ def free_particle_rule(
     f = tan this reproduces the free relativistic commutator -i(1 + f^2);
     with f = sinh(mu*p)/mu it gives -i cosh(mu*p), the square-root variant.
     """
-    if any(mono.x_pow for mono in f.terms):
+    if any(key[0] for key in f.terms):
         raise ValueError("f must be a series in p alone (no x powers)")
     element = f.truncated(degree) if f.degree != degree else f
     lhs = commutator(element, x_op(degree))

@@ -245,9 +245,16 @@ MUTANTS = (
     Mutant(
         "product results keep their unreduced accumulator triples",
         "src/qdeform/weyl.py",
-        "coeffs[(m, n)] = _reduced(a, b, d)",
-        "coeffs[(m, n)] = _raw(a, b, d)",
+        "{key: _reduced(a, b, d) for key",
+        "{key: _raw(a, b, d) for key",
         ("tests/test_weyl_properties.py",),
+    ),
+    Mutant(
+        "constructor keeps terms past the truncation degree",
+        "src/qdeform/weyl.py",
+        "key[2] + key[3] <= self.degree and ",
+        "",
+        ("tests/test_weyl.py",),
     ),
     Mutant(
         "square-root check squares against 1 - mu^2 P^2",
@@ -260,7 +267,7 @@ MUTANTS = (
         "square-root check drops the branch element",
         "src/qdeform/weyl.py",
         "_from_accumulator(branch, degree)",
-        "WeylSeriesElement.zero(degree)",
+        "WeylSeriesElement(degree)",
         ("tests/test_weyl.py",),
     ),
     Mutant(
@@ -450,6 +457,13 @@ MUTANTS = (
         "src/qdeform/cli.py",
         "from . import config, params\n",
         "import numpy as np\n\nfrom . import clockshift, config, matrixrep, params\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "verify counts coefficients instead of words",
+        "src/qdeform/cli.py",
+        "len({(x, p) for x, p, _, _ in element.terms})",
+        "len(element.terms)",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -42,7 +42,7 @@ from qdeform.matrixrep import identity_residual
 from qdeform.params import UNIT_TAGS, parse_quantity
 from qdeform.rational import MINUS_I, RationalComplex
 from qdeform.report import SCHEMA_VERSION, Metric, Table, VerificationReport
-from qdeform.weyl import ParamPolynomial, WeylSeriesElement
+from qdeform.weyl import WeylSeriesElement
 
 
 class FractionPairComplex:
@@ -177,18 +177,30 @@ def _joined_text(chunks: list[tuple[int, str]]) -> str:
     )
 
 
+def nested_element(degree: int, words: dict) -> WeylSeriesElement:
+    """The element with the terms {(x, p): {(m, n): c}}, spelled word by word."""
+    return WeylSeriesElement(
+        degree,
+        {
+            (x, p, m, n): c
+            for (x, p), coeffs in words.items()
+            for (m, n), c in coeffs.items()
+        },
+    )
+
+
 def element_text(element: WeylSeriesElement) -> str:
     """The judge for WeylSeriesElement.to_text: one term per (word,
     parameter monomial), sorted by word then powers, each scalar read as
     a pair of Fractions."""
     chunks = []
-    for x, p in sorted(element.terms):
-        word = _power_text("x", x) + _power_text("p", p)
-        poly = element.terms[(x, p)].terms
-        for m, n in sorted(poly):
-            c = poly[(m, n)]
-            factors = _power_text("mu", m) + _power_text("nu", n) + word
-            chunks.append(fraction_term_text(FractionPairComplex(c.re, c.im), factors))
+    for x, p, m, n in sorted(element.terms):
+        c = element.terms[(x, p, m, n)]
+        factors = (
+            _power_text("mu", m) + _power_text("nu", n)
+            + _power_text("x", x) + _power_text("p", p)
+        )
+        chunks.append(fraction_term_text(FractionPairComplex(c.re, c.im), factors))
     return _joined_text(chunks)
 
 
@@ -241,29 +253,8 @@ def _reorder(p_pow: int, x_pow: int):
         yield (x_pow - k, p_pow - k), _MINUS_I_POWERS[k % 4] * weight
 
 
-def _poly_product(
-    pa: ParamPolynomial, pb: ParamPolynomial, cap: int
-) -> dict[tuple[int, int], RationalComplex]:
-    out: dict[tuple[int, int], RationalComplex] = {}
-    for (m1, n1), c1 in pa.terms.items():
-        for (m2, n2), c2 in pb.terms.items():
-            if m1 + n1 + m2 + n2 <= cap:
-                key = (m1 + m2, n1 + n2)
-                out[key] = out.get(key, RationalComplex(0)) + c1 * c2
-    return out
-
-
-def _accumulate(acc: dict, mono, coeffs: dict, scalar: RationalComplex) -> None:
-    dst = acc.setdefault(mono, {})
-    for key, value in coeffs.items():
-        dst[key] = dst.get(key, RationalComplex(0)) + value * scalar
-
-
-def _from_accumulator(acc: dict, degree: int) -> WeylSeriesElement:
-    # the constructor drops zero coefficients and words left empty
-    return WeylSeriesElement(
-        degree, {mono: ParamPolynomial(coeffs) for mono, coeffs in acc.items()}
-    )
+def _accumulate(acc: dict, key, value: RationalComplex) -> None:
+    acc[key] = acc.get(key, RationalComplex(0)) + value
 
 
 def normal_product_by_terms(
@@ -273,12 +264,15 @@ def normal_product_by_terms(
     contribution a reduced RationalComplex product added into a reduced sum."""
     assert a.degree == b.degree
     acc: dict = {}
-    for (x1, p1), pa in a.terms.items():
-        for (x2, p2), pb in b.terms.items():
-            pab = _poly_product(pa, pb, a.degree)
+    for (x1, p1, m1, n1), c1 in a.terms.items():
+        for (x2, p2, m2, n2), c2 in b.terms.items():
+            if m1 + n1 + m2 + n2 > a.degree:
+                continue
+            c = c1 * c2
             for (x, p), scalar in _reorder(p1, x2):
-                _accumulate(acc, (x1 + x, p + p2), pab, scalar)
-    return _from_accumulator(acc, a.degree)
+                _accumulate(acc, (x1 + x, p + p2, m1 + m2, n1 + n2), c * scalar)
+    # the constructor drops zero coefficients
+    return WeylSeriesElement(a.degree, acc)
 
 
 def dagger(element: WeylSeriesElement) -> WeylSeriesElement:
@@ -289,11 +283,11 @@ def dagger(element: WeylSeriesElement) -> WeylSeriesElement:
     conjugation touches the scalars only.
     """
     acc: dict = {}
-    for (x_pow, p_pow), poly in element.terms.items():
-        conj = {key: c.conjugate() for key, c in poly.terms.items()}
-        for mono, scalar in _reorder(p_pow, x_pow):
-            _accumulate(acc, mono, conj, scalar)
-    return _from_accumulator(acc, element.degree)
+    for (x_pow, p_pow, m, n), c in element.terms.items():
+        conj = c.conjugate()
+        for (x, p), scalar in _reorder(p_pow, x_pow):
+            _accumulate(acc, (x, p, m, n), conj * scalar)
+    return WeylSeriesElement(element.degree, acc)
 
 
 def binomial_series_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:
@@ -303,7 +297,7 @@ def binomial_series_sqrt(element: WeylSeriesElement) -> WeylSeriesElement:
     formal series, and u of parameter degree >= 1, so that u^k vanishes
     past k = degree.
     """
-    one = WeylSeriesElement.one(element.degree)
+    one = WeylSeriesElement.scalar(1, element.degree)
     u = element + one.scaled(-1)
     result = power = one
     binom = Fraction(1)
@@ -322,11 +316,10 @@ def one_plus_square(side: str, degree: int) -> WeylSeriesElement:
     assert side in ("momentum", "position")
     terms = {}
     for k in range(1, degree + 1, 2):
-        word = (0, k) if side == "momentum" else (k, 0)
-        key = (k, 0) if side == "momentum" else (0, k)
-        terms[word] = {key: Fraction(1, math.factorial(k))}
+        key = (0, k, k, 0) if side == "momentum" else (k, 0, 0, k)
+        terms[key] = Fraction(1, math.factorial(k))
     sinh = WeylSeriesElement(degree, terms)
-    return WeylSeriesElement.one(degree) + normal_product_by_terms(sinh, sinh)
+    return WeylSeriesElement.scalar(1, degree) + normal_product_by_terms(sinh, sinh)
 
 
 def tan_coefficients(max_power: int) -> list[Fraction]:
@@ -830,16 +823,16 @@ def evaluate_element(
     """
     dim = x.shape[0]
     out = np.zeros((dim, dim), dtype=complex)
-    max_x = max((m.x_pow for m in element.terms), default=0)
-    max_p = max((m.p_pow for m in element.terms), default=0)
+    max_x = max((key[0] for key in element.terms), default=0)
+    max_p = max((key[1] for key in element.terms), default=0)
     x_pows = _power_table(x, max_x)
     p_pows = _power_table(p, max_p)
-    for mono, poly in element.terms.items():
-        coeff = 0j
-        for (mp, np_), value in poly.terms.items():
-            coeff += complex(value) * (mu**mp) * (nu**np_)
+    coeffs: dict = {}
+    for (a, b, mp, np_), value in element.terms.items():
+        coeffs[(a, b)] = coeffs.get((a, b), 0j) + complex(value) * (mu**mp) * (nu**np_)
+    for (a, b), coeff in coeffs.items():
         if coeff != 0j:
-            out += coeff * (x_pows[mono.x_pow] @ p_pows[mono.p_pow])
+            out += coeff * (x_pows[a] @ p_pows[b])
     return out
 
 
@@ -854,13 +847,9 @@ def substituted_zero(element: WeylSeriesElement, param: str) -> WeylSeriesElemen
     """Set mu = 0 or nu = 0 in an element, keeping only coefficients free of it."""
     if param not in ("mu", "nu"):
         raise ValueError("param must be 'mu' or 'nu'")
-    idx = 0 if param == "mu" else 1
+    idx = 2 if param == "mu" else 3
     return WeylSeriesElement(
-        element.degree,
-        {
-            mono: ParamPolynomial({k: v for k, v in poly.terms.items() if k[idx] == 0})
-            for mono, poly in element.terms.items()
-        },
+        element.degree, {k: v for k, v in element.terms.items() if k[idx] == 0}
     )
 
 

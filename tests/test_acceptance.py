@@ -21,7 +21,7 @@ from qdeform import weyl
 from qdeform.clockshift import build_pair, q_from_alpha, verify_qplane
 from qdeform.matrixrep import identity_residual
 from qdeform.rational import MINUS_I, RationalComplex
-from qdeform.weyl import ParamPolynomial, WeylSeriesElement
+from qdeform.weyl import WeylSeriesElement
 
 from conftest import mask_timestamp
 from oracles import (
@@ -78,11 +78,7 @@ def test_q_oscillator_form_correct_through_degree_three():
         residual = weyl.identity_checks(degree).leading_order
         if residual.is_zero:
             ok = False
-        if any(
-            m + n < 4
-            for poly in residual.terms.values()
-            for (m, n) in poly.terms
-        ):
+        if any(m + n < 4 for _, _, m, n in residual.terms):
             ok = False
     _gate("quadratic expansion exact below degree 4 (degrees 4..10)", ok)
 
@@ -218,16 +214,14 @@ def test_matrix_convergence_with_frozen_threshold(invoke, tmp_path):
 def test_free_particle_rule_symbolically():
     # tan realization at degree 10
     tan = tan_coefficients(9)
-    f = WeylSeriesElement(9, {(0, k): {(0, 0): tan[k]} for k in range(10)})
+    f = WeylSeriesElement(9, {(0, k, 0, 0): tan[k] for k in range(10)})
     lhs, rhs = weyl.free_particle_rule(f, 10)
     sq = square_coefficients(tan, 8)
     expected_terms = {}
     for power in range(9):
         coeff = sq[power] + (1 if power == 0 else 0)
         if coeff:
-            expected_terms[(0, power)] = ParamPolynomial.constant(
-                RationalComplex(0, -coeff)
-            )
+            expected_terms[(0, power, 0, 0)] = RationalComplex(0, -coeff)
     expected = WeylSeriesElement(10, expected_terms)
     tan_ok = lhs == rhs and rhs == expected
 
@@ -238,7 +232,7 @@ def test_free_particle_rule_symbolically():
             k: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for k in range(rng.randint(1, 9))
         }
-        f = WeylSeriesElement(8, {(0, k): {(0, 0): c} for k, c in coeffs.items()})
+        f = WeylSeriesElement(8, {(0, k, 0, 0): c for k, c in coeffs.items()})
         lhs, rhs = weyl.free_particle_rule(f, 8)
         if lhs != rhs:
             prop_ok = False

@@ -131,6 +131,16 @@ def test_verify_symbolic_golden_degree_16(invoke, golden_dir):
     ).read_text()
 
 
+def _words(element):
+    """The words x^a p^b of an element that carry a nonzero coefficient."""
+    return len({(x, p) for x, p, _, _ in element.terms})
+
+
+def _low_degree_coefficients(element):
+    """The coefficients of an element of total (mu, nu) degree below 4."""
+    return sum(1 for _, _, m, n in element.terms if m + n < 4)
+
+
 @pytest.mark.parametrize("degree", range(15))
 def test_verify_symbolic_metrics_match_public_weyl(invoke, degree):
     code, out = invoke(["verify", "--engine", "symbolic", "--degree", str(degree)])
@@ -141,25 +151,40 @@ def test_verify_symbolic_metrics_match_public_weyl(invoke, degree):
     lhs = weyl.commutator(weyl.deformed_momentum(degree), weyl.deformed_position(degree))
     residual9 = rhs - weyl.leading_order_target(degree)
     expected = {
-        "residual_terms": len((lhs - rhs).terms),
-        "exchange_residual_terms": len(weyl.exchange_residual(degree).terms),
+        "residual_terms": _words(lhs - rhs),
+        "exchange_residual_terms": _words(weyl.exchange_residual(degree)),
         "sqrt_cosh_mismatch_terms": sum(
-            len(
-                (
-                    binomial_series_sqrt(one_plus_square(side, degree))
-                    - weyl.cosh_element(side, degree)
-                ).terms
+            _words(
+                binomial_series_sqrt(one_plus_square(side, degree))
+                - weyl.cosh_element(side, degree)
             )
             for side in ("momentum", "position")
         ),
-        "expansion_low_degree_terms": sum(
-            1
-            for poly in residual9.terms.values()
-            for (m, n) in poly.terms
-            if m + n < 4
-        ),
+        "expansion_low_degree_terms": _low_degree_coefficients(residual9),
     }
     assert reported == expected
+
+
+def test_verify_symbolic_counts_words_but_low_degree_coefficients(invoke, monkeypatch):
+    # x + mu*x + mu^2 nu^2 p: two words, three coefficients, two of them
+    # of degree < 4; residual_terms and its kin count words, and
+    # expansion_low_degree_terms counts coefficients
+    residual = weyl.WeylSeriesElement(
+        4, {(1, 0, 0, 0): 1, (1, 0, 1, 0): 1, (0, 1, 2, 2): 1}
+    )
+    zero = weyl.WeylSeriesElement(4)
+    checks = weyl.IdentityChecks(residual, residual, (residual, zero) * 2, residual)
+    monkeypatch.setattr(weyl, "identity_checks", lambda degree: checks)
+    code, out = invoke(["verify", "--engine", "symbolic", "--degree", "4"])
+    assert code == 1
+    reported = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
+    assert (_words(residual), len(residual.terms)) == (2, 3)
+    assert reported == {
+        "residual_terms": 2,
+        "exchange_residual_terms": 2,
+        "sqrt_cosh_mismatch_terms": 4,
+        "expansion_low_degree_terms": 2,
+    }
 
 
 def _word_kind(terms):
@@ -218,7 +243,8 @@ def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
     assert built
     central = [
         terms for terms in built
-        if set(terms) == {(0, 0)} and set(terms[(0, 0)].terms) - {(0, 0)}
+        if {key[:2] for key in terms} == {(0, 0)}
+        and any(key[2:] != (0, 0) for key in terms)
     ]
     assert not central
 

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from qdeform.rational import RationalComplex
 from qdeform.weyl import (
-    ParamPolynomial,
     WeylSeriesElement,
     _add_product,
     _add_terms,
     _from_accumulator,
     _terms,
     _times_central,
-    anticommutator,
     commutator,
     cosh_element,
     normal_product,
@@ -28,6 +26,7 @@ from qdeform.weyl import (
 from oracles import (
     dagger,
     element_text,
+    nested_element,
     normal_order_word,
     normal_product_by_terms,
     series_text,
@@ -38,12 +37,10 @@ DEGREE = 4
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars = st.builds(RationalComplex, fractions, fractions)
 param_keys = st.tuples(st.integers(0, 2), st.integers(0, 2))
-polys = st.dictionaries(param_keys, scalars, min_size=1, max_size=2).map(
-    ParamPolynomial
-)
+polys = st.dictionaries(param_keys, scalars, min_size=1, max_size=2)
 monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
 elements = st.dictionaries(monomials, polys, max_size=3).map(
-    lambda terms: WeylSeriesElement(DEGREE, terms)
+    lambda terms: nested_element(DEGREE, terms)
 )
 
 
@@ -66,19 +63,17 @@ def element_pairs(draw):
 
     def element():
         terms = draw(st.dictionaries(words, poly, max_size=4))
-        return WeylSeriesElement(degree, terms)
+        return nested_element(degree, terms)
 
     return element(), element()
 
 
 # (p + 1)(x + i) = xp + ip + x: the constant terms -i and i cancel
-P_PLUS_ONE = WeylSeriesElement(2, {(0, 1): {(0, 0): 1}, (0, 0): {(0, 0): 1}})
-X_PLUS_I = WeylSeriesElement(
-    2, {(1, 0): {(0, 0): 1}, (0, 0): {(0, 0): RationalComplex(0, 1)}}
-)
+P_PLUS_ONE = WeylSeriesElement(2, {(0, 1, 0, 0): 1, (0, 0, 0, 0): 1})
+X_PLUS_I = WeylSeriesElement(2, {(1, 0, 0, 0): 1, (0, 0, 0, 0): RationalComplex(0, 1)})
 # (1 + mu nu) p + x and p + (nu^2 - 1) x: multi-term coefficients cut at degree 3
-MIXED_A = WeylSeriesElement(3, {(0, 1): {(0, 0): 1, (1, 1): 1}, (1, 0): {(0, 0): 1}})
-MIXED_B = WeylSeriesElement(3, {(0, 1): {(0, 0): 1}, (1, 0): {(0, 0): -1, (0, 2): 1}})
+MIXED_A = WeylSeriesElement(3, {(0, 1, 0, 0): 1, (0, 1, 1, 1): 1, (1, 0, 0, 0): 1})
+MIXED_B = WeylSeriesElement(3, {(0, 1, 0, 0): 1, (1, 0, 0, 0): -1, (1, 0, 0, 2): 1})
 
 
 @given(element_pairs())
@@ -94,11 +89,9 @@ def test_product_matches_term_by_term_oracle(pair):
 # x^2 p with lowest degree 2 times x with lowest degree 1, at cap 3: the
 # pair's lowest total degree is the cap itself, the last one kept
 AT_CAP_A = WeylSeriesElement(
-    3, {(2, 1): {(2, 0): Fraction(1, 2), (1, 2): 1}, (0, 0): {(0, 0): 1}}
+    3, {(2, 1, 2, 0): Fraction(1, 2), (2, 1, 1, 2): 1, (0, 0, 0, 0): 1}
 )
-AT_CAP_B = WeylSeriesElement(
-    3, {(1, 0): {(0, 1): Fraction(-1, 3)}, (0, 1): {(3, 0): 1}}
-)
+AT_CAP_B = WeylSeriesElement(3, {(1, 0, 0, 1): Fraction(-1, 3), (0, 1, 3, 0): 1})
 
 
 @given(element_pairs())
@@ -106,34 +99,22 @@ AT_CAP_B = WeylSeriesElement(
 @example((P_PLUS_ONE, X_PLUS_I))
 @example((MIXED_A, MIXED_B))
 @example((AT_CAP_A, AT_CAP_B))
-def test_brackets_sum_both_products_like_the_oracle(pair):
+def test_commutator_sums_both_products_like_the_oracle(pair):
     # one accumulator holds both products, reduced once; the oracle
-    # reduces each product and then the sum or difference
+    # reduces each product and then the difference
     a, b = pair
     ab, ba = normal_product_by_terms(a, b), normal_product_by_terms(b, a)
     assert commutator(a, b) == ab - ba
-    assert anticommutator(a, b) == ab + ba
-
-
-def _coefficients(element):
-    """word -> (mu, nu) powers -> scalar, as plain dicts."""
-    return {tuple(mono): dict(poly.terms) for mono, poly in element.terms.items()}
 
 
 def _linear_oracle(*parts):
     """sum of scalar * element over (scalar, element), one RationalComplex
-    sum per coefficient, with zero coefficients and empty words dropped."""
+    sum per coefficient, with zero coefficients dropped."""
     out = {}
     for scalar, element in parts:
-        for mono, poly in element.terms.items():
-            word = out.setdefault(tuple(mono), {})
-            for key, c in poly.terms.items():
-                word[key] = word.get(key, RationalComplex(0)) + scalar * c
-    out = {
-        mono: {key: c for key, c in word.items() if not c.is_zero}
-        for mono, word in out.items()
-    }
-    return {mono: word for mono, word in out.items() if word}
+        for key, c in element.terms.items():
+            out[key] = out.get(key, RationalComplex(0)) + scalar * c
+    return {key: c for key, c in out.items() if not c.is_zero}
 
 
 @given(element_pairs(), st.sampled_from([(0, -1), (2, -3)]))
@@ -150,16 +131,12 @@ def test_product_kernel_adds_the_weighted_oracle_product(pair, weight):
     re, im = weight
     ab = normal_product_by_terms(a, b)
     seventh = RationalComplex(Fraction(1, 7))
-    acc = {
-        (x, p, m, n): [c._a, c._b, 7 * c._d]
-        for (x, p), poly in ab.terms.items()
-        for (m, n), c in poly.terms.items()
-    }
+    acc = {key: [c._a, c._b, 7 * c._d] for key, c in ab.terms.items()}
     _add_product(acc, a, b, re, im)
     got = _from_accumulator(acc, a.degree)
     assert got.degree == a.degree
     expected = _linear_oracle((seventh, ab), (RationalComplex(re, im), ab))
-    assert _coefficients(got) == expected
+    assert got.terms == expected
 
 
 # complex weights over several unequal denominators
@@ -181,7 +158,7 @@ def split_series(draw):
 
     def series(word):
         terms = draw(st.dictionaries(powers.map(word), poly, min_size=1, max_size=4))
-        return WeylSeriesElement(degree, terms)
+        return nested_element(degree, terms)
 
     central = draw(st.dictionaries(keys, split_scalars, min_size=1, max_size=3))
     return series(lambda b: (0, b)), series(lambda a: (a, 0)), degree, central
@@ -189,8 +166,8 @@ def split_series(draw):
 
 # P and X at degree 4 with c = 1 + mu nu/3 - i mu^2 nu^2/5
 P_AND_X = (
-    WeylSeriesElement(4, {(0, 1): {(0, 0): 1}, (0, 3): {(2, 0): Fraction(1, 6)}}),
-    WeylSeriesElement(4, {(1, 0): {(0, 0): 1}, (3, 0): {(0, 2): Fraction(1, 6)}}),
+    WeylSeriesElement(4, {(0, 1, 0, 0): 1, (0, 3, 2, 0): Fraction(1, 6)}),
+    WeylSeriesElement(4, {(1, 0, 0, 0): 1, (3, 0, 0, 2): Fraction(1, 6)}),
     4,
     {(0, 0): RationalComplex(1), (1, 1): RationalComplex(Fraction(1, 3)),
      (2, 2): RationalComplex(0, Fraction(-1, 5))},
@@ -218,14 +195,14 @@ def test_reordering_terms_from_k_one_give_both_brackets(case):
     _add_terms(acc, _times_central(_terms(g.terms, 2, 0), c, degree),
                _terms(f.terms, 1, 0), degree)
     expected = normal_product_by_terms(
-        fg + gf, WeylSeriesElement(degree, {(0, 0): central})
+        fg + gf, nested_element(degree, {(0, 0): central})
     )
     assert _from_accumulator(acc, degree) == expected
 
 
 # p + 2 and -p - 1: each word of P_PLUS_ONE cancels against one of them
-P_PLUS_TWO = WeylSeriesElement(2, {(0, 1): {(0, 0): 1}, (0, 0): {(0, 0): 2}})
-MINUS_P_MINUS_ONE = WeylSeriesElement(2, {(0, 1): {(0, 0): -1}, (0, 0): {(0, 0): -1}})
+P_PLUS_TWO = WeylSeriesElement(2, {(0, 1, 0, 0): 1, (0, 0, 0, 0): 2})
+MINUS_P_MINUS_ONE = WeylSeriesElement(2, {(0, 1, 0, 0): -1, (0, 0, 0, 0): -1})
 
 
 @given(element_pairs(), small_scalars | scalars)
@@ -243,7 +220,7 @@ def test_linear_operations_match_coefficientwise_oracle(pair, scalar):
         (a.scaled(scalar), ((scalar, a),)),
     ):
         assert got.degree == a.degree
-        assert _coefficients(got) == _linear_oracle(*parts)
+        assert got.terms == _linear_oracle(*parts)
 
 
 # canonical text: pure real and pure imaginary parts, units, mixed values
@@ -261,7 +238,7 @@ text_elements = st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)), text_scalars, max_size=3
     ),
     max_size=4,
-).map(lambda terms: WeylSeriesElement(6, terms))
+).map(lambda terms: nested_element(6, terms))
 
 BIG = RationalComplex(Fraction(2**70 + 1, 3**40), Fraction(-(5**30), 2**61 - 1))
 # -3/4, -5/2*i, +-1, +-i, a mixed value with a negative imaginary part
@@ -292,7 +269,7 @@ def _with_text_cases(to_example):
 
 def _alone_and_with_factors(c):
     """The scalar alone, plus the scalar times mu*x*p^2."""
-    return WeylSeriesElement(6, {(0, 0): {(0, 0): c}, (1, 2): {(1, 0): c}})
+    return WeylSeriesElement(6, {(0, 0, 0, 0): c, (1, 2, 1, 0): c})
 
 
 @given(text_elements)
@@ -324,7 +301,7 @@ def perturbed_roots(draw):
     poly = st.dictionaries(keys, small_scalars, min_size=1, max_size=2)
     words = st.tuples(st.integers(0, 3), st.integers(0, 3))
     terms = draw(st.dictionaries(words, poly, min_size=1, max_size=3))
-    return side, cosh_element(side, degree) + WeylSeriesElement(degree, terms)
+    return side, cosh_element(side, degree) + nested_element(degree, terms)
 
 
 @given(perturbed_roots())
@@ -385,15 +362,15 @@ def test_product_matches_rewriting_oracle_exhaustively():
     # every word pair with powers up to 4, parameter-free coefficients
     for a in range(5):
         for b in range(5):
-            left = WeylSeriesElement(0, {(a, b): {(0, 0): 1}})
+            left = WeylSeriesElement(0, {(a, b, 0, 0): 1})
             for c in range(5):
                 for d in range(5):
-                    right = WeylSeriesElement(0, {(c, d): {(0, 0): 1}})
+                    right = WeylSeriesElement(0, {(c, d, 0, 0): 1})
                     got = normal_product(left, right)
                     word = "x" * a + "p" * b + "x" * c + "p" * d
                     expected = WeylSeriesElement(
                         0,
-                        {k: {(0, 0): v} for k, v in normal_order_word(word).items()},
+                        {k + (0, 0): v for k, v in normal_order_word(word).items()},
                     )
                     assert got == expected, (a, b, c, d)
 
@@ -412,8 +389,8 @@ def _randomWeylSeriesElement(rng, degree=6, n_terms=4):
                 Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
             )
         if poly:
-            terms[mono] = ParamPolynomial(poly)
-    return WeylSeriesElement(degree, terms)
+            terms[mono] = poly
+    return nested_element(degree, terms)
 
 
 def test_associativity_at_degree_six_randomized():
@@ -442,16 +419,16 @@ def test_jacobi_at_degree_six_randomized():
 def test_canonical_generators_commutation():
     # [p, x^n] = -i n x^(n-1) for a run of n
     for n in range(1, 8):
-        xn = WeylSeriesElement(0, {(n, 0): {(0, 0): 1}})
+        xn = WeylSeriesElement(0, {(n, 0, 0, 0): 1})
         got = commutator(p_op(0), xn)
         expected = WeylSeriesElement(
-            0, {(n - 1, 0): {(0, 0): RationalComplex(0, -n)}}
+            0, {(n - 1, 0, 0, 0): RationalComplex(0, -n)}
         )
         assert got == expected
         # and [p^n, x] = -i n p^(n-1)
-        pn = WeylSeriesElement(0, {(0, n): {(0, 0): 1}})
+        pn = WeylSeriesElement(0, {(0, n, 0, 0): 1})
         got2 = commutator(pn, x_op(0))
         expected2 = WeylSeriesElement(
-            0, {(0, n - 1): {(0, 0): RationalComplex(0, -n)}}
+            0, {(0, n - 1, 0, 0): RationalComplex(0, -n)}
         )
         assert got2 == expected2
