@@ -60,8 +60,8 @@ MAX_N = 2**62
 # /dev/null, peak RSS with numpy loaded)
 MAX_POINTS = 2**18
 # largest matrix dimension (--dim, matrix.dim, scan --engine matrix --dims):
-# verify at mu = nu = 0 takes about 0.9 s and 105 MB there, and the cost
-# grows as N^3 in time and N^2 in memory
+# verify at mu = nu = 0 takes about 0.6 s and 74 MB there (one BLAS thread,
+# 2-vCPU x86-64 host), and the cost grows as N^3 in time and N^2 in memory
 MAX_MATRIX_DIM = 2048
 # largest clock-shift pair (verify --engine clock-shift --dim): about 0.7 s
 # and 95 MB there, linear in N

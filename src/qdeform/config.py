@@ -29,7 +29,8 @@ DEFAULTS = {
     "matrix.nu": "0.2",
     # residual envelope validated for max(mu, nu) * sqrt(2N) <= 14 (see README)
     "matrix.residual_threshold": "1e-8",
-    # above the round-off floor of interior residuals (1e-14 to 5e-14, flat in N)
+    # above the round-off floor of interior residuals (6e-15 to 1.3e-13,
+    # flat in N)
     "matrix.noise_floor": "1e-12",
     # clock-shift engine
     "clockshift.residual_threshold": "1e-12",

@@ -105,8 +105,29 @@ MUTANTS = (
     Mutant(
         "parity basis drops the zero mode of odd N",
         "src/qdeform/matrixrep.py",
-        "u, s, wt = np.linalg.svd(b)",
-        "u, s, wt = np.linalg.svd(b, full_matrices=False)",
+        "return u, np.concatenate((s, np.zeros(even - odd))), w",
+        "return u[:, :odd], s, w",
+        ("tests/test_matrixrep.py",),
+    ),
+    Mutant(
+        "Gram diagonal of B B^T drops the subdiagonal's squares",
+        "src/qdeform/matrixrep.py",
+        "    gram_diag[1:] += sub**2\n",
+        "",
+        ("tests/test_matrixrep.py",),
+    ),
+    Mutant(
+        "w = B^T u / s drops the subdiagonal term of B^T u",
+        "src/qdeform/matrixrep.py",
+        "    w[: sub.size] += sub[:, None] * u[1 : sub.size + 1, :odd]\n",
+        "",
+        ("tests/test_matrixrep.py",),
+    ),
+    Mutant(
+        "singular values taken as the eigenvalues of B B^T, not their roots",
+        "src/qdeform/matrixrep.py",
+        "s = np.sqrt(np.maximum(lam[:odd], 0.0))",
+        "s = np.maximum(lam[:odd], 0.0)",
         ("tests/test_matrixrep.py",),
     ),
     Mutant(

@@ -12,13 +12,14 @@ of the library's integer triple, and the canonical text renders each
 scalar from that pair where the library prints the triple's ints; the
 matrix residual is built densely, one complex eigensolve per operator,
 with the square roots taken of 1 + mu^2 P^2 itself rather than of the
-spectrum of p; the clock-shift
-pair is built as dense matrices, one cmath root of unity per phase, and
-checked by matrix products, and its defects are also multiplied out as
-complex products into a fresh array each; scan tables are built point
-by point, one tuple per row, with tan evaluated once per n and one
-identity_residual per N; reports render through json.dumps(indent=2) and
-cell by cell.
+spectrum of p, and the engine's parity basis is judged against one dense
+SVD of the even-odd block of x, where the engine takes an eigensolve of
+B B^T; the clock-shift pair is built as dense matrices, one cmath root
+of unity per phase, and checked by matrix products, and its defects are
+also multiplied out as complex products into a fresh array each; scan
+tables are built point by point, one tuple per row, with tan evaluated
+once per n and one identity_residual per N; reports render through
+json.dumps(indent=2) and cell by cell.
 
 The library surface that only tests reach lives here too: the formal
 adjoint of a symbolic element, built on the term-by-term reordering
@@ -415,6 +416,24 @@ def dense_identity_residual(dim: int, interior: int, mu: float, nu: float) -> di
         "sqrt_p": sqrt_p,
         "cosh_p": hermitian_function(mu * p, "cosh"),
     }
+
+
+def even_odd_block(dim: int) -> np.ndarray:
+    """B = x[0::2, 1::2], cut from the dense real x: ceil(N/2) x floor(N/2)
+    and lower bidiagonal."""
+    x = np.diag(np.sqrt(np.arange(1, dim)) / math.sqrt(2), 1)
+    x += x.T
+    return x[0::2, 1::2].copy()
+
+
+def svd_parity_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The engine's parity basis (u, spectrum, w) from one dense SVD of B.
+
+    u is the full left factor, so for odd N its last column is the zero
+    mode, and the spectrum is the singular values with a 0 for it.
+    """
+    u, s, wt = np.linalg.svd(even_odd_block(dim))
+    return u, np.concatenate((s, np.zeros(u.shape[1] - s.size))), wt.T
 
 
 def root_of_unity(exponent: int, order: int) -> complex:

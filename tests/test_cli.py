@@ -506,10 +506,10 @@ SCAN_ROUTE_CASES = {
     "matrix-single": ["--engine", "matrix", "--dims", "64"],
     "matrix-undeformed-range": ["--engine", "matrix", "--mu", "0", "--nu", "0",
                                 "--interior", "2", "--dims", "3..20"],
-    # round-off at M = 16 grows with N past the noise floor: residual_excess
-    # 4.7e-13 > 0, verdict fail
-    "matrix-excess": ["--engine", "matrix", "--mu", "0.7", "--nu", "0.7",
-                      "--interior", "16", "--dims", "48,384"],
+    # round-off at M = 32 grows with N past the noise floor: residual_excess
+    # 4.7e-11 > 0, verdict fail
+    "matrix-excess": ["--engine", "matrix", "--mu", "0.8", "--nu", "0.8",
+                      "--interior", "32", "--dims", "64,384"],
     "hbar-negative-alpha": ["--path", "hbar-to-0", "--alpha", "-1", "--beta", "1.5",
                             "--n", "1..40"],
     "hbar-unsorted": ["--path", "hbar-to-0", "--alpha", "0.7", "--beta", "0.3",
@@ -880,7 +880,7 @@ INPUT_WITNESSES = {
     ("scan --engine matrix", "residual_at_largest_dim"): [  # 1.3e-8
         "scan", "--engine", "matrix", "--dims", "8,16", "--interior", "4",
         "--mu", "1.25", "--nu", "1.25"],
-    ("scan --engine matrix", "residual_excess"):  # 4.7e-13
+    ("scan --engine matrix", "residual_excess"):  # 4.7e-11
         ["scan"] + SCAN_ROUTE_CASES["matrix-excess"],
 }
 # the exact identities hold at every input, so only a mutant fails them
