@@ -6,7 +6,8 @@ clock-shift scan its grid (--dims set) or its periodicity table (--alpha
 set).  The row lists the flags the command reads, and any other flag set
 on it exits 2 naming it, so none is silently ignored.  Its handler takes
 the parsed arguments and the config and resolves its own flags, config
-keys and defaults.
+keys and defaults.  The gate values are constants of this module, not
+config keys: a config file sets inputs, never a verdict's threshold.
 
 Exit status: 0 when the report verdict is pass, 1 on fail, 2 on error
 (including usage errors).  Reports are deterministic for fixed inputs
@@ -19,10 +20,10 @@ The rows load in addition:
 * ``verify --engine symbolic`` and ``expand``: weyl and rational; they
   run on integers alone and never load numpy;
 * ``verify`` and ``scan --engine matrix``: matrixrep and numpy;
-* ``verify`` and ``scan --engine clock-shift`` and ``scan --path
-  hbar-to-0``: clockshift and numpy;
-* ``scan --path q-to-1`` and ``omega-to-0``: nothing more; their cells are
-  plain floats.
+* ``verify --engine clock-shift``, ``scan --engine clock-shift --dims``
+  and ``scan --path hbar-to-0``: clockshift and numpy;
+* ``scan --engine clock-shift --alpha``, ``scan --path q-to-1`` and
+  ``omega-to-0``: nothing more; their cells are plain floats.
 
 The engines compute one result per call; each handler composes its scan
 from them and lays out its own table and gates.
@@ -70,6 +71,26 @@ MAX_PAIR_DIM = 2**20
 # --dims), which holds an N x N phase table: about 80 MB there, and four
 # times that per doubling of N
 MAX_GRID_DIM = 1024
+
+# Gate values.  They are constants rather than config keys, so a verdict
+# depends on the tool version and its inputs alone (see README).
+# res_fro of a matrix verify and residual_at_largest_dim of a matrix scan:
+# the residual envelope validated for max(mu, nu) * sqrt(2N) <= 14
+MATRIX_RESIDUAL_TOL = 1e-8
+# residual_excess of a matrix scan counts a rise of the residual only above
+# this floor, which sits above the round-off floor of interior residuals
+# (6e-15 to 1.3e-13, flat in N)
+MATRIX_NOISE_FLOOR = 1e-12
+# max_residual |PX - qXP| of a clock-shift pair and of a pair grid
+CLOCKSHIFT_RESIDUAL_TOL = 1e-12
+# v_unitary_defect, max |V V^dag - 1|
+CLOCKSHIFT_UNITARY_TOL = 1e-13
+# v_power_defect, max |V^N - 1|: round-off grows like N eps, and every level
+# passes for N <= 825
+CLOCKSHIFT_POWER_TOL = 1e-12
+# q_identity_dev, |q - c_(N-1)|: the quotient formula against the q of the
+# pair, its last clock phase
+Q_IDENTITY_TOL = 1e-12
 
 
 def _at_most(value: int, bound: int, source: str) -> None:
@@ -265,22 +286,13 @@ def _verify_matrix(args, cfg) -> VerificationReport:
     parameters = {"dim": dim, "interior": interior, "mu": mu, "nu": nu}
     row = matrixrep.identity_residual(dim, interior, mu, nu)
     metrics = [
-        Metric(
-            "res_fro",
-            row.residual_frobenius,
-            config.get_float(cfg, "matrix.residual_threshold"),
-        ),
+        Metric("res_fro", row.residual_frobenius, MATRIX_RESIDUAL_TOL),
         Metric("res_spec", row.residual_spectral, None),
         # round-off of two equal functions of p, at most 2.2e-16 inside the
         # overflow guard: reported, not gated, as no input can fail it
         Metric("sqrt_cosh_rel", row.sqrt_cosh_xcheck / row.cosh_norm, None),
     ]
     return VerificationReport.build("matrix", command, parameters, metrics)
-
-
-# gate on q_identity_dev, |q - c_(N-1)|: the quotient formula against the q
-# of the pair, its last clock phase; the other gates are config keys
-Q_IDENTITY_TOL = 1e-12
 
 
 def _verify_clockshift(args, cfg) -> VerificationReport:
@@ -293,8 +305,6 @@ def _verify_clockshift(args, cfg) -> VerificationReport:
     pair = clockshift.build_pair(dim, level)
     # U is a permutation, so only V has unitarity and power defects
     v_unitary, v_power = clockshift.pair_defects(pair)
-    unitary_tol = config.get_float(cfg, "clockshift.unitary_threshold")
-    power_tol = config.get_float(cfg, "clockshift.power_threshold")
     try:
         # the quotient form of q against the q that verify_qplane uses, the
         # last clock phase omega^(-k)
@@ -302,13 +312,9 @@ def _verify_clockshift(args, cfg) -> VerificationReport:
     except ValueError:
         q_dev = 0.0  # quotient form undefined at alpha = pi; phase used directly
     metrics = [
-        Metric(
-            "max_residual",
-            clockshift.verify_qplane(pair),
-            config.get_float(cfg, "clockshift.residual_threshold"),
-        ),
-        Metric("v_unitary_defect", v_unitary, unitary_tol),
-        Metric("v_power_defect", v_power, power_tol),
+        Metric("max_residual", clockshift.verify_qplane(pair), CLOCKSHIFT_RESIDUAL_TOL),
+        Metric("v_unitary_defect", v_unitary, CLOCKSHIFT_UNITARY_TOL),
+        Metric("v_power_defect", v_power, CLOCKSHIFT_POWER_TOL),
         Metric("q_identity_dev", q_dev, Q_IDENTITY_TOL),
     ]
     parameters = {"dim": dim, "level": level, "alpha": pair.alpha}
@@ -330,8 +336,6 @@ def _scan_matrix(args, cfg) -> VerificationReport:
     interior, interior_source = args.interior, "--interior"
     if interior is None:
         interior, interior_source = 8, "default"
-    threshold = config.get_float(cfg, "matrix.residual_threshold")
-    noise_floor = config.get_float(cfg, "matrix.noise_floor")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dimensions must be strictly increasing")
     _check_interior(interior, interior_source, dims[0], "smallest of --dims")
@@ -349,19 +353,21 @@ def _scan_matrix(args, cfg) -> VerificationReport:
          [row.sqrt_cosh_xcheck for row in rows]],
     )
     metrics = [
-        Metric("residual_at_largest_dim", last, threshold),
+        Metric("residual_at_largest_dim", last, MATRIX_RESIDUAL_TOL),
         Metric("residual_at_smallest_dim", first, None),
         # residuals below the noise floor count as converged in any order:
         # they bottom out at the decomposition's round-off floor long before
         # a scan ends, and then fluctuate without meaning
-        Metric("residual_excess", max(0.0, last - max(first, noise_floor)), 0.0),
+        Metric(
+            "residual_excess", max(0.0, last - max(first, MATRIX_NOISE_FLOOR)), 0.0
+        ),
     ]
     parameters = {
         "mu": mu,
         "nu": nu,
         "interior": interior,
         "dims": list(dims),
-        "noise_floor": noise_floor,
+        "noise_floor": MATRIX_NOISE_FLOOR,
     }
     return VerificationReport.build("matrix", command, parameters, metrics, table)
 
@@ -374,13 +380,11 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
     table has nothing to gate.  It refuses a non-finite alpha and the pole
     of tan(alpha/2), and _n_list a negative n.
     """
-    from .clockshift import Q_POLE_TOL
-
     alpha = args.alpha  # the periodicity row is the one with --alpha set
     ns = _n_list(args.n if args.n is not None else "0..100")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got alpha={alpha}")
-    if abs(1.0 + math.cos(alpha)) <= Q_POLE_TOL:
+    if abs(1.0 + math.cos(alpha)) <= params.Q_POLE_TOL:
         raise ValueError("tan(alpha/2) pole at alpha = pi (mod 2*pi)")
     command = f"scan --engine clock-shift --alpha {alpha} --n {args.n or '0..100'}"
     table = Table(("alpha", "n"), (alpha, ns))
@@ -396,7 +400,6 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
     # one table row per pair (N, k), 1 <= k < N
     pairs = sum(max(dim - 1, 0) for dim in dims)
     _at_most(pairs, MAX_POINTS, "--dims pair count")
-    threshold = config.get_float(cfg, "clockshift.residual_threshold")
     command = f"scan --engine clock-shift --dims {args.dims}"
     sizes, levels, residuals = [], [], []
     for dim in dims:
@@ -405,7 +408,7 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
         residuals.extend(clockshift.qplane_residuals(dim).tolist())
     worst = max(residuals)
     table = Table(("N", "k", "residual"), (sizes, levels, residuals))
-    metrics = [Metric("max_residual", worst, threshold)]
+    metrics = [Metric("max_residual", worst, CLOCKSHIFT_RESIDUAL_TOL)]
     parameters = {"dims": list(dims), "pairs": len(residuals)}
     return VerificationReport.build(
         "clock-shift", command, parameters, metrics, table
@@ -424,13 +427,6 @@ def _refuse_overflow(columns: dict, index: str, values: Sequence, inputs: str) -
             )
 
 
-def _contraction_path(args, cfg) -> params.ContractionPath:
-    """The row's path from params.mu0 and params.nu0, which it checks."""
-    mu0 = config.get_float(cfg, "params.mu0")
-    nu0 = config.get_float(cfg, "params.nu0")
-    return params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
-
-
 def _scan_hbar(args, cfg) -> VerificationReport:
     from . import clockshift
 
@@ -438,8 +434,6 @@ def _scan_hbar(args, cfg) -> VerificationReport:
         cfg, "params.alpha"
     )
     beta = args.beta if args.beta is not None else config.get_float(cfg, "params.beta")
-    # hbar-to-0 is walked in n, not t, but bad mu0 or nu0 are refused here too
-    _contraction_path(args, cfg)
     ntext = args.n if args.n is not None else "0..5"
     ns = _n_list(ntext)
     command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
@@ -463,8 +457,9 @@ def _scan_contraction(args, cfg) -> VerificationReport:
     to gate; the row refuses steps, mu0 and nu0 outside the domain and any
     cell that overflows.
     """
-    path = _contraction_path(args, cfg)
-    mu0, nu0 = path.mu0, path.nu0
+    mu0 = config.get_float(cfg, "params.mu0")
+    nu0 = config.get_float(cfg, "params.nu0")
+    path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
     ntext = args.n if args.n is not None else "0..10"
     steps = parse_int_list(ntext, "step")
     bad = next((k for k in steps if not 0 <= k <= MAX_STEP), None)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-Q_POLE_TOL = 1e-12
+from .params import Q_POLE_TOL
 
 
 @dataclass(frozen=True)

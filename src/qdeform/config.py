@@ -7,12 +7,13 @@ always override config values; the ``QDEFORM_CONFIG`` environment
 variable names a config file to use when ``--config`` is not given.
 A file may set only the keys of ``DEFAULTS`` and ``QUANTITY_KEYS``, each
 at most once, so a misspelled or repeated key is an error rather than a
-setting silently ignored.
+setting silently ignored.  No gate value is a key: the thresholds that
+decide a verdict are constants of :mod:`qdeform.cli`, so a verdict
+depends on the code and its inputs alone.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from typing import Optional
 
@@ -27,15 +28,6 @@ DEFAULTS = {
     "matrix.dim": "64",
     "matrix.mu": "0.2",
     "matrix.nu": "0.2",
-    # residual envelope validated for max(mu, nu) * sqrt(2N) <= 14 (see README)
-    "matrix.residual_threshold": "1e-8",
-    # above the round-off floor of interior residuals (6e-15 to 1.3e-13,
-    # flat in N)
-    "matrix.noise_floor": "1e-12",
-    # clock-shift engine
-    "clockshift.residual_threshold": "1e-12",
-    "clockshift.unitary_threshold": "1e-13",
-    "clockshift.power_threshold": "1e-12",
     # parameter maps and contraction paths
     "params.alpha": "1.0",
     "params.beta": "1.0",
@@ -52,11 +44,6 @@ QUANTITY_KEYS = {
     "params.mu": None,
     "params.nu": None,
 }
-
-
-# A non-finite gate value would switch its gate off (inf) or fail it forever
-# (nan).
-_FINITE_KEY_SUFFIXES = ("_threshold", ".noise_floor")
 
 
 class ConfigError(ValueError):
@@ -115,12 +102,9 @@ def load_config(path: Optional[str] = None) -> dict[str, str]:
 
 def get_float(cfg: dict[str, str], key: str) -> float:
     try:
-        value = float(cfg[key])
+        return float(cfg[key])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config value for {key}") from exc
-    if key.endswith(_FINITE_KEY_SUFFIXES) and not math.isfinite(value):
-        raise ConfigError(f"config value for {key} must be finite, got {cfg[key]}")
-    return value
 
 
 def get_int(cfg: dict[str, str], key: str) -> int:

@@ -1,8 +1,9 @@
 """Contraction paths and quantities with unit tags.
 
 The engines work in natural units (hbar = m = c = 1).  This module owns
-the parsing of SI quantities with their unit tags and the executable
-contraction paths between the deformation regimes:
+the parsing of SI quantities with their unit tags, the tolerance around
+the pole of q at alpha = pi, and the executable contraction paths
+between the deformation regimes:
 
 * ``q-to-1``     mu, nu -> 0 together: back to the Heisenberg algebra.
 * ``omega-to-0`` nu -> 0 at fixed mu: the oscillator interaction is
@@ -19,6 +20,11 @@ import re
 from typing import NamedTuple, Optional
 
 PATH_NAMES = ("q-to-1", "hbar-to-0", "omega-to-0")
+
+# distance from the pole at alpha = pi (mod 2*pi) inside which q's quotient
+# form and tan(alpha/2) are refused; numpy-free, so that the periodicity
+# scan can refuse the pole without loading the clock-shift engine
+Q_POLE_TOL = 1e-12
 
 # expected unit tags for SI-quantity inputs
 UNIT_TAGS = {"hbar": "J.s", "m": "kg", "c": "m/s", "omega": "1/s"}

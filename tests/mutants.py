@@ -82,13 +82,6 @@ MUTANTS = (
         ("tests/test_clockshift.py",),
     ),
     Mutant(
-        "config.get_float drops its finiteness check",
-        "src/qdeform/config.py",
-        "if key.endswith(_FINITE_KEY_SUFFIXES) and not math.isfinite(value):",
-        "if False:",
-        ("tests/test_cli.py",),
-    ),
-    Mutant(
         "row separator folds the tail columns in after the head",
         "src/qdeform/report.py",
         "sep = tail + row_sep + head",
@@ -406,8 +399,50 @@ MUTANTS = (
     Mutant(
         "excess measured from the last residual",
         "src/qdeform/cli.py",
-        "max(0.0, last - max(first, noise_floor))",
-        "max(0.0, last - max(last, noise_floor))",
+        "max(0.0, last - max(first, MATRIX_NOISE_FLOOR))",
+        "max(0.0, last - max(last, MATRIX_NOISE_FLOOR))",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "matrix residual gate loosened tenfold",
+        "src/qdeform/cli.py",
+        "MATRIX_RESIDUAL_TOL = 1e-8",
+        "MATRIX_RESIDUAL_TOL = 1e-7",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "matrix noise floor raised tenfold",
+        "src/qdeform/cli.py",
+        "MATRIX_NOISE_FLOOR = 1e-12",
+        "MATRIX_NOISE_FLOOR = 1e-11",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "clock-shift residual gate loosened tenfold",
+        "src/qdeform/cli.py",
+        "CLOCKSHIFT_RESIDUAL_TOL = 1e-12",
+        "CLOCKSHIFT_RESIDUAL_TOL = 1e-11",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "V unitarity gate loosened tenfold",
+        "src/qdeform/cli.py",
+        "CLOCKSHIFT_UNITARY_TOL = 1e-13",
+        "CLOCKSHIFT_UNITARY_TOL = 1e-12",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "V^N power gate loosened tenfold",
+        "src/qdeform/cli.py",
+        "CLOCKSHIFT_POWER_TOL = 1e-12",
+        "CLOCKSHIFT_POWER_TOL = 1e-11",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "q identity gate loosened tenfold",
+        "src/qdeform/cli.py",
+        "Q_IDENTITY_TOL = 1e-12",
+        "Q_IDENTITY_TOL = 1e-11",
         ("tests/test_cli.py",),
     ),
     Mutant(
@@ -485,6 +520,14 @@ MUTANTS = (
         "src/qdeform/cli.py",
         "len({(x, p) for x, p, _, _ in element.terms})",
         "len(element.terms)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "periodicity scan takes the pole tolerance from the clock-shift engine",
+        "src/qdeform/cli.py",
+        "    alpha = args.alpha  # the periodicity row",
+        "    from .clockshift import Q_POLE_TOL  # noqa: F401\n\n"
+        "    alpha = args.alpha  # the periodicity row",
         ("tests/test_cli.py",),
     ),
     Mutant(

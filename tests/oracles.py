@@ -38,9 +38,8 @@ from typing import Optional
 import numpy as np
 
 from qdeform import cli, config, params
-from qdeform.clockshift import Q_POLE_TOL
 from qdeform.matrixrep import identity_residual
-from qdeform.params import UNIT_TAGS, parse_quantity
+from qdeform.params import Q_POLE_TOL, UNIT_TAGS, parse_quantity
 from qdeform.rational import MINUS_I, RationalComplex
 from qdeform.report import SCHEMA_VERSION, Metric, Table, VerificationReport
 from qdeform.weyl import WeylSeriesElement
@@ -595,12 +594,18 @@ def rows_table(columns, rows) -> Table:
     return Table(columns, [[row[i] for row in rows] for i in range(len(columns))])
 
 
+# The gate values of the scans, stated here rather than read from
+# qdeform.cli, so that the byte tests judge cli's constants from outside.
+MATRIX_RESIDUAL_GATE = 1e-8
+MATRIX_NOISE_FLOOR = 1e-12
+PAIR_RESIDUAL_GATE = 1e-12
+
+
 def _reference_matrix_scan(args, cfg) -> VerificationReport:
     """scan --engine matrix, one identity_residual row per N."""
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
     interior = args.interior if args.interior is not None else 8
-    noise_floor = config.get_float(cfg, "matrix.noise_floor")
     dims = list(cli.parse_int_list(args.dims, "dimension", "--dims"))
     rows = []
     for n in dims:
@@ -609,15 +614,15 @@ def _reference_matrix_scan(args, cfg) -> VerificationReport:
                      res.residual_spectral, res.sqrt_cosh_xcheck))
     first, last = rows[0][4], rows[-1][4]
     # how far the last residual rises above the first or the floor, the higher
-    excess = last - max(first, noise_floor) if last > max(first, noise_floor) else 0.0
+    floor = max(first, MATRIX_NOISE_FLOOR)
+    excess = last - floor if last > floor else 0.0
     return VerificationReport.build(
         "matrix",
         f"scan --engine matrix --mu {mu} --nu {nu} --interior {interior} "
         f"--dims {args.dims}",
         {"mu": mu, "nu": nu, "interior": interior, "dims": dims,
-         "noise_floor": noise_floor},
-        [Metric("residual_at_largest_dim", last,
-                config.get_float(cfg, "matrix.residual_threshold")),
+         "noise_floor": MATRIX_NOISE_FLOOR},
+        [Metric("residual_at_largest_dim", last, MATRIX_RESIDUAL_GATE),
          Metric("residual_at_smallest_dim", first, None),
          Metric("residual_excess", excess, 0.0)],
         rows_table(("N", "M", "mu", "nu", "res_fro", "res_spec", "sqrt_cosh_xcheck"),
@@ -625,7 +630,7 @@ def _reference_matrix_scan(args, cfg) -> VerificationReport:
     )
 
 
-def _reference_grid_scan(args, cfg) -> VerificationReport:
+def _reference_grid_scan(args) -> VerificationReport:
     """scan --engine clock-shift --dims, one dense residual per pair (N, k)."""
     dims = list(cli.parse_int_list(args.dims, "dimension", "--dims"))
     rows = [
@@ -637,8 +642,7 @@ def _reference_grid_scan(args, cfg) -> VerificationReport:
         "clock-shift",
         f"scan --engine clock-shift --dims {args.dims}",
         {"dims": dims, "pairs": len(rows)},
-        [Metric("max_residual", max(row[2] for row in rows),
-                config.get_float(cfg, "clockshift.residual_threshold"))],
+        [Metric("max_residual", max(row[2] for row in rows), PAIR_RESIDUAL_GATE)],
         rows_table(("N", "k", "residual"), rows),
     )
 
@@ -654,7 +658,7 @@ def reference_scan(argv) -> VerificationReport:
     if args.engine == "matrix":
         return _reference_matrix_scan(args, cfg)
     if args.engine == "clock-shift" and args.dims is not None:
-        return _reference_grid_scan(args, cfg)
+        return _reference_grid_scan(args)
     alpha = args.alpha if args.alpha is not None else config.get_float(
         cfg, "params.alpha"
     )

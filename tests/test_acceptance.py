@@ -160,25 +160,24 @@ def test_scaling_limit_phase_invariance(invoke):
     )
 
 
-def test_matrix_convergence_with_frozen_threshold(invoke, tmp_path):
+def test_matrix_convergence_with_frozen_threshold(invoke):
+    # the CLI gates at its own constants; the frozen calibration is judged
+    # here, against each residual, and the scan's floor must be the golden one
     calib = json.loads((GOLDEN / "convergence_scan.json").read_text())
-    cfg = tmp_path / "calibration.cfg"
-    cfg.write_text(
-        f"matrix.residual_threshold = {calib['threshold']!r}\n"
-        f"matrix.noise_floor = {calib['noise_floor']!r}\n"
-    )
 
     def scan(dims):
         code, out = invoke(
             ["scan", "--engine", "matrix", "--mu", repr(calib["mu"]),
              "--nu", repr(calib["nu"]), "--interior", str(calib["interior"]),
-             "--dims", ",".join(map(str, dims)), "--config", str(cfg)]
+             "--dims", ",".join(map(str, dims))]
         )
-        table = json.loads(out)["table"]
-        column = table["columns"].index("res_fro")
-        return code, [row[column] for row in table["rows"]]
+        report = json.loads(out)
+        column = report["table"]["columns"].index("res_fro")
+        rows = report["table"]["rows"]
+        return code, report["parameters"], [row[column] for row in rows]
 
-    code, residuals = scan(calib["dims"])
+    code, parameters, residuals = scan(calib["dims"])
+    floor_ok = parameters["noise_floor"] == calib["noise_floor"]
     # converged residuals sit at the round-off floor; see calibration notes
     below_floor = all(r <= calib["noise_floor"] for r in residuals)
     decreasing_or_floor = residuals[-1] <= max(residuals[0], calib["noise_floor"])
@@ -189,7 +188,7 @@ def test_matrix_convergence_with_frozen_threshold(invoke, tmp_path):
         for r in residuals
     )
     # the genuine convergence window, where the signal is above the floor
-    _, window_vals = scan((10, 12, 14, 16))
+    _, _, window_vals = scan((10, 12, 14, 16))
     strict = all(b < a for a, b in zip(window_vals, window_vals[1:]))
     zero_ok = all(
         identity_residual(dim, 8, 0.0, 0.0).residual_frobenius <= 1e-12
@@ -197,6 +196,7 @@ def test_matrix_convergence_with_frozen_threshold(invoke, tmp_path):
     )
     ok = (
         code == 0
+        and floor_ok
         and below_floor
         and decreasing_or_floor
         and regression_ok

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdeform import config, matrixrep, weyl
+from qdeform import cli, matrixrep, weyl
 from qdeform.matrixrep import identity_residual, prefactor
 
 from oracles import (
@@ -344,17 +344,16 @@ def test_scan_input_validation(invoke):
         assert json.loads(out)["parameters"]["error"] == f"ValueError: {named}"
 
 
-def test_scan_fails_when_threshold_unreachable(invoke, tmp_path):
-    cfg = tmp_path / "strict.cfg"
-    cfg.write_text("matrix.residual_threshold = 1e-30\n")
+def test_scan_fails_when_threshold_unreachable(invoke):
+    # at mu = nu = 2 the truncation error at N = 16 is still 1.05e-2
     code, out = invoke(
-        ["scan", "--engine", "matrix", "--mu", "0.2", "--nu", "0.2",
-         "--interior", "8", "--dims", "10,12", "--config", str(cfg)]
+        ["scan", "--engine", "matrix", "--mu", "2", "--nu", "2",
+         "--interior", "4", "--dims", "12,16"]
     )
     assert code == 1
     metrics = {m["name"]: m for m in json.loads(out)["metrics"]}
     largest = metrics["residual_at_largest_dim"]
-    assert largest["threshold"] == 1e-30 < largest["value"]
+    assert largest["threshold"] == 1e-8 < 1e-2 < largest["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +468,8 @@ def test_parity_basis_is_one_eigensolve_and_no_svd(monkeypatch):
 # verdict; above the noise floor of 1e-12 the largest ratio was 1.93.  The
 # bound 8 x SVD + 1e-12 doubles the largest ratio and lets both routes
 # differ freely below the noise floor, where they read round-off only.
-SVD_ROUTE_GATE = float(config.DEFAULTS["matrix.residual_threshold"])
-SVD_ROUTE_FLOOR = float(config.DEFAULTS["matrix.noise_floor"])
+SVD_ROUTE_GATE = cli.MATRIX_RESIDUAL_TOL
+SVD_ROUTE_FLOOR = cli.MATRIX_NOISE_FLOOR
 
 
 @pytest.mark.parametrize("dim", [16, 17, 64, 255, 512])
