@@ -123,54 +123,41 @@ def qplane_residuals(dim: int) -> np.ndarray:
     return _qplane_max(phases, roots[-levels % dim, np.newaxis])
 
 
-def _square(re: np.ndarray, im: np.ndarray, scratch: np.ndarray) -> None:
-    """(re + i*im)**2 elementwise, in place: re*re - im*im and
-    (re*im) + (re*im), each real product rounded on its own as in a dense
-    matrix product (numpy's complex multiply may fuse one product into the
-    sum, which rounds differently)."""
-    np.multiply(re, im, out=scratch)
-    np.multiply(re, re, out=re)
-    np.multiply(im, im, out=im)
-    np.subtract(re, im, out=re)
-    np.add(scratch, scratch, out=im)
-
-
-def _multiply(
-    re: np.ndarray, im: np.ndarray, by_re: np.ndarray, by_im: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
-) -> None:
-    """(re + i*im) *= (by_re + i*by_im) elementwise, in place: re*by_re -
-    im*by_im and re*by_im + im*by_re, each real product rounded on its own."""
-    cross, skew = scratch
-    np.multiply(re, by_im, out=cross)
-    np.multiply(re, by_re, out=re)
-    np.multiply(im, by_im, out=skew)
-    np.subtract(re, skew, out=re)
-    np.multiply(im, by_re, out=im)
-    np.add(cross, im, out=im)
-
-
 def _power_by_squaring(values: np.ndarray, exponent: int) -> np.ndarray:
     """values**exponent elementwise, exponent >= 1, multiplied in the order
     np.linalg.matrix_power uses (squares taken from the lowest bit up), so
     the rounding follows that of the dense power of diag(values).
 
-    The chain runs in place on real and imaginary buffers allocated
-    once, so no step allocates an array.
+    The chain runs in place on real and imaginary buffers allocated once.
+    Every real product is rounded on its own, as in a dense matrix
+    product (numpy's complex multiply may fuse one product into the sum,
+    which rounds differently).
     """
-    square_re, square_im = values.real.copy(), values.imag.copy()
-    scratch = (np.empty_like(square_re), np.empty_like(square_re))
+    re, im = values.real.copy(), values.imag.copy()
+    cross, skew = np.empty_like(re), np.empty_like(re)
     result = None
     while True:
         exponent, bit = divmod(exponent, 2)
         if bit and result is None:
-            result = square_re.copy(), square_im.copy()
+            result = res_re, res_im = re.copy(), im.copy()
         elif bit:
-            _multiply(*result, square_re, square_im, scratch)
+            # (res_re + i*res_im) *= (re + i*im): res_re*re - res_im*im
+            # and res_re*im + res_im*re
+            np.multiply(res_re, im, out=cross)
+            np.multiply(res_re, re, out=res_re)
+            np.multiply(res_im, im, out=skew)
+            np.subtract(res_re, skew, out=res_re)
+            np.multiply(res_im, re, out=res_im)
+            np.add(cross, res_im, out=res_im)
         if not exponent:
             break
-        _square(square_re, square_im, scratch[0])
-    del square_re, square_im, scratch  # freed before the complex result
+        # (re + i*im)**2: re*re - im*im and (re*im) + (re*im)
+        np.multiply(re, im, out=cross)
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        np.subtract(re, im, out=re)
+        np.add(cross, cross, out=im)
+    del re, im, cross, skew  # freed before the complex result
     power = np.empty_like(values)
     power.real, power.imag = result
     return power

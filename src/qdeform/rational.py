@@ -48,9 +48,6 @@ class RationalComplex:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    def conjugate(self) -> "RationalComplex":
-        return _raw(self._a, -self._b, self._d)
-
     def __add__(self, other):
         if type(other) is not RationalComplex:
             if type(other) is int:
@@ -68,24 +65,6 @@ class RationalComplex:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if type(other) is not RationalComplex:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a - other._a, self._b - other._b, d1)
-        return _reduced(
-            self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2
-        )
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         if type(other) is not RationalComplex:
             if type(other) is int:
@@ -97,29 +76,6 @@ class RationalComplex:
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        norm = a2 * a2 + b2 * b2
-        if not norm:
-            raise ZeroDivisionError("division by zero RationalComplex")
-        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2); norm > 0 keeps d > 0
-        d2 = other._d
-        return _reduced(
-            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm
-        )
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return _raw(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
         if type(other) is RationalComplex:
@@ -140,9 +96,6 @@ class RationalComplex:
         if not self._b:
             return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
-
-    def __complex__(self) -> complex:
-        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"RationalComplex({self.re}, {self.im})"

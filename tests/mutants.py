@@ -6,10 +6,12 @@ Run from anywhere, with pytest installed:
 
 It copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` (a
 test reads its example config) into a temporary directory and runs every
-mutant's test files there once unmutated.  Then for each mutant it
-replaces one exact string in one source file, runs that mutant's test
-files with pytest (stopping at the first failure), puts the file back and
-prints ``killed`` or ``survived``.  It exits 1 when a mutant
+mutant's tests there once unmutated.  Then for each mutant it replaces
+one exact string in one source file, runs that mutant's tests with pytest
+(stopping at the first failure), puts the file back and prints
+``killed`` or ``survived``.  A mutant names its tests as pytest node ids:
+a whole test file, or one test function in it when the file is slow and
+that test is the one that kills it.  It exits 1 when a mutant
 survives or when its pattern no longer occurs exactly once in the source.
 A survivor is a missing test, and a pattern that stopped matching means
 the code moved: rewrite the mutant, do not drop it.  The patterns alone
@@ -35,7 +37,7 @@ class Mutant(NamedTuple):
     path: str  # source file, relative to the checkout
     old: str  # must occur exactly once in that file
     new: str
-    tests: tuple[str, ...]  # test files that must catch it
+    tests: tuple[str, ...]  # pytest node ids (file or file::test) that must catch it
 
 
 MUTANTS = (
@@ -93,7 +95,10 @@ MUTANTS = (
         "src/qdeform/params.py",
         "if not (math.isfinite(value) and value >= 0):",
         "if False:",
-        ("tests/test_cli.py", "tests/test_cli_grammar.py"),
+        (
+            "tests/test_cli.py::test_path_config_outside_domain_is_named_error",
+            "tests/test_cli_grammar.py",
+        ),
     ),
     Mutant(
         "parity basis drops the zero mode of odd N",
@@ -142,77 +147,83 @@ MUTANTS = (
         "src/qdeform/cli.py",
         "if not 0 <= degree <= MAX_DEGREE:",
         "if degree < 0:",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_degree_beyond_bound_is_named_error",),
     ),
     Mutant(
         "scan --n without its upper bound",
         "src/qdeform/cli.py",
         "if largest > MAX_N:",
         "if False:",
-        ("tests/test_cli.py", "tests/test_cli_grammar.py"),
+        (
+            "tests/test_cli.py::test_n_beyond_bound_is_named_error",
+            "tests/test_cli_grammar.py",
+        ),
     ),
     Mutant(
         "largest n of a comma list read from its end",
         "src/qdeform/cli.py",
         "largest = ns[-1] if isinstance(ns, range) else max(ns)",
         "largest = ns[-1]",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_n_beyond_bound_is_named_error",),
     ),
     Mutant(
         "size bounds refuse the bound itself",
         "src/qdeform/cli.py",
         "if value > bound:",
         "if value >= bound:",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::test_dimension_at_bound_passes_the_bound",
+            "tests/test_cli.py::test_n_list_at_length_bound_runs",
+        ),
     ),
     Mutant(
         "a..b ranges without their length bound",
         "src/qdeform/cli.py",
         '_at_most(hi - lo + 1, MAX_POINTS, f"{flag} length")',
         "pass",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
         "comma lists without their length bound",
         "src/qdeform/cli.py",
         '_at_most(len(values), MAX_POINTS, f"{flag} length")',
         "pass",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
         "verify --engine matrix without its dimension bound",
         "src/qdeform/cli.py",
         "_at_most(dim, MAX_MATRIX_DIM, source)",
         "pass",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
         "scan --engine matrix without its dimension bound",
         "src/qdeform/cli.py",
         '_at_most(max(dims), MAX_MATRIX_DIM, "--dims")',
         "pass",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
         "verify --engine clock-shift without its dimension bound",
         "src/qdeform/cli.py",
         '_at_most(dim, MAX_PAIR_DIM, "--dim")',
         "pass",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
         "clock-shift grid without its dimension bound",
         "src/qdeform/cli.py",
         '_at_most(max(dims), MAX_GRID_DIM, "--dims")',
         "pass",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
         "clock-shift grid without its pair-count bound",
         "src/qdeform/cli.py",
         '_at_most(pairs, MAX_POINTS, "--dims pair count")',
         "pass",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
         "V V^dag read as re*re - im*im",
@@ -394,133 +405,150 @@ MUTANTS = (
         "src/qdeform/cli.py",
         'Metric("res_spec", row.residual_spectral, None)',
         'Metric("res_spec", row.residual_spectral, 1.0)',
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::test_every_gated_metric_has_one_witness",
+            "tests/test_cli.py::test_every_gate_sits_at_its_stated_value",
+        ),
     ),
     Mutant(
         "excess measured from the last residual",
         "src/qdeform/cli.py",
         "max(0.0, last - max(first, MATRIX_NOISE_FLOOR))",
         "max(0.0, last - max(last, MATRIX_NOISE_FLOOR))",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_input_witness_fails_its_metric",),
     ),
     Mutant(
         "matrix residual gate loosened tenfold",
         "src/qdeform/cli.py",
         "MATRIX_RESIDUAL_TOL = 1e-8",
         "MATRIX_RESIDUAL_TOL = 1e-7",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::test_verify_failure_exit_code",
+            "tests/test_cli.py::test_every_gate_sits_at_its_stated_value",
+        ),
     ),
     Mutant(
         "matrix noise floor raised tenfold",
         "src/qdeform/cli.py",
         "MATRIX_NOISE_FLOOR = 1e-12",
         "MATRIX_NOISE_FLOOR = 1e-11",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_scan_bytes_match_per_point_route",),
     ),
     Mutant(
         "clock-shift residual gate loosened tenfold",
         "src/qdeform/cli.py",
         "CLOCKSHIFT_RESIDUAL_TOL = 1e-12",
         "CLOCKSHIFT_RESIDUAL_TOL = 1e-11",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_every_gate_sits_at_its_stated_value",),
     ),
     Mutant(
         "V unitarity gate loosened tenfold",
         "src/qdeform/cli.py",
         "CLOCKSHIFT_UNITARY_TOL = 1e-13",
         "CLOCKSHIFT_UNITARY_TOL = 1e-12",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_every_gate_sits_at_its_stated_value",),
     ),
     Mutant(
         "V^N power gate loosened tenfold",
         "src/qdeform/cli.py",
         "CLOCKSHIFT_POWER_TOL = 1e-12",
         "CLOCKSHIFT_POWER_TOL = 1e-11",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_every_gate_sits_at_its_stated_value",),
     ),
     Mutant(
         "q identity gate loosened tenfold",
         "src/qdeform/cli.py",
         "Q_IDENTITY_TOL = 1e-12",
         "Q_IDENTITY_TOL = 1e-11",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::test_input_witness_fails_its_metric",
+            "tests/test_cli.py::test_every_gate_sits_at_its_stated_value",
+        ),
     ),
     Mutant(
         "the M column echoes N",
         "src/qdeform/cli.py",
         "[dims, interior, mu, nu,",
         "[dims, dims, mu, nu,",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_scan_matrix_csv",),
     ),
     Mutant(
         "the default interior may reach N",
         "src/qdeform/cli.py",
         "min(max(4, dim // 4), dim - 1)",
         "max(4, dim // 4)",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_verify_matrix_at_the_smallest_dims",),
     ),
     Mutant(
         "a subnormal mu divides sinh(mu*s) by mu",
         "src/qdeform/matrixrep.py",
         "s_mu / mu if mu >= sys.float_info.min else spectrum",
         "s_mu / mu if mu > 0 else spectrum",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_subnormal_parameter_gives_the_undeformed_operator",),
     ),
     Mutant(
         "a subnormal nu divides sinh(nu*s) by nu",
         "src/qdeform/matrixrep.py",
         "s_nu / nu if nu >= sys.float_info.min else spectrum",
         "s_nu / nu if nu > 0 else spectrum",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_subnormal_parameter_gives_the_undeformed_operator",),
     ),
     Mutant(
         "a repeated config key overrides the first",
         "src/qdeform/config.py",
         "if key in first_line:",
         "if False:",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::test_config_parsing",
+            "tests/test_cli.py::test_repeated_config_key_is_named_error",
+        ),
     ),
     Mutant(
         "q_identity_dev compares the quotient with e^(-i alpha), not the pair's q",
         "src/qdeform/cli.py",
         "q_from_alpha(pair.alpha) - pair.phases[-1]",
         "q_from_alpha(pair.alpha) - cmath.exp(-1j * pair.alpha)",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_q_identity_dev_checks_the_pairs_own_q",),
     ),
     Mutant(
         "clock-shift grid row also reads --alpha",
         "src/qdeform/cli.py",
         '--dims": (("dims",), _scan_clockshift_grid),',
         '--dims": (("dims", "alpha"), _scan_clockshift_grid),',
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_scan_selector_errors_name_both_flags",),
     ),
     Mutant(
         "route table drops the clock-shift verify row",
         "src/qdeform/cli.py",
         '    "verify --engine clock-shift": (("dim", "level"), _verify_clockshift),\n',
         "",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::test_verify_clockshift_passes",
+            "tests/test_cli.py::test_flag_table_has_one_row_per_command_route",
+        ),
     ),
     Mutant(
         "row finder sends --dims to the periodicity table",
         "src/qdeform/cli.py",
         '("--alpha" if args.dims is None else "--dims")',
         '"--alpha"',
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_scan_clockshift_grid",),
     ),
     Mutant(
         "cli imports numpy and the numeric engines eagerly",
         "src/qdeform/cli.py",
         "from . import config, params\n",
         "import numpy as np\n\nfrom . import clockshift, config, matrixrep, params\n",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_cli_import_loads_no_engine_numpy_or_dataclasses",),
     ),
     Mutant(
         "verify counts coefficients instead of words",
         "src/qdeform/cli.py",
         "len({(x, p) for x, p, _, _ in element.terms})",
         "len(element.terms)",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::test_verify_symbolic_counts_words_but_low_degree_coefficients",
+        ),
     ),
     Mutant(
         "periodicity scan takes the pole tolerance from the clock-shift engine",
@@ -528,14 +556,17 @@ MUTANTS = (
         "    alpha = args.alpha  # the periodicity row",
         "    from .clockshift import Q_POLE_TOL  # noqa: F401\n\n"
         "    alpha = args.alpha  # the periodicity row",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_periodicity_scan_never_loads_numpy",),
     ),
     Mutant(
         "cli imports the symbolic engine eagerly",
         "src/qdeform/cli.py",
         "from . import config, params\n",
         "from . import config, params, weyl\n",
-        ("tests/test_cli.py",),
+        (
+            "tests/test_cli.py::test_cli_import_loads_no_engine_numpy_or_dataclasses",
+            "tests/test_cli.py::test_non_symbolic_rows_never_load_the_symbolic_engine",
+        ),
     ),
 )
 

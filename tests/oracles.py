@@ -284,7 +284,7 @@ def dagger(element: WeylSeriesElement) -> WeylSeriesElement:
     """
     acc: dict = {}
     for (x_pow, p_pow, m, n), c in element.terms.items():
-        conj = c.conjugate()
+        conj = RationalComplex(c.re, -c.im)
         for (x, p), scalar in _reorder(p_pow, x_pow):
             _accumulate(acc, (x, p, m, n), conj * scalar)
     return WeylSeriesElement(element.degree, acc)
@@ -852,7 +852,8 @@ def evaluate_element(
     p_pows = _power_table(p, max_p)
     coeffs: dict = {}
     for (a, b, mp, np_), value in element.terms.items():
-        coeffs[(a, b)] = coeffs.get((a, b), 0j) + complex(value) * (mu**mp) * (nu**np_)
+        term = complex(float(value.re), float(value.im)) * (mu**mp) * (nu**np_)
+        coeffs[(a, b)] = coeffs.get((a, b), 0j) + term
     for (a, b), coeff in coeffs.items():
         if coeff != 0j:
             out += coeff * (x_pows[a] @ p_pows[b])

@@ -42,13 +42,13 @@ DIM_LISTS = st.sampled_from(
 )
 CONFIG_LINES = st.sampled_from(
     ["symbolic.degree = 3", "symbolic.degree = -1", "symbolic.degree = x",
-     "matrix.residual_threshold = nan", "matrix.residual_threshold = 1e-30",
+     "matrix.mu = nan", "matrix.nu = inf",
      "symbolic.degree = 100000000", "matrix.residual_treshold = 1e-30",
-     "matrix.overflow_guard = inf", "matrix.dim = 2049",
-     "matrix.noise_floor = -1", "clockshift.periodicity_threshold = inf",
+     "matrix.mu = -1", "matrix.dim = 2049",
+     "matrix.dim = 2", "params.alpha = nan",
      "params.alpha = 7", "params.beta = 0", "params.mu0 = 0", "params.mu0 = nan",
      "params.nu0 = inf", "params.mu0 = -1", "params.mu0 = 1e300",
-     "params.nu0 = 1e300", "params.endpoint_tol = 0", "params.hbar = banana J.s",
+     "params.nu0 = 1e300", "params.beta = inf", "params.hbar = banana J.s",
      "params.hbar = 1.05e-34 J.s", "params.c = 3e8 kg", "params.mu = 0.5",
      "no equals sign", "= 1"]
 )

@@ -1,7 +1,8 @@
 """The mutant list in tests/mutants.py still points at the code.
 
 Each mutant's pattern must occur exactly once in its source file, and
-each test file that must catch it must exist.  A refactor that moves
+each test that must catch it must exist: its file, and the test function
+that a ``file::test`` node id names.  A refactor that moves
 mutated code then fails here, in milliseconds, rather than at the next
 full run of ``python tests/mutants.py``.
 """
@@ -15,7 +16,14 @@ from mutants import MUTANTS, ROOT
 def test_mutant_pattern_occurs_once_and_its_tests_exist(mutant):
     source = (ROOT / mutant.path).read_text(encoding="utf-8")
     assert source.count(mutant.old) == 1
-    missing = [test for test in mutant.tests if not (ROOT / test).is_file()]
+    missing = []
+    for node in mutant.tests:
+        path, _, function = node.partition("::")
+        file = ROOT / path
+        if not file.is_file() or (
+            function and f"\ndef {function}(" not in file.read_text(encoding="utf-8")
+        ):
+            missing.append(node)
     assert not missing
 
 
