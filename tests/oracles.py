@@ -486,20 +486,26 @@ def _rounded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_chain_pair_defects(pair) -> tuple[float, float]:
-    """pair_defects of a clockshift pair by whole complex products: V V^dag
-    as c times conj(c), and V^N squared from the lowest bit up, in the
-    order of np.linalg.matrix_power."""
-    c = pair.phases
-    exponent, result, square = pair.dim, None, None
+def product_chain_power(values: np.ndarray, exponent: int) -> np.ndarray:
+    """values**exponent elementwise, exponent >= 1, by whole complex
+    products squared from the lowest bit up, in the order of
+    np.linalg.matrix_power."""
+    result, square = None, None
     while exponent:
-        square = c if square is None else _rounded_product(square, square)
+        square = values if square is None else _rounded_product(square, square)
         exponent, bit = divmod(exponent, 2)
         if bit:
             result = square if result is None else _rounded_product(result, square)
+    return result
+
+
+def product_chain_pair_defects(pair) -> tuple[float, float]:
+    """pair_defects of a clockshift pair by whole complex products: V V^dag
+    as c times conj(c), and V^N by product_chain_power."""
+    c = pair.phases
     return (
         float(np.max(np.abs(_rounded_product(c, c.conj()) - 1.0))),
-        float(np.max(np.abs(result - 1.0))),
+        float(np.max(np.abs(product_chain_power(c, pair.dim) - 1.0))),
     )
 
 

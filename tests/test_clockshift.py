@@ -6,6 +6,7 @@ import pytest
 
 from qdeform.clockshift import (
     ClockShiftPair,
+    _power_by_squaring,
     _roots_of_unity,
     build_pair,
     pair_defects,
@@ -22,6 +23,7 @@ from oracles import (
     dense_qplane_residual,
     prefactor_periodicity,
     product_chain_pair_defects,
+    product_chain_power,
     root_of_unity,
     scaling_path,
     scaling_points,
@@ -144,6 +146,19 @@ def test_pair_defects_are_bit_identical_to_the_product_chain(dims):
         for level in sorted({1, max(dim // 3, 1), dim - 1}):
             pair = build_pair(dim, level)
             assert pair_defects(pair) == product_chain_pair_defects(pair)
+
+
+def test_power_by_squaring_is_bit_identical_to_the_product_chain():
+    # entry by entry and at every exponent, not only the max defect at N;
+    # off-circle values make the rounding of every product visible
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=257) + 1j * rng.normal(size=257)
+    values = np.concatenate([values / np.abs(values), 1.1 * values[:64]])
+    for exponent in range(1, 130):
+        power = _power_by_squaring(values, exponent)
+        assert power.dtype == values.dtype and power.shape == values.shape
+        expected = product_chain_power(values, exponent)
+        assert power.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,31 @@ from mutants import MUTANTS, ROOT
 def test_mutant_pattern_occurs_once_and_its_tests_exist(mutant):
     source = (ROOT / mutant.path).read_text(encoding="utf-8")
     assert source.count(mutant.old) == 1
+    assert not _missing(mutant.tests)
+
+
+def _missing(nodes):
+    """The node ids whose file, or whose named test function, is absent."""
     missing = []
-    for node in mutant.tests:
+    for node in nodes:
         path, _, function = node.partition("::")
         file = ROOT / path
         if not file.is_file() or (
             function and f"\ndef {function}(" not in file.read_text(encoding="utf-8")
         ):
             missing.append(node)
-    assert not missing
+    return missing
+
+
+def test_missing_node_ids_are_reported():
+    present = "tests/test_mutants.py::test_mutant_names_are_unique"
+    absent = [
+        "tests/test_mutants.py::test_no_such_test",
+        "tests/test_mutants.py::test_mutant_names",  # a prefix of a real name
+        "tests/no_such_file.py",
+        "tests/no_such_file.py::test_mutant_names_are_unique",
+    ]
+    assert _missing(["tests/test_mutants.py", present, *absent]) == absent
 
 
 def test_mutant_names_are_unique():

@@ -34,6 +34,30 @@ def test_conjugate_and_zero_flag():
     assert not ONE.is_zero
 
 
+@given(fractions, fractions)
+def test_product_with_reciprocal_is_one(re, im):
+    # the reciprocal is built from its parts, so only * is under test
+    norm = re * re + im * im
+    if norm:
+        z = RationalComplex(re, im)
+        assert z * RationalComplex(re / norm, -im / norm) == ONE
+
+
+@pytest.mark.parametrize("other", [0.5, 1.0, 1j, complex(2, 0)])
+def test_float_and_complex_operands_are_refused(other):
+    # no floating point enters an exact coefficient
+    z = RationalComplex(1, 2)
+    for combine in (
+        lambda: z + other,
+        lambda: other + z,
+        lambda: z * other,
+        lambda: other * z,
+    ):
+        with pytest.raises(TypeError):
+            combine()
+    assert z != other
+
+
 @given(scalars, scalars, scalars)
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
