@@ -88,10 +88,14 @@ def q_from_alpha(alpha: float) -> complex:
     return (1.0 + cmath.exp(-1j * alpha)) / den
 
 
+def _next(values: np.ndarray) -> np.ndarray:
+    """values[j+1 mod N] at each j along the last axis."""
+    return np.concatenate((values[..., 1:], values[..., :1]), axis=-1)
+
+
 def _qplane_max(phases: np.ndarray, q) -> np.ndarray:
     """max_j |c_j - q*c_(j+1)| along the last axis of the clock phases."""
-    shifted = np.concatenate((phases[..., 1:], phases[..., :1]), axis=-1)
-    return np.max(np.abs(phases - q * shifted), axis=-1)
+    return np.max(np.abs(phases - q * _next(phases)), axis=-1)
 
 
 def verify_qplane(pair: ClockShiftPair) -> float:
@@ -123,61 +127,34 @@ def qplane_residuals(dim: int) -> np.ndarray:
     return _qplane_max(phases, roots[-levels % dim, np.newaxis])
 
 
-def _power_by_squaring(values: np.ndarray, exponent: int) -> np.ndarray:
-    """values**exponent elementwise, exponent >= 1, multiplied in the order
-    np.linalg.matrix_power uses (squares taken from the lowest bit up), so
-    the rounding follows that of the dense power of diag(values).
-
-    The chain runs in place on real and imaginary buffers allocated once.
-    Every real product is rounded on its own, as in a dense matrix
-    product (numpy's complex multiply may fuse one product into the sum,
-    which rounds differently).
-    """
-    re, im = values.real.copy(), values.imag.copy()
-    cross, skew = np.empty_like(re), np.empty_like(re)
-    result = None
-    while True:
-        exponent, bit = divmod(exponent, 2)
-        if bit and result is None:
-            result = res_re, res_im = re.copy(), im.copy()
-        elif bit:
-            # (res_re + i*res_im) *= (re + i*im): res_re*re - res_im*im
-            # and res_re*im + res_im*re
-            np.multiply(res_re, im, out=cross)
-            np.multiply(res_re, re, out=res_re)
-            np.multiply(res_im, im, out=skew)
-            np.subtract(res_re, skew, out=res_re)
-            np.multiply(res_im, re, out=res_im)
-            np.add(cross, res_im, out=res_im)
-        if not exponent:
-            break
-        # (re + i*im)**2: re*re - im*im and (re*im) + (re*im)
-        np.multiply(re, im, out=cross)
-        np.multiply(re, re, out=re)
-        np.multiply(im, im, out=im)
-        np.subtract(re, im, out=re)
-        np.add(cross, cross, out=im)
-    del re, im, cross, skew  # freed before the complex result
-    power = np.empty_like(values)
-    power.real, power.imag = result
-    return power
-
-
-def pair_defects(pair: ClockShiftPair) -> tuple[float, float]:
-    """Max entrywise |V V^dag - 1| and |V^N - 1|.
-
-    They are read off V's diagonal, with V^N multiplied out rather than
-    reduced to exponents mod N, so that its defect measures the
-    accumulated rounding of the clock phases.  A diagonal entry of
-    V V^dag is re*re + im*im, with an imaginary part of exactly 0.  U has
-    no such defects: U^dag is U^(N-1), so U U^dag and U^N are both the
-    shift by N, the identity permutation.
+def v_unitary_defect(pair: ClockShiftPair) -> float:
+    """Max entrywise |V V^dag - 1|, read off V's diagonal: an entry is
+    re*re + im*im, with an imaginary part of exactly 0.  U has no such
+    defect: it is a permutation, so U U^dag is exactly the identity.
     """
     c = pair.phases
-    return (
-        float(np.max(np.abs(c.real * c.real + c.imag * c.imag - 1.0))),
-        float(np.max(np.abs(_power_by_squaring(c, pair.dim) - 1.0))),
-    )
+    return float(np.max(np.abs(c.real * c.real + c.imag * c.imag - 1.0)))
+
+
+def eq8_residual(pair: ClockShiftPair) -> float:
+    """Max entrywise |(q + 1)[S_U, S_V] + (q - 1){C_U, C_V}|: eq. 8 in its
+    trigonometric form, with S_W = (W - W^-1)/2i and C_W = (W + W^-1)/2
+    for W = U, V, and q = e^(-i*alpha) of the pair's own alpha.
+
+    S_V and C_V are the diagonals s = Im c and k = Re c, and S_U, C_U send
+    basis state j to j+1 and j-1, so column j of the residual holds
+    r_j = (q + 1)(s_j - s_(j+1))/2i + (q - 1)(k_j + k_(j+1))/2 at row j+1
+    and r_(j-1) at row j-1, and nothing else (at N = 2 those rows
+    coincide, and the pair (1, -1) has every r_j = 0).  At the pole
+    alpha = pi it checks {C_U, C_V} = 0.
+    """
+    c = pair.phases
+    s, k = c.imag, c.real
+    q = cmath.exp(-1j * pair.alpha)
+    # the scalars combine first, so each term is one complex product of a
+    # real array, with no complex temporaries in between
+    r = (q + 1) / 2j * (s - _next(s)) + (q - 1) / 2 * (k + _next(k))
+    return float(np.max(np.abs(r)))
 
 
 def _smallest(ns: Sequence[int]) -> int:

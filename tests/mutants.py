@@ -81,7 +81,7 @@ MUTANTS = (
         "src/qdeform/clockshift.py",
         "return root / beta, beta * root",
         "return root * (1 / beta), beta * root",
-        ("tests/test_clockshift.py",),
+        ("tests/test_clockshift.py::test_scaling_columns_match_points_bit_for_bit",),
     ),
     Mutant(
         "row separator folds the tail columns in after the head",
@@ -230,35 +230,49 @@ MUTANTS = (
         "src/qdeform/clockshift.py",
         "c.real * c.real + c.imag * c.imag - 1.0",
         "c.real * c.real - c.imag * c.imag - 1.0",
-        ("tests/test_clockshift.py",),
+        ("tests/test_clockshift.py::test_v_unitary_defect_matches_dense_oracle",),
+    ),
+    Mutant(
+        "eq. 8 residual takes q-bar for q",
+        "src/qdeform/clockshift.py",
+        "q = cmath.exp(-1j * pair.alpha)",
+        "q = cmath.exp(1j * pair.alpha)",
+        ("tests/test_clockshift.py::test_eq8_residual_matches_dense_oracle",),
+    ),
+    Mutant(
+        "eq. 8 anticommutator takes k_j - k_(j+1)",
+        "src/qdeform/clockshift.py",
+        "(k + _next(k))",
+        "(k - _next(k))",
+        ("tests/test_clockshift.py::test_eq8_residual_matches_dense_oracle",),
     ),
     Mutant(
         "q-plane check shifts the clock phases the wrong way",
         "src/qdeform/clockshift.py",
-        "np.concatenate((phases[..., 1:], phases[..., :1]), axis=-1)",
-        "np.concatenate((phases[..., -1:], phases[..., :-1]), axis=-1)",
-        ("tests/test_clockshift.py",),
+        "np.concatenate((values[..., 1:], values[..., :1]), axis=-1)",
+        "np.concatenate((values[..., -1:], values[..., :-1]), axis=-1)",
+        ("tests/test_clockshift.py::test_qplane_residual",),
     ),
     Mutant(
         "least n of a range read from its start alone",
         "src/qdeform/clockshift.py",
         "return min(ns[0], ns[-1])",
         "return ns[0]",
-        ("tests/test_clockshift.py",),
+        ("tests/test_clockshift.py::test_scaling_columns_refuse_as_points_do",),
     ),
     Mutant(
         "a range of n is spread in float, not in int64",
         "src/qdeform/clockshift.py",
         "n = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)",
         "n = np.arange(ns.start, ns.stop, ns.step, dtype=float)",
-        ("tests/test_clockshift.py",),
+        ("tests/test_clockshift.py::test_scaling_columns_match_points_bit_for_bit",),
     ),
     Mutant(
         "clock phases at the quadrant angles left to cos and sin",
         "src/qdeform/clockshift.py",
         "roots[quadrant] = _QUADRANT_ROOTS[quarters[quadrant] // order]",
         "pass",
-        ("tests/test_clockshift.py",),
+        ("tests/test_clockshift.py::test_pauli_pair",),
     ),
     Mutant(
         "reorder rule takes (-i)^(k+1) for (-i)^k",
@@ -272,7 +286,7 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "{key: _reduced(a, b, d) for key",
         "{key: _raw(a, b, d) for key",
-        ("tests/test_weyl_properties.py",),
+        ("tests/test_weyl_properties.py::test_associativity_at_degree_six_randomized",),
     ),
     Mutant(
         "constructor keeps terms past the truncation degree",
@@ -300,14 +314,14 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "cur[2] = e * d",
         "cur[2] = e",
-        ("tests/test_weyl_properties.py",),
+        ("tests/test_weyl_properties.py::test_jacobi_at_degree_six_randomized",),
     ),
     Mutant(
         "product kernel flips the sign of the weight's imaginary part",
         "src/qdeform/weyl.py",
         "c._a * re - c._b * im, c._a * im + c._b * re",
         "c._a * re + c._b * im, -c._a * im + c._b * re",
-        ("tests/test_weyl_properties.py",),
+        ("tests/test_weyl_properties.py::test_linear_operations_match_coefficientwise_oracle",),
     ),
     Mutant(
         "q-oscillator target divides its quadratic terms by 3, not 2",
@@ -349,7 +363,7 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "(deg + m + n, x, p,",
         "(deg, x, p,",
-        ("tests/test_weyl_properties.py",),
+        ("tests/test_weyl_properties.py::test_reordering_terms_from_k_one_give_both_brackets",),
     ),
     Mutant(
         "right-hand side counts the k = 0 product of its anticommutator once",
@@ -363,14 +377,14 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "_add_scaled(acc, other.terms, -1)",
         "_add_scaled(acc, other.terms, 1)",
-        ("tests/test_weyl_properties.py",),
+        ("tests/test_weyl_properties.py::test_linear_operations_match_coefficientwise_oracle",),
     ),
     Mutant(
         "product kernel drops term pairs whose total degree is the cap",
         "src/qdeform/weyl.py",
         "if deg2 > room:",
         "if deg2 >= room:",
-        ("tests/test_weyl_properties.py",),
+        ("tests/test_weyl_properties.py::test_canonical_generators_commutation",),
     ),
     Mutant(
         "prefactor recurrence adds the inner sum",
@@ -391,14 +405,14 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "(b < 0 and not a)",
         "b < 0",
-        ("tests/test_weyl_properties.py",),
+        ("tests/test_weyl_properties.py::test_theta_text_matches_fraction_pair_oracle",),
     ),
     Mutant(
         "ratio text skips its gcd",
         "src/qdeform/rational.py",
         "n, d = n // g, d // g",
         "pass",
-        ("tests/test_weyl_properties.py",),
+        ("tests/test_weyl_properties.py::test_theta_text_matches_fraction_pair_oracle",),
     ),
     Mutant(
         "res_spec gets a gate that no witness shows can fail",
@@ -449,23 +463,6 @@ MUTANTS = (
         ("tests/test_cli.py::test_every_gate_sits_at_its_stated_value",),
     ),
     Mutant(
-        "V^N power gate loosened tenfold",
-        "src/qdeform/cli.py",
-        "CLOCKSHIFT_POWER_TOL = 1e-12",
-        "CLOCKSHIFT_POWER_TOL = 1e-11",
-        ("tests/test_cli.py::test_every_gate_sits_at_its_stated_value",),
-    ),
-    Mutant(
-        "q identity gate loosened tenfold",
-        "src/qdeform/cli.py",
-        "Q_IDENTITY_TOL = 1e-12",
-        "Q_IDENTITY_TOL = 1e-11",
-        (
-            "tests/test_cli.py::test_input_witness_fails_its_metric",
-            "tests/test_cli.py::test_every_gate_sits_at_its_stated_value",
-        ),
-    ),
-    Mutant(
         "the M column echoes N",
         "src/qdeform/cli.py",
         "[dims, interior, mu, nu,",
@@ -502,13 +499,6 @@ MUTANTS = (
             "tests/test_cli.py::test_config_parsing",
             "tests/test_cli.py::test_repeated_config_key_is_named_error",
         ),
-    ),
-    Mutant(
-        "q_identity_dev compares the quotient with e^(-i alpha), not the pair's q",
-        "src/qdeform/cli.py",
-        "q_from_alpha(pair.alpha) - pair.phases[-1]",
-        "q_from_alpha(pair.alpha) - cmath.exp(-1j * pair.alpha)",
-        ("tests/test_cli.py::test_q_identity_dev_checks_the_pairs_own_q",),
     ),
     Mutant(
         "clock-shift grid row also reads --alpha",

@@ -465,48 +465,26 @@ def dense_qplane_residual(dim: int, level: int) -> float:
     return float(np.max(np.abs(u @ v - q * (v @ u))))
 
 
-def dense_pair_defects(dim: int, level: int) -> tuple[float, float, float, float]:
-    """Max entrywise |U U^dag - 1|, |V V^dag - 1|, |U^N - 1|, |V^N - 1|."""
+def dense_unitary_defects(dim: int, level: int) -> tuple[float, float]:
+    """Max entrywise |U U^dag - 1| and |V V^dag - 1|."""
     u, v = dense_pair(dim, level)
     eye = np.eye(dim)
     return (
         float(np.max(np.abs(u @ u.conj().T - eye))),
         float(np.max(np.abs(v @ v.conj().T - eye))),
-        float(np.max(np.abs(np.linalg.matrix_power(u, dim) - eye))),
-        float(np.max(np.abs(np.linalg.matrix_power(v, dim) - eye))),
     )
 
 
-def _rounded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a*b elementwise into a fresh array, each of the four real products
-    and two sums rounded on its own, as in a dense matrix product."""
-    out = np.empty(len(a), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def product_chain_power(values: np.ndarray, exponent: int) -> np.ndarray:
-    """values**exponent elementwise, exponent >= 1, by whole complex
-    products squared from the lowest bit up, in the order of
-    np.linalg.matrix_power."""
-    result, square = None, None
-    while exponent:
-        square = values if square is None else _rounded_product(square, square)
-        exponent, bit = divmod(exponent, 2)
-        if bit:
-            result = square if result is None else _rounded_product(result, square)
-    return result
-
-
-def product_chain_pair_defects(pair) -> tuple[float, float]:
-    """pair_defects of a clockshift pair by whole complex products: V V^dag
-    as c times conj(c), and V^N by product_chain_power."""
-    c = pair.phases
-    return (
-        float(np.max(np.abs(_rounded_product(c, c.conj()) - 1.0))),
-        float(np.max(np.abs(product_chain_power(c, pair.dim) - 1.0))),
-    )
+def dense_eq8_residual(dim: int, level: int) -> float:
+    """Max entrywise |(q + 1)[S_U, S_V] + (q - 1){C_U, C_V}| by dense
+    matrix products, with S_W = (W - W^dag)/2i, C_W = (W + W^dag)/2 (W^dag
+    being W^-1 for the unitary U and V) and q = e^(-i*alpha)."""
+    u, v = dense_pair(dim, level)
+    s_u, c_u = (u - u.conj().T) / 2j, (u + u.conj().T) / 2
+    s_v, c_v = (v - v.conj().T) / 2j, (v + v.conj().T) / 2
+    q = cmath.exp(-1j * (2 * math.pi * level / dim))
+    residual = (q + 1) * (s_u @ s_v - s_v @ s_u) + (q - 1) * (c_u @ c_v + c_v @ c_u)
+    return float(np.max(np.abs(residual)))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,7 @@
 import argparse
-import cmath
 import fractions
 import io
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -18,7 +16,6 @@ import pytest
 import qdeform.cli as cli
 from qdeform import weyl
 from qdeform.cli import expand_text, parse_int_list
-from qdeform.clockshift import q_from_alpha
 from qdeform.config import DEFAULTS, ConfigError, load_config, parse_config_text
 from qdeform.report import Metric, VerificationReport
 
@@ -31,7 +28,6 @@ from oracles import (
     reference_json,
     reference_scan,
     reference_text,
-    root_of_unity,
 )
 
 
@@ -330,30 +326,21 @@ def test_verify_clockshift_passes(invoke):
     assert metrics["max_residual"] <= 1e-13
 
 
-@pytest.mark.parametrize("dim,level", [(4, 1), (5, 1), (3, 2)])
-def test_q_identity_dev_checks_the_pairs_own_q(invoke, dim, level):
-    # the pair's q is its last clock phase omega^((N-1)k) = omega^(-k); at
-    # these (N, k) it differs from cmath.exp(-i*alpha) in the last bits,
-    # and at (4, 1) it is -i exactly, as the quotient form rounds it
+@pytest.mark.parametrize(
+    "dim,level", [(cli.MAX_PAIR_DIM, 1), (262144, 131071)],
+    ids=["largest", "next-to-pole"],
+)
+def test_verify_clockshift_passes_at_large_pairs(invoke, dim, level):
+    # the largest accepted pair, and one next to the pole: every gated
+    # metric is an identity of the pair, at round-off for every N
     code, out = invoke(
         ["verify", "--engine", "clock-shift", "--dim", str(dim), "--level", str(level)]
     )
     assert code == 0
-    metrics = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
-    alpha = 2.0 * math.pi * level / dim
-    q_pair = root_of_unity((dim - 1) * level, dim)
-    assert q_pair != cmath.exp(-1j * alpha)
-    assert metrics["q_identity_dev"] == abs(q_from_alpha(alpha) - q_pair)
-    if (dim, level) == (4, 1):
-        assert metrics["q_identity_dev"] == 0.0
-
-
-def test_q_identity_dev_is_zero_at_the_pole(invoke):
-    # alpha = pi: the quotient form is 0/0, and the phase is used directly
-    code, out = invoke(["verify", "--engine", "clock-shift", "--dim", "8", "--level", "4"])
-    assert code == 0
-    metrics = {m["name"]: m["value"] for m in json.loads(out)["metrics"]}
-    assert metrics["q_identity_dev"] == 0.0
+    metrics = json.loads(out)["metrics"]
+    assert [m["name"] for m in metrics] == [
+        "max_residual", "v_unitary_defect", "eq8_residual"]
+    assert all(m["value"] <= m["threshold"] for m in metrics)
 
 
 def test_verify_failure_exit_code(invoke):
@@ -865,17 +852,11 @@ def test_flag_table_has_one_row_per_command_route():
 # it FAIL.  No witness takes a config file, so each is judged by the
 # default thresholds.  A gate without a witness fails the first test below.
 
-# past N = 825 the round-off of V^N grows past its gate, and next to the
-# pole so does that of q's quotient form
-PAIR_PAST_ENVELOPE = ["verify", "--engine", "clock-shift", "--dim", "262144",
-                      "--level", "131071"]
 INPUT_WITNESSES = {
     # truncation at N = 16 is still large once mu = nu = 1.25: 2.4e-2
     ("verify --engine matrix", "res_fro"): [
         "verify", "--engine", "matrix", "--dim", "16", "--interior", "8",
         "--mu", "1.25", "--nu", "1.25"],
-    ("verify --engine clock-shift", "v_power_defect"): PAIR_PAST_ENVELOPE,  # 2.0e-10
-    ("verify --engine clock-shift", "q_identity_dev"): PAIR_PAST_ENVELOPE,  # 3.9e-12
     ("scan --engine matrix", "residual_at_largest_dim"): [  # 1.3e-8
         "scan", "--engine", "matrix", "--dims", "8,16", "--interior", "4",
         "--mu", "1.25", "--nu", "1.25"],
@@ -899,6 +880,8 @@ MUTANT_WITNESSES = {
         ("q-plane check shifts the clock phases the wrong way", PAIR),
     ("verify --engine clock-shift", "v_unitary_defect"):
         ("V V^dag read as re*re - im*im", PAIR),
+    ("verify --engine clock-shift", "eq8_residual"):
+        ("eq. 8 residual takes q-bar for q", PAIR),
     ("scan --engine clock-shift --dims", "max_residual"):
         ("q-plane check shifts the clock phases the wrong way",
          ["scan", "--engine", "clock-shift", "--dims", "2..8"]),
@@ -974,8 +957,7 @@ GATE_VALUES = {
     ("verify --engine matrix", "res_fro"): 1e-8,
     ("verify --engine clock-shift", "max_residual"): 1e-12,
     ("verify --engine clock-shift", "v_unitary_defect"): 1e-13,
-    ("verify --engine clock-shift", "v_power_defect"): 1e-12,
-    ("verify --engine clock-shift", "q_identity_dev"): 1e-12,
+    ("verify --engine clock-shift", "eq8_residual"): 1e-12,
     ("scan --engine matrix", "residual_at_largest_dim"): 1e-8,
     ("scan --engine matrix", "residual_excess"): 0.0,
     ("scan --engine clock-shift --dims", "max_residual"): 1e-12,

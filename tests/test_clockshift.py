@@ -6,24 +6,23 @@ import pytest
 
 from qdeform.clockshift import (
     ClockShiftPair,
-    _power_by_squaring,
     _roots_of_unity,
     build_pair,
-    pair_defects,
+    eq8_residual,
     q_from_alpha,
     qplane_residuals,
     scaling_columns,
+    v_unitary_defect,
     verify_qplane,
 )
 
 from oracles import (
     ScalingPoint,
+    dense_eq8_residual,
     dense_pair,
-    dense_pair_defects,
     dense_qplane_residual,
+    dense_unitary_defects,
     prefactor_periodicity,
-    product_chain_pair_defects,
-    product_chain_power,
     root_of_unity,
     scaling_path,
     scaling_points,
@@ -126,39 +125,34 @@ def test_grid_residuals_match_dense_oracle():
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 16, 64, 100, 512])
-def test_pair_defects_match_dense_oracle(dim):
+def test_v_unitary_defect_matches_dense_oracle(dim):
     levels = range(1, dim) if dim <= 100 else (1, dim // 3, dim // 2, dim - 1)
     for level in levels:
-        u_unitary, v_unitary, u_power, v_power = dense_pair_defects(dim, level)
-        # U is a permutation, so pair_defects reports V's alone
-        assert u_unitary == u_power == 0.0
-        defects = pair_defects(build_pair(dim, level))
-        assert max(abs(a - b) for a, b in zip(defects, (v_unitary, v_power))) <= 1e-15
+        u_unitary, v_unitary = dense_unitary_defects(dim, level)
+        # U is a permutation, so only V's defect is reported
+        assert u_unitary == 0.0
+        assert abs(v_unitary_defect(build_pair(dim, level)) - v_unitary) <= 1e-15
 
 
-@pytest.mark.parametrize(
-    "dims", [range(2, 200), [4096], [2**20]], ids=["2..199", "4096", "2^20"]
-)
-def test_pair_defects_are_bit_identical_to_the_product_chain(dims):
-    # the in-place chain rounds every real product and sum as the whole
-    # complex products do
-    for dim in dims:
-        for level in sorted({1, max(dim // 3, 1), dim - 1}):
-            pair = build_pair(dim, level)
-            assert pair_defects(pair) == product_chain_pair_defects(pair)
+def test_eq8_residual_matches_dense_oracle():
+    # every level of every N, the poles k = N/2 among them, bit for bit
+    for dim in range(2, 65):
+        for level in range(1, dim):
+            residual = eq8_residual(build_pair(dim, level))
+            assert residual == dense_eq8_residual(dim, level), (dim, level)
+            assert residual <= 2e-15
 
 
-def test_power_by_squaring_is_bit_identical_to_the_product_chain():
-    # entry by entry and at every exponent, not only the max defect at N;
-    # off-circle values make the rounding of every product visible
-    rng = np.random.default_rng(7)
-    values = rng.normal(size=257) + 1j * rng.normal(size=257)
-    values = np.concatenate([values / np.abs(values), 1.1 * values[:64]])
-    for exponent in range(1, 130):
-        power = _power_by_squaring(values, exponent)
-        assert power.dtype == values.dtype and power.shape == values.shape
-        expected = product_chain_power(values, exponent)
-        assert power.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+def test_eq8_residual_fails_on_phases_of_another_level():
+    # q comes from the pair's alpha, so phases of another level break eq. 8
+    # (by 0.069 at least), save those of the pole level N/2: V = diag(+-1)
+    # anticommutes with U and U^-1 and S_V = 0, so they satisfy it at any q
+    for dim in range(3, 33):
+        for level in range(1, dim):
+            for other in range(1, dim):
+                if other != level and 2 * other != dim:
+                    pair = ClockShiftPair(dim, level, build_pair(dim, other).phases)
+                    assert eq8_residual(pair) > 0.06, (dim, level, other)
 
 
 # ---------------------------------------------------------------------------
