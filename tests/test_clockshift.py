@@ -155,6 +155,28 @@ def test_eq8_residual_fails_on_phases_of_another_level():
                     assert eq8_residual(pair) > 0.06, (dim, level, other)
 
 
+@pytest.mark.parametrize("dims", [(65, 257), (257, 385), (385, 449), (449, 513)],
+                         ids=lambda dims: f"{dims[0]}..{dims[1] - 1}")
+def test_eq8_residual_below_3e_15_at_every_level(dims):
+    # the README's bound for every level of every N <= 512; the dense
+    # oracle test covers N <= 64
+    for dim in range(*dims):
+        for level in range(1, dim):
+            assert eq8_residual(build_pair(dim, level)) <= 3e-15, (dim, level)
+
+
+@pytest.mark.parametrize("dim", [512, 825, 826, 2048, 100001, 999999, 2**20])
+def test_pair_metrics_stay_at_round_off_up_to_2_20(dim):
+    # the README's envelope for the gated pair metrics: no growth with N
+    levels = {1, 2, dim // 3, (dim - 1) // 2, dim // 2, dim - 1}
+    for level in sorted(levels):
+        pair = build_pair(dim, level)
+        assert verify_qplane(pair) <= 2.2e-15, level
+        assert eq8_residual(pair) <= 1.7e-15, level
+        # one ulp of 1.0, the README's 2.2e-16
+        assert v_unitary_defect(pair) <= np.finfo(float).eps, level
+
+
 # ---------------------------------------------------------------------------
 # q and the exchange relation
 # ---------------------------------------------------------------------------
