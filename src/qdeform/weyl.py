@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .rational import MINUS_I, ZERO, RationalComplex, _raw, _reduced, format_triple
 
-# (-i)^k for k mod 4 as (re, im); the central unit in the reordering rule.
+# (-i)^j for j mod 4 as (re, im): the powers of the exchange phase.
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
@@ -186,27 +186,14 @@ def _join_terms(chunks: list[tuple[int, str]]) -> str:
 # stands for (a + b*i)/d with d > 0 but is not reduced.  Contributions
 # are summed in these lists with integer arithmetic only, and each output
 # coefficient is brought to canonical form by one gcd when the result is
-# built.
-
-
-def _reorder(p_pow: int, x_pow: int) -> list[tuple[int, int, int]]:
-    """Normal-order the word p^b x^a.
-
-    Repeated use of px = xp - i gives the closed form
-
-        p^b x^a = sum_k C(b,k) C(a,k) k! (-i)^k  x^(a-k) p^(b-k),
-
-    which is also the engine's product rule; returns one (k, re, im) per
-    term, re + i*im being the Gaussian-integer weight of x^(a-k) p^(b-k).
-    """
-    rule = [(0, 1, 0)]
-    weight = 1
-    for k in range(1, min(p_pow, x_pow) + 1):
-        # C(b,k) C(a,k) k! = C(b,k-1) C(a,k-1) (k-1)! * (b-k+1)(a-k+1)/k
-        weight = weight * (p_pow - k + 1) * (x_pow - k + 1) // k
-        re, im = _MINUS_I_POW[k % 4]
-        rule.append((k, re * weight, im * weight))
-    return rule
+# built.  A product is normal-ordered as a derivative expansion: with
+# [p, x] = -i,
+#
+#     f(p) g(x) = sum_k ((-i)^k / k!) g^(k)(x) f^(k)(p),
+#
+# so it is one plain product per order k, of the k-th x-derivative of the
+# right factor's terms and the k-th p-derivative of the left factor's,
+# each derivative taken on the integer triples.
 
 
 def _terms(terms: dict, re: int, im: int) -> list:
@@ -221,41 +208,51 @@ def _terms(terms: dict, re: int, im: int) -> list:
 
 def _add_terms(acc: dict, left: list, right: list, cap, start: int = 0) -> None:
     """acc += left * right for two factors given as _terms, normal-ordered,
-    keeping total (mu, nu) degree <= cap and, of each term pair, only the
-    reordering terms k >= start.
+    keeping total (mu, nu) degree <= cap and only the orders k >= start.
 
-    x^a1 p^b1 * x^a2 p^b2 reorders the inner p^b1 x^a2 with the rule in
-    :func:`_reorder`, built once per (b1, a2) in a call.  Its k = 0 term
-    is x^a2 p^b1 itself, so with start=1 a p-only left times an x-only
-    right gives left*right - right*left.  Right terms come lowest degree
-    first, so the first one past the cap ends the inner loop; left terms
-    may come in any order.
+    At order k the lists hold ((-i)^k / k!) d^k/dp^k of the left factor
+    and d^k/dx^k of the right, and their plain product puts x powers side
+    by side on the left and p powers on the right.  A step takes a left
+    term (a + b*i)/d x^x p^p to (b*p - a*p*i)/(d*k) x^x p^(p-1) and a
+    right one to (a*x + b*x*i)/d x^(x-1) p^p; terms that reach zero drop
+    out, and the expansion ends when either list is empty.  The k = 0
+    order of a p-only left times an x-only right is right*left, so
+    start=1 gives left*right - right*left.  Right terms come lowest degree
+    first, and a derivative keeps their order, so the first one past the
+    cap ends the inner loop; left terms may come in any order.
     """
-    rules: dict = {}
-    for deg1, x1, p1, m1, n1, a1, b1, d1 in left:
-        room = cap - deg1
-        for deg2, x2, p2, m2, n2, a2, b2, d2 in right:
-            if deg2 > room:
-                break
-            rule = rules.get((p1, x2))
-            if rule is None:
-                rule = rules[(p1, x2)] = _reorder(p1, x2)[start:]
-            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
-            x, p, m, n = x1 + x2, p1 + p2, m1 + m2, n1 + n2
-            for k, re, im in rule:
-                key = (x - k, p - k, m, n)
-                ra, rb = a * re - b * im, a * im + b * re
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = [ra, rb, d]
-                elif cur[2] == d:
-                    cur[0] += ra
-                    cur[1] += rb
-                else:
-                    e = cur[2]
-                    cur[0] = cur[0] * d + ra * e
-                    cur[1] = cur[1] * d + rb * e
-                    cur[2] = e * d
+    k = 0
+    while left and right:
+        if k >= start:
+            for deg1, x1, p1, m1, n1, a1, b1, d1 in left:
+                room = cap - deg1
+                for deg2, x2, p2, m2, n2, a2, b2, d2 in right:
+                    if deg2 > room:
+                        break
+                    key = (x1 + x2, p1 + p2, m1 + m2, n1 + n2)
+                    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                    cur = acc.get(key)
+                    if cur is None:
+                        acc[key] = [a, b, d]
+                    elif cur[2] == d:
+                        cur[0] += a
+                        cur[1] += b
+                    else:
+                        e = cur[2]
+                        cur[0] = cur[0] * d + a * e
+                        cur[1] = cur[1] * d + b * e
+                        cur[2] = e * d
+        k += 1
+        left = [
+            (deg, x, p - 1, m, n, b * p, -a * p, d * k)
+            for deg, x, p, m, n, a, b, d in left
+            if p
+        ]
+        right = [
+            (deg, x - 1, p, m, n, a * x, b * x, d)
+            for deg, x, p, m, n, a, b, d in right
+            if x
+        ]
 
 
 def _times_central(terms: list, central: list, cap: int) -> list:
@@ -409,8 +406,8 @@ def cosh_element(side: str, degree: int) -> WeylSeriesElement:
 def _rhs_sum(degree: int) -> dict:
     """identity_rhs as a raw accumulator.
 
-    The k = 0 term of reordering p^b x^a is x^a p^b, so for C = c(mu*nu)
-    cosh(mu*p), a p-series, and the x-series cosh(nu*x),
+    The k = 0 order of a p-series times an x-series is the x-series
+    times the p-series, so for C = c(mu*nu) cosh(mu*p) and cosh(nu*x),
 
         {C, cosh(nu*x)} = 2 cosh(nu*x) C + (the k >= 1 terms of C cosh(nu*x)),
 
@@ -486,7 +483,8 @@ def exchange_residual(degree: int) -> WeylSeriesElement:
 
     Exact at every order because [mu p, nu x] = -i mu nu is central; this
     is the algebraic bridge to the quantum-plane relation PX = qXP.  The
-    k = 0 term of reordering p^b x^a is x^a p^b, so the residual is
+    k = 0 order of e^(mu p) e^(nu x) is e^(nu x) e^(mu p), so the
+    residual is
 
         (the k >= 1 terms of e^(mu p) e^(nu x))
             - (e^(-i mu nu) - 1) e^(nu x) e^(mu p),
@@ -520,7 +518,7 @@ class IdentityChecks(NamedTuple):
 def identity_checks(degree: int) -> IdentityChecks:
     """All four checks, each residual summed raw in one accumulator and
     reduced once; the right-hand side is summed once and shared.  X*P is
-    the k = 0 term of P*X, so [P, X] is the k >= 1 terms of P*X alone."""
+    the k = 0 order of P*X, so [P, X] is the k >= 1 terms of P*X alone."""
     p, x = deformed_momentum(degree), deformed_position(degree)
     rhs = _rhs_sum(degree)
     identity = {key: [-a, -b, d] for key, (a, b, d) in rhs.items()}

@@ -10,13 +10,14 @@ mutant's tests there once unmutated.  Then for each mutant it replaces
 one exact string in one source file, runs that mutant's tests with pytest
 (stopping at the first failure), puts the file back and prints
 ``killed`` or ``survived``.  A mutant names its tests as pytest node ids:
-a whole test file, or one test function in it when the file is slow and
-that test is the one that kills it.  It exits 1 when a mutant
-survives or when its pattern no longer occurs exactly once in the source.
-A survivor is a missing test, and a pattern that stopped matching means
-the code moved: rewrite the mutant, do not drop it.  The patterns alone
-are checked on every test run, by tests/test_mutants.py.  Only the standard
-library is used, and pytest does not collect this file.
+mostly the one or two test functions that kill it, so that each run
+starts few tests, and a whole file only where its random draws are the
+witness.  It exits 1 when a mutant survives or when its pattern no
+longer occurs exactly once in the source.  A survivor is a missing test,
+and a pattern that stopped matching means the code moved: rewrite the
+mutant, do not drop it.  The patterns alone are checked on every test
+run, by tests/test_mutants.py.  Only the standard library is used, and
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -46,35 +47,35 @@ MUTANTS = (
         "src/qdeform/report.py",
         "if len(kinds) == 1:",
         "if True:",
-        ("tests/test_report.py",),
+        ("tests/test_report.py::test_column_cases_render_as_the_reference",),
     ),
     Mutant(
         "unprefixed head of a range stops at 10 instead of 100",
         "src/qdeform/report.py",
         "first = max(start, 100)",
         "first = max(start, 10)",
-        ("tests/test_report.py",),
+        ("tests/test_report.py::test_column_cases_render_as_the_reference",),
     ),
     Mutant(
         "a block's digit slice of a range ends one early",
         "src/qdeform/report.py",
         "_TAILS[max(first - base, 0) : min(stop - base, 100)]",
         "_TAILS[max(first - base, 0) : min(stop - base, 100) - 1]",
-        ("tests/test_report.py",),
+        ("tests/test_report.py::test_column_cases_render_as_the_reference",),
     ),
     Mutant(
         "a table with a repeated-cell column counts one row",
         "src/qdeform/report.py",
         "else repeat(c, count) for c in self.cells",
         "else repeat(c, 1) for c in self.cells",
-        ("tests/test_report.py",),
+        ("tests/test_report.py::test_column_table_reads_row_by_row",),
     ),
     Mutant(
         "equal-denominator add skips the gcd",
         "src/qdeform/rational.py",
         "return _reduced(self._a + other._a, self._b + other._b, d1)",
         "return _raw(self._a + other._a, self._b + other._b, d1)",
-        ("tests/test_rational.py",),
+        ("tests/test_rational.py::test_agrees_with_fraction_pair_oracle",),
     ),
     Mutant(
         "scaling path divides by beta as a product with 1/beta",
@@ -88,7 +89,7 @@ MUTANTS = (
         "src/qdeform/report.py",
         "sep = tail + row_sep + head",
         "sep = row_sep + head + tail",
-        ("tests/test_report.py",),
+        ("tests/test_report.py::test_column_cases_render_as_the_reference",),
     ),
     Mutant(
         "contraction paths take any mu0 and nu0",
@@ -105,42 +106,42 @@ MUTANTS = (
         "src/qdeform/matrixrep.py",
         "return u, np.concatenate((s, np.zeros(even - odd))), w",
         "return u[:, :odd], s, w",
-        ("tests/test_matrixrep.py",),
+        ("tests/test_matrixrep.py::test_parity_basis_diagonalizes_x",),
     ),
     Mutant(
         "Gram diagonal of B B^T drops the subdiagonal's squares",
         "src/qdeform/matrixrep.py",
         "    gram_diag[1:] += sub**2\n",
         "",
-        ("tests/test_matrixrep.py",),
+        ("tests/test_matrixrep.py::test_parity_basis_diagonalizes_x",),
     ),
     Mutant(
         "w = B^T u / s drops the subdiagonal term of B^T u",
         "src/qdeform/matrixrep.py",
         "    w[: sub.size] += sub[:, None] * u[1 : sub.size + 1, :odd]\n",
         "",
-        ("tests/test_matrixrep.py",),
+        ("tests/test_matrixrep.py::test_parity_basis_diagonalizes_x",),
     ),
     Mutant(
         "singular values taken as the eigenvalues of B B^T, not their roots",
         "src/qdeform/matrixrep.py",
         "s = np.sqrt(np.maximum(lam[:odd], 0.0))",
         "s = np.maximum(lam[:odd], 0.0)",
-        ("tests/test_matrixrep.py",),
+        ("tests/test_matrixrep.py::test_parity_basis_diagonalizes_x",),
     ),
     Mutant(
         "odd-sector sign vector of D flipped",
         "src/qdeform/matrixrep.py",
         "wp = _signs(odd)[:, None] * w",
         "wp = -_signs(odd)[:, None] * w",
-        ("tests/test_matrixrep.py",),
+        ("tests/test_matrixrep.py::test_residual_matches_dense_oracle",),
     ),
     Mutant(
         "odd-sector anticommutator enters with the even sector's sign",
         "src/qdeform/matrixrep.py",
         "k_o += c *",
         "k_o -= c *",
-        ("tests/test_matrixrep.py",),
+        ("tests/test_matrixrep.py::test_residual_matches_dense_oracle",),
     ),
     Mutant(
         "symbolic degree without its upper bound",
@@ -275,11 +276,31 @@ MUTANTS = (
         ("tests/test_clockshift.py::test_pauli_pair",),
     ),
     Mutant(
-        "reorder rule takes (-i)^(k+1) for (-i)^k",
+        "p-derivative step takes +i for -i",
         "src/qdeform/weyl.py",
-        "re, im = _MINUS_I_POW[k % 4]",
-        "re, im = _MINUS_I_POW[(k + 1) % 4]",
-        ("tests/test_weyl.py",),
+        "b * p, -a * p",
+        "-b * p, a * p",
+        ("tests/test_weyl.py::test_commutator_p_x",),
+    ),
+    Mutant(
+        "p-derivative step drops the 1/k of 1/k!",
+        "src/qdeform/weyl.py",
+        "d * k)",
+        "d)",
+        (
+            "tests/test_weyl.py::test_p2_x2_reordering",
+            "tests/test_weyl_properties.py::test_high_order_words_match_the_oracle_from_k_zero_and_one",
+        ),
+    ),
+    Mutant(
+        "x-derivative step drops the falling factorial",
+        "src/qdeform/weyl.py",
+        "a * x, b * x",
+        "a, b",
+        (
+            "tests/test_weyl.py::test_p2_x2_reordering",
+            "tests/test_weyl_properties.py::test_high_order_words_match_the_oracle_from_k_zero_and_one",
+        ),
     ),
     Mutant(
         "product results keep their unreduced accumulator triples",
@@ -293,21 +314,21 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "key[2] + key[3] <= self.degree and ",
         "",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_constructor_drops_zeros_and_terms_past_the_degree",),
     ),
     Mutant(
         "square-root check squares against 1 - mu^2 P^2",
         "src/qdeform/weyl.py",
         "[(m, n, -1, 0, 1)]",
         "[(m, n, 1, 0, 1)]",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_cosh_is_the_principal_root",),
     ),
     Mutant(
         "square-root check drops the branch element",
         "src/qdeform/weyl.py",
         "_from_accumulator(branch, degree)",
         "WeylSeriesElement(degree)",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_sqrt_defects_refuse_every_other_root",),
     ),
     Mutant(
         "raw sum over unequal denominators keeps the old denominator",
@@ -328,35 +349,35 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "half = _raw(0, -1, 2)",
         "half = _raw(0, -1, 3)",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_leading_order_target_form",),
     ),
     Mutant(
         "exchange residual adds the phased product instead of subtracting it",
         "src/qdeform/weyl.py",
         "_terms(exp_x, -1, 0)",
         "_terms(exp_x, 1, 0)",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_exchange_residual_zero",),
     ),
     Mutant(
         "exchange phase enters its central product with the sign flipped",
         "src/qdeform/weyl.py",
         "phase.append((j, j, re, im, factorial(j)))",
         "phase.append((j, j, -re, -im, factorial(j)))",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_exchange_residual_zero",),
     ),
     Mutant(
         "exchange phase keeps its j = 0 term",
         "src/qdeform/weyl.py",
         "for j in range(1, degree // 2 + 1):",
         "for j in range(degree // 2 + 1):",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_exchange_residual_zero",),
     ),
     Mutant(
         "bracket keeps the k = 0 term",
         "src/qdeform/weyl.py",
         "_terms(x.terms, 1, 0), degree, 1)",
         "_terms(x.terms, 1, 0), degree, 0)",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_identity_residual_heisenberg_corner",),
     ),
     Mutant(
         "a central factor leaves its own degree out of the term's total",
@@ -370,7 +391,7 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "_terms(cosh_x, 0, -2)",
         "_terms(cosh_x, 0, -1)",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_identity_residual_heisenberg_corner",),
     ),
     Mutant(
         "element subtraction adds instead of subtracting",
@@ -391,14 +412,14 @@ MUTANTS = (
         "src/qdeform/weyl.py",
         "acc -= (-1) ** (j // 2)",
         "acc += (-1) ** (j // 2)",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_prefactor_frozen_values",),
     ),
     Mutant(
         "prefactor recurrence shifts by j/2 instead of j/2 - 1",
         "src/qdeform/weyl.py",
         "<< (j // 2 - 1)",
         "<< (j // 2)",
-        ("tests/test_weyl.py",),
+        ("tests/test_weyl.py::test_prefactor_frozen_values",),
     ),
     Mutant(
         "term text pulls the sign out whenever b < 0, also when a != 0",
@@ -563,7 +584,11 @@ MUTANTS = (
 
 def _pytest(work: Path, tests: tuple[str, ...]) -> int:
     env = dict(os.environ, PYTHONPATH=str(work / "src"))
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    # a plain assert fails a mutant's test just as well, and without the
+    # rewrite of every plugin module's asserts pytest starts in under half
+    # the time
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--assert=plain"]
     return subprocess.run(
         command + list(tests),
         cwd=work,

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -198,6 +199,65 @@ def test_reordering_terms_from_k_one_give_both_brackets(case):
         fg + gf, nested_element(degree, {(0, 0): central})
     )
     assert _from_accumulator(acc, degree) == expected
+
+
+# words up to x^6 p^6 on both sides, so that term pairs reach every order
+# k <= 6 of the expansion, over unequal denominators and at the cap
+HIGH_WORDS = [
+    (
+        nested_element(0, {(6, 6): {(0, 0): 1}}),
+        nested_element(0, {(6, 6): {(0, 0): 1}}),
+    ),
+    (
+        nested_element(3, {
+            (6, 6): {(0, 0): RationalComplex(Fraction(1, 3), -2)},
+            (2, 5): {(1, 0): RationalComplex(0, Fraction(3, 7)), (0, 2): 5},
+            (0, 6): {(2, 1): Fraction(-1, 8)},
+            (4, 0): {(0, 0): 1},
+        }),
+        nested_element(3, {
+            (5, 6): {(1, 1): Fraction(2, 9)},
+            (6, 1): {(0, 0): RationalComplex(-1, 1), (3, 0): 1},
+            (6, 0): {(0, 1): Fraction(-5, 3)},
+            (0, 4): {(1, 0): 7},
+        }),
+    ),
+    (
+        nested_element(2, {(3, 6): {(0, 0): Fraction(1, 5), (1, 1): 1}}),
+        nested_element(2, {(6, 2): {(0, 0): RationalComplex(0, -1)}, (4, 5): {(2, 0): 3}}),
+    ),
+]
+
+
+def _plain_product(a, b):
+    """a*b with the x powers of each term pair side by side on the left and
+    the p powers on the right, with no reordering: the k = 0 order."""
+    acc = {}
+    for (x1, p1, m1, n1), c1 in a.terms.items():
+        for (x2, p2, m2, n2), c2 in b.terms.items():
+            if m1 + n1 + m2 + n2 <= a.degree:
+                key = (x1 + x2, p1 + p2, m1 + m2, n1 + n2)
+                acc[key] = acc.get(key, RationalComplex(0)) + c1 * c2
+    return WeylSeriesElement(a.degree, acc)
+
+
+def test_word_pairs_reach_order_six():
+    # p^6 x^6 = sum_k C(6,k)^2 k! (-i)^k x^(6-k) p^(6-k): the k = 6 term of
+    # x^6 p^6 * x^6 p^6 alone lands on x^6 p^6, with weight 6! (-i)^6
+    a, b = HIGH_WORDS[0]
+    assert normal_product(a, b).terms[(6, 6, 0, 0)] == RationalComplex(-720)
+
+
+@pytest.mark.parametrize("pair", HIGH_WORDS, ids=["single-words", "mixed", "at-cap"])
+def test_high_order_words_match_the_oracle_from_k_zero_and_one(pair):
+    for a, b in (pair, pair[::-1]):
+        full = normal_product_by_terms(a, b)
+        acc = {}
+        _add_terms(acc, _terms(a.terms, 1, 0), _terms(b.terms, 1, 0), a.degree)
+        assert _from_accumulator(acc, a.degree) == full
+        acc = {}
+        _add_terms(acc, _terms(a.terms, 1, 0), _terms(b.terms, 1, 0), a.degree, 1)
+        assert _from_accumulator(acc, a.degree) == full - _plain_product(a, b)
 
 
 # p + 2 and -p - 1: each word of P_PLUS_ONE cancels against one of them
