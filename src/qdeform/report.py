@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -42,14 +41,15 @@ class Table:
     that the producer declares:
 
     * a list of cells;
-    * a ``range`` of ints;
+    * a ``range`` of ints with step 1 and a start of 0 or more;
     * one cell that every row repeats: any object other than a list or a
       range.
 
     Every list and range holds one cell per row, and ``count`` is their
     length, so a table with columns needs at least one of them.  ``rows``
-    reads the cells row by row when asked for.  A cell is an int, float,
-    str, bool or None; rendering refuses any other type.
+    reads the cells row by row when asked for.  A cell is an int or a
+    finite float, and a list column holds one of the two types; rendering
+    refuses any other cell, naming its column.
     """
 
     __slots__ = ("columns", "cells", "count")
@@ -63,6 +63,8 @@ class Table:
             )
         if cells and not lengths:
             raise ValueError("a table needs a list or range column to count its rows")
+        if any(isinstance(c, range) and (c.step != 1 or c.start < 0) for c in cells):
+            raise ValueError("a range column needs step 1 and a start of 0 or more")
         self.columns = tuple(columns)
         self.cells = cells
         self.count = lengths.pop() if lengths else 0
@@ -79,11 +81,8 @@ class Table:
 
 
 class VerificationReport:
-    """One verdict with its metrics, parameters and optional table.
-
-    An empty ``tool_version`` or ``timestamp`` is filled in with this
-    package's version and the current UTC time.
-    """
+    """One verdict with its metrics, parameters and optional table,
+    stamped with this package's version and the current UTC time."""
 
     def __init__(
         self,
@@ -93,8 +92,6 @@ class VerificationReport:
         metrics: Optional[list[Metric]] = None,
         table: Optional[Table] = None,
         verdict: str = "pass",
-        tool_version: str = "",
-        timestamp: str = "",
     ):
         self.engine = engine
         self.command = command
@@ -102,9 +99,11 @@ class VerificationReport:
         self.metrics = [] if metrics is None else metrics
         self.table = table
         self.verdict = verdict
-        self.tool_version = tool_version or __version__
-        self.timestamp = timestamp or time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
+        self.tool_version = __version__
+        # gmtime() alone reads the second counter of time(NULL), which can
+        # still hold the previous second just after time.time() passes it
+        self.timestamp = time.strftime(
+            "%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time())
         )
 
     @classmethod
@@ -168,8 +167,9 @@ class VerificationReport:
         # string cannot hold the raw newline in front of it.  One join, so
         # the rows are copied once more, not once per enclosing piece.
         head, _, tail = text.rpartition('\n    "rows": []')
+        rows = _rows_text(table, _CELL_BREAK, _ROW_BREAK)
         return "".join(
-            (head, '\n    "rows": [\n      [\n        ', *_json_rows(table),
+            (head, '\n    "rows": [\n      [\n        ', *rows,
              "\n      ]\n    ]", tail, "\n")
         )
 
@@ -179,7 +179,7 @@ class VerificationReport:
         header = ",".join(self.table.columns) + "\n"
         if not self.table.count:
             return header
-        return "".join((header, *_csv_lines(self.table, "\n"), "\n"))
+        return "".join((header, *_rows_text(self.table, ",", "\n"), "\n"))
 
     def to_text(self) -> str:
         lines = [
@@ -203,7 +203,7 @@ class VerificationReport:
         text = "\n".join(lines) + "\n"
         if self.table is None or not self.table.count:
             return text
-        return "".join((text, "  ", *_csv_lines(self.table, "\n  "), "\n"))
+        return "".join((text, "  ", *_rows_text(self.table, ",", "\n  "), "\n"))
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -216,21 +216,8 @@ class VerificationReport:
 
 
 # The text of each cell type, as json.dumps and str give it
-_JSON_CELLS = {
-    int: int.__repr__,
-    float: float.__repr__,
-    str: encode_basestring_ascii,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): lambda _: "null",
-}
-_CSV_CELLS = {
-    int: int.__repr__,
-    float: float.__repr__,
-    str: str.__str__,
-    bool: bool.__repr__,
-    type(None): lambda _: "None",
-}
-# float texts that json.dumps(allow_nan=False) refuses
+_CELLS = {int: int.__repr__, float: float.__repr__}
+# the float texts of the non-finite floats
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 # The break between two cells of a row and between two rows, nested three
@@ -269,44 +256,39 @@ def _spelled(column) -> list:
     return column
 
 
-def _cell_texts(table: Table, formats: dict, refused: frozenset = frozenset()):
+def _cell_texts(table: Table) -> list:
     """Each column's cell texts for a table that has rows: a str for a
-    repeated cell, formatted once; a range of ints with step 1 and start
-    >= 0 as it is, for _join_rows to spell from its decimal prefixes; else
-    a list, formatted cell by cell.  A cell whose type is not in
-    ``formats``, or a float text in ``refused``, raises ValueError.
+    repeated cell, formatted once; a range as it is, for _rows_text to
+    spell from its decimal prefixes; a list formatted in one pass by the
+    repr of its one cell type.  A column that holds a cell other than an
+    int or a float, both types, or a non-finite float raises ValueError.
     """
     texts = []
     for name, cells in zip(table.columns, table.cells):
         if isinstance(cells, range):
-            plain = cells.step == 1 and cells.start >= 0
-            texts.append(cells if plain else list(map(formats[int], cells)))
+            texts.append(cells)
             continue
         repeated = not isinstance(cells, list)
         values = (cells,) if repeated else cells
         kinds = set(map(type, values))
-        if not kinds.issubset(formats):
-            kind = next(type(v) for v in values if type(v) not in formats)
+        if len(kinds) > 1 or not kinds <= _CELLS.keys():
+            held = " and ".join(sorted(kind.__name__ for kind in kinds))
             raise ValueError(
-                f"table column {name!r} holds a cell of type {kind.__name__}; "
-                f"cells must be int, float, str, bool or None"
+                f"table column {name!r} holds {held} cells; "
+                f"a column holds ints only or floats only"
             )
-        if len(kinds) == 1:
-            every = list(map(formats[type(values[0])], values))
-        else:
-            every = [formats[type(v)](v) for v in values]
-        if refused and float in kinds and not refused.isdisjoint(every):
-            raise ValueError("Out of range float values are not JSON compliant")
+        kind = type(values[0])
+        every = list(map(_CELLS[kind], values))
+        if kind is float and not _NON_FINITE.isdisjoint(every):
+            bad = next(text for text in every if text in _NON_FINITE)
+            raise ValueError(f"table column {name!r} holds the non-finite float {bad}")
         texts.append(every[0] if repeated else every)
     return texts
 
 
-def _join_rows(
-    texts: list, count: int, cell_sep: str, row_sep: str
-) -> tuple[str, str, str]:
-    """``row_sep.join(cell_sep.join(row) for row in rows)`` over ``count``
-    rows of the column texts of :func:`_cell_texts`, where a str stands
-    for a column of that one text, as three pieces for the caller to join
+def _rows_text(table: Table, cell_sep: str, row_sep: str) -> tuple[str, str, str]:
+    """``row_sep.join(cell_sep.join(row) for row in rows)`` over the cell
+    texts of a table that has rows, as three pieces for the caller to join
     with the text around them.
 
     The repeated cells before the first and after the last varying column
@@ -315,9 +297,9 @@ def _join_rows(
     hundred numbers when it is that column, and one concatenation per
     number otherwise.
     """
+    texts = _cell_texts(table)
+    # a table with rows has a list or a range column
     varying = [i for i, column in enumerate(texts) if not isinstance(column, str)]
-    if not varying:
-        return "", row_sep.join(repeat(cell_sep.join(texts), count)), ""
     first, last = varying[0], varying[-1]
     head = "".join(text + cell_sep for text in texts[:first])
     tail = "".join(cell_sep + text for text in texts[last + 1 :])
@@ -331,17 +313,3 @@ def _join_rows(
     ]
     rows = middle[0] if len(middle) == 1 else map(cell_sep.join, zip(*middle))
     return head, sep.join(rows), tail
-
-
-def _json_rows(table: Table) -> tuple[str, str, str]:
-    """The cells of a table that has rows, as json.dumps(indent=2) lays
-    them out inside the brackets of a report's table rows, in pieces."""
-    texts = _cell_texts(table, _JSON_CELLS, _NON_FINITE)
-    return _join_rows(texts, table.count, _CELL_BREAK, _ROW_BREAK)
-
-
-def _csv_lines(table: Table, line_break: str) -> tuple[str, str, str]:
-    """The rows of a table that has rows, as comma-joined lines in pieces;
-    str of a float is its repr."""
-    texts = _cell_texts(table, _CSV_CELLS)
-    return _join_rows(texts, table.count, ",", line_break)

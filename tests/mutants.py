@@ -45,9 +45,33 @@ MUTANTS = (
     Mutant(
         "mixed-type column formatted by its first cell's type",
         "src/qdeform/report.py",
-        "if len(kinds) == 1:",
-        "if True:",
-        ("tests/test_report.py::test_column_cases_render_as_the_reference",),
+        "if len(kinds) > 1 or not kinds",
+        "if not kinds",
+        ("tests/test_report.py::test_column_cases_outside_ints_or_floats_are_refused",),
+    ),
+    Mutant(
+        "a column of another cell type than int or float is not refused",
+        "src/qdeform/report.py",
+        " or not kinds <= _CELLS.keys():",
+        ":",
+        ("tests/test_report.py::test_non_plain_repeated_cell_is_refused",),
+    ),
+    Mutant(
+        "a table takes a range column of any step and start",
+        "src/qdeform/report.py",
+        "if any(isinstance(c, range) and (c.step != 1 or c.start < 0) for c in cells):",
+        "if False:",
+        (
+            "tests/test_report.py::"
+            "test_range_column_other_than_step_1_from_0_up_is_refused",
+        ),
+    ),
+    Mutant(
+        "a non-finite float cell is rendered",
+        "src/qdeform/report.py",
+        "if kind is float and not _NON_FINITE.isdisjoint(every):",
+        "if False:",
+        ("tests/test_report.py::test_non_finite_column_cell_is_refused",),
     ),
     Mutant(
         "unprefixed head of a range stops at 10 instead of 100",

@@ -842,6 +842,49 @@ def test_flag_table_has_one_row_per_command_route():
     assert set(cli.ROUTES) == set(ROW_ARGVS) | {"expand"}
 
 
+# an argv of each table row of cli.ROUTES, with --dims and --n given both
+# as a list and as a..b where the row reads them
+_MATRIX_DIMS = ["scan", "--engine", "matrix", "--interior", "2", "--dims"]
+_PERIODICITY_N = ["scan", "--engine", "clock-shift", "--alpha", "1", "--n"]
+TABLE_ARGVS = {
+    "matrix-dims-list": _MATRIX_DIMS + ["8,10"],
+    "matrix-dims-range": _MATRIX_DIMS + ["8..10"],
+    "grid": ["scan", "--engine", "clock-shift", "--dims", "2..5"],
+    "periodicity-n-list": _PERIODICITY_N + ["3,0,7"],
+    "periodicity-n-range": _PERIODICITY_N + ["95..105"],
+    "hbar-to-0": ["scan", "--path", "hbar-to-0"],
+    "q-to-1": ["scan", "--path", "q-to-1"],
+    "omega-to-0": ["scan", "--path", "omega-to-0"],
+}
+
+
+def _column_shape(cells):
+    """The shape of a table column that report.Table renders, or None."""
+    if isinstance(cells, range):
+        return "range" if cells.step == 1 and cells.start >= 0 else None
+    if isinstance(cells, list):
+        kinds = set(map(type, cells))
+        return "list" if len(kinds) == 1 and kinds <= {int, float} else None
+    return "repeated" if type(cells) in (int, float) else None
+
+
+@pytest.mark.parametrize("case", TABLE_ARGVS)
+def test_table_rows_hold_ints_or_floats_one_type_per_column(case):
+    args = cli.build_parser().parse_args(TABLE_ARGVS[case])
+    _, handler = cli.ROUTES[cli._row(args)]
+    table = handler(args, dict(DEFAULTS)).table
+    shapes = {name: _column_shape(c) for name, c in zip(table.columns, table.cells)}
+    assert table.count and None not in shapes.values(), shapes
+    if case.endswith("-range"):
+        assert "range" in shapes.values()
+
+
+def test_table_argvs_cover_every_table_row():
+    parse = cli.build_parser().parse_args
+    rows = {cli._row(parse(argv)) for argv in TABLE_ARGVS.values()}
+    assert rows == {row for row in cli.ROUTES if row.startswith("scan")}
+
+
 # ---------------------------------------------------------------------------
 # every gated metric can fail
 # ---------------------------------------------------------------------------
