@@ -47,8 +47,8 @@ EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
 # last step of a contraction path: 2.0 ** -1074 is the smallest double
 MAX_STEP = 1074
 # largest symbolic truncation degree (--degree, symbolic.degree): verify
-# takes about 0.36 s there as a whole process (one core of a 2-vCPU x86-64
-# host), and the exact work grows steeply with degree
+# takes about 0.16 s there as a whole process (one core of a 2-vCPU x86-64
+# host, no bytecode cache), and the exact work grows steeply with degree
 MAX_DEGREE = 64
 # largest n of theta = alpha + 2*pi*n on the periodicity and hbar-to-0
 # scans; theta is formed in floats, which have no value at all for n past
@@ -56,8 +56,8 @@ MAX_DEGREE = 64
 MAX_N = 2**62
 # longest --n or --dims list, and most (N, k) pairs in a clock-shift grid
 # (one table row each): the widest table, scan --path hbar-to-0 over 2^18
-# n, takes about 1.1 s and 190 MB as JSON in process, and the periodicity
-# scan over 2^18 n about 0.07 s and 60 MB (2-vCPU x86-64 host, output to
+# n, takes about 0.5 s and 140 MB as JSON in process, and the periodicity
+# scan over 2^18 n about 0.03 s and 50 MB (2-vCPU x86-64 host, output to
 # /dev/null, peak RSS with numpy loaded)
 MAX_POINTS = 2**18
 # largest matrix dimension (--dim, matrix.dim, scan --engine matrix --dims):

@@ -9,9 +9,9 @@ passes.
 
 from __future__ import annotations
 
-import json
 import time
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -102,75 +102,47 @@ class VerificationReport:
         self.tool_version = __version__
         # gmtime() alone reads the second counter of time(NULL), which can
         # still hold the previous second just after time.time() passes it
-        self.timestamp = time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time())
-        )
+        self.timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time()))
 
     @classmethod
     def build(
-        cls,
-        engine: str,
-        command: str,
-        parameters: dict,
-        metrics: Sequence[Metric],
-        table: Optional[Table] = None,
+        cls, engine: str, command: str, parameters: dict,
+        metrics: Sequence[Metric], table: Optional[Table] = None,
     ) -> "VerificationReport":
         verdict = "pass" if all(m.passed for m in metrics) else "fail"
-        return cls(
-            engine=engine,
-            command=command,
-            parameters=dict(parameters),
-            metrics=list(metrics),
-            table=table,
-            verdict=verdict,
-        )
+        return cls(engine, command, dict(parameters), list(metrics), table, verdict)
 
     @classmethod
     def error(
         cls, engine: str, command: str, parameters: dict, message: str
     ) -> "VerificationReport":
-        params = dict(parameters)
-        params["error"] = message
-        return cls(
-            engine=engine,
-            command=command,
-            parameters=params,
-            metrics=[],
-            table=None,
-            verdict="error",
-        )
+        return cls(engine, command, {**parameters, "error": message}, [], None, "error")
 
     def to_json(self) -> str:
+        """The report as json.dumps(indent=2) writes it, rows in place."""
         table = self.table
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "engine": self.engine,
-            "command": self.command,
-            "parameters": dict(sorted(self.parameters.items())),
-            "verdict": self.verdict,
-            "metrics": [
-                {"name": m.name, "value": m.value, "threshold": m.threshold}
-                for m in self.metrics
-            ],
-            "table": (
-                {"columns": list(table.columns), "rows": []}
-                if table is not None
-                else None
-            ),
-            "toolVersion": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False)
-        if table is None or not table.count:
-            return text + "\n"
-        # the table's rows are the last "rows" key at its depth: a JSON
-        # string cannot hold the raw newline in front of it.  One join, so
-        # the rows are copied once more, not once per enclosing piece.
-        head, _, tail = text.rpartition('\n    "rows": []')
-        rows = _rows_text(table, _CELL_BREAK, _ROW_BREAK)
-        return "".join(
-            (head, '\n    "rows": [\n      [\n        ', *rows,
-             "\n      ]\n    ]", tail, "\n")
+        head = (
+            f'{{\n  "schemaVersion": {SCHEMA_VERSION},\n'
+            f'  "engine": {_json(self.engine)},\n'
+            f'  "command": {_json(self.command)},\n'
+            f'  "parameters": {_json(dict(sorted(self.parameters.items())), "  ")},\n'
+            f'  "verdict": {_json(self.verdict)},\n'
+            f'  "metrics": {_json([m._asdict() for m in self.metrics], "  ")},\n'
+            '  "table": '
+        )
+        tail = (
+            f',\n  "toolVersion": {_json(self.tool_version)},\n'
+            f'  "timestamp": {_json(self.timestamp)}\n}}\n'
+        )
+        if table is None:
+            return head + "null" + tail
+        columns = _json(list(table.columns), "    ")
+        head += f'{{\n    "columns": {columns},\n    "rows": ['
+        if not table.count:
+            return head + "]\n  }" + tail
+        return _rows_text(
+            table, _CELL_BREAK, _ROW_BREAK,
+            head + "\n      [\n        ", "\n      ]\n    ]\n  }" + tail,
         )
 
     def to_csv(self) -> str:
@@ -179,7 +151,7 @@ class VerificationReport:
         header = ",".join(self.table.columns) + "\n"
         if not self.table.count:
             return header
-        return "".join((header, *_rows_text(self.table, ",", "\n"), "\n"))
+        return _rows_text(self.table, ",", "\n", header, "\n")
 
     def to_text(self) -> str:
         lines = [
@@ -190,29 +162,21 @@ class VerificationReport:
         for key in sorted(self.parameters):
             lines.append(f"param {key} = {self.parameters[key]}")
         for m in self.metrics:
-            status = "PASS" if m.passed else "FAIL"
-            if m.threshold is None:
-                lines.append(f"metric {m.name} = {m.value}")
-            else:
-                lines.append(
-                    f"metric {m.name} = {m.value} (threshold {m.threshold}) {status}"
-                )
+            gate = "PASS" if m.passed else "FAIL"
+            gate = "" if m.threshold is None else f" (threshold {m.threshold}) {gate}"
+            lines.append(f"metric {m.name} = {m.value}{gate}")
         if self.table is not None:
             lines.append("table:")
             lines.append("  " + ",".join(self.table.columns))
         text = "\n".join(lines) + "\n"
         if self.table is None or not self.table.count:
             return text
-        return "".join((text, "  ", *_rows_text(self.table, ",", "\n  "), "\n"))
+        return _rows_text(self.table, ",", "\n  ", text + "  ", "\n")
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "text":
-            return self.to_text()
-        raise ValueError(f"unknown format: {fmt!r}")
+        if fmt not in ("json", "csv", "text"):
+            raise ValueError(f"unknown format: {fmt!r}")
+        return getattr(self, "to_" + fmt)()
 
 
 # The text of each cell type, as json.dumps and str give it
@@ -286,10 +250,9 @@ def _cell_texts(table: Table) -> list:
     return texts
 
 
-def _rows_text(table: Table, cell_sep: str, row_sep: str) -> tuple[str, str, str]:
-    """``row_sep.join(cell_sep.join(row) for row in rows)`` over the cell
-    texts of a table that has rows, as three pieces for the caller to join
-    with the text around them.
+def _rows_text(table: Table, cell_sep: str, row_sep: str, before: str, after: str):
+    """``before + row_sep.join(cell_sep.join(row) for row in rows) + after``
+    over the cell texts of a table that has rows, joined once.
 
     The repeated cells before the first and after the last varying column
     go into the row separator, so a table with one varying column is one
@@ -305,11 +268,48 @@ def _rows_text(table: Table, cell_sep: str, row_sep: str) -> tuple[str, str, str
     tail = "".join(cell_sep + text for text in texts[last + 1 :])
     sep = tail + row_sep + head
     if first == last and isinstance(texts[first], range):
-        blocks = _decimal_blocks(texts[first])
-        return head, sep.join([p + (sep + p).join(ends) for p, ends in blocks]), tail
-    middle = [
-        repeat(c) if isinstance(c, str) else _spelled(c)
-        for c in texts[first : last + 1]
-    ]
-    rows = middle[0] if len(middle) == 1 else map(cell_sep.join, zip(*middle))
-    return head, sep.join(rows), tail
+        pieces = [p + (sep + p).join(ends) for p, ends in _decimal_blocks(texts[first])]
+    else:
+        middle = [
+            repeat(c) if isinstance(c, str) else _spelled(c)
+            for c in texts[first : last + 1]
+        ]
+        # a lone column's texts are a list of _cell_texts' own; the cell
+        # texts of several go before the one join, which holds their rows
+        pieces = middle[0] if len(middle) == 1 else [*map(cell_sep.join, zip(*middle))]
+        del texts, middle
+    pieces[0] = before + head + pieces[0]
+    pieces[-1] += tail + after
+    return sep.join(pieces)
+
+
+def _json(value, indent: str = "") -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it at
+    this indent, for dict keys that are strings; a non-finite float raises
+    json's ValueError and an object of another type its TypeError."""
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        if text in _NON_FINITE:
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {value!r}"
+            )
+        return text
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_quoted(k)}: {_json(v, inner)}" for k, v in value.items()]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        ends = "[]"
+    else:
+        kind = type(value).__name__
+        raise TypeError(f"Object of type {kind} is not JSON serializable")
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"

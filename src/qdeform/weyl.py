@@ -26,6 +26,7 @@ from .rational import MINUS_I, ZERO, RationalComplex, _raw, _reduced, format_tri
 
 # (-i)^j for j mod 4 as (re, im): the powers of the exchange phase.
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
+_SIDES = ("momentum", "position")
 
 
 def _as_scalar(value) -> RationalComplex:
@@ -118,16 +119,12 @@ class WeylSeriesElement:
     def to_text(self) -> str:
         """Canonical text form: one chunk per term, sorted by word then
         parameter powers, which is the order of the (x, p, m, n) keys."""
-        if not self.terms:
-            return "0"
         return _join_terms(
-            [
-                _term_text(
-                    self.terms[(x, p, m, n)],
-                    _power("mu", m) + _power("nu", n) + _power("x", x) + _power("p", p),
-                )
-                for x, p, m, n in sorted(self.terms)
-            ]
+            _term_text(
+                self.terms[(x, p, m, n)],
+                _power("mu", m) + _power("nu", n) + _power("x", x) + _power("p", p),
+            )
+            for x, p, m, n in sorted(self.terms)
         )
 
     def __repr__(self):
@@ -145,9 +142,7 @@ def _element(degree: int, terms: dict) -> WeylSeriesElement:
 
 def _check_degree(a: WeylSeriesElement, b: WeylSeriesElement) -> None:
     if a.degree != b.degree:
-        raise ValueError(
-            f"mismatched truncation degrees: {a.degree} != {b.degree}"
-        )
+        raise ValueError(f"mismatched truncation degrees: {a.degree} != {b.degree}")
 
 
 def _power(name: str, k: int) -> list[str]:
@@ -171,14 +166,12 @@ def _term_text(scalar: RationalComplex, factors: list[str]) -> tuple[int, str]:
     return sign, f"({format_triple(a, b, d)})*" + "*".join(factors)
 
 
-def _join_terms(chunks: list[tuple[int, str]]) -> str:
-    parts = []
-    for idx, (sign, body) in enumerate(chunks):
-        if idx == 0:
-            parts.append(("-" if sign < 0 else "") + body)
-        else:
-            parts.append((" - " if sign < 0 else " + ") + body)
-    return "".join(parts)
+def _join_terms(chunks) -> str:
+    """The (sign, body) chunks of a sum as one text; "0" for no chunk."""
+    text = "".join((" - " if sign < 0 else " + ") + body for sign, body in chunks)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # Every sum, scaling and product works on one flat raw accumulator: it
@@ -215,14 +208,19 @@ def _add_terms(acc: dict, left: list, right: list, cap, start: int = 0) -> None:
     by side on the left and p powers on the right.  A step takes a left
     term (a + b*i)/d x^x p^p to (b*p - a*p*i)/(d*k) x^x p^(p-1) and a
     right one to (a*x + b*x*i)/d x^(x-1) p^p; terms that reach zero drop
-    out, and the expansion ends when either list is empty.  The k = 0
-    order of a p-only left times an x-only right is right*left, so
-    start=1 gives left*right - right*left.  Right terms come lowest degree
-    first, and a derivative keeps their order, so the first one past the
-    cap ends the inner loop; left terms may come in any order.
+    out.  The k = 0 order of a p-only left times an x-only right is
+    right*left, so start=1 gives left*right - right*left.
+
+    A derivative keeps each term's (mu, nu) degree, and right terms come
+    lowest degree first and keep that order: the first one past the cap
+    ends the inner loop, and the lowest right degree never falls.  So a
+    left term whose degree plus that lowest one exceeds the cap meets no
+    right term at this order or any later one: each step drops it, and
+    the expansion stops at the first order with no left or no right term
+    left.  Left terms may come in any order.
     """
     k = 0
-    while left and right:
+    while left:
         if k >= start:
             for deg1, x1, p1, m1, n1, a1, b1, d1 in left:
                 room = cap - deg1
@@ -243,15 +241,18 @@ def _add_terms(acc: dict, left: list, right: list, cap, start: int = 0) -> None:
                         cur[1] = cur[1] * d + b * e
                         cur[2] = e * d
         k += 1
-        left = [
-            (deg, x, p - 1, m, n, b * p, -a * p, d * k)
-            for deg, x, p, m, n, a, b, d in left
-            if p
-        ]
         right = [
             (deg, x - 1, p, m, n, a * x, b * x, d)
             for deg, x, p, m, n, a, b, d in right
             if x
+        ]
+        if not right:
+            return
+        top = cap - right[0][0]  # the most degree a left term can still use
+        left = [
+            (deg, x, p - 1, m, n, b * p, -a * p, d * k)
+            for deg, x, p, m, n, a, b, d in left
+            if p and deg <= top
         ]
 
 
@@ -337,7 +338,7 @@ def _generator_series(
     """sum_k t^(k - start) g^k / k! over k = start, start + step, ... while
     k - start <= degree, with (t, g) = (mu, p) on side="momentum" and
     (nu, x) on side="position"."""
-    if side not in ("momentum", "position"):
+    if side not in _SIDES:
         raise ValueError(f"unknown side: {side!r}")
     terms = {}
     for k in range(start, start + degree + 1, step):
@@ -385,12 +386,9 @@ def prefactor_series(degree: int) -> list[RationalComplex]:
 def theta_text(coeffs: list[RationalComplex]) -> str:
     """Canonical text of sum_k coeffs[k] * theta^k, zero terms left out,
     e.g. ``1/2 + (1/24)*theta^2``."""
-    chunks = [
-        _term_text(c, _power("theta", k))
-        for k, c in enumerate(coeffs)
-        if not c.is_zero
-    ]
-    return _join_terms(chunks) if chunks else "0"
+    return _join_terms(
+        _term_text(c, _power("theta", k)) for k, c in enumerate(coeffs) if not c.is_zero
+    )
 
 
 def cosh_element(side: str, degree: int) -> WeylSeriesElement:
@@ -403,31 +401,28 @@ def cosh_element(side: str, degree: int) -> WeylSeriesElement:
 # ---------------------------------------------------------------------------
 
 
-def _rhs_sum(degree: int) -> dict:
-    """identity_rhs as a raw accumulator.
+def _rhs_sum(degree: int, cosh_p: list, cosh_x: list) -> dict:
+    """identity_rhs as a raw accumulator, from cosh(mu*p), cosh(nu*x) as _terms.
 
     The k = 0 order of a p-series times an x-series is the x-series
-    times the p-series, so for C = c(mu*nu) cosh(mu*p) and cosh(nu*x),
+    times the p-series, so for C = -i c(mu*nu) cosh(mu*p) and cosh(nu*x),
 
-        {C, cosh(nu*x)} = 2 cosh(nu*x) C + (the k >= 1 terms of C cosh(nu*x)),
+        {C, cosh(nu*x)} = 2 cosh(nu*x) C + (the k >= 1 terms of C cosh(nu*x)).
 
-    and -i weights both products.  The central factor c(mu*nu) rides on
-    the left factor of each, which is exact because truncation by total
-    degree is multiplicative.
+    The central factor -i c(mu*nu) rides on the left factor of each
+    product, which is exact because truncation by total degree is
+    multiplicative.  Its c_j is real and multiplies mu^j nu^j, of degree
+    2j, so j <= degree/2.
     """
-    # c(mu*nu): c_j multiplies mu^j nu^j, of degree 2j, so j <= degree/2
     c = [
-        (j, j, c_j._a, c_j._b, c_j._d)
+        (j, j, 0, -c_j._a, c_j._d)
         for j, c_j in enumerate(prefactor_series(degree // 2))
         if not c_j.is_zero
     ]
-    cosh_p = cosh_element("momentum", degree).terms
-    cosh_x = cosh_element("position", degree).terms
     acc: dict = {}
-    left = _times_central(_terms(cosh_p, 0, -1), c, degree)
-    _add_terms(acc, left, _terms(cosh_x, 1, 0), degree, 1)
-    left = _times_central(_terms(cosh_x, 0, -2), c, degree)
-    _add_terms(acc, left, _terms(cosh_p, 1, 0), degree)
+    _add_terms(acc, _times_central(cosh_p, c, degree), cosh_x, degree, 1)
+    twice = [(m, n, 0, 2 * b, d) for m, n, _, b, d in c]
+    _add_terms(acc, _times_central(cosh_x, twice, degree), cosh_p, degree)
     return acc
 
 
@@ -437,7 +432,8 @@ def identity_rhs(degree: int) -> WeylSeriesElement:
     Since 1 + sinh^2 = cosh^2, the roots are cosh(mu*p) and cosh(nu*x);
     :func:`sqrt_defects` checks that each is the principal root.
     """
-    return _from_accumulator(_rhs_sum(degree), degree)
+    cosh_p, cosh_x = (_terms(cosh_element(s, degree).terms, 1, 0) for s in _SIDES)
+    return _from_accumulator(_rhs_sum(degree, cosh_p, cosh_x), degree)
 
 
 def sqrt_defects(
@@ -450,21 +446,23 @@ def sqrt_defects(
     Both vanish exactly when root is the principal square root.  With
     g_0 = 1, the degree-t part of g^2 = 1 + u reads 2 g_t + sum_{0<s<t}
     g_s g_(t-s) = u_t, which fixes each graded piece g_t in turn; the
-    second element tells the root from its negative.  The first is
-    root*root + (-mu^2 P)*P - 1, the central mu^2 (nu^2) riding on the
-    left factor; the second reads the (mu, nu)-free coefficients of root.
+    second element tells the root from its negative.
     """
+    base = _generator_series(side, root.degree, 1, 2)  # P or X
+    return _sqrt_defects(side, root, _terms(root.terms, 1, 0), _terms(base.terms, 1, 0))
+
+
+def _sqrt_defects(side: str, root, root_terms: list, base: list) -> tuple:
+    """sqrt_defects from root, its _terms and those of P or X: root*root +
+    (-mu^2 P)*P - 1, the central mu^2 (nu^2) riding on the left factor,
+    and the (mu, nu)-free coefficients of root minus 1."""
     degree = root.degree
     m, n = (2, 0) if side == "momentum" else (0, 2)
-    base = _terms(_generator_series(side, degree, 1, 2).terms, 1, 0)  # P or X
-    root_terms = _terms(root.terms, 1, 0)
     square = {(0, 0, 0, 0): [-1, 0, 1]}  # the constant -1
     _add_terms(square, root_terms, root_terms, degree)
     _add_terms(square, _times_central(base, [(m, n, -1, 0, 1)], degree), base, degree)
     branch = {
-        key: [c._a, c._b, c._d]
-        for key, c in root.terms.items()
-        if key[2] == key[3] == 0
+        key: [c._a, c._b, c._d] for key, c in root.terms.items() if key[2:] == (0, 0)
     }
     constant = branch.setdefault((0, 0, 0, 0), [0, 0, 1])
     constant[0] -= constant[2]  # minus 1
@@ -517,19 +515,21 @@ class IdentityChecks(NamedTuple):
 
 def identity_checks(degree: int) -> IdentityChecks:
     """All four checks, each residual summed raw in one accumulator and
-    reduced once; the right-hand side is summed once and shared.  X*P is
-    the k = 0 order of P*X, so [P, X] is the k >= 1 terms of P*X alone."""
-    p, x = deformed_momentum(degree), deformed_position(degree)
-    rhs = _rhs_sum(degree)
+    reduced once; P, X, cosh(mu*p), cosh(nu*x), their _terms and the
+    right-hand side are built once and shared.  X*P is the k = 0 order of
+    P*X, so [P, X] is the k >= 1 terms of P*X alone."""
+    series = [_generator_series(s, degree, k, 2) for k in (1, 0) for s in _SIDES]
+    p, x, cosh_p, cosh_x = [_terms(element.terms, 1, 0) for element in series]
+    rhs = _rhs_sum(degree, cosh_p, cosh_x)
     identity = {key: [-a, -b, d] for key, (a, b, d) in rhs.items()}
     # identity holds its own lists, so rhs becomes the leading order here
     _add_scaled(rhs, leading_order_target(degree).terms, -1)
-    _add_terms(identity, _terms(p.terms, 1, 0), _terms(x.terms, 1, 0), degree, 1)
+    _add_terms(identity, p, x, degree, 1)
     return IdentityChecks(
         identity=_from_accumulator(identity, degree),
         exchange=exchange_residual(degree),
-        sqrt_cosh=sqrt_defects("momentum", cosh_element("momentum", degree))
-        + sqrt_defects("position", cosh_element("position", degree)),
+        sqrt_cosh=_sqrt_defects("momentum", series[2], cosh_p, p)
+        + _sqrt_defects("position", series[3], cosh_x, x),
         leading_order=_from_accumulator(rhs, degree),
     )
 

@@ -399,8 +399,8 @@ MUTANTS = (
     Mutant(
         "bracket keeps the k = 0 term",
         "src/qdeform/weyl.py",
-        "_terms(x.terms, 1, 0), degree, 1)",
-        "_terms(x.terms, 1, 0), degree, 0)",
+        "_add_terms(identity, p, x, degree, 1)",
+        "_add_terms(identity, p, x, degree, 0)",
         ("tests/test_weyl.py::test_identity_residual_heisenberg_corner",),
     ),
     Mutant(
@@ -413,8 +413,8 @@ MUTANTS = (
     Mutant(
         "right-hand side counts the k = 0 product of its anticommutator once",
         "src/qdeform/weyl.py",
-        "_terms(cosh_x, 0, -2)",
-        "_terms(cosh_x, 0, -1)",
+        "twice = [(m, n, 0, 2 * b, d)",
+        "twice = [(m, n, 0, b, d)",
         ("tests/test_weyl.py::test_identity_residual_heisenberg_corner",),
     ),
     Mutant(
@@ -430,6 +430,26 @@ MUTANTS = (
         "if deg2 > room:",
         "if deg2 >= room:",
         ("tests/test_weyl_properties.py::test_canonical_generators_commutation",),
+    ),
+    Mutant(
+        "product kernel drops a left term whose degree meets the cap exactly",
+        "src/qdeform/weyl.py",
+        "if p and deg <= top",
+        "if p and deg < top",
+        (
+            "tests/test_weyl_properties.py::"
+            "test_product_at_the_cap_on_its_last_order_matches_the_oracle",
+        ),
+    ),
+    Mutant(
+        "product kernel stops one order early, once no right term has an x left",
+        "src/qdeform/weyl.py",
+        "        if not right:\n",
+        "        if not [t for t in right if t[1]]:\n",
+        (
+            "tests/test_weyl_properties.py::"
+            "test_product_at_the_cap_on_its_last_order_matches_the_oracle",
+        ),
     ),
     Mutant(
         "prefactor recurrence adds the inner sum",

@@ -188,16 +188,27 @@ def _word_kind(terms):
 
 def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
     calls, rhs_sums, built = Counter(), Counter(), []
+    series, term_lists = {}, Counter()
     kernel, rhs_sum, wrap = weyl._add_terms, weyl._rhs_sum, weyl._element
+    generate, terms_of = weyl._generator_series, weyl._terms
     init = weyl.WeylSeriesElement.__init__
 
     def counted_kernel(acc, left, right, cap, start=0):
         calls[(start, _word_kind(left), _word_kind(right))] += 1
         return kernel(acc, left, right, cap, start)
 
-    def counted_rhs(degree):
+    def counted_rhs(degree, cosh_p, cosh_x):
         rhs_sums[degree] += 1
-        return rhs_sum(degree)
+        return rhs_sum(degree, cosh_p, cosh_x)
+
+    def counted_series(side, degree, start, step):
+        element = generate(side, degree, start, step)
+        series.setdefault((side, start, step), []).append(id(element.terms))
+        return element
+
+    def counted_terms(terms, re, im):
+        term_lists[id(terms)] += 1
+        return terms_of(terms, re, im)
 
     def recorded_element(degree, terms):
         built.append(terms)
@@ -209,6 +220,8 @@ def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
 
     monkeypatch.setattr(weyl, "_add_terms", counted_kernel)
     monkeypatch.setattr(weyl, "_rhs_sum", counted_rhs)
+    monkeypatch.setattr(weyl, "_generator_series", counted_series)
+    monkeypatch.setattr(weyl, "_terms", counted_terms)
     monkeypatch.setattr(weyl, "_element", recorded_element)
     monkeypatch.setattr(weyl.WeylSeriesElement, "__init__", recorded_init)
     code, _ = invoke(["verify", "--engine", "symbolic", "--degree", "6"])
@@ -228,6 +241,14 @@ def test_verify_symbolic_builds_each_shared_piece_once(invoke, monkeypatch):
     }
     # the right-hand side is summed once and shared by two residuals
     assert rhs_sums == {6: 1}
+    # P, X, cosh(mu*p) and cosh(nu*x) are each built once, and so is each
+    # one's term list, which the right-hand side, [P, X] and the square
+    # roots share; e^(mu p) and e^(nu x) are built once for the exchange
+    shared = [("momentum", 1, 2), ("position", 1, 2), ("momentum", 0, 2),
+              ("position", 0, 2)]
+    assert sorted(series) == sorted(shared + [("momentum", 0, 1), ("position", 0, 1)])
+    assert all(len(ids) == 1 for ids in series.values())
+    assert [term_lists[series[key][0]] for key in shared] == [1, 1, 1, 1]
     # every central factor rides on a term list: no element is built on
     # the empty word alone with a (mu, nu)-dependent coefficient
     assert built

@@ -115,6 +115,67 @@ def test_parameters_do_not_disturb_the_table(table, parameters):
     _assert_same_bytes(_report(table, {**parameters, "rows": []}))
 
 
+# a parameter may also hold a list of ints, as the dims of a matrix scan
+# do, an empty list or dict, or a dict of scalars
+NESTED = (
+    SCALARS
+    | st.lists(INTS, max_size=4)
+    | st.sampled_from([[], {}])
+    | st.dictionaries(TEXT, SCALARS, max_size=2)
+)
+
+
+@given(tables(KINDS), st.dictionaries(TEXT, NESTED, max_size=4))
+def test_nested_parameters_render_as_the_reference(table, parameters):
+    _assert_same_bytes(_report(table, parameters))
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {"dims": [8, 16, 32], "pairs": 3},
+        {"dims": [2**70, -1, 0]},
+        {"dims": [], "pairs": 0},
+        {"empty": {}, "none": None},
+        {"nested": {"a": [], "b": {}, "c": [1.5, -0.0]}},
+    ],
+    ids=["dims", "big-ints", "empty-list", "empty-dict", "nested"],
+)
+def test_parameter_shapes_render_as_the_reference(parameters):
+    for table in (None, Table(("n",), ([],)), Table(("n", "x"), (range(3), 0.5))):
+        _assert_same_bytes(_report(table, parameters))
+    report = VerificationReport.error("matrix", "scan", parameters, "ValueError: x")
+    assert report.to_json() == reference_json(report)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_metric_is_refused_as_json_refuses_it(bad):
+    # the text of json.dumps(indent=2, allow_nan=False), which cli.main
+    # puts in its error report
+    message = f"Out of range float values are not JSON compliant: {bad!r}"
+    for metric in (Metric("res", bad, 1e-8), Metric("res", 0.5, bad)):
+        report = _report(None)
+        report.metrics = [metric]
+        with pytest.raises(ValueError) as expected:
+            reference_json(report)
+        assert str(expected.value) == message
+        with pytest.raises(ValueError) as got:
+            report.to_json()
+        assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad", [np.int64(3), 1j, {1, 2}], ids=["int64", "complex", "set"]
+)
+def test_parameter_json_cannot_write_is_refused_as_json_refuses_it(bad):
+    report = _report(None, {"x": bad})
+    with pytest.raises(TypeError) as expected:
+        reference_json(report)
+    with pytest.raises(TypeError) as got:
+        report.to_json()
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize(
     "columns, cells, refused",
     [

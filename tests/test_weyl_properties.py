@@ -260,6 +260,64 @@ def test_high_order_words_match_the_oracle_from_k_zero_and_one(pair):
         assert _from_accumulator(acc, a.degree) == full - _plain_product(a, b)
 
 
+@st.composite
+def at_cap_pairs(draw):
+    """Two elements of one degree in 0..12 that hold a term pair whose
+    (mu, nu) degrees sum to exactly the cap, x^a p^i mu^m1 nu^n1 on the
+    left and x^j p^b mu^m2 nu^n2 on the right.  The pair's last order is
+    min(i, j) >= 1, reached by the left term or by the right one, and
+    every other right term has at least the pair's right degree, so at
+    that order the lowest right degree still meets the left term at the
+    cap.  The other left terms have any degree."""
+    cap = draw(st.integers(0, 12))
+    d1 = draw(st.integers(0, cap))
+    d2 = cap - d1
+    last = draw(st.integers(1, 4))
+    i, j = draw(st.permutations([last, draw(st.integers(last, 5))]))
+    m1, m2 = draw(st.integers(0, d1)), draw(st.integers(0, d2))
+    words = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+    def others(lowest):
+        degrees = st.integers(lowest, cap).flatmap(
+            lambda t: st.tuples(st.integers(0, t), st.just(t))
+        )
+        keys = st.tuples(words, degrees).map(
+            lambda k: (*k[0], k[1][0], k[1][1] - k[1][0])
+        )
+        return draw(st.dictionaries(keys, small_scalars, max_size=4))
+
+    left = others(0)
+    left[(draw(st.integers(0, 3)), i, m1, d1 - m1)] = draw(small_scalars)
+    right = others(d2)
+    right[(j, draw(st.integers(0, 3)), m2, d2 - m2)] = draw(small_scalars)
+    return WeylSeriesElement(cap, left), WeylSeriesElement(cap, right)
+
+
+# at cap 3, p^2 mu against x^2 nu^2 (last order 2 on both sides), p^3 mu
+# against x^2 nu^2 (reached by the right term) and p mu nu against x^3 nu
+# (by the left term)
+AT_CAP_LAST_ORDER = [
+    (
+        WeylSeriesElement(3, {(0, i, 1, d1 - 1): 1}),
+        WeylSeriesElement(3, {(j, 0, 0, 3 - d1): 1}),
+    )
+    for i, j, d1 in ((2, 2, 1), (3, 2, 1), (1, 3, 2))
+]
+
+
+@given(at_cap_pairs())
+@settings(max_examples=200)
+@example(AT_CAP_LAST_ORDER[0])
+@example(AT_CAP_LAST_ORDER[1])
+@example(AT_CAP_LAST_ORDER[2])
+def test_product_at_the_cap_on_its_last_order_matches_the_oracle(pair):
+    # the kernel drops a left term once its degree plus the lowest right
+    # degree passes the cap, and stops when no term is left on a side: a
+    # pair that meets the cap exactly must still count, up to its last order
+    a, b = pair
+    assert normal_product(a, b) == normal_product_by_terms(a, b)
+
+
 # p + 2 and -p - 1: each word of P_PLUS_ONE cancels against one of them
 P_PLUS_TWO = WeylSeriesElement(2, {(0, 1, 0, 0): 1, (0, 0, 0, 0): 2})
 MINUS_P_MINUS_ONE = WeylSeriesElement(2, {(0, 1, 0, 0): -1, (0, 0, 0, 0): -1})
