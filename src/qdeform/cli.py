@@ -1,21 +1,22 @@
 """Command-line front end: verify, scan, expand.
 
-An argv is routed in one place.  :func:`_row` names its row of
-:data:`ROUTES`: the command and its engine or path, and for a
-clock-shift scan its grid (--dims set) or its periodicity table (--alpha
-set).  The row lists the flags the command reads, and any other flag set
-on it exits 2 naming it, so none is silently ignored.  Its handler takes
-the parsed arguments and the config and resolves its own flags, config
-keys and defaults.  The gate values are constants of this module, not
-config keys: a config file sets inputs, never a verdict's threshold.
+An argv is read in one pass by :data:`GRAMMAR`, which the rows of
+:data:`ROUTES` declare, and routed in one place.  :func:`_row` names its
+row: the command and its engine or path, and for a clock-shift scan its
+grid (--dims set) or its periodicity table (--alpha set).  The row lists
+the flags the command reads, and any other flag set on it exits 2 naming
+it, so none is silently ignored.  Its handler takes the parsed arguments
+and the config and resolves its own flags, config keys and defaults.
+The gate values are constants of this module, not config keys: a config
+file sets inputs, never a verdict's threshold.
 
 Exit status: 0 when the report verdict is pass, 1 on fail, 2 on error
 (including usage errors).  Reports are deterministic for fixed inputs
 and tool version; only the timestamp field differs between runs.
 
 Each handler imports the engine it runs, so start-up loads only this
-module, config, params and report, and neither numpy nor dataclasses.
-The rows load in addition:
+module, config, params and report, and none of numpy, dataclasses or
+argparse.  The rows load in addition:
 
 * ``verify --engine symbolic`` and ``expand``: weyl and rational; they
   run on integers alone and never load numpy;
@@ -31,13 +32,12 @@ from them and lays out its own table and gates.
 
 from __future__ import annotations
 
-import argparse
 import cmath
-import functools
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Optional, Sequence
 
 from . import config, params
 from .report import Metric, Table, VerificationReport
@@ -94,9 +94,8 @@ def _at_most(value: int, bound: int, source: str) -> None:
         raise ValueError(f"{source} must be at most {bound}, got {value}")
 
 
-def _check_interior(
-    interior: int, interior_source: str, dim: int, dim_source: str
-) -> None:
+def _check_interior(interior: int, interior_source: str,
+                    dim: int, dim_source: str) -> None:
     """Refuse an interior block M outside 2 <= M < N, naming M, N and the
     flag, key or default each came from."""
     if not 2 <= interior < dim:
@@ -104,67 +103,6 @@ def _check_interior(
             f"interior dimension must satisfy 2 <= M < N, got M={interior} "
             f"({interior_source}) and N={dim} ({dim_source})"
         )
-
-
-# the parser depends on no input, and parse_args leaves it as it is, so
-# every call in one process shares it
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdeform",
-        description=(
-            "Verification lab for the sinh-deformed position/momentum pair: "
-            "exact symbolic checks, finite-dimensional residuals, and the "
-            "quantum-plane limit."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="config file (fallback: $QDEFORM_CONFIG)")
-    common.add_argument("--out", help="also write the output to this file")
-    # expand prints canonical text, so only verify and scan take --format
-    report_format = dict(
-        choices=("json", "csv", "text"),
-        default="json",
-        help="report format (default json; csv needs a table)",
-    )
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run one engine's identity checks"
-    )
-    p_verify.add_argument("--format", **report_format)
-    p_verify.add_argument(
-        "--engine", required=True, choices=("symbolic", "matrix", "clock-shift")
-    )
-    p_verify.add_argument("--degree", type=int, help="symbolic truncation degree")
-    p_verify.add_argument("--dim", type=int, help="matrix / pair dimension N")
-    p_verify.add_argument("--interior", type=int, help="interior block size M < N")
-    p_verify.add_argument("--mu", type=float)
-    p_verify.add_argument("--nu", type=float)
-    p_verify.add_argument("--level", type=int, help="clock-shift level k")
-
-    p_scan = sub.add_parser(
-        "scan", parents=[common], help="tabulate residuals over a grid or path"
-    )
-    p_scan.add_argument("--format", **report_format)
-    p_scan.add_argument("--engine", choices=("matrix", "clock-shift"))
-    p_scan.add_argument("--path", choices=params.PATH_NAMES)
-    p_scan.add_argument("--dims", help="dimension grid: '16,32,64' or '2..64'")
-    p_scan.add_argument("--mu", type=float)
-    p_scan.add_argument("--nu", type=float)
-    p_scan.add_argument("--interior", type=int)
-    p_scan.add_argument("--alpha", type=float)
-    p_scan.add_argument("--beta", type=float)
-    p_scan.add_argument("--n", help="index grid: '0..5', '0,2,4' or '7'")
-
-    p_expand = sub.add_parser(
-        "expand", parents=[common], help="print a canonical series expansion"
-    )
-    p_expand.add_argument("--target", required=True, choices=EXPAND_TARGETS)
-    p_expand.add_argument("--degree", type=int)
-
-    return parser
 
 
 def _n_list(text: str) -> Sequence[int]:
@@ -195,9 +133,7 @@ def _ints(tokens: list[str], flag: str) -> list[int]:
     return values
 
 
-def parse_int_list(
-    text: Optional[str], what: str, flag: str = "--n"
-) -> Sequence[int]:
+def parse_int_list(text: Optional[str], what: str, flag: str = "--n") -> Sequence[int]:
     """Accept 'a..b' (inclusive) as a range, and 'a,b,c' or a single
     integer as a list, with at most MAX_POINTS values; a range is counted
     from its ends."""
@@ -252,9 +188,7 @@ def _verify_symbolic(args, cfg) -> VerificationReport:
         Metric("sqrt_cosh_mismatch_terms", mismatch, 0),
         Metric("expansion_low_degree_terms", low_terms, 0),
     ]
-    return VerificationReport.build(
-        "symbolic", command, {"degree": degree}, metrics
-    )
+    return VerificationReport.build("symbolic", command, {"degree": degree}, metrics)
 
 
 def _verify_matrix(args, cfg) -> VerificationReport:
@@ -274,10 +208,8 @@ def _verify_matrix(args, cfg) -> VerificationReport:
     if interior is None:
         interior, interior_source = min(max(4, dim // 4), dim - 1), "default"
     _check_interior(interior, interior_source, dim, source)
-    command = (
-        f"verify --engine matrix --dim {dim} --interior {interior} "
-        f"--mu {mu} --nu {nu}"
-    )
+    command = (f"verify --engine matrix --dim {dim} --interior {interior} "
+               f"--mu {mu} --nu {nu}")
     parameters = {"dim": dim, "interior": interior, "mu": mu, "nu": nu}
     row = matrixrep.identity_residual(dim, interior, mu, nu)
     metrics = [
@@ -301,9 +233,8 @@ def _verify_clockshift(args, cfg) -> VerificationReport:
     metrics = [
         Metric("max_residual", clockshift.verify_qplane(pair), CLOCKSHIFT_RESIDUAL_TOL),
         # U is a permutation, so only V has a unitarity defect
-        Metric(
-            "v_unitary_defect", clockshift.v_unitary_defect(pair), CLOCKSHIFT_UNITARY_TOL
-        ),
+        Metric("v_unitary_defect", clockshift.v_unitary_defect(pair),
+               CLOCKSHIFT_UNITARY_TOL),
         Metric("eq8_residual", clockshift.eq8_residual(pair), CLOCKSHIFT_RESIDUAL_TOL),
     ]
     parameters = {"dim": dim, "level": level, "alpha": pair.alpha}
@@ -328,10 +259,8 @@ def _scan_matrix(args, cfg) -> VerificationReport:
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dimensions must be strictly increasing")
     _check_interior(interior, interior_source, dims[0], "smallest of --dims")
-    command = (
-        f"scan --engine matrix --mu {mu} --nu {nu} --interior {interior} "
-        f"--dims {args.dims}"
-    )
+    command = (f"scan --engine matrix --mu {mu} --nu {nu} --interior {interior} "
+               f"--dims {args.dims}")
     rows = [matrixrep.identity_residual(n, interior, mu, nu) for n in dims]
     first, last = rows[0].residual_frobenius, rows[-1].residual_frobenius
     table = Table(
@@ -347,17 +276,10 @@ def _scan_matrix(args, cfg) -> VerificationReport:
         # residuals below the noise floor count as converged in any order:
         # they bottom out at the decomposition's round-off floor long before
         # a scan ends, and then fluctuate without meaning
-        Metric(
-            "residual_excess", max(0.0, last - max(first, MATRIX_NOISE_FLOOR)), 0.0
-        ),
+        Metric("residual_excess", max(0.0, last - max(first, MATRIX_NOISE_FLOOR)), 0.0),
     ]
-    parameters = {
-        "mu": mu,
-        "nu": nu,
-        "interior": interior,
-        "dims": list(dims),
-        "noise_floor": MATRIX_NOISE_FLOOR,
-    }
+    parameters = {"mu": mu, "nu": nu, "interior": interior, "dims": list(dims),
+                  "noise_floor": MATRIX_NOISE_FLOOR}
     return VerificationReport.build("matrix", command, parameters, metrics, table)
 
 
@@ -399,9 +321,7 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
     table = Table(("N", "k", "residual"), (sizes, levels, residuals))
     metrics = [Metric("max_residual", worst, CLOCKSHIFT_RESIDUAL_TOL)]
     parameters = {"dims": list(dims), "pairs": len(residuals)}
-    return VerificationReport.build(
-        "clock-shift", command, parameters, metrics, table
-    )
+    return VerificationReport.build("clock-shift", command, parameters, metrics, table)
 
 
 def _refuse_overflow(columns: dict, index: str, values: Sequence, inputs: str) -> None:
@@ -459,10 +379,8 @@ def _scan_contraction(args, cfg) -> VerificationReport:
         )
     command = f"scan --path {path.name} --n {ntext}"
     points = [path.point(2.0 ** (-k)) for k in steps]
-    if path.name == "q-to-1":
-        names = ("t", "mu", "nu", "q")
-    else:
-        names = ("t", "mu", "nu", "omega_ratio", "q")
+    names = ("t", "mu", "nu", "q") if path.name == "q-to-1" else (
+        "t", "mu", "nu", "omega_ratio", "q")
     columns = {name: [pt[name] for pt in points] for name in names}
     _refuse_overflow(columns, "step", steps, f"params.mu0={mu0}, params.nu0={nu0}")
     table = Table(("step",) + names, [steps, *columns.values()])
@@ -507,7 +425,7 @@ def _expand(args, cfg) -> str:
 
 # Each row of an argv, as :func:`_row` names it: the flags it reads and the
 # handler that runs it.  --config, --out, --format, --engine, --path and
-# --target apply as the parser allows.
+# --target apply as GRAMMAR allows.
 ROUTES = {
     "verify --engine symbolic": (("degree",), _verify_symbolic),
     "verify --engine matrix": (("dim", "interior", "mu", "nu"), _verify_matrix),
@@ -520,8 +438,87 @@ ROUTES = {
     "scan --path omega-to-0": (("n",), _scan_contraction),
     "expand": (("degree",), _expand),
 }
-# every flag some row reads, each once, in the order the rows list them
-_ROUTED_FLAGS = tuple(dict.fromkeys(f for reads, _ in ROUTES.values() for f in reads))
+# the converter of each flag a row reads, in the order the rows list them,
+# and the flag without which a command has no row
+_FLAGS = {"degree": int, "dim": int, "interior": int, "mu": float, "nu": float,
+          "level": int, "dims": str, "alpha": float, "n": str, "beta": float}
+_REQUIRED = {"verify": "engine", "expand": "target"}
+
+
+def _grammar() -> dict:
+    """Each command's flags: --config, --out, its routing flags and the
+    flags its ROUTES rows read.  A flag maps to the converter of its value
+    or to a dict that maps each value it takes to itself; --engine and
+    --path take the names of their rows."""
+    formats = {"json": "json", "csv": "csv", "text": "text"}
+    grammar = {"verify": {"format": formats, "engine": {}},
+               "scan": {"format": formats, "engine": {}, "path": {}},
+               "expand": {"target": dict(zip(EXPAND_TARGETS, EXPAND_TARGETS))}}
+    for row, (reads, _) in ROUTES.items():
+        command, *selector = row.split()
+        if selector:
+            grammar[command][selector[0][2:]][selector[1]] = selector[1]
+        grammar[command].update((flag, _FLAGS[flag]) for flag in reads)
+    return {name: dict(config=str, out=str, **flags) for name, flags in grammar.items()}
+
+
+GRAMMAR = _grammar()
+
+
+def _metavar(kind) -> str:
+    return "{%s}" % ",".join(kind) if isinstance(kind, dict) else kind.__name__.upper()
+
+
+def _exit(command: Optional[str], error: Optional[str]) -> NoReturn:
+    """Print the usage of a command, or of every command, and exit: with no
+    error (-h or --help) to stdout, status 0; else with it to stderr, 2."""
+    lines = [
+        f"usage: qdeform {name} " + " ".join(
+            f"--{flag} {_metavar(kind)}" if flag == _REQUIRED.get(name)
+            else f"[--{flag} {_metavar(kind)}]" for flag, kind in GRAMMAR[name].items()
+        )
+        for name in ([command] if command else GRAMMAR)
+    ]
+    end = f"qdeform: error: {error}" if error else "--flag value or --flag=value"
+    print(*lines, end, sep="\n", file=sys.stderr if error else sys.stdout)
+    raise SystemExit(2 if error else 0)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """One pass over argv by GRAMMAR: the command, and each of its flags as
+    an attribute, None where not given (--format defaults to json).
+
+    A flag is spelt in full, as --flag value or --flag=value, and the last
+    of a repeated flag wins.  The token after a flag is its value unless
+    it begins with --, so --alpha -1e-3 is a value.
+    """
+    command = argv[0] if argv else None
+    if command not in GRAMMAR:
+        error = f"expected a command, got {command!r}" if argv else "no command given"
+        _exit(None, None if command in ("-h", "--help") else error)
+    flags = GRAMMAR[command]
+    values = {flag: "json" if flag == "format" else None for flag in flags}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _exit(command, None)
+        flag, given, value = token.partition("=")
+        kind = flags.get(flag[2:]) if flag.startswith("--") else None
+        if kind is None:
+            _exit(command, f"unknown argument {token!r}")
+        if not given:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                _exit(command, f"{flag} needs a value, got {value or 'none'}")
+        try:
+            value = kind[value] if isinstance(kind, dict) else kind(value)
+        except (KeyError, ValueError):
+            _exit(command, f"{flag} takes {_metavar(kind)}, got {value!r}")
+        values[flag[2:]] = value
+    required = _REQUIRED.get(command)
+    if required and values[required] is None:
+        _exit(command, f"--{required} is required")
+    return SimpleNamespace(command=command, **values)
 
 
 def _row(args) -> str:
@@ -553,12 +550,12 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
 
     try:
         row = _row(args)
         reads, handler = ROUTES[row]
-        for flag in _ROUTED_FLAGS:
+        for flag in _FLAGS:
             if flag not in reads and getattr(args, flag, None) is not None:
                 raise ValueError(f"--{flag} does not apply to {row}")
         result = handler(args, config.load_config(args.config))

@@ -43,7 +43,8 @@ class ClockShiftPair:
 
 
 # exp(2*pi*i*e/N) at the quadrant angles e/N = 0, 1/4, 1/2, 3/4
-_QUADRANT_ROOTS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+_QUADRANTS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_QUADRANT_ROOTS = np.array(_QUADRANTS)
 
 
 def _roots_of_unity(order: int, exponents) -> np.ndarray:
@@ -60,6 +61,14 @@ def _roots_of_unity(order: int, exponents) -> np.ndarray:
     quadrant = quarters % order == 0
     roots[quadrant] = _QUADRANT_ROOTS[quarters[quadrant] // order]
     return roots
+
+
+def _root_of_unity(order: int, e: int) -> complex:
+    """_roots_of_unity(order, [e])[0] in plain Python, bit for bit."""
+    e %= order
+    if 4 * e % order == 0:
+        return _QUADRANTS[4 * e // order]
+    return cmath.exp(1j * (2 * math.pi * e / order))
 
 
 def _check_dim(dim: int) -> None:
@@ -107,10 +116,13 @@ def verify_qplane(pair: ClockShiftPair) -> float:
     q is the exchange phase e^(-i*alpha): the value of the quotient
     formula wherever that is defined, and its removable-singularity
     continuation at alpha = pi (even N with k = N/2), where the quotient
-    itself is 0/0.
+    itself is 0/0.  It is the root omega^(-k) of the pair's level, not a
+    phase of the pair, so phases built at another level fail the check.
     """
-    # q = omega^(-k) is the last clock phase omega^((N-1)k), as -k = (N-1)k mod N
-    return float(_qplane_max(pair.phases, pair.phases[-1]))
+    # a numpy scalar: numpy multiplies by a Python complex in another loop,
+    # which rounds otherwise on long arrays
+    q = np.complex128(_root_of_unity(pair.dim, -pair.level))
+    return float(_qplane_max(pair.phases, q))
 
 
 def qplane_residuals(dim: int) -> np.ndarray:

@@ -39,7 +39,7 @@ def invoke():
         try:
             with redirect_stdout(buf):
                 code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # usage errors
             code = exc.code if isinstance(exc.code, int) else 2
         return code, buf.getvalue()
 

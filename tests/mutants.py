@@ -623,6 +623,30 @@ MUTANTS = (
             "tests/test_cli.py::test_non_symbolic_rows_never_load_the_symbolic_engine",
         ),
     ),
+    Mutant(
+        "a flag unknown to its command is read as text",
+        "src/qdeform/cli.py",
+        'kind = flags.get(flag[2:]) if flag.startswith("--") else None',
+        'kind = flags.get(flag[2:], str) if flag.startswith("--") else None',
+        (
+            "tests/test_cli_grammar.py::test_usage_error_names_its_token_on_stderr",
+            "tests/test_cli.py::test_unknown_flag_is_usage_error",
+        ),
+    ),
+    Mutant(
+        "a token that begins with -- is read as the value of the flag before it",
+        "src/qdeform/cli.py",
+        'if value is None or value.startswith("--"):',
+        "if value is None:",
+        ("tests/test_cli_grammar.py::test_usage_error_names_its_token_on_stderr",),
+    ),
+    Mutant(
+        "clock-shift pair phases built at the pole level N/2",
+        "src/qdeform/clockshift.py",
+        "phases = _roots_of_unity(dim, np.arange(dim) * level)",
+        "phases = _roots_of_unity(dim, np.arange(dim) * (dim // 2))",
+        ("tests/test_cli.py::test_verify_clockshift_passes",),
+    ),
 )
 
 

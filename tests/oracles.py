@@ -637,7 +637,7 @@ def reference_scan(argv) -> VerificationReport:
     ``scan --path ...``) with default config, built point by point: one
     identity_residual per N, one dense residual per pair (N, k), or one
     ScalingPoint or path point per n, and one tuple per row."""
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     cfg = config.load_config(None)
     if args.engine == "matrix":
         return _reference_matrix_scan(args, cfg)

@@ -1,4 +1,4 @@
-import argparse
+import copy
 import fractions
 import io
 import json
@@ -796,7 +796,7 @@ def test_scan_selector_errors_name_both_flags(invoke, argv, named):
 
 # one passing argv per row of cli.ROUTES with the flags that row
 # reads, stated here independently of the table; expand takes no flag
-# that it does not read, so the parser itself refuses the rest
+# that it does not read, so the grammar itself refuses the rest
 ROW_ARGVS = {
     "verify --engine symbolic": (["verify", "--engine", "symbolic"], ("degree",)),
     "verify --engine matrix": (
@@ -891,7 +891,7 @@ def _column_shape(cells):
 
 @pytest.mark.parametrize("case", TABLE_ARGVS)
 def test_table_rows_hold_ints_or_floats_one_type_per_column(case):
-    args = cli.build_parser().parse_args(TABLE_ARGVS[case])
+    args = cli.parse_args(TABLE_ARGVS[case])
     _, handler = cli.ROUTES[cli._row(args)]
     table = handler(args, dict(DEFAULTS)).table
     shapes = {name: _column_shape(c) for name, c in zip(table.columns, table.cells)}
@@ -901,8 +901,7 @@ def test_table_rows_hold_ints_or_floats_one_type_per_column(case):
 
 
 def test_table_argvs_cover_every_table_row():
-    parse = cli.build_parser().parse_args
-    rows = {cli._row(parse(argv)) for argv in TABLE_ARGVS.values()}
+    rows = {cli._row(cli.parse_args(argv)) for argv in TABLE_ARGVS.values()}
     assert rows == {row for row in cli.ROUTES if row.startswith("scan")}
 
 
@@ -941,7 +940,7 @@ MUTANT_WITNESSES = {
     ("verify --engine symbolic", "expansion_low_degree_terms"):
         ("q-oscillator target divides its quadratic terms by 3, not 2", SYMBOLIC),
     ("verify --engine clock-shift", "max_residual"):
-        ("q-plane check shifts the clock phases the wrong way", PAIR),
+        ("clock-shift pair phases built at the pole level N/2", PAIR),
     ("verify --engine clock-shift", "v_unitary_defect"):
         ("V V^dag read as re*re - im*im", PAIR),
     ("verify --engine clock-shift", "eq8_residual"):
@@ -964,7 +963,7 @@ def _failed(out, name):
 
 
 def _witness_row(argv, row):
-    assert cli._row(cli.build_parser().parse_args(argv)) == row
+    assert cli._row(cli.parse_args(argv)) == row
     assert not any(arg.startswith("--config") for arg in argv)
 
 
@@ -1039,58 +1038,52 @@ def test_every_gate_sits_at_its_stated_value(invoke):
     assert thresholds == GATE_VALUES
 
 
-def _parser_actions():
-    """(command, action) for each argument of each subcommand of the parser."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [(name, action) for name, p in sub.choices.items() for action in p._actions]
-
-
-def _choices(command, flag):
-    return next(
-        action.choices for name, action in _parser_actions()
-        if name == command and flag in action.option_strings
-    )
-
-
-# each route the parser allows, from its own choices: every verify engine,
+# each route the grammar allows, from its own choices: every verify engine,
 # scan path and scan engine (a clock-shift scan by either selector) and
 # every expand target
 SCAN_SELECTORS = {"clock-shift": (["--alpha", "1"], ["--dims", "2"])}
-PARSER_ROUTES = (
-    [["verify", "--engine", engine] for engine in _choices("verify", "--engine")]
-    + [["scan", "--path", path] for path in _choices("scan", "--path")]
+GRAMMAR_ROUTES = (
+    [["verify", "--engine", engine] for engine in cli.GRAMMAR["verify"]["engine"]]
+    + [["scan", "--path", path] for path in cli.GRAMMAR["scan"]["path"]]
     + [
         ["scan", "--engine", engine, *selector]
-        for engine in _choices("scan", "--engine")
+        for engine in cli.GRAMMAR["scan"]["engine"]
         for selector in SCAN_SELECTORS.get(engine, ([],))
     ]
-    + [["expand", "--target", target] for target in _choices("expand", "--target")]
+    + [["expand", "--target", target] for target in cli.GRAMMAR["expand"]["target"]]
 )
-# the flags every row takes as the parser allows, and those that choose it
-ROUTING_FLAGS = {"--config", "--out", "--format", "--engine", "--path", "--target"}
+# the flags every row takes as the grammar allows, and those that choose it
+ROUTING_FLAGS = {"config", "out", "format", "engine", "path", "target"}
 
 
-def test_each_parser_route_reaches_a_row_and_every_row_is_reached():
-    parse = cli.build_parser().parse_args
-    rows = {" ".join(argv): cli._row(parse(argv)) for argv in PARSER_ROUTES}
+def test_each_grammar_route_reaches_a_row_and_every_row_is_reached():
+    rows = {" ".join(argv): cli._row(cli.parse_args(argv)) for argv in GRAMMAR_ROUTES}
     assert {argv: row for argv, row in rows.items() if row not in cli.ROUTES} == {}
     assert set(rows.values()) == set(cli.ROUTES)
 
 
-def test_every_parser_flag_is_read_by_a_row_of_its_command():
+def test_every_grammar_flag_is_read_by_a_row_of_its_command():
     flags = [
-        (command, action.dest)
-        for command, action in _parser_actions()
-        if action.option_strings
-        and "-h" not in action.option_strings
-        and not ROUTING_FLAGS & set(action.option_strings)
+        (command, flag)
+        for command, grammar in cli.GRAMMAR.items()
+        for flag in grammar
+        if flag not in ROUTING_FLAGS
     ]
     read = {
         (row.split()[0], flag) for row, (reads, _) in cli.ROUTES.items()
         for flag in reads
     }
     assert flags and [pair for pair in flags if pair not in read] == []
+
+
+def test_grammar_gives_each_command_its_routing_flags():
+    routing = {name: set(flags) & ROUTING_FLAGS for name, flags in cli.GRAMMAR.items()}
+    assert routing == {
+        "verify": {"config", "out", "format", "engine"},
+        "scan": {"config", "out", "format", "engine", "path"},
+        "expand": {"config", "out", "target"},
+    }
+    assert tuple(cli.GRAMMAR["expand"]["target"]) == cli.EXPAND_TARGETS
 
 
 def _run_fresh(argvs, names):
@@ -1115,7 +1108,7 @@ def _run_fresh(argvs, names):
 
 
 def test_cli_import_loads_no_engine_numpy_or_dataclasses():
-    names = ("numpy", "qdeform.weyl", "qdeform.rational", "dataclasses")
+    names = ("numpy", "qdeform.weyl", "qdeform.rational", "dataclasses", "argparse")
     assert _run_fresh([], names) == [[], []]
 
 
@@ -1593,7 +1586,7 @@ def _run_cli(argv):
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
-    except SystemExit as exc:  # argparse usage errors
+    except SystemExit as exc:  # usage errors
         code = exc.code
     return code, mask_timestamp(out.getvalue()), err.getvalue()
 
@@ -1610,12 +1603,12 @@ REUSE_SEQUENCE = (
 )
 
 
-def test_shared_parser_carries_no_state_between_calls(monkeypatch):
-    assert cli.build_parser() is cli.build_parser()
+def test_grammar_carries_no_state_between_calls():
+    grammar = copy.deepcopy(cli.GRAMMAR)
     shared = [_run_cli(argv) for argv in REUSE_SEQUENCE]
-    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-    fresh = [_run_cli(argv) for argv in REUSE_SEQUENCE]
-    assert shared == fresh
+    assert cli.GRAMMAR == grammar
+    backwards = [_run_cli(argv) for argv in reversed(REUSE_SEQUENCE)]
+    assert shared == backwards[::-1]
     codes, outs, errs = zip(*shared)
     assert codes == (2, 0, 0, 0, 0, 0)
     assert "usage:" in errs[0] and not outs[0]

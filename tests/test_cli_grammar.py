@@ -5,7 +5,9 @@ numbers, empty lists, out-of-range values; small sizes, plus a few just
 past the CLI's size bounds), sometimes with a config file; two draws
 in three follow one row of ``cli.ROUTES`` with valid values, so that
 most of those reach a verdict.  Every argv must end in exit 0, 1 or 2 without an
-uncaught exception or a numpy warning, and print strict JSON whenever a
+uncaught exception or a numpy warning: a usage error with its usage on
+stderr and nothing on stdout, help with its usage on stdout, or a
+command.  A command must print strict JSON whenever a
 report is JSON (an expansion prints its canonical text, and takes no
 --format).  An error report carries a ValueError or ConfigError, the
 errors that name an input, not an exception from deep inside.  No report
@@ -23,6 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdeform.cli as cli
+
+from conftest import mask_timestamp
 
 FLOATS = st.sampled_from(
     ["nan", "inf", "-inf", "-1", "-0.0", "0", "0.1", "0.5", "1", "2.5", "3.1416",
@@ -219,6 +223,18 @@ def config_dir(tmp_path_factory):
 # both clock-shift selectors, which once ran the periodicity scan and
 # dropped --dims without a word
 @example(argv=["scan", "--engine=clock-shift", "--alpha=1", "--dims=4"], config=None)
+# the edges of the argv grammar: an abbreviation (refused), a flag without
+# a value, a stray word, a value that begins with "-" as its own token, a
+# value that begins with "--" (refused), and help after each command
+@example(argv=["verify", "--deg=4", "--engine=symbolic"], config=None)
+@example(argv=["verify", "--eng=symbolic"], config=None)
+@example(argv=["verify", "--engine=symbolic", "--degree"], config=None)
+@example(argv=["scan", "--path=q-to-1", "stray"], config=None)
+@example(argv=["scan", "--engine=clock-shift", "--alpha", "-1e-3"], config=None)
+@example(argv=["scan", "--engine=clock-shift", "--dims", "--mu"], config=None)
+@example(argv=["verify", "--help"], config=None)
+@example(argv=["scan", "--help"], config=None)
+@example(argv=["expand", "--help"], config=None)
 def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config):
     if config is not None:
         path = config_dir / "run.cfg"
@@ -230,9 +246,13 @@ def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config)
         try:
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(argv)
-        except SystemExit as exc:  # argparse: usage on stderr, exit 2
-            assert exc.code == 2
-            assert "usage:" in err.getvalue() and not out.getvalue()
+        except SystemExit as exc:  # help on stdout, exit 0; usage errors exit 2
+            if "--help" in argv:
+                assert exc.code == 0 and not err.getvalue()
+                assert out.getvalue().startswith("usage:")
+            else:
+                assert exc.code == 2 and not out.getvalue()
+                assert err.getvalue().startswith("usage:")
             return
     assert not caught, [str(w.message) for w in caught]
     assert code in (0, 1, 2)
@@ -253,3 +273,71 @@ def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config)
             with redirect_stdout(rerun):
                 assert cli.main(json_argv) == 1
             _strict_json(rerun.getvalue())
+
+
+def _usage_exit(argv):
+    """The exit code, stdout and stderr of an argv that ends in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
+        cli.main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+# argvs that are usage errors, and the words their error line names
+USAGE_ERRORS = [
+    (["verify", "--deg=4", "--engine=symbolic"], ["--deg=4"]),
+    (["verify", "--engine", "symbolic", "--deg", "4"], ["--deg"]),
+    (["verify", "--eng=symbolic"], ["--eng=symbolic"]),
+    (["verify", "--engine=symbolic", "--degree"], ["--degree"]),
+    (["scan", "--path=q-to-1", "stray"], ["stray"]),
+    (["scan", "--engine=clock-shift", "--dims", "--mu"], ["--dims", "--mu"]),
+    (["verify", "--engine=symbolic", "--dims=4"], ["--dims=4"]),
+    (["expand", "--target=P", "--mu", "1"], ["--mu"]),
+    (["verify", "--engine", "dense"], ["--engine", "dense"]),
+    (["verify", "--engine=symbolic", "--degree", "x"], ["--degree", "x"]),
+    (["scan", "--path=q-to-1", "--alpha", "1e"], ["--alpha", "1e"]),
+    (["verify"], ["--engine"]),
+    (["expand"], ["--target"]),
+    (["bogus"], ["bogus"]),
+    ([], ["command"]),
+]
+
+
+@pytest.mark.parametrize("argv,named", USAGE_ERRORS, ids=lambda v: " ".join(v))
+def test_usage_error_names_its_token_on_stderr(argv, named):
+    code, out, err = _usage_exit(argv)
+    lines = err.splitlines()
+    assert code == 2 and out == ""
+    assert lines[0].startswith("usage: qdeform ")
+    assert lines[-1].startswith("qdeform: error: ")
+    assert all(word in lines[-1] for word in named), lines[-1]
+
+
+def test_value_may_begin_with_one_dash_in_either_spelling(invoke):
+    scan = ["scan", "--engine", "clock-shift", "--n", "0..3"]
+    two = invoke(scan + ["--alpha", "-1e-3"])
+    one = invoke(scan + ["--alpha=-1e-3"])
+    assert two[0] == 0 and json.loads(two[1])["parameters"]["alpha"] == -1e-3
+    assert (two[0], mask_timestamp(two[1])) == (one[0], mask_timestamp(one[1]))
+
+
+def test_repeated_flag_keeps_its_last_value():
+    args = cli.parse_args(["verify", "--engine=matrix", "--dim", "8", "--dim=12"])
+    assert (args.engine, args.dim, args.format) == ("matrix", 12, "json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[flag] for flag in ("-h", "--help")]
+    + [[command, flag] for command in cli.GRAMMAR for flag in ("-h", "--help")],
+    ids=" ".join,
+)
+def test_help_exits_0_with_the_flags_of_each_command(argv):
+    code, out, err = _usage_exit(argv)
+    assert code == 0 and err == ""
+    commands = list(cli.GRAMMAR) if len(argv) == 1 else argv[:1]
+    usages = [line.split() for line in out.splitlines() if line.startswith("usage:")]
+    assert [words[2] for words in usages] == commands
+    for command, words in zip(commands, usages):
+        named = {word.strip("[").split("=")[0] for word in words if "--" in word}
+        assert named == {f"--{flag}" for flag in cli.GRAMMAR[command]}

@@ -6,6 +6,7 @@ import pytest
 
 from qdeform.clockshift import (
     ClockShiftPair,
+    _root_of_unity,
     _roots_of_unity,
     build_pair,
     eq8_residual,
@@ -107,6 +108,8 @@ def test_roots_of_unity_equal_the_per_root_formula_bitwise():
         got = _roots_of_unity(order, exponents)
         expected = np.array([root_of_unity(int(e), order) for e in exponents])
         assert got.tobytes() == expected.tobytes(), order
+        one = np.array([_root_of_unity(order, int(e)) for e in exponents])
+        assert one.tobytes() == expected.tobytes(), order
 
     for order in range(2, 400):
         check(order, np.arange(-order, 2 * order))  # reduced mod order
@@ -153,6 +156,21 @@ def test_eq8_residual_fails_on_phases_of_another_level():
                 if other != level and 2 * other != dim:
                     pair = ClockShiftPair(dim, level, build_pair(dim, other).phases)
                     assert eq8_residual(pair) > 0.06, (dim, level, other)
+
+
+def test_qplane_check_fails_on_phases_of_another_level():
+    # q comes from the pair's level, so the phases of any other level break
+    # PX = qXP by |1 - omega^(other - level)| >= 2 sin(pi/N), the pole
+    # level's too, which eq. 8 lets pass
+    for dim in range(3, 33):
+        for level in range(1, dim):
+            for other in range(1, dim):
+                if other != level:
+                    pair = ClockShiftPair(dim, level, build_pair(dim, other).phases)
+                    assert verify_qplane(pair) > 0.19, (dim, level, other)
+    pole = ClockShiftPair(16, 3, build_pair(16, 8).phases)
+    assert eq8_residual(pole) == 0.0
+    assert verify_qplane(pole) == pytest.approx(2 * math.sin(5 * math.pi / 16))
 
 
 @pytest.mark.parametrize("dims", [(65, 257), (257, 385), (385, 449), (449, 513)],
