@@ -10,8 +10,9 @@ passes.
 from __future__ import annotations
 
 import time
+# the C function json.encoder uses, without importing the json package
+from _json import encode_basestring_ascii as _quoted
 from itertools import repeat
-from json.encoder import encode_basestring_ascii as _quoted
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__

@@ -480,10 +480,10 @@ MUTANTS = (
         ("tests/test_weyl_properties.py::test_theta_text_matches_fraction_pair_oracle",),
     ),
     Mutant(
-        "res_spec gets a gate that no witness shows can fail",
+        "residual_at_smallest_dim gets a gate that no witness shows can fail",
         "src/qdeform/cli.py",
-        'Metric("res_spec", row.residual_spectral, None)',
-        'Metric("res_spec", row.residual_spectral, 1.0)',
+        'Metric("residual_at_smallest_dim", first, None)',
+        'Metric("residual_at_smallest_dim", first, 1.0)',
         (
             "tests/test_cli.py::test_every_gated_metric_has_one_witness",
             "tests/test_cli.py::test_every_gate_sits_at_its_stated_value",
