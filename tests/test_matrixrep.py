@@ -22,22 +22,27 @@ EPS = np.finfo(float).eps
 
 
 def parity_operators(dim: int, mu: float, nu: float) -> dict[str, np.ndarray]:
-    """P, X and sqrt(1 + mu^2 P^2) as full N x N matrices, assembled from
-    the engine's parity factors: the SVD of B = x[0::2, 1::2] (u and s^2
-    from one eigensolve of B B^T, w = B^T u / s), the spectra on it and
-    the signs of D = diag(i^n) on each sector."""
+    """P, X, sqrt(1 + mu^2 P^2) and sqrt(1 + nu^2 X^2) as full N x N
+    matrices, assembled from the engine's parity factors: the SVD of
+    B = x[0::2, 1::2] (u and s^2 from one eigensolve of B B^T,
+    w = B^T u / s), the spectra on it and the signs of D = diag(i^n) on
+    each sector."""
     u, spectrum, w = matrixrep._parity_basis(dim)
     even, odd = len(u), len(w)
-    fp, fx, root_p, _ = matrixrep._deformed_spectra(spectrum, mu, nu)
+    fp, fx, root_p, root_x = matrixrep._deformed_spectra(spectrum, mu, nu)
     up = matrixrep._signs(even)[:, None] * u
     wp = matrixrep._signs(odd)[:, None] * w
-    ops = {name: np.zeros((dim, dim), dtype=complex) for name in ("P", "X", "sqrt_p")}
+    ops = {
+        name: np.zeros((dim, dim), dtype=complex) for name in ("P", "X", "sqrt_p", "sqrt_x")
+    }
     ops["P"][0::2, 1::2] = -1j * matrixrep._rows(up, fp[:odd], wp, even)
     ops["X"][0::2, 1::2] = matrixrep._rows(u, fx[:odd], w, even)
     for name in ("P", "X"):
         ops[name][1::2, 0::2] = ops[name][0::2, 1::2].conj().T
     ops["sqrt_p"][0::2, 0::2] = matrixrep._rows(up, root_p, up, even)
     ops["sqrt_p"][1::2, 1::2] = matrixrep._rows(wp, root_p[:odd], wp, odd)
+    ops["sqrt_x"][0::2, 0::2] = matrixrep._rows(u, root_x, u, even)
+    ops["sqrt_x"][1::2, 1::2] = matrixrep._rows(w, root_x[:odd], w, odd)
     return ops
 
 
@@ -491,6 +496,27 @@ def test_shared_basis_sqrt_matches_dense_principal_sqrt(dim, mu):
     shared = parity_operators(dim, mu, 0.0)["sqrt_p"]
     dense = dense_identity_residual(dim, 4, mu, 0.0)["sqrt_p"]
     assert np.linalg.norm(shared - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("dim, interior, mu, nu", [
+    (8, 4, 0.3, 0.2), (12, 8, 0.2, 0.2), (64, 16, 0.0, 0.0), (128, 32, 0.6, 0.6),
+])
+def test_residual_spectral_norm_within_frobenius_bounds(dim, interior, mu, nu):
+    # the engine forms only the top rows of each product; here the whole
+    # block ([P, X] - R)[:M, :M] is assembled from the same parity factors,
+    # which stays accurate where the dense oracle's eigensolves do not
+    # (N = 128, mu = nu = 0.6).  Its spectral norm spec bounds the engine's
+    # Frobenius norm fro: spec <= fro <= sqrt(M) spec, up to the 1e-11 by
+    # which the two routes may differ
+    ops = parity_operators(dim, mu, nu)
+    p, x, sqrt_p, sqrt_x = ops["P"], ops["X"], ops["sqrt_p"], ops["sqrt_x"]
+    c = matrixrep.prefactor(mu * nu)
+    block = (p @ x - x @ p + 1j * c * (sqrt_p @ sqrt_x + sqrt_x @ sqrt_p))[:interior, :interior]
+    fro = identity_residual(dim, interior, mu, nu)
+    spec = np.linalg.norm(block, 2)
+    assert abs(fro - np.linalg.norm(block)) <= 1e-11
+    assert spec <= fro * (1 + 1e-12) + 1e-11
+    assert fro <= math.sqrt(interior) * spec * (1 + 1e-12) + 1e-11
 
 
 # ---------------------------------------------------------------------------
