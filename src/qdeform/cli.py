@@ -48,7 +48,7 @@ EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
 # last step of a contraction path: 2.0 ** -1074 is the smallest double
 MAX_STEP = 1074
 # largest symbolic truncation degree (--degree, symbolic.degree): verify
-# takes about 0.16 s there as a whole process (one core of a 2-vCPU x86-64
+# takes about 0.15 s there as a whole process (one core of a 2-vCPU x86-64
 # host, no bytecode cache), and the exact work grows steeply with degree
 MAX_DEGREE = 64
 # largest n of theta = alpha + 2*pi*n on the periodicity and hbar-to-0
@@ -57,20 +57,21 @@ MAX_DEGREE = 64
 MAX_N = 2**62
 # longest --n or --dims list, and most (N, k) pairs in a clock-shift grid
 # (one table row each): the widest table, scan --path hbar-to-0 over 2^18
-# n, takes about 0.5 s and 140 MB as JSON in process, and the periodicity
-# scan over 2^18 n about 0.03 s and 50 MB (2-vCPU x86-64 host, output to
+# n, takes about 0.45 s and 142 MB as JSON in process, and the periodicity
+# scan over 2^18 n about 0.02 s and 51 MB (2-vCPU x86-64 host, output to
 # /dev/null, peak RSS with numpy loaded)
 MAX_POINTS = 2**18
 # largest matrix dimension (--dim, matrix.dim, scan --engine matrix --dims):
-# verify at mu = nu = 0 takes about 0.6 s and 74 MB there (one BLAS thread,
-# 2-vCPU x86-64 host), and the cost grows as N^3 in time and N^2 in memory
+# verify at mu = nu = 0 takes about 0.37 s and 73 MB there as a whole
+# process (one BLAS thread, 2-vCPU x86-64 host), and the cost grows as N^3
+# in time and N^2 in memory
 MAX_MATRIX_DIM = 2048
-# largest clock-shift pair (verify --engine clock-shift --dim): about 0.45 s
-# and 94 MB there as a whole process (2-vCPU x86-64 host), linear in N
+# largest clock-shift pair (verify --engine clock-shift --dim): about 0.19 s
+# and 93 MB there as a whole process (2-vCPU x86-64 host), linear in N
 MAX_PAIR_DIM = 2**20
 # largest dimension in a clock-shift grid (scan --engine clock-shift
-# --dims), which holds an N x N phase table: about 80 MB there, and four
-# times that per doubling of N
+# --dims), which holds an N x N phase table: about 76 MB there as a whole
+# process, and the table grows four times per doubling of N
 MAX_GRID_DIM = 1024
 
 # Gate values.  They are constants rather than config keys, so a verdict
@@ -281,12 +282,13 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
     of tan(alpha/2), and _n_list a negative n.
     """
     alpha = args.alpha  # the periodicity row is the one with --alpha set
-    ns = _n_list(args.n if args.n is not None else "0..100")
+    ntext = args.n if args.n is not None else "0..100"
+    ns = _n_list(ntext)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got alpha={alpha}")
     if abs(1.0 + math.cos(alpha)) <= params.Q_POLE_TOL:
         raise ValueError("tan(alpha/2) pole at alpha = pi (mod 2*pi)")
-    command = f"scan --engine clock-shift --alpha {alpha} --n {args.n or '0..100'}"
+    command = f"scan --engine clock-shift --alpha {alpha} --n {ntext}"
     table = Table(("alpha", "n"), (alpha, ns))
     parameters = {"alpha": alpha, "n_count": len(ns)}
     return VerificationReport.build("clock-shift", command, parameters, [], table)
@@ -368,8 +370,7 @@ def _scan_contraction(args, cfg) -> VerificationReport:
         )
     command = f"scan --path {path.name} --n {ntext}"
     points = [path.point(2.0 ** (-k)) for k in steps]
-    names = ("t", "mu", "nu", "q") if path.name == "q-to-1" else (
-        "t", "mu", "nu", "omega_ratio", "q")
+    names = tuple(points[0])
     columns = {name: [pt[name] for pt in points] for name in names}
     _refuse_overflow(columns, "step", steps, f"params.mu0={mu0}, params.nu0={nu0}")
     table = Table(("step",) + names, [steps, *columns.values()])

@@ -9,15 +9,16 @@ A value is held as three Python ints ``(a, b, d)`` meaning
 ``(a + b*i) / d``, with ``d > 0`` and ``gcd(a, b, d) == 1``.  That form is
 unique, so equality is a comparison of the three ints, and every
 operation is integer arithmetic followed by at most one ``math.gcd``.
+
+One rule, ``_coerce``, says what enters Q(i): an int, a Fraction or a
+RationalComplex.  Each part given to the constructor is an int or a
+Fraction; a float, str, ``Decimal`` or complex part is a TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
-
-RatLike = Union[int, Fraction]
 
 
 class RationalComplex:
@@ -25,14 +26,15 @@ class RationalComplex:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        if type(re) is int and type(im) is int:
-            self._a, self._b, self._d = re, im, 1
-            return
-        re, im = Fraction(re), Fraction(im)
-        d = re.denominator * im.denominator
-        a = re.numerator * im.denominator
-        b = im.numerator * re.denominator
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        r, i = _coerce(re), _coerce(im)
+        for part, z in ((re, r), (im, i)):
+            if z is None or z is part:  # z is part: a RationalComplex
+                raise TypeError(
+                    "a RationalComplex part is an int or a Fraction, "
+                    f"not {type(part).__name__}"
+                )
+        a, b, d = r._a * i._d, i._a * r._d, r._d * i._d
         g = gcd(a, b, d)
         self._a, self._b, self._d = a // g, b // g, d // g
 
@@ -49,16 +51,10 @@ class RationalComplex:
         return not self._a and not self._b
 
     def __add__(self, other):
-        if type(other) is not RationalComplex:
-            if type(other) is int:
-                # gcd(a + k*d, b, d) == gcd(a, b, d) == 1: already reduced
-                return _raw(self._a + other * self._d, self._b, self._d)
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
         return _reduced(
             self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2
         )
@@ -66,31 +62,19 @@ class RationalComplex:
     __radd__ = __add__
 
     def __mul__(self, other):
-        if type(other) is not RationalComplex:
-            if type(other) is int:
-                return _reduced(self._a * other, self._b * other, self._d)
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if type(other) is RationalComplex:
-            return (
-                self._a == other._a and self._b == other._b and self._d == other._d
-            )
-        if isinstance(other, int):
-            return not self._b and self._d == 1 and self._a == other
-        if isinstance(other, Fraction):
-            return (
-                not self._b
-                and self._a == other.numerator
-                and self._d == other.denominator
-            )
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return (self._a, self._b, self._d) == (other._a, other._b, other._d)
 
     def __hash__(self):
         if not self._b:
@@ -125,10 +109,11 @@ def _reduced(a: int, b: int, d: int) -> RationalComplex:
 
 
 def _coerce(value) -> "RationalComplex | None":
+    """The one rule for what enters Q(i): int, Fraction or RationalComplex."""
     if isinstance(value, RationalComplex):
         return value
-    if isinstance(value, (int, Fraction)):
-        return RationalComplex(value)
+    if isinstance(value, (int, Fraction)):  # already in lowest terms
+        return _raw(value.numerator, 0, value.denominator)
     return None
 
 

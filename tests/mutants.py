@@ -95,10 +95,10 @@ MUTANTS = (
         ("tests/test_report.py::test_column_table_reads_row_by_row",),
     ),
     Mutant(
-        "equal-denominator add skips the gcd",
+        "add skips the gcd",
         "src/qdeform/rational.py",
-        "return _reduced(self._a + other._a, self._b + other._b, d1)",
-        "return _raw(self._a + other._a, self._b + other._b, d1)",
+        "return _reduced(\n            self._a * d2",
+        "return _raw(\n            self._a * d2",
         ("tests/test_rational.py::test_agrees_with_fraction_pair_oracle",),
     ),
     Mutant(

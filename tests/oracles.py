@@ -361,7 +361,7 @@ def prefactor_coefficients(max_power: int) -> list[Fraction]:
 def hermitian_function(
     h: np.ndarray, kind: str, sqrt_floor: float = 1e-12
 ) -> np.ndarray:
-    """Apply sinh, cosh or the principal square root by dense spectral calculus.
+    """Apply sinh or the principal square root by dense spectral calculus.
 
     ``principal-sqrt`` requires a positive definite input: smallest
     eigenvalue above ``sqrt_floor`` (absolute -- arguments of the form
@@ -374,8 +374,6 @@ def hermitian_function(
     w, v = np.linalg.eigh(h)
     if kind == "sinh":
         fw = np.sinh(w)
-    elif kind == "cosh":
-        fw = np.cosh(w)
     elif kind == "principal-sqrt":
         if float(w[0]) <= sqrt_floor:
             raise ValueError(

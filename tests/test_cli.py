@@ -1319,6 +1319,14 @@ def test_readme_example_config_loads(invoke, tmp_path):
     assert load_config(str(cfg))["params.hbar"] == "1.054571817e-34 J.s"
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library example\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "weyl.identity_checks" in example
+    exec(compile(example, "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize(
     "line",
     [

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -43,9 +44,17 @@ def test_product_with_reciprocal_is_one(re, im):
         assert z * RationalComplex(re / norm, -im / norm) == ONE
 
 
-@pytest.mark.parametrize("other", [0.5, 1.0, 1j, complex(2, 0)])
+@pytest.mark.parametrize(
+    "other", [0.5, 1.0, 1j, complex(2, 0), "2/3", Decimal("0.5"), ONE]
+)
 def test_float_and_complex_operands_are_refused(other):
-    # no floating point enters an exact coefficient
+    # no floating point, text or decimal enters an exact coefficient, as an
+    # operand or as a part; a part is an int or a Fraction, never a scalar
+    for parts in ((other,), (1, other)):
+        with pytest.raises(TypeError, match=type(other).__name__):
+            RationalComplex(*parts)
+    if other is ONE:
+        return
     z = RationalComplex(1, 2)
     for combine in (
         lambda: z + other,

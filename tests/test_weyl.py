@@ -523,6 +523,14 @@ def test_constructor_refuses_malformed_keys(key):
         WeylSeriesElement(4, {key: 1})
 
 
+def test_float_coefficients_are_refused():
+    # term values and scale factors enter Q(i) through the same gate
+    with pytest.raises(TypeError, match="float"):
+        WeylSeriesElement(2, {(0, 0, 0, 0): 0.1})
+    with pytest.raises(TypeError, match="float"):
+        x_op(2).scaled(0.5)
+
+
 def scaling_weights(e):
     """The weights m - n + a - b of the terms mu^m nu^n x^a p^b of an element."""
     return {m - n + a - b for a, b, m, n in e.terms}
