@@ -45,7 +45,8 @@ from .report import Metric, Table, VerificationReport
 
 EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
 
-# last step of a contraction path: 2.0 ** -1074 is the smallest double
+# last step of a contraction path, walked in t = 2^-step: 2.0 ** -1074 is
+# the smallest double, and t underflows to 0 past it
 MAX_STEP = 1074
 # largest symbolic truncation degree (--degree, symbolic.degree): verify
 # takes about 0.15 s there as a whole process (one core of a 2-vCPU x86-64
@@ -90,10 +91,12 @@ CLOCKSHIFT_RESIDUAL_TOL = 1e-12
 CLOCKSHIFT_UNITARY_TOL = 1e-13
 
 
-def _at_most(value: int, bound: int, source: str) -> None:
-    """Refuse a size past its bound, naming the flag or key it came from."""
-    if value > bound:
-        raise ValueError(f"{source} must be at most {bound}, got {value}")
+def _within(value: int, lo: int, hi: int, source: str) -> int:
+    """The integer value, refused outside lo..hi naming the flag or key it
+    came from."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{source} must lie in {lo}..{hi}, got {value}")
+    return value
 
 
 def _check_interior(interior: int, interior_source: str,
@@ -105,18 +108,6 @@ def _check_interior(interior: int, interior_source: str,
             f"interior dimension must satisfy 2 <= M < N, got M={interior} "
             f"({interior_source}) and N={dim} ({dim_source})"
         )
-
-
-def _n_list(text: str) -> Sequence[int]:
-    """The --n grid of the periodicity and hbar-to-0 scans, 0 <= n <= MAX_N."""
-    ns = parse_int_list(text, "n")
-    # an a..b range rises: its first value is its least, its last its largest
-    largest = ns[-1] if isinstance(ns, range) else max(ns)
-    if largest > MAX_N:
-        raise ValueError(f"--n must be at most 2^62 = {MAX_N}, got {largest}")
-    if (ns[0] if isinstance(ns, range) else min(ns)) < 0:
-        raise ValueError("n must be >= 0")
-    return ns
 
 
 def _ints(tokens: list[str], flag: str) -> list[int]:
@@ -135,23 +126,28 @@ def _ints(tokens: list[str], flag: str) -> list[int]:
     return values
 
 
-def parse_int_list(text: Optional[str], what: str, flag: str = "--n") -> Sequence[int]:
+def parse_int_list(text: Optional[str], what: str, flag: str = "--n",
+                   lo: Optional[int] = None, hi: Optional[int] = None) -> Sequence[int]:
     """Accept 'a..b' (inclusive) as a range, and 'a,b,c' or a single
-    integer as a list, with at most MAX_POINTS values; a range is counted
-    from its ends."""
+    integer as a list, of 1..MAX_POINTS values, each in lo..hi when those
+    are given; a range is counted and bounded from its ends."""
     if text is None or not text.strip():
         raise ValueError(f"empty {what} list")
     text = text.strip()
     if ".." in text:
-        lo, hi = _ints(text.split("..", 1), flag)
-        if hi < lo:
+        least, largest = _ints(text.split("..", 1), flag)
+        if largest < least:
             raise ValueError(f"bad {what} range: {text!r}")
-        _at_most(hi - lo + 1, MAX_POINTS, f"{flag} length")
-        return range(lo, hi + 1)
-    values = _ints([tok for tok in text.split(",") if tok.strip()], flag)
-    if not values:
-        raise ValueError(f"empty {what} list")
-    _at_most(len(values), MAX_POINTS, f"{flag} length")
+        values, count = range(least, largest + 1), largest - least + 1
+    else:
+        values = _ints([tok for tok in text.split(",") if tok.strip()], flag)
+        if not values:
+            raise ValueError(f"empty {what} list")
+        count, least, largest = len(values), min(values), max(values)
+    _within(count, 1, MAX_POINTS, f"{flag} length")
+    if lo is not None:
+        _within(least, lo, hi, flag)
+        _within(largest, lo, hi, flag)
     return values
 
 
@@ -166,9 +162,7 @@ def _symbolic_degree(args, cfg) -> int:
         degree, source = args.degree, "--degree"
     else:
         degree, source = config.get_int(cfg, "symbolic.degree"), "symbolic.degree"
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"{source} must lie in 0..{MAX_DEGREE}, got {degree}")
-    return degree
+    return _within(degree, 0, MAX_DEGREE, source)
 
 
 def _word_count(element) -> int:
@@ -200,10 +194,8 @@ def _verify_matrix(args, cfg) -> VerificationReport:
         dim, source = args.dim, "--dim"
     else:
         dim, source = config.get_int(cfg, "matrix.dim"), "matrix.dim"
-    # the smallest N with an interior block 2 <= M < N
-    if dim < 3:
-        raise ValueError(f"{source} must be at least 3, got {dim}")
-    _at_most(dim, MAX_MATRIX_DIM, source)
+    # 3 is the smallest N with an interior block 2 <= M < N
+    _within(dim, 3, MAX_MATRIX_DIM, source)
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
     interior, interior_source = args.interior, "--interior"
@@ -221,8 +213,7 @@ def _verify_matrix(args, cfg) -> VerificationReport:
 def _verify_clockshift(args, cfg) -> VerificationReport:
     from . import clockshift
 
-    dim = args.dim if args.dim is not None else 16
-    _at_most(dim, MAX_PAIR_DIM, "--dim")
+    dim = _within(args.dim if args.dim is not None else 16, 2, MAX_PAIR_DIM, "--dim")
     level = args.level if args.level is not None else 1
     command = f"verify --engine clock-shift --dim {dim} --level {level}"
     pair = clockshift.build_pair(dim, level)
@@ -245,8 +236,7 @@ def _verify_clockshift(args, cfg) -> VerificationReport:
 def _scan_matrix(args, cfg) -> VerificationReport:
     from . import matrixrep
 
-    dims = parse_int_list(args.dims, "dimension", "--dims")
-    _at_most(max(dims), MAX_MATRIX_DIM, "--dims")
+    dims = parse_int_list(args.dims, "dimension", "--dims", 3, MAX_MATRIX_DIM)
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
     interior, interior_source = args.interior, "--interior"
@@ -279,11 +269,11 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
     tan(theta/2) = tan(alpha/2 + pi*n) = tan(alpha/2) holds exactly: the
     n-dependence drops out of the half-angle before any rounding, so the
     table has nothing to gate.  It refuses a non-finite alpha and the pole
-    of tan(alpha/2), and _n_list a negative n.
+    of tan(alpha/2), and parse_int_list an n outside 0..MAX_N.
     """
     alpha = args.alpha  # the periodicity row is the one with --alpha set
     ntext = args.n if args.n is not None else "0..100"
-    ns = _n_list(ntext)
+    ns = parse_int_list(ntext, "n", "--n", 0, MAX_N)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got alpha={alpha}")
     if abs(1.0 + math.cos(alpha)) <= params.Q_POLE_TOL:
@@ -297,11 +287,9 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
 def _scan_clockshift_grid(args, cfg) -> VerificationReport:
     from . import clockshift
 
-    dims = parse_int_list(args.dims, "dimension", "--dims")
-    _at_most(max(dims), MAX_GRID_DIM, "--dims")
+    dims = parse_int_list(args.dims, "dimension", "--dims", 2, MAX_GRID_DIM)
     # one table row per pair (N, k), 1 <= k < N
-    pairs = sum(max(dim - 1, 0) for dim in dims)
-    _at_most(pairs, MAX_POINTS, "--dims pair count")
+    _within(sum(dim - 1 for dim in dims), 1, MAX_POINTS, "--dims pair count")
     command = f"scan --engine clock-shift --dims {args.dims}"
     sizes, levels, residuals = [], [], []
     for dim in dims:
@@ -335,7 +323,7 @@ def _scan_hbar(args, cfg) -> VerificationReport:
     )
     beta = args.beta if args.beta is not None else config.get_float(cfg, "params.beta")
     ntext = args.n if args.n is not None else "0..5"
-    ns = _n_list(ntext)
+    ns = parse_int_list(ntext, "n", "--n", 0, MAX_N)
     command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
     mu, nu = (column.tolist() for column in clockshift.scaling_columns(alpha, beta, ns))
     _refuse_overflow({"mu": mu, "nu": nu}, "n", ns, f"alpha={alpha}, beta={beta}")
@@ -361,13 +349,7 @@ def _scan_contraction(args, cfg) -> VerificationReport:
     nu0 = config.get_float(cfg, "params.nu0")
     path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
     ntext = args.n if args.n is not None else "0..10"
-    steps = parse_int_list(ntext, "step")
-    bad = next((k for k in steps if not 0 <= k <= MAX_STEP), None)
-    if bad is not None:
-        raise ValueError(
-            f"--n steps must lie in 0..{MAX_STEP} (t = 2^-step underflows "
-            f"to 0 beyond {MAX_STEP}), got {bad}"
-        )
+    steps = parse_int_list(ntext, "step", "--n", 0, MAX_STEP)
     command = f"scan --path {path.name} --n {ntext}"
     points = [path.point(2.0 ** (-k)) for k in steps]
     names = tuple(points[0])
@@ -388,8 +370,7 @@ def expand_text(target: str, degree: int) -> str:
     from . import weyl
     from .rational import I
 
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    _within(degree, 0, MAX_DEGREE, "degree")
     if target == "P":
         return weyl.deformed_momentum(degree).to_text()
     if target == "X":

@@ -168,86 +168,194 @@ MUTANTS = (
         ("tests/test_matrixrep.py::test_residual_matches_dense_oracle",),
     ),
     Mutant(
-        "symbolic degree without its upper bound",
+        "symbolic degree bound one past MAX_DEGREE",
         "src/qdeform/cli.py",
-        "if not 0 <= degree <= MAX_DEGREE:",
-        "if degree < 0:",
+        "_within(degree, 0, MAX_DEGREE, source)",
+        "_within(degree, 0, MAX_DEGREE + 1, source)",
         ("tests/test_cli.py::test_degree_beyond_bound_is_named_error",),
     ),
     Mutant(
-        "scan --n without its upper bound",
+        "symbolic degree bound from -1",
         "src/qdeform/cli.py",
-        "if largest > MAX_N:",
-        "if False:",
+        "_within(degree, 0, MAX_DEGREE, source)",
+        "_within(degree, -1, MAX_DEGREE, source)",
+        ("tests/test_cli.py::test_degree_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "periodicity --n bound one past MAX_N",
+        "src/qdeform/cli.py",
+        "MAX_N)\n    if not math.isfinite(alpha)",
+        "MAX_N + 1)\n    if not math.isfinite(alpha)",
         (
-            "tests/test_cli.py::test_n_beyond_bound_is_named_error",
+            "tests/test_cli.py::test_size_beyond_bound_is_named_error",
             "tests/test_cli_grammar.py",
         ),
     ),
     Mutant(
-        "largest n of a comma list read from its end",
+        "periodicity --n bound from -1",
         "src/qdeform/cli.py",
-        "largest = ns[-1] if isinstance(ns, range) else max(ns)",
-        "largest = ns[-1]",
-        ("tests/test_cli.py::test_n_beyond_bound_is_named_error",),
+        "0, MAX_N)\n    if not math.isfinite(alpha)",
+        "-1, MAX_N)\n    if not math.isfinite(alpha)",
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
-        "size bounds refuse the bound itself",
+        "hbar-to-0 --n bound one past MAX_N",
         "src/qdeform/cli.py",
-        "if value > bound:",
-        "if value >= bound:",
+        'MAX_N)\n    command = f"scan --path hbar-to-0',
+        'MAX_N + 1)\n    command = f"scan --path hbar-to-0',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "hbar-to-0 --n bound from -1",
+        "src/qdeform/cli.py",
+        '0, MAX_N)\n    command = f"scan --path hbar-to-0',
+        '-1, MAX_N)\n    command = f"scan --path hbar-to-0',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "contraction step bound one past MAX_STEP",
+        "src/qdeform/cli.py",
+        '"--n", 0, MAX_STEP)',
+        '"--n", 0, MAX_STEP + 1)',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "contraction step bound from -1",
+        "src/qdeform/cli.py",
+        '"--n", 0, MAX_STEP)',
+        '"--n", -1, MAX_STEP)',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "bounds refuse their upper end",
+        "src/qdeform/cli.py",
+        "if not lo <= value <= hi:",
+        "if not lo <= value < hi:",
         (
             "tests/test_cli.py::test_dimension_at_bound_passes_the_bound",
             "tests/test_cli.py::test_n_list_at_length_bound_runs",
         ),
     ),
     Mutant(
-        "a..b ranges without their length bound",
+        "bounds refuse their lower end",
         "src/qdeform/cli.py",
-        '_at_most(hi - lo + 1, MAX_POINTS, f"{flag} length")',
-        "pass",
+        "if not lo <= value <= hi:",
+        "if not lo < value <= hi:",
+        (
+            "tests/test_cli.py::test_parse_int_list_forms",
+            "tests/test_cli.py::test_verify_matrix_at_the_smallest_dims",
+        ),
+    ),
+    Mutant(
+        "a list's least value left unbounded",
+        "src/qdeform/cli.py",
+        "_within(least, lo, hi, flag)",
+        "_within(largest, lo, hi, flag)",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
-        "comma lists without their length bound",
+        "a list's largest value left unbounded",
         "src/qdeform/cli.py",
-        '_at_most(len(values), MAX_POINTS, f"{flag} length")',
-        "pass",
+        "_within(largest, lo, hi, flag)",
+        "_within(least, lo, hi, flag)",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
-        "verify --engine matrix without its dimension bound",
+        "least value of a comma list read from its start",
         "src/qdeform/cli.py",
-        "_at_most(dim, MAX_MATRIX_DIM, source)",
-        "pass",
+        "len(values), min(values), max(values)",
+        "len(values), values[0], max(values)",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
-        "scan --engine matrix without its dimension bound",
+        "largest value of a comma list read from its end",
         "src/qdeform/cli.py",
-        '_at_most(max(dims), MAX_MATRIX_DIM, "--dims")',
-        "pass",
+        "len(values), min(values), max(values)",
+        "len(values), min(values), values[-1]",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
-        "verify --engine clock-shift without its dimension bound",
+        "a..b ranges counted one short",
         "src/qdeform/cli.py",
-        '_at_most(dim, MAX_PAIR_DIM, "--dim")',
-        "pass",
+        "largest - least + 1",
+        "largest - least",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
-        "clock-shift grid without its dimension bound",
+        "comma lists counted one short",
         "src/qdeform/cli.py",
-        '_at_most(max(dims), MAX_GRID_DIM, "--dims")',
-        "pass",
+        "len(values), min(values), max(values)",
+        "len(values) - 1, min(values), max(values)",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
-        "clock-shift grid without its pair-count bound",
+        "list length bound one past MAX_POINTS",
         "src/qdeform/cli.py",
-        '_at_most(pairs, MAX_POINTS, "--dims pair count")',
-        "pass",
+        'MAX_POINTS, f"{flag} length")',
+        'MAX_POINTS + 1, f"{flag} length")',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "verify --engine matrix dimension bound one past MAX_MATRIX_DIM",
+        "src/qdeform/cli.py",
+        "_within(dim, 3, MAX_MATRIX_DIM, source)",
+        "_within(dim, 3, MAX_MATRIX_DIM + 1, source)",
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "verify --engine matrix dimension bound from 2",
+        "src/qdeform/cli.py",
+        "_within(dim, 3, MAX_MATRIX_DIM, source)",
+        "_within(dim, 2, MAX_MATRIX_DIM, source)",
+        ("tests/test_cli.py::test_verify_matrix_at_the_smallest_dims",),
+    ),
+    Mutant(
+        "scan --engine matrix dimension bound one past MAX_MATRIX_DIM",
+        "src/qdeform/cli.py",
+        '"--dims", 3, MAX_MATRIX_DIM)',
+        '"--dims", 3, MAX_MATRIX_DIM + 1)',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "scan --engine matrix dimension bound from 2",
+        "src/qdeform/cli.py",
+        '"--dims", 3, MAX_MATRIX_DIM)',
+        '"--dims", 2, MAX_MATRIX_DIM)',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "verify --engine clock-shift dimension bound one past MAX_PAIR_DIM",
+        "src/qdeform/cli.py",
+        '2, MAX_PAIR_DIM, "--dim")',
+        '2, MAX_PAIR_DIM + 1, "--dim")',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "verify --engine clock-shift dimension bound from 1",
+        "src/qdeform/cli.py",
+        '2, MAX_PAIR_DIM, "--dim")',
+        '1, MAX_PAIR_DIM, "--dim")',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "clock-shift grid dimension bound one past MAX_GRID_DIM",
+        "src/qdeform/cli.py",
+        '"--dims", 2, MAX_GRID_DIM)',
+        '"--dims", 2, MAX_GRID_DIM + 1)',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "clock-shift grid dimension bound from 1",
+        "src/qdeform/cli.py",
+        '"--dims", 2, MAX_GRID_DIM)',
+        '"--dims", 1, MAX_GRID_DIM)',
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "clock-shift grid pair-count bound one past MAX_POINTS",
+        "src/qdeform/cli.py",
+        '1, MAX_POINTS, "--dims pair count")',
+        '1, MAX_POINTS + 1, "--dims pair count")',
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(

@@ -3,6 +3,7 @@ import fractions
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -286,10 +287,10 @@ def test_verify_matrix_interior_error_golden(invoke, golden_dir):
 @pytest.mark.parametrize(
     "flags, lines, named",
     [
-        (["--dim", "2"], "", "--dim must be at least 3, got 2"),
-        ([], "matrix.dim = 2", "matrix.dim must be at least 3, got 2"),
+        (["--dim", "2"], "", "--dim must lie in 3..2048, got 2"),
+        ([], "matrix.dim = 2", "matrix.dim must lie in 3..2048, got 2"),
         # N is the bad input, not the interior block the user set
-        (["--dim", "-5", "--interior", "2"], "", "--dim must be at least 3, got -5"),
+        (["--dim", "-5", "--interior", "2"], "", "--dim must lie in 3..2048, got -5"),
         (["--dim", "3"], "", None),
         ([], "matrix.dim = 3", None),
         (["--dim", "4"], "", None),
@@ -495,15 +496,6 @@ def test_scan_clockshift_grid(invoke):
     assert len(payload["table"]["rows"]) == sum(n - 1 for n in range(2, 17))
 
 
-@pytest.mark.parametrize("dims,bad", [("1", 1), ("0,1", 0), ("2,1", 1)])
-def test_scan_clockshift_grid_below_two_is_named_error(invoke, dims, bad):
-    # a dimension below 2 has no level 1 <= k < N: the grid would be empty
-    code, out = invoke(["scan", "--engine", "clock-shift", "--dims", dims])
-    assert code == 2
-    message = json.loads(out)["parameters"]["error"]
-    assert message == f"ValueError: dimension must be >= 2, got N={bad}"
-
-
 SCAN_ROUTE_CASES = {
     "matrix-window": ["--engine", "matrix", "--mu", "0.2", "--nu", "0.2",
                       "--dims", "10,12,14,16"],
@@ -585,9 +577,6 @@ def test_scan_clockshift_periodicity(invoke):
     [
         ("3.141592653589793", "0,1", "tan(alpha/2) pole at alpha = pi (mod 2*pi)"),
         ("-3.141592653589793", "0", "tan(alpha/2) pole at alpha = pi (mod 2*pi)"),
-        ("1", "-1", "n must be >= 0"),
-        ("1", "5,0,-2,7", "n must be >= 0"),
-        ("1", "-3..4", "n must be >= 0"),
         ("nan", "0", "alpha must be finite, got alpha=nan"),
         ("inf", "0", "alpha must be finite, got alpha=inf"),
         ("-inf", "0", "alpha must be finite, got alpha=-inf"),
@@ -659,17 +648,6 @@ def test_scan_omega_path(invoke):
     mus = {row[2] for row in payload["table"]["rows"]}
     assert mus == {1.0}  # mu held fixed along the path
     assert payload["table"]["rows"][-1][4] <= 1e-3  # omega_ratio at t = 2^-10
-
-
-@pytest.mark.parametrize("path", ["q-to-1", "omega-to-0"])
-@pytest.mark.parametrize("steps,bad", [("-3", -3), ("0..2000", 1075), ("1075", 1075)])
-def test_scan_contraction_step_out_of_range_is_named_error(invoke, path, steps, bad):
-    # t = 2^-step: a negative step leaves (0, 1], and 2^-1075 rounds to 0
-    code, out = invoke(["scan", "--path", path, "--n", steps])
-    assert code == 2
-    message = json.loads(out)["parameters"]["error"]
-    assert message.startswith("ValueError: --n steps must lie in 0..1074")
-    assert message.endswith(f"got {bad}")
 
 
 @pytest.mark.parametrize("path", ["q-to-1", "omega-to-0"])
@@ -1327,6 +1305,22 @@ def test_readme_library_example_runs():
     exec(compile(example, "README.md", "exec"), {})
 
 
+def test_readme_bound_table_matches_the_cli_constants():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    header = "| flag or key | rows | domain | reason |\n|---|---|---|---|\n"
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0]
+    # a domain reads `lo..hi` (`MAX_NAME`), its hi a number or a power 2^k
+    domain = re.compile(r"`(\d+)\.\.(\d+)(?:\^(\d+))?` \(`(MAX_\w+)`\)")
+    named = set()
+    for row in table.splitlines():
+        lo, base, power, name = domain.fullmatch(row.split(" | ")[2]).groups()
+        assert int(base) ** int(power or 1) == getattr(cli, name), row
+        assert int(lo) < getattr(cli, name), row
+        named.add(name)
+    assert named == {"MAX_DEGREE", "MAX_MATRIX_DIM", "MAX_PAIR_DIM", "MAX_GRID_DIM",
+                     "MAX_POINTS", "MAX_N", "MAX_STEP"}
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -1433,6 +1427,8 @@ def test_expand_negative_degree_is_symbolic_error(invoke):
          "--degree must lie in 0..64, got 100000000"),
         (["expand", "--target", "P"], "symbolic.degree = 100000000",
          "symbolic.degree must lie in 0..64, got 100000000"),
+        (["verify", "--engine", "symbolic", "--degree", "-1"], "",
+         "--degree must lie in 0..64, got -1"),
     ],
 )
 def test_degree_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):
@@ -1451,31 +1447,6 @@ def test_degree_at_bound_runs(invoke):
     assert out == expand_text("P", 64) + "\n"
 
 
-BIG_N = "1" + "0" * 400
-
-
-@pytest.mark.parametrize(
-    "argv,n",
-    [
-        # OverflowError naming neither --n nor the value before
-        (["scan", "--path", "hbar-to-0", "--alpha", "1", "--beta", "1"], BIG_N),
-        # a table for this n and exit 0 before
-        (["scan", "--engine", "clock-shift", "--alpha", "1"], BIG_N),
-        (["scan", "--path", "hbar-to-0"], f"0,{2**62 + 1}"),
-        # a comma list's largest n may come first
-        (["scan", "--engine", "clock-shift", "--alpha", "1"], f"{2**62 + 1},0"),
-        (["scan", "--engine", "clock-shift", "--alpha", "1"], f"{2**62 + 1}"),
-    ],
-)
-def test_n_beyond_bound_is_named_error(invoke, argv, n):
-    code, out = invoke(argv + ["--n", n, "--format", "csv"])
-    assert code == 2
-    largest = max(int(value) for value in n.split(","))
-    assert json.loads(out)["parameters"]["error"] == (
-        f"ValueError: --n must be at most 2^62 = {2**62}, got {largest}"
-    )
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1490,9 +1461,10 @@ def test_n_at_bound_runs(invoke, argv):
     assert [row[table["columns"].index("n")] for row in table["rows"]] == [0, 2**62]
 
 
-# 2^18 (N, k) pairs: 256 grids of N = 1024 and one of N = 257; the leading
-# N = 1 is refused by the engine before any grid is built
-GRID_AT_BOUND = "1," + "1024," * 256 + "257"
+# 2^18 (N, k) pairs: 8456 grids of N = 32 and one of N = 9
+GRID_AT_BOUND = "32," * 8456 + "9"
+BIG_N = "1" + "0" * 400
+PERIODICITY = ["scan", "--engine", "clock-shift", "--alpha", "1"]
 
 
 @pytest.mark.parametrize(
@@ -1500,32 +1472,74 @@ GRID_AT_BOUND = "1," + "1024," * 256 + "257"
     [
         # one past each bound; without the bound each of these runs (and
         # fails the test) in about a second at most
-        (["scan", "--engine", "clock-shift", "--alpha", "1", "--n", "0..262144"], "",
-         "--n length must be at most 262144, got 262145"),
-        (["scan", "--engine", "clock-shift", "--alpha", "1",
-          "--n", "0," * 262144 + "0"], "",
-         "--n length must be at most 262144, got 262145"),
+        (PERIODICITY + ["--n", "0..262144"], "",
+         "--n length must lie in 1..262144, got 262145"),
+        (PERIODICITY + ["--n", "0," * 262144 + "0"], "",
+         "--n length must lie in 1..262144, got 262145"),
         (["scan", "--engine", "matrix", "--dims", "3..262147"], "",
-         "--dims length must be at most 262144, got 262145"),
+         "--dims length must lie in 1..262144, got 262145"),
         (["verify", "--engine", "matrix", "--dim", "2049"], "",
-         "--dim must be at most 2048, got 2049"),
+         "--dim must lie in 3..2048, got 2049"),
         (["verify", "--engine", "matrix"], "matrix.dim = 2049",
-         "matrix.dim must be at most 2048, got 2049"),
+         "matrix.dim must lie in 3..2048, got 2049"),
         (["scan", "--engine", "matrix", "--dims", "16,2049"], "",
-         "--dims must be at most 2048, got 2049"),
+         "--dims must lie in 3..2048, got 2049"),
         (["verify", "--engine", "clock-shift", "--dim", "1048577"], "",
-         "--dim must be at most 1048576, got 1048577"),
+         "--dim must lie in 2..1048576, got 1048577"),
         (["scan", "--engine", "clock-shift", "--dims", "2,1025"], "",
-         "--dims must be at most 1024, got 1025"),
+         "--dims must lie in 2..1024, got 1025"),
         (["scan", "--engine", "clock-shift", "--dims", GRID_AT_BOUND + ",2"], "",
-         "--dims pair count must be at most 262144, got 262145"),
-        # far past: these would need terabytes or hours
+         "--dims pair count must lie in 1..262144, got 262145"),
+        (["scan", "--path", "hbar-to-0", "--n", f"0,{2**62 + 1}"], "",
+         f"--n must lie in 0..{2**62}, got {2**62 + 1}"),
+        # a comma list's largest n may come first
+        (PERIODICITY + ["--n", f"{2**62 + 1},0"], "",
+         f"--n must lie in 0..{2**62}, got {2**62 + 1}"),
+        (PERIODICITY + ["--n", f"{2**62 + 1}"], "",
+         f"--n must lie in 0..{2**62}, got {2**62 + 1}"),
+        # t = 2^-step: 2^-1075 rounds to 0
+        (["scan", "--path", "q-to-1", "--n", "1075"], "",
+         "--n must lie in 0..1074, got 1075"),
+        (["scan", "--path", "omega-to-0", "--n", "1075"], "",
+         "--n must lie in 0..1074, got 1075"),
+        (["scan", "--path", "q-to-1", "--n", "0..2000"], "",
+         "--n must lie in 0..1074, got 2000"),
+        (["scan", "--path", "omega-to-0", "--n", "0..2000"], "",
+         "--n must lie in 0..1074, got 2000"),
+        # one below each lower bound: a negative n or step (t = 2^-step
+        # leaves (0, 1]), and a grid N below 2, which has no level
+        # 1 <= k < N; the least value of a list may come anywhere
+        (PERIODICITY + ["--n", "-1"], "", f"--n must lie in 0..{2**62}, got -1"),
+        (PERIODICITY + ["--n", "5,0,-2,7"], "", f"--n must lie in 0..{2**62}, got -2"),
+        (PERIODICITY + ["--n", "-3..4"], "", f"--n must lie in 0..{2**62}, got -3"),
+        (["scan", "--path", "hbar-to-0", "--n", "-1"], "",
+         f"--n must lie in 0..{2**62}, got -1"),
+        (["scan", "--path", "q-to-1", "--n", "-3"], "",
+         "--n must lie in 0..1074, got -3"),
+        (["scan", "--path", "omega-to-0", "--n", "-3"], "",
+         "--n must lie in 0..1074, got -3"),
+        (["scan", "--engine", "clock-shift", "--dims", "1"], "",
+         "--dims must lie in 2..1024, got 1"),
+        (["scan", "--engine", "clock-shift", "--dims", "0,1"], "",
+         "--dims must lie in 2..1024, got 0"),
+        (["scan", "--engine", "clock-shift", "--dims", "2,1"], "",
+         "--dims must lie in 2..1024, got 1"),
+        (["verify", "--engine", "clock-shift", "--dim", "1"], "",
+         "--dim must lie in 2..1048576, got 1"),
+        # the smallest N with an interior block 2 <= M < N is 3
+        (["scan", "--engine", "matrix", "--dims", "2,16"], "",
+         "--dims must lie in 3..2048, got 2"),
+        # far past: these would need terabytes or hours, or ended in an
+        # OverflowError naming neither --n nor the value, or a table for it
         (["scan", "--path", "hbar-to-0", "--n", "0..1000000000000"], "",
-         "--n length must be at most 262144, got 1000000000001"),
+         "--n length must lie in 1..262144, got 1000000000001"),
         (["scan", "--path", "q-to-1", "--n", "0..1000000000000"], "",
-         "--n length must be at most 262144, got 1000000000001"),
+         "--n length must lie in 1..262144, got 1000000000001"),
         (["verify", "--engine", "clock-shift", "--dim", "1000000000"], "",
-         "--dim must be at most 1048576, got 1000000000"),
+         "--dim must lie in 2..1048576, got 1000000000"),
+        (["scan", "--path", "hbar-to-0", "--alpha", "1", "--beta", "1", "--n", BIG_N],
+         "", f"--n must lie in 0..{2**62}, got {BIG_N}"),
+        (PERIODICITY + ["--n", BIG_N], "", f"--n must lie in 0..{2**62}, got {BIG_N}"),
         # not integers: int()'s error named neither the flag nor the list before
         (["scan", "--engine", "clock-shift", "--alpha", "1", "--n", "0..x"], "",
          "--n takes integers: invalid literal for int() with base 10: 'x'"),
@@ -1569,8 +1583,6 @@ def test_size_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):
         (["verify", "--engine", "clock-shift", "--dim", "1048576",
           "--level", "1048576"], "",
          "level must satisfy 1 <= k < N, got k=1048576"),
-        (["scan", "--engine", "clock-shift", "--dims", GRID_AT_BOUND], "",
-         "dimension must be >= 2, got N=1"),
     ],
 )
 def test_dimension_at_bound_passes_the_bound(invoke, tmp_path, argv, lines, named):
@@ -1593,10 +1605,15 @@ def test_n_list_at_length_bound_runs(invoke, ntext):
     assert out.count("\n") == 1 + 2**18
 
 
-def test_grid_at_dimension_bound_runs(invoke):
-    code, out = invoke(["scan", "--engine", "clock-shift", "--dims", "1024"])
+@pytest.mark.parametrize(
+    "dims,pairs", [("1024", 1023), (GRID_AT_BOUND, 2**18)], ids=["dim", "pair-count"]
+)
+def test_grid_at_bound_runs(invoke, dims, pairs):
+    code, out = invoke(
+        ["scan", "--engine", "clock-shift", "--dims", dims, "--format", "csv"]
+    )
     assert code == 0
-    assert json.loads(out)["parameters"]["pairs"] == 1023
+    assert out.count("\n") == 1 + pairs
 
 
 def _run_cli(argv):

@@ -10,13 +10,16 @@ stderr and nothing on stdout, help with its usage on stdout, or a
 command.  A command must print strict JSON whenever a
 report is JSON (an expansion prints its canonical text, and takes no
 --format).  An error report carries a ValueError or ConfigError, the
-errors that name an input, not an exception from deep inside.  No report
-prints a non-finite table cell in any format, and no failing report
-(exit 1) carries a non-finite metric.
+errors that name an input, not an exception from deep inside.  An error
+that bounds an integer input takes the one form of every CLI bound, and
+names a flag in argv or a key in the config.  No report prints a
+non-finite table cell in any format, and no failing report (exit 1)
+carries a non-finite metric.
 """
 
 import io
 import json
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -166,6 +169,33 @@ def _strict_json(text):
 
 NON_FINITE = {"nan", "inf", "-inf"}
 NAMED_ERRORS = ("ValueError: ", "ConfigError: ")
+# an error that bounds an integer input, whether it names it by its flag,
+# its key or an engine's word for it (n, step, dimension, degree)
+INTEGER_BOUND = re.compile(
+    r"ValueError: (--(degree|dims?|n)|symbolic\.degree|matrix\.dim"
+    r"|n|steps?|dimension|(truncation )?degree)\b.* must "
+)
+# the one form of a bound error: its flag or key, both bounds and the value
+BOUND_FORM = re.compile(
+    r"ValueError: (\S+)(?: length| pair count)? must lie in (-?\d+)\.\.(\d+), "
+    r"got (-?\d+)"
+)
+
+
+def _check_bound_error(message, argv, config):
+    """A bound error takes the one form, its value lies outside its bounds,
+    and it names a flag set in argv or a key set in the config."""
+    if not INTEGER_BOUND.match(message):
+        return
+    form = BOUND_FORM.fullmatch(message)
+    assert form, message
+    source, lo, hi, value = form.groups()
+    assert not int(lo) <= int(value) <= int(hi), message
+    if source.startswith("--"):
+        assert any(arg.startswith(source + "=") for arg in argv), message
+    else:
+        keys = [line.split("=")[0].strip() for line in config or ()]
+        assert source in keys, message
 
 
 def _non_finite_numbers(text, fmt):
@@ -220,6 +250,15 @@ def config_dir(tmp_path_factory):
 @example(argv=["scan", "--engine=clock-shift", "--dims=1025"], config=None)
 @example(argv=["scan", "--engine=clock-shift", "--dims=" + "1024," * 256 + "258"],
          config=None)
+# one below each lower bound; all but --dims=2,16 and --degree=-1 once gave
+# a message that named neither the flag nor both bounds
+@example(argv=["scan", "--engine=clock-shift", "--alpha=1", "--n=-1"], config=None)
+@example(argv=["scan", "--path=hbar-to-0", "--n=-1"], config=None)
+@example(argv=["scan", "--path=q-to-1", "--n=-1"], config=None)
+@example(argv=["scan", "--engine=clock-shift", "--dims=1"], config=None)
+@example(argv=["scan", "--engine=matrix", "--dims=2,16"], config=None)
+@example(argv=["verify", "--engine=clock-shift", "--dim=1"], config=None)
+@example(argv=["verify", "--engine=symbolic", "--degree=-1"], config=None)
 # both clock-shift selectors, which once ran the periodicity scan and
 # dropped --dims without a word
 @example(argv=["scan", "--engine=clock-shift", "--alpha=1", "--dims=4"], config=None)
@@ -265,6 +304,7 @@ def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config)
         assert report["verdict"] == {0: "pass", 1: "fail", 2: "error"}[code]
         if code == 2:
             assert report["parameters"]["error"].startswith(NAMED_ERRORS)
+            _check_bound_error(report["parameters"]["error"], argv, config)
     elif code != 2:
         assert not _non_finite_numbers(out.getvalue(), fmt)
         if code == 1 and fmt == "csv":  # a CSV report prints no metrics
