@@ -63,9 +63,11 @@ MAX_N = 2**62
 # /dev/null, peak RSS with numpy loaded)
 MAX_POINTS = 2**18
 # largest matrix dimension (--dim, matrix.dim, scan --engine matrix --dims):
-# verify at mu = nu = 0 takes about 0.37 s and 73 MB there as a whole
-# process (one BLAS thread, 2-vCPU x86-64 host), and the cost grows as N^3
-# in time and N^2 in memory
+# a residual is solved on the leading block of N' = min(N, M + K) states,
+# K <= 62 (matrixrep.identity_residual), so its cost grows as N'^3 in time
+# and N'^2 in memory.  As a whole process (one BLAS thread, 2-vCPU x86-64
+# host), verify at N = 2048 takes about 0.15 s and 35 MB with the default
+# M = 512, and 0.85 s and 105 MB at the largest interior, M = 2047
 MAX_MATRIX_DIM = 2048
 # largest clock-shift pair (verify --engine clock-shift --dim): about 0.19 s
 # and 93 MB there as a whole process (2-vCPU x86-64 host), linear in N
@@ -242,8 +244,9 @@ def _scan_matrix(args, cfg) -> VerificationReport:
     interior, interior_source = args.interior, "--interior"
     if interior is None:
         interior, interior_source = 8, "default"
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dimensions must be strictly increasing")
+    for a, b in zip(dims, dims[1:]):
+        if b <= a:
+            raise ValueError(f"--dims must be strictly increasing, got {b} after {a}")
     _check_interior(interior, interior_source, dims[0], "smallest of --dims")
     command = (f"scan --engine matrix --mu {mu} --nu {nu} --interior {interior} "
                f"--dims {args.dims}")

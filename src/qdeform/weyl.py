@@ -340,6 +340,8 @@ def _generator_series(
     (nu, x) on side="position"."""
     if side not in _SIDES:
         raise ValueError(f"unknown side: {side!r}")
+    if degree < 0:
+        raise ValueError("truncation degree must be >= 0")
     terms = {}
     for k in range(start, start + degree + 1, step):
         t = k - start
@@ -372,6 +374,8 @@ def prefactor_series(degree: int) -> list[RationalComplex]:
 
     and each c_k is reduced once.
     """
+    if degree < 0:
+        raise ValueError("truncation degree must be >= 0")
     numerators = [0] * (degree + 1)
     coeffs = [ZERO] * (degree + 1)
     for k in range(0, degree + 1, 2):

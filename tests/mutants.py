@@ -168,6 +168,39 @@ MUTANTS = (
         ("tests/test_matrixrep.py::test_residual_matches_dense_oracle",),
     ),
     Mutant(
+        "leading block takes a third of the degree K",
+        "src/qdeform/matrixrep.py",
+        "dim = min(dim, interior_dim + reach)",
+        "dim = min(dim, interior_dim + reach // 3)",
+        (
+            "tests/test_matrixrep.py::test_leading_block_matches_full_solve",
+            "tests/test_matrixrep.py::"
+            "test_residual_takes_one_eigensolve_of_the_leading_block",
+        ),
+    ),
+    Mutant(
+        "leading block leaves the interior out of M + K",
+        "src/qdeform/matrixrep.py",
+        "interior_dim + reach",
+        "reach",
+        (
+            "tests/test_matrixrep.py::test_leading_block_matches_full_solve",
+            "tests/test_matrixrep.py::"
+            "test_residual_takes_one_eigensolve_of_the_leading_block",
+        ),
+    ),
+    Mutant(
+        "leading block sized by the smaller deformation parameter",
+        "src/qdeform/matrixrep.py",
+        "_reach(max(max(mu, nu)",
+        "_reach(max(min(mu, nu)",
+        (
+            "tests/test_matrixrep.py::test_leading_block_matches_full_solve",
+            "tests/test_matrixrep.py::"
+            "test_residual_takes_one_eigensolve_of_the_leading_block",
+        ),
+    ),
+    Mutant(
         "symbolic degree bound one past MAX_DEGREE",
         "src/qdeform/cli.py",
         "_within(degree, 0, MAX_DEGREE, source)",

@@ -502,10 +502,12 @@ SCAN_ROUTE_CASES = {
     "matrix-single": ["--engine", "matrix", "--dims", "64"],
     "matrix-undeformed-range": ["--engine", "matrix", "--mu", "0", "--nu", "0",
                                 "--interior", "2", "--dims", "3..20"],
-    # round-off at M = 32 grows with N past the noise floor: residual_excess
-    # 4.7e-11 > 0, verdict fail
+    # round-off at M = 24 grows with N past the noise floor, as the leading
+    # block solved for N = 96 (M + K = 63) reaches further up the spectrum
+    # than N = 48: 4.7e-12 then 1.9e-11, residual_excess 1.5e-11 > 0,
+    # verdict fail
     "matrix-excess": ["--engine", "matrix", "--mu", "0.8", "--nu", "0.8",
-                      "--interior", "32", "--dims", "64,384"],
+                      "--interior", "24", "--dims", "48,96"],
     "hbar-negative-alpha": ["--path", "hbar-to-0", "--alpha", "-1", "--beta", "1.5",
                             "--n", "1..40"],
     "hbar-unsorted": ["--path", "hbar-to-0", "--alpha", "0.7", "--beta", "0.3",
@@ -901,7 +903,7 @@ INPUT_WITNESSES = {
     ("scan --engine matrix", "residual_at_largest_dim"): [  # 1.3e-8
         "scan", "--engine", "matrix", "--dims", "8,16", "--interior", "4",
         "--mu", "1.25", "--nu", "1.25"],
-    ("scan --engine matrix", "residual_excess"):  # 4.7e-11
+    ("scan --engine matrix", "residual_excess"):  # 1.5e-11
         ["scan"] + SCAN_ROUTE_CASES["matrix-excess"],
 }
 # the exact identities hold at every input, so only a mutant fails them

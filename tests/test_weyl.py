@@ -78,6 +78,30 @@ def test_degree_mismatch_raises():
         p_op(2) + x_op(4)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        x_op,
+        p_op,
+        deformed_momentum,
+        deformed_position,
+        prefactor_series,
+        identity_rhs,
+        leading_order_target,
+        exchange_residual,
+        identity_checks,
+        pytest.param(lambda d: cosh_element("momentum", d), id="cosh_momentum"),
+        pytest.param(lambda d: cosh_element("position", d), id="cosh_position"),
+        pytest.param(lambda d: WeylSeriesElement.scalar(1, d), id="scalar"),
+    ],
+    ids=lambda build: build.__name__,
+)
+def test_public_builders_refuse_a_negative_degree(build):
+    # none returns a quiet 0 at degree -1
+    with pytest.raises(ValueError, match=r"^truncation degree must be >= 0$"):
+        build(-1)
+
+
 # ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------
