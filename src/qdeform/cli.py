@@ -48,33 +48,24 @@ EXPAND_TARGETS = ("P", "X", "prefactor", "eq8-rhs", "eq9")
 # last step of a contraction path, walked in t = 2^-step: 2.0 ** -1074 is
 # the smallest double, and t underflows to 0 past it
 MAX_STEP = 1074
-# largest symbolic truncation degree (--degree, symbolic.degree): verify
-# takes about 0.15 s there as a whole process (one core of a 2-vCPU x86-64
-# host, no bytecode cache), and the exact work grows steeply with degree
+# largest symbolic truncation degree (--degree, symbolic.degree): the
+# exact work grows steeply with the degree
 MAX_DEGREE = 64
-# largest n of theta = alpha + 2*pi*n on the periodicity and hbar-to-0
-# scans; theta is formed in floats, which have no value at all for n past
-# about 1.8e308
+# largest n of theta = alpha + 2*pi*n (periodicity and hbar-to-0 scans):
+# theta is formed in floats, which have no value for n past about 1.8e308
 MAX_N = 2**62
-# longest --n or --dims list, and most (N, k) pairs in a clock-shift grid
-# (one table row each): the widest table, scan --path hbar-to-0 over 2^18
-# n, takes about 0.45 s and 142 MB as JSON in process, and the periodicity
-# scan over 2^18 n about 0.02 s and 51 MB (2-vCPU x86-64 host, output to
-# /dev/null, peak RSS with numpy loaded)
+# longest --n or --dims list, and most (N, k) pairs in a clock-shift grid:
+# one table row each, and a table's time and memory grow linearly in rows
 MAX_POINTS = 2**18
 # largest matrix dimension (--dim, matrix.dim, scan --engine matrix --dims):
-# a residual is solved on the leading block of N' = min(N, M + K) states,
-# K <= 62 (matrixrep.identity_residual), so its cost grows as N'^3 in time
-# and N'^2 in memory.  As a whole process (one BLAS thread, 2-vCPU x86-64
-# host), verify at N = 2048 takes about 0.15 s and 35 MB with the default
-# M = 512, and 0.85 s and 105 MB at the largest interior, M = 2047
+# a residual costs N'^3 in time and N'^2 in memory, on the leading block of
+# N' = min(N, M + K) states, K <= 62 (matrixrep.solved_dim)
 MAX_MATRIX_DIM = 2048
-# largest clock-shift pair (verify --engine clock-shift --dim): about 0.19 s
-# and 93 MB there as a whole process (2-vCPU x86-64 host), linear in N
+# largest clock-shift pair (verify --engine clock-shift --dim): its time
+# and memory grow linearly in N
 MAX_PAIR_DIM = 2**20
-# largest dimension in a clock-shift grid (scan --engine clock-shift
-# --dims), which holds an N x N phase table: about 76 MB there as a whole
-# process, and the table grows four times per doubling of N
+# largest N of a clock-shift grid (scan --engine clock-shift --dims): its
+# N x N phase table grows four times per doubling of N
 MAX_GRID_DIM = 1024
 
 # Gate values.  They are constants rather than config keys, so a verdict
@@ -82,9 +73,8 @@ MAX_GRID_DIM = 1024
 # res_fro of a matrix verify and residual_at_largest_dim of a matrix scan:
 # the residual envelope validated for max(mu, nu) * sqrt(2N) <= 14
 MATRIX_RESIDUAL_TOL = 1e-8
-# residual_excess of a matrix scan counts a rise of the residual only above
-# this floor, which sits above the round-off floor of interior residuals
-# (6e-15 to 1.3e-13, flat in N)
+# residual_excess of a matrix scan counts a rise only above this floor, which
+# sits above the round-off floor of interior residuals (6e-15 to 1.3e-13)
 MATRIX_NOISE_FLOOR = 1e-12
 # max_residual |PX - qXP| of a clock-shift pair and of a pair grid, and
 # eq8_residual of a pair
@@ -112,7 +102,7 @@ def _check_interior(interior: int, interior_source: str,
         )
 
 
-def _ints(tokens: list[str], flag: str) -> list[int]:
+def _ints(tokens: list[str], flag: str, lo: int, hi: int) -> list[int]:
     values = []
     for tok in tokens:
         try:
@@ -120,36 +110,30 @@ def _ints(tokens: list[str], flag: str) -> list[int]:
         except ValueError as exc:  # int() quotes the token it cannot read
             if not re.fullmatch(r"\s*[+-]?\d+\s*", tok):
                 raise ValueError(f"{flag} takes integers: {exc}") from None
-            # an integer past int()'s 4300 digits, far past every bound
-            digits = len(tok.strip().lstrip("+-"))
-            raise ValueError(
-                f"{flag} value of {digits} digits is past the bound of {flag}"
-            ) from None
+            # past int()'s 4300 digits: Decimal reads and prints it in full
+            from decimal import Decimal
+
+            values.append(int(_within(Decimal(tok), lo, hi, flag)))
     return values
 
 
-def parse_int_list(text: Optional[str], what: str, flag: str = "--n",
-                   lo: Optional[int] = None, hi: Optional[int] = None) -> Sequence[int]:
+def parse_int_list(text: Optional[str], flag: str, lo: int, hi: int) -> Sequence[int]:
     """Accept 'a..b' (inclusive) as a range, and 'a,b,c' or a single
-    integer as a list, of 1..MAX_POINTS values, each in lo..hi when those
-    are given; a range is counted and bounded from its ends."""
-    if text is None or not text.strip():
-        raise ValueError(f"empty {what} list")
-    text = text.strip()
+    integer as a list, of 1..MAX_POINTS values in lo..hi.  A range is
+    counted and bounded from its ends; a missing or empty list, and a
+    range with b < a, has length 0."""
+    text = (text or "").strip()
     if ".." in text:
-        least, largest = _ints(text.split("..", 1), flag)
-        if largest < least:
-            raise ValueError(f"bad {what} range: {text!r}")
-        values, count = range(least, largest + 1), largest - least + 1
+        least, largest = _ints(text.split("..", 1), flag, lo, hi)
+        values, count = range(least, largest + 1), max(0, largest - least + 1)
     else:
-        values = _ints([tok for tok in text.split(",") if tok.strip()], flag)
-        if not values:
-            raise ValueError(f"empty {what} list")
-        count, least, largest = len(values), min(values), max(values)
+        values = _ints([tok for tok in text.split(",") if tok.strip()], flag, lo, hi)
+        count = len(values)
     _within(count, 1, MAX_POINTS, f"{flag} length")
-    if lo is not None:
-        _within(least, lo, hi, flag)
-        _within(largest, lo, hi, flag)
+    if isinstance(values, list):
+        least, largest = min(values), max(values)
+    _within(least, lo, hi, flag)
+    _within(largest, lo, hi, flag)
     return values
 
 
@@ -216,7 +200,7 @@ def _verify_clockshift(args, cfg) -> VerificationReport:
     from . import clockshift
 
     dim = _within(args.dim if args.dim is not None else 16, 2, MAX_PAIR_DIM, "--dim")
-    level = args.level if args.level is not None else 1
+    level = _within(args.level if args.level is not None else 1, 1, dim - 1, "--level")
     command = f"verify --engine clock-shift --dim {dim} --level {level}"
     pair = clockshift.build_pair(dim, level)
     metrics = [
@@ -238,7 +222,7 @@ def _verify_clockshift(args, cfg) -> VerificationReport:
 def _scan_matrix(args, cfg) -> VerificationReport:
     from . import matrixrep
 
-    dims = parse_int_list(args.dims, "dimension", "--dims", 3, MAX_MATRIX_DIM)
+    dims = parse_int_list(args.dims, "--dims", 3, MAX_MATRIX_DIM)
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
     interior, interior_source = args.interior, "--interior"
@@ -250,7 +234,13 @@ def _scan_matrix(args, cfg) -> VerificationReport:
     _check_interior(interior, interior_source, dims[0], "smallest of --dims")
     command = (f"scan --engine matrix --mu {mu} --nu {nu} --interior {interior} "
                f"--dims {args.dims}")
-    residuals = [matrixrep.identity_residual(n, interior, mu, nu) for n in dims]
+    # the residual at N is that at N' = solved_dim(N): solve each N' once
+    solved, residuals = {}, []
+    for n in dims:
+        block = matrixrep.solved_dim(n, interior, mu, nu)
+        if block not in solved:
+            solved[block] = matrixrep.identity_residual(n, interior, mu, nu)
+        residuals.append(solved[block])
     first, last = residuals[0], residuals[-1]
     table = Table(("N", "M", "mu", "nu", "res_fro"), [dims, interior, mu, nu, residuals])
     metrics = [
@@ -276,10 +266,10 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
     """
     alpha = args.alpha  # the periodicity row is the one with --alpha set
     ntext = args.n if args.n is not None else "0..100"
-    ns = parse_int_list(ntext, "n", "--n", 0, MAX_N)
+    ns = parse_int_list(ntext, "--n", 0, MAX_N)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got alpha={alpha}")
-    if abs(1.0 + math.cos(alpha)) <= params.Q_POLE_TOL:
+    if params.near_pole(alpha):
         raise ValueError("tan(alpha/2) pole at alpha = pi (mod 2*pi)")
     command = f"scan --engine clock-shift --alpha {alpha} --n {ntext}"
     table = Table(("alpha", "n"), (alpha, ns))
@@ -290,7 +280,7 @@ def _scan_clockshift_periodicity(args, cfg) -> VerificationReport:
 def _scan_clockshift_grid(args, cfg) -> VerificationReport:
     from . import clockshift
 
-    dims = parse_int_list(args.dims, "dimension", "--dims", 2, MAX_GRID_DIM)
+    dims = parse_int_list(args.dims, "--dims", 2, MAX_GRID_DIM)
     # one table row per pair (N, k), 1 <= k < N
     _within(sum(dim - 1 for dim in dims), 1, MAX_POINTS, "--dims pair count")
     command = f"scan --engine clock-shift --dims {args.dims}"
@@ -326,7 +316,7 @@ def _scan_hbar(args, cfg) -> VerificationReport:
     )
     beta = args.beta if args.beta is not None else config.get_float(cfg, "params.beta")
     ntext = args.n if args.n is not None else "0..5"
-    ns = parse_int_list(ntext, "n", "--n", 0, MAX_N)
+    ns = parse_int_list(ntext, "--n", 0, MAX_N)
     command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
     mu, nu = (column.tolist() for column in clockshift.scaling_columns(alpha, beta, ns))
     _refuse_overflow({"mu": mu, "nu": nu}, "n", ns, f"alpha={alpha}, beta={beta}")
@@ -352,7 +342,7 @@ def _scan_contraction(args, cfg) -> VerificationReport:
     nu0 = config.get_float(cfg, "params.nu0")
     path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
     ntext = args.n if args.n is not None else "0..10"
-    steps = parse_int_list(ntext, "step", "--n", 0, MAX_STEP)
+    steps = parse_int_list(ntext, "--n", 0, MAX_STEP)
     command = f"scan --path {path.name} --n {ntext}"
     points = [path.point(2.0 ** (-k)) for k in steps]
     names = tuple(points[0])

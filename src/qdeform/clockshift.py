@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import Q_POLE_TOL
+from .params import near_pole
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ def build_pair(dim: int, level: int) -> ClockShiftPair:
 def q_from_alpha(alpha: float) -> complex:
     """q = (1 + e^(-i*alpha)) / (1 + e^(i*alpha)); equals e^(-i*alpha), |q| = 1.
 
-    Undefined at alpha = pi (mod 2*pi) where the denominator vanishes.
+    Undefined at alpha = pi (mod 2*pi) where the denominator vanishes, and
+    refused in the band params.near_pole gives around it.
     """
-    den = 1.0 + cmath.exp(1j * alpha)
-    if abs(den) <= Q_POLE_TOL:
+    if near_pole(alpha):
         raise ValueError(f"q undefined at alpha = pi (mod 2*pi); got alpha={alpha}")
-    return (1.0 + cmath.exp(-1j * alpha)) / den
+    return (1.0 + cmath.exp(-1j * alpha)) / (1.0 + cmath.exp(1j * alpha))
 
 
 def _next(values: np.ndarray) -> np.ndarray:

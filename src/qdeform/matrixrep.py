@@ -28,13 +28,10 @@ The truncation defect of [p, x] + i*1 lives entirely on the top basis
 state, so residuals are always reported on an interior block of the
 lowest M states, and only those rows and columns of the products are
 formed.  Those rows are fixed, to below round-off, by the leading block
-of x that the interior can reach: entries of a function of a banded
-matrix decay away from the band (Benzi & Golub 1999, BIT 39:417), and a
-polynomial of degree K in the tridiagonal x maps the lowest M states
-into the lowest M + K.  So the residual at N is the residual at
-N' = min(N, M + K), where K depends on max(mu, nu) sqrt(2N) and not on
-N (see identity_residual), and its one eigensolve has size about
-(M + K)/2 rather than N/2.
+of N' = min(N, M + K) states that the interior can reach (Benzi & Golub
+1999, BIT 39:417), with K set by max(mu, nu) sqrt(2N) and not by N
+(solved_dim; identity_residual says why), so the one eigensolve has size
+about (M + K)/2 rather than N/2.
 """
 
 from __future__ import annotations
@@ -44,9 +41,10 @@ import sys
 
 import numpy as np
 
+from .params import near_pole
+
 # double precision dies around exp(25)^2 in the anticommutator products
 OVERFLOW_GUARD = 25.0
-PREFACTOR_POLE_TOL = 1e-9
 # the Chebyshev tail, in units of I_0(a), that the leading block leaves out
 REACH_TAIL = 2.0**-60
 
@@ -152,15 +150,36 @@ def _rows(left: np.ndarray, fw: np.ndarray, right: np.ndarray, rows: int) -> np.
 def prefactor(theta: float) -> float:
     """c(theta) = sin(theta) / (theta * (1 + cos theta)); c(0) = 1/2 by continuity.
 
-    Refuses to evaluate near the pole at theta = pi (mod 2*pi), where the
-    identity itself degenerates.
+    Refuses to evaluate in the band params.near_pole gives around the pole
+    at theta = pi (mod 2*pi), where the identity itself degenerates.
     """
     if theta == 0.0:
         return 0.5
-    den = 1.0 + math.cos(theta)
-    if abs(den) <= PREFACTOR_POLE_TOL:
+    if near_pole(theta):
         raise ValueError(f"prefactor pole: 1 + cos({theta}) ~ 0")
-    return math.sin(theta) / (theta * den)
+    return math.sin(theta) / (theta * (1.0 + math.cos(theta)))
+
+
+def solved_dim(dim: int, interior_dim: int, mu: float, nu: float) -> int:
+    """The N' = min(N, M + K) at which identity_residual solves the
+    residual at N, with K = _reach(a), a = max(mu, nu) sqrt(2N) read as 1
+    below 1, after the guards at N: 2 <= M < N, mu and nu finite and >= 0,
+    the overflow guard and the prefactor pole.  The residual at N depends
+    on N through N' alone."""
+    if interior_dim < 2 or interior_dim >= dim:
+        raise ValueError("interior dimension must satisfy 2 <= M < N")
+    _check_parameters(mu, nu)
+    # spectral radius of x, p is below sqrt(2N)
+    radius = math.sqrt(2 * dim)
+    for name, value in (("mu", mu), ("nu", nu)):
+        if value * radius > OVERFLOW_GUARD:
+            raise ValueError(
+                f"overflow guard: {name} * sqrt(2N) exceeds {OVERFLOW_GUARD} "
+                f"at {name}={value}, N={dim}"
+            )
+    prefactor(mu * nu)
+    # the leading block that fixes the interior rows (see identity_residual)
+    return min(dim, interior_dim + _reach(max(max(mu, nu) * radius, 1.0)))
 
 
 def identity_residual(dim: int, interior_dim: int, mu: float, nu: float) -> float:
@@ -172,9 +191,8 @@ def identity_residual(dim: int, interior_dim: int, mu: float, nu: float) -> floa
     with an eigensolve per operator lives in the test oracles, which judge
     this one.
 
-    Every guard judges the requested N, but the residual is solved at
-    N' = min(N, M + K), with K = _reach(a) and a = max(mu, nu) sqrt(2N),
-    read as 1 below 1.  That is exact to below round-off:
+    The residual is solved at N' = solved_dim(N, M, mu, nu), after every
+    guard has judged the requested N.  That is exact to below round-off:
 
     * (L - R)[:M, :M] reads only the top M rows of P, X and both roots
       (the products are A[:M, :] B[:M, :]^T), each of them made of
@@ -198,22 +216,8 @@ def identity_residual(dim: int, interior_dim: int, mu: float, nu: float) -> floa
 
     K is 15, 19, 29, 45 and 62 at a = 1, 2, 6, 14 and 25.
     """
-    if interior_dim < 2 or interior_dim >= dim:
-        raise ValueError("interior dimension must satisfy 2 <= M < N")
-    _check_parameters(mu, nu)
-    # spectral radius of x, p is below sqrt(2N)
-    radius = math.sqrt(2 * dim)
-    for name, value in (("mu", mu), ("nu", nu)):
-        if value * radius > OVERFLOW_GUARD:
-            raise ValueError(
-                f"overflow guard: {name} * sqrt(2N) exceeds {OVERFLOW_GUARD} "
-                f"at {name}={value}, N={dim}"
-            )
+    dim = solved_dim(dim, interior_dim, mu, nu)
     c = prefactor(mu * nu)
-    # the leading block that fixes the interior rows (see above)
-    reach = _reach(max(max(mu, nu) * radius, 1.0))
-    dim = min(dim, interior_dim + reach)
-
     u, spectrum, w = _parity_basis(dim)
     odd = w.shape[0]
     fp, fx, root_p, root_x = _deformed_spectra(spectrum, mu, nu)

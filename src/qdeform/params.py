@@ -1,8 +1,8 @@
 """Contraction paths and quantities with unit tags.
 
 The engines work in natural units (hbar = m = c = 1).  This module owns
-the parsing of SI quantities with their unit tags, the tolerance around
-the pole of q at alpha = pi, and the executable contraction paths
+the parsing of SI quantities with their unit tags, the one rule for the
+pole at theta = pi (mod 2*pi), and the executable contraction paths
 between the deformation regimes:
 
 * ``q-to-1``     mu, nu -> 0 together: back to the Heisenberg algebra.
@@ -21,15 +21,21 @@ from typing import NamedTuple, Optional
 
 PATH_NAMES = ("q-to-1", "hbar-to-0", "omega-to-0")
 
-# distance from the pole at alpha = pi (mod 2*pi) inside which q's quotient
-# form and tan(alpha/2) are refused; numpy-free, so that the periodicity
-# scan can refuse the pole without loading the clock-shift engine
-Q_POLE_TOL = 1e-12
+# the pole band |1 + cos(theta)| <= POLE_TOL around theta = pi (mod 2*pi):
+# pi +- 4e-5 lies inside it, pi +- 5e-5 outside
+POLE_TOL = 1e-9
 
 # expected unit tags for SI-quantity inputs
 UNIT_TAGS = {"hbar": "J.s", "m": "kg", "c": "m/s", "omega": "1/s"}
 
 _QUANTITY_RE = re.compile(r"^\s*([^\s]+)(?:\s+([^\s]+))?\s*$")
+
+
+def near_pole(theta: float) -> bool:
+    """Whether theta lies in the pole band, where c(theta), tan(theta/2) and
+    q's quotient form are refused.  Numpy-free, so that the periodicity
+    scan refuses the pole without loading an engine."""
+    return abs(1.0 + math.cos(theta)) <= POLE_TOL
 
 
 class _PathFields(NamedTuple):

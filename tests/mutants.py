@@ -170,23 +170,21 @@ MUTANTS = (
     Mutant(
         "leading block takes a third of the degree K",
         "src/qdeform/matrixrep.py",
-        "dim = min(dim, interior_dim + reach)",
-        "dim = min(dim, interior_dim + reach // 3)",
+        "interior_dim + _reach(max(max(mu, nu) * radius, 1.0)))",
+        "interior_dim + _reach(max(max(mu, nu) * radius, 1.0)) // 3)",
         (
+            "tests/test_matrixrep.py::test_solved_dim_at_the_documented_points",
             "tests/test_matrixrep.py::test_leading_block_matches_full_solve",
-            "tests/test_matrixrep.py::"
-            "test_residual_takes_one_eigensolve_of_the_leading_block",
         ),
     ),
     Mutant(
         "leading block leaves the interior out of M + K",
         "src/qdeform/matrixrep.py",
-        "interior_dim + reach",
-        "reach",
+        "min(dim, interior_dim + _reach(",
+        "min(dim, _reach(",
         (
+            "tests/test_matrixrep.py::test_solved_dim_at_the_documented_points",
             "tests/test_matrixrep.py::test_leading_block_matches_full_solve",
-            "tests/test_matrixrep.py::"
-            "test_residual_takes_one_eigensolve_of_the_leading_block",
         ),
     ),
     Mutant(
@@ -195,9 +193,8 @@ MUTANTS = (
         "_reach(max(max(mu, nu)",
         "_reach(max(min(mu, nu)",
         (
+            "tests/test_matrixrep.py::test_solved_dim_at_the_documented_points",
             "tests/test_matrixrep.py::test_leading_block_matches_full_solve",
-            "tests/test_matrixrep.py::"
-            "test_residual_takes_one_eigensolve_of_the_leading_block",
         ),
     ),
     Mutant(
@@ -296,15 +293,15 @@ MUTANTS = (
     Mutant(
         "least value of a comma list read from its start",
         "src/qdeform/cli.py",
-        "len(values), min(values), max(values)",
-        "len(values), values[0], max(values)",
+        "least, largest = min(values), max(values)",
+        "least, largest = values[0], max(values)",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
         "largest value of a comma list read from its end",
         "src/qdeform/cli.py",
-        "len(values), min(values), max(values)",
-        "len(values), min(values), values[-1]",
+        "least, largest = min(values), max(values)",
+        "least, largest = min(values), values[-1]",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
@@ -317,8 +314,8 @@ MUTANTS = (
     Mutant(
         "comma lists counted one short",
         "src/qdeform/cli.py",
-        "len(values), min(values), max(values)",
-        "len(values) - 1, min(values), max(values)",
+        "count = len(values)\n",
+        "count = len(values) - 1\n",
         ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
     ),
     Mutant(
@@ -747,10 +744,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "periodicity scan takes the pole tolerance from the clock-shift engine",
+        "periodicity scan decides the pole through the clock-shift engine",
         "src/qdeform/cli.py",
         "    alpha = args.alpha  # the periodicity row",
-        "    from .clockshift import Q_POLE_TOL  # noqa: F401\n\n"
+        "    from .clockshift import q_from_alpha  # noqa: F401\n\n"
         "    alpha = args.alpha  # the periodicity row",
         ("tests/test_cli.py::test_periodicity_scan_never_loads_numpy",),
     ),
@@ -780,6 +777,47 @@ MUTANTS = (
         'if value is None or value.startswith("--"):',
         "if value is None:",
         ("tests/test_cli_grammar.py::test_usage_error_names_its_token_on_stderr",),
+    ),
+    Mutant(
+        "periodicity row keeps a pole band of its own, 1e-12 wide",
+        "src/qdeform/cli.py",
+        "if params.near_pole(alpha):",
+        "if abs(1.0 + math.cos(alpha)) <= 1e-12:",
+        ("tests/test_cli.py::test_one_pole_band_for_prefactor_periodicity_row_and_q",),
+    ),
+    Mutant(
+        "q's quotient form refused by |1 + e^(i alpha)|, not by the pole band",
+        "src/qdeform/clockshift.py",
+        "if near_pole(alpha):",
+        "if abs(1.0 + cmath.exp(1j * alpha)) <= 1e-9:",
+        ("tests/test_cli.py::test_one_pole_band_for_prefactor_periodicity_row_and_q",),
+    ),
+    Mutant(
+        "--level left to the engine's own refusal, not _within",
+        "src/qdeform/cli.py",
+        'level = _within(args.level if args.level is not None else 1, 1, dim - 1, "--level")',
+        "level = args.level if args.level is not None else 1",
+        (
+            "tests/test_cli.py::test_size_beyond_bound_is_named_error",
+            "tests/test_cli_grammar.py::test_every_argv_ends_in_a_verdict_or_a_named_error",
+        ),
+    ),
+    Mutant(
+        "a literal past int()'s digits taken without _within",
+        "src/qdeform/cli.py",
+        "values.append(int(_within(Decimal(tok), lo, hi, flag)))",
+        "values.append(int(Decimal(tok)))",
+        ("tests/test_cli.py::test_size_beyond_bound_is_named_error",),
+    ),
+    Mutant(
+        "matrix scan shares the solve of the smallest dim's N' with every N",
+        "src/qdeform/cli.py",
+        "block = matrixrep.solved_dim(n, interior, mu, nu)",
+        "block = matrixrep.solved_dim(dims[0], interior, mu, nu)",
+        (
+            "tests/test_cli.py::"
+            "test_matrix_scan_solving_each_leading_block_once_matches_per_n_calls",
+        ),
     ),
     Mutant(
         "clock-shift pair phases built at the pole level N/2",

@@ -18,7 +18,8 @@ B B^T; the clock-shift pair is built as dense matrices, one cmath root
 of unity per phase, and checked by matrix products, and its defects are
 also multiplied out as complex products into a fresh array each; scan
 tables are built point by point, one tuple per row, with tan evaluated
-once per n and one identity_residual per N; reports render through
+once per n, one identity_residual per N and the contraction paths'
+formulas written out per step; reports render through
 json.dumps(indent=2) and cell by cell.
 
 The library surface that only tests reach lives here too: the formal
@@ -37,9 +38,9 @@ from typing import Optional
 
 import numpy as np
 
-from qdeform import cli, config, params
+from qdeform import cli, config
 from qdeform.matrixrep import identity_residual
-from qdeform.params import Q_POLE_TOL, UNIT_TAGS, parse_quantity
+from qdeform.params import UNIT_TAGS, parse_quantity
 from qdeform.rational import MINUS_I, RationalComplex
 from qdeform.report import SCHEMA_VERSION, Metric, Table, VerificationReport
 from qdeform.weyl import WeylSeriesElement
@@ -545,7 +546,7 @@ def per_n_tan_half_deviations(alpha: float, ns, reduced: bool = True) -> list[fl
     before evaluation; the naive evaluation (``reduced=False``) forms the
     large argument first and loses one digit per decade of n.
     """
-    if abs(1.0 + math.cos(alpha)) <= Q_POLE_TOL:
+    if abs(1.0 + math.cos(alpha)) <= 1e-9:  # the CLI's pole band
         raise ValueError("tan(alpha/2) pole at alpha = pi (mod 2*pi)")
     ref = math.tan(alpha / 2.0)
     out = []
@@ -566,6 +567,15 @@ def prefactor_periodicity(alpha: float, ns, reduced: bool = True) -> float:
     return max(devs) if devs else 0.0
 
 
+def int_list(text: str):
+    """An --n or --dims value: 'a..b' as the inclusive range, else the
+    comma-separated integers."""
+    if ".." in text:
+        first, last = text.split("..")
+        return range(int(first), int(last) + 1)
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
 def rows_table(columns, rows) -> Table:
     """A report table from its cells given row by row."""
     return Table(columns, [[row[i] for row in rows] for i in range(len(columns))])
@@ -583,7 +593,7 @@ def _reference_matrix_scan(args, cfg) -> VerificationReport:
     mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
     nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
     interior = args.interior if args.interior is not None else 8
-    dims = list(cli.parse_int_list(args.dims, "dimension", "--dims"))
+    dims = list(int_list(args.dims))
     rows = [(n, interior, mu, nu, identity_residual(n, interior, mu, nu))
             for n in dims]
     first, last = rows[0][4], rows[-1][4]
@@ -605,7 +615,7 @@ def _reference_matrix_scan(args, cfg) -> VerificationReport:
 
 def _reference_grid_scan(args) -> VerificationReport:
     """scan --engine clock-shift --dims, one dense residual per pair (N, k)."""
-    dims = list(cli.parse_int_list(args.dims, "dimension", "--dims"))
+    dims = list(int_list(args.dims))
     rows = [
         (dim, level, dense_qplane_residual(dim, level))
         for dim in dims
@@ -624,8 +634,10 @@ def reference_scan(argv) -> VerificationReport:
     """The report of a matrix, grid, periodicity or path scan (``scan
     --engine matrix``, ``scan --engine clock-shift --dims`` or ``--alpha``,
     ``scan --path ...``) with default config, built point by point: one
-    identity_residual per N, one dense residual per pair (N, k), or one
-    ScalingPoint or path point per n, and one tuple per row."""
+    identity_residual per N, one dense residual per pair (N, k), one
+    ScalingPoint per n, or the contraction path's formulas written out
+    per step (not params.ContractionPath, which the CLI runs), and one
+    tuple per row."""
     args = cli.parse_args(argv)
     cfg = config.load_config(None)
     if args.engine == "matrix":
@@ -637,7 +649,7 @@ def reference_scan(argv) -> VerificationReport:
     )
     if args.engine == "clock-shift":
         ntext = args.n or "0..100"
-        ns = cli.parse_int_list(ntext, "n")
+        ns = int_list(ntext)
         return VerificationReport.build(
             "clock-shift",
             f"scan --engine clock-shift --alpha {alpha} --n {ntext}",
@@ -648,7 +660,7 @@ def reference_scan(argv) -> VerificationReport:
     beta = args.beta if args.beta is not None else config.get_float(cfg, "params.beta")
     if args.path == "hbar-to-0":
         ntext = args.n if args.n is not None else "0..5"
-        ns = cli.parse_int_list(ntext, "n")
+        ns = int_list(ntext)
         rows = []
         for pt in scaling_points(alpha, beta, ns):
             phase = pt.exchange_phase()
@@ -665,16 +677,17 @@ def reference_scan(argv) -> VerificationReport:
     mu0 = config.get_float(cfg, "params.mu0")
     nu0 = config.get_float(cfg, "params.nu0")
     ntext = args.n if args.n is not None else "0..10"
-    steps = cli.parse_int_list(ntext, "step")
-    path = params.ContractionPath(args.path, mu0=mu0, nu0=nu0)
+    steps = int_list(ntext)
     rows = []
     for k in steps:
+        # the path formulas at t = 2^-step, written out point by point
         t = 2.0 ** (-k)
-        pt = path.point(t)
         if args.path == "q-to-1":
-            rows.append((k, t, pt["mu"], pt["nu"], pt["q"]))
+            mu, nu = t * mu0, t * nu0
+            rows.append((k, t, mu, nu, 1.0 + mu * nu / 2.0))
         else:
-            rows.append((k, t, pt["mu"], pt["nu"], pt["omega_ratio"], pt["q"]))
+            mu, nu = mu0, t * nu0
+            rows.append((k, t, mu, nu, nu / mu, 1.0 + mu * nu / 2.0))
     if args.path == "q-to-1":
         columns = ("step", "t", "mu", "nu", "q")
     else:

@@ -2,6 +2,7 @@ import copy
 import fractions
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -38,22 +39,32 @@ from oracles import (
 
 
 def test_parse_int_list_forms():
-    assert parse_int_list("0..5", "n") == range(0, 6)
-    assert parse_int_list("16,32,64", "dims") == [16, 32, 64]
-    assert parse_int_list("7", "n") == [7]
+    assert parse_int_list("0..5", "--n", 0, 9) == range(0, 6)
+    assert parse_int_list("16,32,64", "--dims", 3, 64) == [16, 32, 64]
+    assert parse_int_list("7", "--n", 0, 9) == [7]
+    # leading zeros past int()'s 4300 digits still spell a value in bounds
+    assert parse_int_list("0" * 5000 + "7", "--n", 0, 9) == [7]
 
 
-def test_parse_int_list_errors():
-    with pytest.raises(ValueError, match="empty"):
-        parse_int_list("", "dims")
-    with pytest.raises(ValueError, match="empty"):
-        parse_int_list(None, "dims")
-    with pytest.raises(ValueError, match="bad n range"):
-        parse_int_list("5..1", "n")
-    with pytest.raises(ValueError):
-        parse_int_list("a,b", "dims")
-    with pytest.raises(ValueError, match="empty dims list"):
-        parse_int_list(" , ", "dims")
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        # a missing or empty list and a backwards range have length 0
+        ("", "--n length must lie in 1..262144, got 0"),
+        (None, "--n length must lie in 1..262144, got 0"),
+        (" , ", "--n length must lie in 1..262144, got 0"),
+        ("5..1", "--n length must lie in 1..262144, got 0"),
+        ("7" * 5000, "--n must lie in 0..9, got " + "7" * 5000),
+        ("-" + "0" * 4400 + "7" * 4400, "--n must lie in 0..9, got -" + "7" * 4400),
+        ("a,b", "--n takes integers: invalid literal for int() with base 10: 'a'"),
+    ],
+    ids=["empty", "none", "commas", "backwards", "5000-digits", "leading-zeros",
+         "words"],
+)
+def test_parse_int_list_errors(text, named):
+    with pytest.raises(ValueError) as exc:
+        parse_int_list(text, "--n", 0, 9)
+    assert str(exc.value) == named
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +574,33 @@ def test_scan_bytes_match_per_point_route(invoke, case, fmt):
     assert mask_timestamp(out) == mask_timestamp(render[fmt](expected))
 
 
+# the N of the leading-block test grid (tests/test_matrixrep.py); a scan
+# holds mu and nu fixed, at scale / sqrt(2 * 2048), so that
+# max(mu, nu) sqrt(2N) stays within the scale at every N of it
+LEADING_BLOCK_DIMS = (3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 127, 128, 255, 256,
+                      511, 512, 1024, 2048)
+
+
+@pytest.mark.parametrize("interior", [2, 8, 64, 512])
+@pytest.mark.parametrize("scale, mu_factor, nu_factor", [
+    (0.0, 1.0, 1.0), (2.0, 1.0, 1.0), (6.0, 1.0, 0.5), (12.8, 0.0, 1.0),
+    (14.0, 1.0, 1.0), (14.0, 1.0, 0.5),
+])
+def test_matrix_scan_solving_each_leading_block_once_matches_per_n_calls(
+    invoke, interior, scale, mu_factor, nu_factor
+):
+    # the scan solves each distinct N' = solved_dim(N) once; the reference
+    # calls identity_residual at every N
+    mu, nu = (f * scale / math.sqrt(2 * 2048) for f in (mu_factor, nu_factor))
+    dims = ",".join(str(n) for n in LEADING_BLOCK_DIMS if n > interior)
+    argv = ["scan", "--engine", "matrix", f"--mu={mu!r}", f"--nu={nu!r}",
+            f"--interior={interior}", f"--dims={dims}"]
+    expected = reference_scan(argv)
+    code, out = invoke(argv)
+    assert code == {"pass": 0, "fail": 1}[expected.verdict]
+    assert mask_timestamp(out) == mask_timestamp(reference_json(expected))
+
+
 def test_scan_clockshift_periodicity(invoke):
     # tan(alpha/2 + pi*n) = tan(alpha/2) holds exactly, so no metric is gated
     code, out = invoke(
@@ -579,6 +617,8 @@ def test_scan_clockshift_periodicity(invoke):
     [
         ("3.141592653589793", "0,1", "tan(alpha/2) pole at alpha = pi (mod 2*pi)"),
         ("-3.141592653589793", "0", "tan(alpha/2) pole at alpha = pi (mod 2*pi)"),
+        # 1 + cos is 8e-11, inside the prefactor's band: it ran before
+        ("3.14158", "0..1", "tan(alpha/2) pole at alpha = pi (mod 2*pi)"),
         ("nan", "0", "alpha must be finite, got alpha=nan"),
         ("inf", "0", "alpha must be finite, got alpha=inf"),
         ("-inf", "0", "alpha must be finite, got alpha=-inf"),
@@ -590,6 +630,37 @@ def test_scan_periodicity_outside_domain_is_named_error(invoke, alpha, ns, named
     )
     assert code == 2
     assert json.loads(out)["parameters"]["error"] == f"ValueError: {named}"
+
+
+# offsets from pi inside the pole band |1 + cos| <= 1e-9 (1 + cos reads
+# 5e-13 and 8e-10) and just outside it (1.25e-9)
+POLE_BAND = [(sign * delta, delta < 5e-5) for delta in (1e-6, 4e-5, 5e-5)
+             for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("offset,refused", POLE_BAND)
+def test_one_pole_band_for_prefactor_periodicity_row_and_q(invoke, offset, refused):
+    from qdeform import clockshift, matrixrep
+
+    alpha = math.pi + offset
+    # the prefactor c(theta), the periodicity row's tan(alpha/2) and q's
+    # quotient form all refuse, or all accept, each alpha
+    outcomes = []
+    for call in (matrixrep.prefactor, clockshift.q_from_alpha):
+        try:
+            call(alpha)
+            outcomes.append(False)
+        except ValueError as exc:
+            assert "pole" in str(exc) or "undefined" in str(exc)
+            outcomes.append(True)
+    code, out = invoke(["scan", "--engine", "clock-shift", f"--alpha={alpha}",
+                        "--n=0..1"])
+    outcomes.append(code == 2)
+    assert outcomes == [refused] * 3
+    if refused:
+        assert json.loads(out)["parameters"]["error"] == (
+            "ValueError: tan(alpha/2) pole at alpha = pi (mod 2*pi)"
+        )
 
 
 def test_scan_hbar_path_constant_phase(invoke):
@@ -1307,6 +1378,37 @@ def test_readme_library_example_runs():
     exec(compile(example, "README.md", "exec"), {})
 
 
+README = Path(__file__).parent.parent / "README.md"
+# a time or memory figure: a number followed by a unit of either
+FIGURE = re.compile(
+    r"\d\s*(ns|us|µs|ms|s|sec|seconds?|min|minutes?|h|hours?"
+    r"|B|bytes|KB|kB|KiB|MB|MiB|GB|GiB)\b"
+)
+
+
+def test_readme_states_no_time_or_memory_figure():
+    # such figures depend on the host and go stale; the benchmark's own
+    # file records them with their host
+    assert FIGURE.findall(README.read_text()) == []
+
+
+def test_readme_gate_values_match_the_cli_constants():
+    gates = re.findall(r"`(\w+_(?:TOL|FLOOR))` = ([\d.e-]+)", README.read_text())
+    assert {name for name, _ in gates} == {
+        "MATRIX_RESIDUAL_TOL", "MATRIX_NOISE_FLOOR", "CLOCKSHIFT_RESIDUAL_TOL",
+        "CLOCKSHIFT_UNITARY_TOL",
+    }
+    for name, value in gates:
+        assert float(value) == getattr(cli, name), name
+
+
+def test_readme_expand_examples_print_as_shown(invoke):
+    examples = re.findall(r"qdeform (expand [^\n]+)\n# ([^\n]+)\n", README.read_text())
+    assert len(examples) == 3
+    for argv, shown in examples:
+        assert invoke(argv.split()) == (0, shown + "\n")
+
+
 def test_readme_bound_table_matches_the_cli_constants():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     header = "| flag or key | rows | domain | reason |\n|---|---|---|---|\n"
@@ -1552,9 +1654,17 @@ PERIODICITY = ["scan", "--engine", "clock-shift", "--alpha", "1"]
         # past int()'s 4300 digits: its own error pointed at
         # sys.set_int_max_str_digits()
         (["scan", "--path", "q-to-1", "--n", "7" * 5000], "",
-         "--n value of 5000 digits is past the bound of --n"),
+         "--n must lie in 0..1074, got " + "7" * 5000),
         (["scan", "--engine", "matrix", "--dims", "16,-" + "7" * 5000], "",
-         "--dims value of 5000 digits is past the bound of --dims"),
+         "--dims must lie in 3..2048, got -" + "7" * 5000),
+        # an empty list and a backwards range have length 0
+        (["scan", "--engine", "matrix", "--dims", ""], "",
+         "--dims length must lie in 1..262144, got 0"),
+        (PERIODICITY + ["--n", "5..0"], "", "--n length must lie in 1..262144, got 0"),
+        (["verify", "--engine", "clock-shift", "--dim", "16", "--level", "16"], "",
+         "--level must lie in 1..15, got 16"),
+        (["verify", "--engine", "clock-shift", "--level", "0"], "",
+         "--level must lie in 1..15, got 0"),
     ],
 )
 def test_size_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):
@@ -1584,7 +1694,7 @@ def test_size_beyond_bound_is_named_error(invoke, tmp_path, argv, lines, named):
          "and N=2048 (smallest of --dims)"),
         (["verify", "--engine", "clock-shift", "--dim", "1048576",
           "--level", "1048576"], "",
-         "level must satisfy 1 <= k < N, got k=1048576"),
+         "--level must lie in 1..1048575, got 1048576"),
     ],
 )
 def test_dimension_at_bound_passes_the_bound(invoke, tmp_path, argv, lines, named):
@@ -1675,7 +1785,9 @@ def test_scan_text_format_includes_table(invoke):
 def test_scan_matrix_without_dims_is_error(invoke):
     code, out = invoke(["scan", "--engine", "matrix"])
     assert code == 2
-    assert "empty dimension list" in json.loads(out)["parameters"]["error"]
+    assert json.loads(out)["parameters"]["error"] == (
+        "ValueError: --dims length must lie in 1..262144, got 0"
+    )
 
 
 def test_verify_symbolic_at_configured_default_degree(invoke):

@@ -12,7 +12,8 @@ report is JSON (an expansion prints its canonical text, and takes no
 --format).  An error report carries a ValueError or ConfigError, the
 errors that name an input, not an exception from deep inside.  An error
 that bounds an integer input takes the one form of every CLI bound, and
-names a flag in argv or a key in the config.  No report prints a
+names a flag in argv, a key in the config, or a list that argv leaves out
+at its length of 0.  No report prints a
 non-finite table cell in any format, and no failing report (exit 1)
 carries a non-finite metric.
 """
@@ -22,6 +23,7 @@ import json
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -170,14 +172,18 @@ def _strict_json(text):
 NON_FINITE = {"nan", "inf", "-inf"}
 NAMED_ERRORS = ("ValueError: ", "ConfigError: ")
 # an error that bounds an integer input, whether it names it by its flag,
-# its key or an engine's word for it (n, step, dimension, degree)
+# its key or an engine's word for it (n, step, dimension, degree, level),
+# or that refuses a list as empty or backwards, or a literal by its digits;
+# the order of a matrix scan's --dims is a rule of its own
 INTEGER_BOUND = re.compile(
-    r"ValueError: (--(degree|dims?|n)|symbolic\.degree|matrix\.dim"
-    r"|n|steps?|dimension|(truncation )?degree)\b.* must "
+    r"ValueError: ((--(degree|dims?|n|level)|symbolic\.degree|matrix\.dim"
+    r"|n|steps?|dimension|(truncation )?degree|level)\b"
+    r"(?! must be strictly increasing).* must "
+    r"|.*\b(empty|bad|digits)\b)"
 )
 # the one form of a bound error: its flag or key, both bounds and the value
 BOUND_FORM = re.compile(
-    r"ValueError: (\S+)(?: length| pair count)? must lie in (-?\d+)\.\.(\d+), "
+    r"ValueError: (\S+)( length| pair count)? must lie in (-?\d+)\.\.(\d+), "
     r"got (-?\d+)"
 )
 
@@ -189,10 +195,13 @@ def _check_bound_error(message, argv, config):
         return
     form = BOUND_FORM.fullmatch(message)
     assert form, message
-    source, lo, hi, value = form.groups()
-    assert not int(lo) <= int(value) <= int(hi), message
+    source, count, lo, hi, value = form.groups()
+    # Decimal reads a value past int()'s 4300 digits too
+    assert not Decimal(lo) <= Decimal(value) <= Decimal(hi), message
     if source.startswith("--"):
-        assert any(arg.startswith(source + "=") for arg in argv), message
+        # a list that is not given has length 0
+        given = any(arg.startswith(source + "=") for arg in argv)
+        assert given or count == " length" and value == "0", message
     else:
         keys = [line.split("=")[0].strip() for line in config or ()]
         assert source in keys, message
@@ -259,6 +268,13 @@ def config_dir(tmp_path_factory):
 @example(argv=["scan", "--engine=matrix", "--dims=2,16"], config=None)
 @example(argv=["verify", "--engine=clock-shift", "--dim=1"], config=None)
 @example(argv=["verify", "--engine=symbolic", "--degree=-1"], config=None)
+# an empty list, a backwards range, a literal past int()'s 4300 digits and
+# a level outside 1 <= k < N, each once refused in a form of its own
+@example(argv=["scan", "--engine=matrix", "--dims="], config=None)
+@example(argv=["scan", "--path=hbar-to-0", "--n=5..0"], config=None)
+@example(argv=["scan", "--path=q-to-1", "--n=" + "7" * 5000], config=None)
+@example(argv=["verify", "--engine=clock-shift", "--dim=16", "--level=16"],
+         config=None)
 # both clock-shift selectors, which once ran the periodicity scan and
 # dropped --dims without a word
 @example(argv=["scan", "--engine=clock-shift", "--alpha=1", "--dims=4"], config=None)

@@ -336,7 +336,7 @@ def test_scan_input_validation(invoke):
     for interior, dims, named in (
         ("4", "8,4", "--dims must be strictly increasing, got 4 after 8"),
         ("4", "8,9,9", "--dims must be strictly increasing, got 9 after 9"),
-        ("4", "", "empty dimension list"),
+        ("4", "", "--dims length must lie in 1..262144, got 0"),
         ("8", "8,16", "interior dimension must satisfy 2 <= M < N, got M=8 "
          "(--interior) and N=8 (smallest of --dims)"),
     ):
@@ -559,9 +559,40 @@ def test_residual_takes_one_eigensolve_of_the_leading_block(
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     identity_residual(dim, interior, mu, nu)
-    a = max(max(mu, nu) * math.sqrt(2 * dim), 1.0)
-    size = (min(dim, interior + matrixrep._reach(a)) + 1) // 2
+    size = (matrixrep.solved_dim(dim, interior, mu, nu) + 1) // 2
     assert calls == [(size, size)]
+
+
+def test_solved_dim_at_the_documented_points():
+    # at N = 2048, max(mu, nu) sqrt(2N) = 64 max(mu, nu) is exact, and K
+    # reads 15, 19, 29, 45 and 62 at a = 1, 2, 6, 14 and 25
+    assert [matrixrep.solved_dim(2048, 100, a / 64, 0.0) for a in (1, 2, 6, 14, 25)] == [
+        115, 119, 129, 145, 162,
+    ]
+    assert matrixrep.solved_dim(2048, 100, 0.0, 14 / 64) == 145
+    # a below 1 reads as 1, and N' never exceeds N
+    assert matrixrep.solved_dim(2048, 100, 0.0, 0.0) == 115
+    assert matrixrep.solved_dim(64, 60, 0.2, 0.2) == 64
+
+
+# The validated envelope of the 1e-8 matrix gate: mu and nu on a grid of
+# step 1/20 from 0 with max(mu, nu) sqrt(2N) <= 14, at each N below and
+# the default interior M = N // 4 of a matrix verify
+ENVELOPE_DIMS = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
+
+
+def test_every_point_of_the_envelope_passes_the_gate_and_its_edge_fails():
+    verdicts = []
+    for dim in ENVELOPE_DIMS:
+        grid = [k / 20 for k in range(40) if k / 20 * math.sqrt(2 * dim) <= 14]
+        for mu in grid:
+            for nu in grid:
+                residual = identity_residual(dim, dim // 4, mu, nu)
+                verdicts.append(residual <= cli.MATRIX_RESIDUAL_TOL)
+    assert len(verdicts) == 4297 and all(verdicts)
+    # the envelope does not reach MAX_MATRIX_DIM at its edge:
+    # mu sqrt(2N) = 14.0 at N = 2048 fails
+    assert identity_residual(2048, 512, 0.21875, 0.21875) > cli.MATRIX_RESIDUAL_TOL
 
 
 def _tail(a: Fraction, k: int) -> tuple[Fraction, Fraction]:
