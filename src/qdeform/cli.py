@@ -298,8 +298,11 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
 
 def _refuse_overflow(columns: dict, index: str, values: Sequence, inputs: str) -> None:
     """Refuse a path table with a cell that overflowed, naming the column,
-    the row and the inputs that made it."""
+    the row and the inputs that made it.  A column that is one repeated
+    cell is an input the path has checked, and is passed over."""
     for name, cells in columns.items():
+        if not isinstance(cells, list):
+            continue
         finite = list(map(math.isfinite, cells))
         if not all(finite):
             row = finite.index(False)
@@ -344,11 +347,10 @@ def _scan_contraction(args, cfg) -> VerificationReport:
     ntext = args.n if args.n is not None else "0..10"
     steps = parse_int_list(ntext, "--n", 0, MAX_STEP)
     command = f"scan --path {path.name} --n {ntext}"
-    points = [path.point(2.0 ** (-k)) for k in steps]
-    names = tuple(points[0])
-    columns = {name: [pt[name] for pt in points] for name in names}
+    # omega-to-0's mu is one repeated cell, mu0
+    columns = path.columns(steps)
     _refuse_overflow(columns, "step", steps, f"params.mu0={mu0}, params.nu0={nu0}")
-    table = Table(("step",) + names, [steps, *columns.values()])
+    table = Table(("step", *columns), [steps, *columns.values()])
     parameters = {"path": path.name, "mu0": mu0, "nu0": nu0, "steps": len(steps)}
     return VerificationReport.build("params", command, parameters, [], table)
 

@@ -11,13 +11,18 @@ between the deformation regimes:
 * ``hbar-to-0``  mu, nu -> infinity along the scaling path: the
   quantum-plane regime, from which hbar has dropped out.  It is walked
   in n, not t, by :func:`qdeform.clockshift.scaling_columns`.
+
+The first two are walked in t = 2^-step by one method,
+:meth:`ContractionPath.columns`, which computes each column of a path
+table over all its steps in one pass; :meth:`ContractionPath.point` is
+its one-row view at any t in (0, 1].
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 PATH_NAMES = ("q-to-1", "hbar-to-0", "omega-to-0")
 
@@ -69,22 +74,40 @@ class ContractionPath(_PathFields):
         # _replace builds through _make, which would skip the checks above
         return cls(*iterable)
 
+    def columns(self, steps: Iterable[int]) -> dict:
+        """The path's table at t = 2^-step for each step in 0..1074, one
+        column per name: ``t``, ``mu``, ``nu``, on omega-to-0
+        ``omega_ratio``, and ``q``.  Each is a list of floats with one
+        cell per step, except omega-to-0's ``mu``, which is mu0 alone."""
+        return self._at([2.0 ** -k for k in steps])
+
     def point(self, t: float) -> dict:
+        """The path's row at one t in (0, 1]: each column's cell."""
         if not 0.0 < t <= 1.0:
             raise ValueError("path variable t must lie in (0, 1]")
-        if self.name == "q-to-1":
-            mu, nu = t * self.mu0, t * self.nu0
-            return {"t": t, "mu": mu, "nu": nu, "q": 1.0 + mu * nu / 2.0}
+        return {
+            name: cells[0] if isinstance(cells, list) else cells
+            for name, cells in self._at([t]).items()
+        }
+
+    def _at(self, t: list) -> dict:
+        # mu = t * mu0, nu = t * nu0, omega_ratio = nu / mu0 and
+        # q = 1 + mu * nu / 2, one column at a time
+        if self.name == "hbar-to-0":
+            raise ValueError(f"{self.name} is walked in n, not in t")
+        mu0, nu0 = self.mu0, self.nu0
+        nu = [x * nu0 for x in t]
         if self.name == "omega-to-0":
-            mu, nu = self.mu0, t * self.nu0
             return {
                 "t": t,
-                "mu": mu,
+                "mu": mu0,
                 "nu": nu,
-                "omega_ratio": nu / mu,
-                "q": 1.0 + mu * nu / 2.0,
+                "omega_ratio": [x / mu0 for x in nu],
+                "q": [1.0 + mu0 * x / 2.0 for x in nu],
             }
-        raise ValueError(f"{self.name} is walked in n, not in t")
+        mu = [x * mu0 for x in t]
+        q = [1.0 + m * n / 2.0 for m, n in zip(mu, nu)]
+        return {"t": t, "mu": mu, "nu": nu, "q": q}
 
 
 def parse_quantity(text: str, unit: Optional[str] = None) -> float:

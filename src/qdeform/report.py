@@ -13,6 +13,7 @@ import time
 # the C function json.encoder uses, without importing the json package
 from _json import encode_basestring_ascii as _quoted
 from itertools import repeat
+from struct import pack
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -51,6 +52,11 @@ class Table:
     reads the cells row by row when asked for.  A cell is an int or a
     finite float, and a list column holds one of the two types; rendering
     refuses any other cell, naming its column.
+
+    A column that is constant over its rows goes in as one repeated cell,
+    which renders formatted once.  A float list column whose cells are
+    bit for bit those of an earlier float list column of the table
+    renders from that column's texts.
     """
 
     __slots__ = ("columns", "cells", "count")
@@ -128,7 +134,7 @@ class VerificationReport:
             f'  "command": {_json(self.command)},\n'
             f'  "parameters": {_json(dict(sorted(self.parameters.items())), "  ")},\n'
             f'  "verdict": {_json(self.verdict)},\n'
-            f'  "metrics": {_json([m._asdict() for m in self.metrics], "  ")},\n'
+            f'  "metrics": {_metrics_json(self.metrics)},\n'
             '  "table": '
         )
         tail = (
@@ -221,14 +227,25 @@ def _spelled(column) -> list:
     return column
 
 
+def _bits(cells: list) -> bytes:
+    """The IEEE bytes of a list of floats, equal for two lists exactly when
+    their cells are bit for bit equal: 0.0 and -0.0 differ."""
+    return pack(f"{len(cells)}d", *cells)
+
+
 def _cell_texts(table: Table) -> list:
     """Each column's cell texts for a table that has rows: a str for a
-    repeated cell, formatted once; a range as it is, for _rows_text to
-    spell from its decimal prefixes; a list formatted in one pass by the
-    repr of its one cell type.  A column that holds a cell other than an
-    int or a float, both types, or a non-finite float raises ValueError.
+    repeated cell, the shape of a column constant over its rows, formatted
+    once; a range as it is, for _rows_text to spell from its decimal
+    prefixes; a list formatted in one pass by the repr of its one cell
+    type.  A float list whose cells are bit for bit those of a float list
+    formatted before takes that list's texts; the two are packed to bytes
+    only when their first cells are equal.  A column that holds a cell
+    other than an int or a float, both types, or a non-finite float
+    raises ValueError.
     """
     texts = []
+    floats = []  # (cells, texts) of each float list formatted so far
     for name, cells in zip(table.columns, table.cells):
         if isinstance(cells, range):
             texts.append(cells)
@@ -243,10 +260,20 @@ def _cell_texts(table: Table) -> list:
                 f"a column holds ints only or floats only"
             )
         kind = type(values[0])
+        if kind is float and not repeated:
+            shared = [
+                done for earlier, done in floats
+                if earlier[0] == values[0] and _bits(earlier) == _bits(values)
+            ]
+            if shared:
+                texts.append(shared[0])
+                continue
         every = list(map(_CELLS[kind], values))
         if kind is float and not _NON_FINITE.isdisjoint(every):
             bad = next(text for text in every if text in _NON_FINITE)
             raise ValueError(f"table column {name!r} holds the non-finite float {bad}")
+        if kind is float and not repeated:
+            floats.append((values, every))
         texts.append(every[0] if repeated else every)
     return texts
 
@@ -282,6 +309,20 @@ def _rows_text(table: Table, cell_sep: str, row_sep: str, before: str, after: st
     pieces[0] = before + head + pieces[0]
     pieces[-1] += tail + after
     return sep.join(pieces)
+
+
+def _metrics_json(metrics: Sequence[Metric]) -> str:
+    """The metrics list as _json writes it at indent "  ", one template per
+    metric."""
+    if not metrics:
+        return "[]"
+    inner = "      "
+    return "[\n    " + ",\n    ".join(
+        f'{{\n{inner}"name": {_quoted(m.name)},\n'
+        f'{inner}"value": {_json(m.value, inner)},\n'
+        f'{inner}"threshold": {_json(m.threshold, inner)}\n    }}'
+        for m in metrics
+    ) + "\n  ]"
 
 
 def _json(value, indent: str = "") -> str:

@@ -116,6 +116,23 @@ MUTANTS = (
         ("tests/test_report.py::test_column_cases_render_as_the_reference",),
     ),
     Mutant(
+        "shared column texts keyed by value",
+        "src/qdeform/report.py",
+        "_bits(earlier) == _bits(values)",
+        "earlier == values",
+        (
+            "tests/test_report.py::"
+            "test_columns_equal_but_not_bit_for_bit_keep_their_own_texts",
+        ),
+    ),
+    Mutant(
+        "omega-to-0 divides t, not nu, by mu0",
+        "src/qdeform/params.py",
+        '"omega_ratio": [x / mu0 for x in nu],',
+        '"omega_ratio": [x / mu0 for x in t],',
+        ("tests/test_params.py::test_path_columns_match_the_formulas_bit_for_bit",),
+    ),
+    Mutant(
         "contraction paths take any mu0 and nu0",
         "src/qdeform/params.py",
         "if not (math.isfinite(value) and value >= 0):",

@@ -678,27 +678,32 @@ def reference_scan(argv) -> VerificationReport:
     nu0 = config.get_float(cfg, "params.nu0")
     ntext = args.n if args.n is not None else "0..10"
     steps = int_list(ntext)
-    rows = []
-    for k in steps:
-        # the path formulas at t = 2^-step, written out point by point
-        t = 2.0 ** (-k)
-        if args.path == "q-to-1":
-            mu, nu = t * mu0, t * nu0
-            rows.append((k, t, mu, nu, 1.0 + mu * nu / 2.0))
-        else:
-            mu, nu = mu0, t * nu0
-            rows.append((k, t, mu, nu, nu / mu, 1.0 + mu * nu / 2.0))
-    if args.path == "q-to-1":
-        columns = ("step", "t", "mu", "nu", "q")
-    else:
-        columns = ("step", "t", "mu", "nu", "omega_ratio", "q")
+    rows = [(k, *contraction_row(args.path, mu0, nu0, k)) for k in steps]
     return VerificationReport.build(
         "params",
         f"scan --path {args.path} --n {ntext}",
         {"path": args.path, "mu0": mu0, "nu0": nu0, "steps": len(steps)},
         [],
-        rows_table(columns, rows),
+        rows_table(("step",) + CONTRACTION_COLUMNS[args.path], rows),
     )
+
+
+CONTRACTION_COLUMNS = {
+    "q-to-1": ("t", "mu", "nu", "q"),
+    "omega-to-0": ("t", "mu", "nu", "omega_ratio", "q"),
+}
+
+
+def contraction_row(path: str, mu0: float, nu0: float, step: int) -> tuple:
+    """The cells of a q-to-1 or omega-to-0 path at t = 2^-step, in the
+    order of CONTRACTION_COLUMNS, from the path formulas written out for
+    the one point."""
+    t = 2.0 ** (-step)
+    if path == "q-to-1":
+        mu, nu = t * mu0, t * nu0
+        return (t, mu, nu, 1.0 + mu * nu / 2.0)
+    mu, nu = mu0, t * nu0
+    return (t, mu, nu, nu / mu, 1.0 + mu * nu / 2.0)
 
 
 def reference_json(report) -> str:

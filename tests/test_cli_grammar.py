@@ -2,18 +2,19 @@
 
 Hypothesis draws commands, engines, flags and values (nan, inf, negative
 numbers, empty lists, out-of-range values; small sizes, plus a few just
-past the CLI's size bounds), sometimes with a config file; two draws
-in three follow one row of ``cli.ROUTES`` with valid values, so that
-most of those reach a verdict.  Every argv must end in exit 0, 1 or 2 without an
-uncaught exception or a numpy warning: a usage error with its usage on
-stderr and nothing on stdout, help with its usage on stdout, or a
-command.  A command must print strict JSON whenever a
-report is JSON (an expansion prints its canonical text, and takes no
---format).  An error report carries a ValueError or ConfigError, the
-errors that name an input, not an exception from deep inside.  An error
-that bounds an integer input takes the one form of every CLI bound, and
-names a flag in argv, a key in the config, or a list that argv leaves out
-at its length of 0.  No report prints a
+past the CLI's size bounds), sometimes with a config file.  Half the
+draws follow one row of ``cli.ROUTES`` with valid values, so that most
+of those reach a verdict, and one in six does the same with one integer
+flag at a value that the one bound rule must refuse.  Every argv must
+end in exit 0, 1 or 2 without an uncaught exception or a numpy warning:
+a usage error with its usage on stderr and nothing on stdout, help with
+its usage on stdout, or a command.  A command must print strict JSON
+whenever a report is JSON (an expansion prints its canonical text, and
+takes no --format).  An error report carries a ValueError or
+ConfigError, the errors that name an input, not an exception from deep
+inside.  An error that bounds an integer input takes the one form of
+every CLI bound, and names a flag in argv, a key in the config, or a
+list that argv leaves out at its length of 0.  No report prints a
 non-finite table cell in any format, and no failing report (exit 1)
 carries a non-finite metric.
 """
@@ -78,6 +79,19 @@ VALID = {
 }
 
 
+# the four refusal forms that the one integer bound rule took over, each
+# once an error of its own: the flags a form reaches and values that take it
+# (every valid --dim is at most 24, so each level lies outside 1..N-1)
+REFUSALS = {
+    "backwards range": (("n", "dims"), st.sampled_from(["5..0", "12..9"])),
+    "literal past 4300 digits": (
+        ("n", "dims"), st.sampled_from(["7" * 4301, "0,1" + "0" * 4400])
+    ),
+    "empty list": (("dims",), st.sampled_from(["", ",", " , "])),
+    "level outside 1..N-1": (("level",), st.sampled_from(["0", "-1", "24", "99"])),
+}
+
+
 def _flags(draw, options):
     argv = []
     for flag, values in options.items():
@@ -88,10 +102,14 @@ def _flags(draw, options):
 
 @st.composite
 def commands(draw):
-    # two draws in three take one ROUTES row and only the flags it reads,
-    # at valid values, so that most of them reach a verdict
-    if draw(st.sampled_from([True, True, False])):
+    # half the draws take one ROUTES row and only the flags it reads, at
+    # valid values, so that most of them reach a verdict; one in six takes
+    # a row and sets one of its flags at a refusal form
+    kind = draw(st.sampled_from(["valid"] * 3 + ["refused"] + ["free"] * 2))
+    if kind == "valid":
         return draw(route_commands())
+    if kind == "refused":
+        return draw(route_commands(draw(st.sampled_from(sorted(REFUSALS)))))
     command = draw(st.sampled_from(["verify", "scan", "expand"]))
     argv = [command]
     if command == "verify":
@@ -135,18 +153,28 @@ def commands(draw):
 
 
 @st.composite
-def route_commands(draw):
+def route_commands(draw, refusal=None):
     """A ROUTES row with valid values for some of the flags it reads (and
-    for its --alpha or --dims selector), in a format it can print."""
-    row = draw(st.sampled_from(sorted(cli.ROUTES)))
+    for its --alpha or --dims selector), in a format it can print.  With
+    a ``refusal`` form of REFUSALS, a row that reads a flag the form
+    reaches, with that flag set at one of the form's values."""
+    rows, values = sorted(cli.ROUTES), dict(VALID)
+    if refusal is not None:
+        flags, refused = REFUSALS[refusal]
+        rows = [row for row in rows if set(flags) & set(cli.ROUTES[row][0])]
+    row = draw(st.sampled_from(rows))
     reads, _ = cli.ROUTES[row]
     words = row.split()
     argv, selector = words[:3], [word[2:] for word in words[3:]]
+    if refusal is not None:
+        flag = draw(st.sampled_from([flag for flag in reads if flag in flags]))
+        selector.append(flag)
+        values[flag] = refused
     if argv[0] == "expand":
         argv += ["--target", draw(st.sampled_from(cli.EXPAND_TARGETS))]
     for flag in reads:
         if flag in selector or draw(st.booleans()):
-            argv += [f"--{flag}", draw(VALID[flag])]
+            argv += [f"--{flag}", draw(values[flag])]
     # only a scan has a table to print as CSV, and expand takes no --format
     formats = {"verify": ["json", "text"], "scan": ["json", "csv", "text"]}
     if argv[0] in formats:
@@ -329,6 +357,59 @@ def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config)
             with redirect_stdout(rerun):
                 assert cli.main(json_argv) == 1
             _strict_json(rerun.getvalue())
+
+
+# the @example witnesses of the four REFUSALS forms, which are not draws
+WITNESSES = (
+    ["scan", "--engine=matrix", "--dims="],
+    ["scan", "--path=hbar-to-0", "--n=5..0"],
+    ["scan", "--path=q-to-1", "--n=" + "7" * 5000],
+    ["verify", "--engine=clock-shift", "--dim=16", "--level=16"],
+)
+
+
+def _refusal_forms(argv):
+    """The REFUSALS forms that the flag values of an argv take."""
+    values = dict(arg[2:].split("=", 1) for arg in argv[1:] if "=" in arg)
+    forms = set()
+    for flag in ("n", "dims"):
+        text = values.get(flag, "")
+        ends = re.fullmatch(r"\s*(\d{1,30})\.\.(\d{1,30})\s*", text)
+        if ends and int(ends[2]) < int(ends[1]):
+            forms.add("backwards range")
+        if re.search(r"\d{4301}", text):
+            forms.add("literal past 4300 digits")
+    if "dims" in values and not re.search(r"\d", values["dims"]):
+        forms.add("empty list")
+    level, dim = values.get("level", ""), values.get("dim", "16")
+    if argv[:2] == ["verify", "--engine=clock-shift"] and re.fullmatch(
+        r"-?\d+", level
+    ) and dim.isdigit() and not 1 <= int(level) < int(dim):
+        forms.add("level outside 1..N-1")
+    return forms
+
+
+def test_draws_reach_every_refusal_form(config_dir, monkeypatch):
+    # the derandomized draws of the property test, its @examples aside, end
+    # in each form's refusal at least once: a rule that only an @example
+    # witnesses is one edit away from going unwatched
+    main, refused = cli.main, set()
+
+    def recording(argv):
+        out = io.StringIO()
+        try:
+            with redirect_stdout(out):
+                code = main(argv)  # a usage error raises, and reaches no refusal
+        finally:
+            print(out.getvalue(), end="")
+        drawn = [arg for arg in argv if not arg.startswith("--config=")]
+        if code == 2 and "must lie in" in out.getvalue() and drawn not in WITNESSES:
+            refused.update(_refusal_forms(argv))
+        return code
+
+    monkeypatch.setattr(cli, "main", recording)
+    test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir=config_dir)
+    assert refused == set(REFUSALS)
 
 
 def _usage_exit(argv):

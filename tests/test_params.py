@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,10 @@ from qdeform.params import PATH_NAMES, ContractionPath, parse_quantity
 from qdeform.rational import MINUS_I
 
 from oracles import (
+    CONTRACTION_COLUMNS,
     ParameterSet,
     ScalingPoint,
+    contraction_row,
     correspondence,
     derive_scales,
     parameter_set_from_config,
@@ -187,6 +190,30 @@ def test_hbar_to_zero_path_walks_the_scaling_ladder():
         sp = ScalingPoint(alpha=1.0, beta=1.0, n=n)
         assert (mu_n, nu_n) == (sp.mu, sp.nu)
     assert mu[-1] > 20.0  # diverging parameters
+
+
+def _bits(cells) -> bytes:
+    cells = list(cells)
+    return struct.pack(f"{len(cells)}d", *cells)
+
+
+@pytest.mark.parametrize("mu0,nu0", [(1.0, 1.0), (0.8, 0.4), (0.5, 3.0)])
+@pytest.mark.parametrize("name", ["q-to-1", "omega-to-0"])
+def test_path_columns_match_the_formulas_bit_for_bit(name, mu0, nu0):
+    # every step the CLI walks, down to t = 2^-1074, the smallest double
+    steps = range(1075)
+    path = ContractionPath(name, mu0, nu0)
+    columns = path.columns(steps)
+    assert tuple(columns) == CONTRACTION_COLUMNS[name]
+    if name == "omega-to-0":  # mu is held at mu0: one repeated cell
+        assert type(columns["mu"]) is float and _bits([columns["mu"]]) == _bits([mu0])
+        columns["mu"] = [mu0] * len(steps)
+    rows = [contraction_row(name, mu0, nu0, k) for k in steps]
+    for cells, formula in zip(columns.values(), zip(*rows)):
+        assert _bits(cells) == _bits(formula)
+    for k in steps:
+        assert tuple(path.point(2.0**-k)) == CONTRACTION_COLUMNS[name]
+        assert _bits(path.point(2.0**-k).values()) == _bits(rows[k])
 
 
 def test_path_variable_range():

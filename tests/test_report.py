@@ -309,6 +309,31 @@ def test_column_cases_render_as_the_reference(cells):
         _assert_same_bytes(_report(table))
 
 
+def test_columns_equal_but_not_bit_for_bit_keep_their_own_texts():
+    # 0.0 == -0.0, so a column matched to an earlier one by value would
+    # print the earlier column's 0.0 in place of its own -0.0
+    report = _report(Table(("x", "y"), ([0.0, 1.0], [NEGATIVE_ZERO, 1.0])), {"n": 2})
+    _assert_same_bytes(report)
+    rows = {
+        "json": report.to_json().split('"rows": ')[1],
+        "csv": report.to_csv(),
+        "text": report.to_text().split("table:")[1],
+    }
+    for fmt, text in rows.items():
+        cells = re.split(r"[\s,\[\]]+", text)
+        assert "0.0" in cells and "-0.0" in cells, fmt
+
+
+def test_column_shared_three_times_renders_as_the_reference():
+    # q-to-1 at mu0 = nu0 = 1: t, mu and nu hold the same doubles 2^-step,
+    # and q the one column of its own
+    t = [2.0**-k for k in range(1075)]
+    q = [1.0 + x * x / 2.0 for x in t]
+    columns = ("step", "t", "mu", "nu", "q")
+    for cells in ([range(1075), t, t, list(t), q], [range(3), t[:3], t[:3], t[:3], 2.5]):
+        _assert_same_bytes(_report(Table(columns, cells)))
+
+
 @pytest.mark.parametrize(
     "cells",
     [
