@@ -27,8 +27,11 @@ or argparse.  The rows load in addition:
 * ``scan --engine clock-shift --alpha``, ``scan --path q-to-1`` and
   ``omega-to-0``: nothing more; their cells are plain floats.
 
-The engines compute one result per call; each handler composes its scan
-from them and lays out its own table and gates.
+Each handler lays out its own table and gates.  The engines compute one
+result per call, and a handler composes its scan from them, save the
+matrix scan: matrixrep.identity_residuals takes its whole list of N, as
+that module alone knows which N share a solve.  Both matrix rows read
+mu, nu and the interior block through one reader, :func:`_matrix_inputs`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ MAX_N = 2**62
 MAX_POINTS = 2**18
 # largest matrix dimension (--dim, matrix.dim, scan --engine matrix --dims):
 # a residual costs N'^3 in time and N'^2 in memory, on the leading block of
-# N' = min(N, M + K) states, K <= 62 (matrixrep.solved_dim)
+# N' = min(N, M + K) states, K <= 62 (matrixrep.solved_dim), and a scan
+# solves each distinct N' once (matrixrep.identity_residuals)
 MAX_MATRIX_DIM = 2048
 # largest clock-shift pair (verify --engine clock-shift --dim): its time
 # and memory grow linearly in N
@@ -89,17 +93,6 @@ def _within(value: int, lo: int, hi: int, source: str) -> int:
     if not lo <= value <= hi:
         raise ValueError(f"{source} must lie in {lo}..{hi}, got {value}")
     return value
-
-
-def _check_interior(interior: int, interior_source: str,
-                    dim: int, dim_source: str) -> None:
-    """Refuse an interior block M outside 2 <= M < N, naming M, N and the
-    flag, key or default each came from."""
-    if not 2 <= interior < dim:
-        raise ValueError(
-            f"interior dimension must satisfy 2 <= M < N, got M={interior} "
-            f"({interior_source}) and N={dim} ({dim_source})"
-        )
 
 
 def _ints(tokens: list[str], flag: str, lo: int, hi: int) -> list[int]:
@@ -173,6 +166,26 @@ def _verify_symbolic(args, cfg) -> VerificationReport:
     return VerificationReport.build("symbolic", command, {"degree": degree}, metrics)
 
 
+def _matrix_inputs(args, cfg, dims: Sequence[int], dims_source: str,
+                   default: int) -> tuple[float, float, int]:
+    """mu and nu of a matrix row, each from its flag, else its config key,
+    and its interior block M, from --interior, else the row's default.
+    The row's dims must increase, and M is refused outside 2 <= M < N at
+    the first of them, naming M, N and the flag, key or default each came
+    from."""
+    mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
+    nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
+    for a, b in zip(dims, dims[1:]):
+        if b <= a:
+            raise ValueError(f"--dims must be strictly increasing, got {b} after {a}")
+    source = "default" if args.interior is None else "--interior"
+    interior = default if args.interior is None else args.interior
+    if not 2 <= interior < dims[0]:
+        raise ValueError(f"interior dimension must satisfy 2 <= M < N, got M={interior} "
+                         f"({source}) and N={dims[0]} ({dims_source})")
+    return mu, nu, interior
+
+
 def _verify_matrix(args, cfg) -> VerificationReport:
     from . import matrixrep
 
@@ -182,12 +195,8 @@ def _verify_matrix(args, cfg) -> VerificationReport:
         dim, source = config.get_int(cfg, "matrix.dim"), "matrix.dim"
     # 3 is the smallest N with an interior block 2 <= M < N
     _within(dim, 3, MAX_MATRIX_DIM, source)
-    mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
-    nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
-    interior, interior_source = args.interior, "--interior"
-    if interior is None:
-        interior, interior_source = min(max(4, dim // 4), dim - 1), "default"
-    _check_interior(interior, interior_source, dim, source)
+    default = min(max(4, dim // 4), dim - 1)
+    mu, nu, interior = _matrix_inputs(args, cfg, [dim], source, default)
     command = (f"verify --engine matrix --dim {dim} --interior {interior} "
                f"--mu {mu} --nu {nu}")
     parameters = {"dim": dim, "interior": interior, "mu": mu, "nu": nu}
@@ -223,24 +232,10 @@ def _scan_matrix(args, cfg) -> VerificationReport:
     from . import matrixrep
 
     dims = parse_int_list(args.dims, "--dims", 3, MAX_MATRIX_DIM)
-    mu = args.mu if args.mu is not None else config.get_float(cfg, "matrix.mu")
-    nu = args.nu if args.nu is not None else config.get_float(cfg, "matrix.nu")
-    interior, interior_source = args.interior, "--interior"
-    if interior is None:
-        interior, interior_source = 8, "default"
-    for a, b in zip(dims, dims[1:]):
-        if b <= a:
-            raise ValueError(f"--dims must be strictly increasing, got {b} after {a}")
-    _check_interior(interior, interior_source, dims[0], "smallest of --dims")
+    mu, nu, interior = _matrix_inputs(args, cfg, dims, "smallest of --dims", 8)
     command = (f"scan --engine matrix --mu {mu} --nu {nu} --interior {interior} "
                f"--dims {args.dims}")
-    # the residual at N is that at N' = solved_dim(N): solve each N' once
-    solved, residuals = {}, []
-    for n in dims:
-        block = matrixrep.solved_dim(n, interior, mu, nu)
-        if block not in solved:
-            solved[block] = matrixrep.identity_residual(n, interior, mu, nu)
-        residuals.append(solved[block])
+    residuals = matrixrep.identity_residuals(dims, interior, mu, nu)
     first, last = residuals[0], residuals[-1]
     table = Table(("N", "M", "mu", "nu", "res_fro"), [dims, interior, mu, nu, residuals])
     metrics = [

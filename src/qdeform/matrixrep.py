@@ -30,14 +30,16 @@ lowest M states, and only those rows and columns of the products are
 formed.  Those rows are fixed, to below round-off, by the leading block
 of N' = min(N, M + K) states that the interior can reach (Benzi & Golub
 1999, BIT 39:417), with K set by max(mu, nu) sqrt(2N) and not by N
-(solved_dim; identity_residual says why), so the one eigensolve has size
-about (M + K)/2 rather than N/2.
+(solved_dim; identity_residuals says why), so the one eigensolve has size
+about (M + K)/2 rather than N/2.  identity_residuals takes a whole scan of
+N and solves each distinct N' once; identity_residual is its one-N case.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -161,7 +163,7 @@ def prefactor(theta: float) -> float:
 
 
 def solved_dim(dim: int, interior_dim: int, mu: float, nu: float) -> int:
-    """The N' = min(N, M + K) at which identity_residual solves the
+    """The N' = min(N, M + K) at which identity_residuals solves the
     residual at N, with K = _reach(a), a = max(mu, nu) sqrt(2N) read as 1
     below 1, after the guards at N: 2 <= M < N, mu and nu finite and >= 0,
     the overflow guard and the prefactor pole.  The residual at N depends
@@ -178,21 +180,28 @@ def solved_dim(dim: int, interior_dim: int, mu: float, nu: float) -> int:
                 f"at {name}={value}, N={dim}"
             )
     prefactor(mu * nu)
-    # the leading block that fixes the interior rows (see identity_residual)
+    # the leading block that fixes the interior rows (see identity_residuals)
     return min(dim, interior_dim + _reach(max(max(mu, nu) * radius, 1.0)))
 
 
 def identity_residual(dim: int, interior_dim: int, mu: float, nu: float) -> float:
-    """Frobenius norm of the projected identity residual.
+    """The residual of identity_residuals at one N."""
+    return identity_residuals([dim], interior_dim, mu, nu)[0]
+
+
+def identity_residuals(dims: Sequence[int], interior_dim: int, mu: float,
+                       nu: float) -> list[float]:
+    """Frobenius norm of the projected identity residual at each N of dims.
 
     Computes L = [P, X] and R = -i c(mu*nu) {sqrt(1+mu^2 P^2),
-    sqrt(1+nu^2 X^2)} and returns ||(L-R)[:M,:M]||_F, all from one
+    sqrt(1+nu^2 X^2)} and returns ||(L-R)[:M,:M]||_F, each from one
     eigensolve of B B^T, with B the even-odd block of x.  The dense route
     with an eigensolve per operator lives in the test oracles, which judge
     this one.
 
-    The residual is solved at N' = solved_dim(N, M, mu, nu), after every
-    guard has judged the requested N.  That is exact to below round-off:
+    The residual at N is solved at N' = solved_dim(N, M, mu, nu), after
+    every guard has judged every requested N, and each distinct N' is
+    solved once.  That is exact to below round-off:
 
     * (L - R)[:M, :M] reads only the top M rows of P, X and both roots
       (the products are A[:M, :] B[:M, :]^T), each of them made of
@@ -216,23 +225,26 @@ def identity_residual(dim: int, interior_dim: int, mu: float, nu: float) -> floa
 
     K is 15, 19, 29, 45 and 62 at a = 1, 2, 6, 14 and 25.
     """
-    dim = solved_dim(dim, interior_dim, mu, nu)
+    blocks = [solved_dim(dim, interior_dim, mu, nu) for dim in dims]
     c = prefactor(mu * nu)
-    u, spectrum, w = _parity_basis(dim)
-    odd = w.shape[0]
-    fp, fx, root_p, root_x = _deformed_spectra(spectrum, mu, nu)
-    fp, fx = fp[:odd], fx[:odd]  # odd functions live on the singular values
-    # the P side sees each sector through the signs of D
-    up = _signs(len(u))[:, None] * u
-    wp = _signs(odd)[:, None] * w
     m_e, m_o = (interior_dim + 1) // 2, interior_dim // 2
-    # (A B)[:m, :m] = A[:m, :] B[:m, :]^T for symmetric B.  With A_p, A_x
-    # the real even-odd blocks of P and X, [P, X] is -i (A_p A_x^T + A_x
-    # A_p^T) on the even states and i (A_p^T A_x + A_x^T A_p) on the odd
-    k_e = _rows(up, fp, wp, m_e) @ _rows(u, fx, w, m_e).T
-    k_e -= c * _rows(up, root_p, up, m_e) @ _rows(u, root_x, u, m_e).T
-    k_e += k_e.T
-    k_o = _rows(wp, fp, up, m_o) @ _rows(w, fx, u, m_o).T
-    k_o += c * _rows(wp, root_p[:odd], wp, m_o) @ _rows(w, root_x[:odd], w, m_o).T
-    k_o += k_o.T
-    return math.hypot(np.linalg.norm(k_e), np.linalg.norm(k_o))
+    solved = {}
+    for block in dict.fromkeys(blocks):
+        u, spectrum, w = _parity_basis(block)
+        odd = w.shape[0]
+        fp, fx, root_p, root_x = _deformed_spectra(spectrum, mu, nu)
+        fp, fx = fp[:odd], fx[:odd]  # odd functions live on the singular values
+        # the P side sees each sector through the signs of D
+        up = _signs(len(u))[:, None] * u
+        wp = _signs(odd)[:, None] * w
+        # (A B)[:m, :m] = A[:m, :] B[:m, :]^T for symmetric B.  With A_p, A_x
+        # the real even-odd blocks of P and X, [P, X] is -i (A_p A_x^T + A_x
+        # A_p^T) on the even states and i (A_p^T A_x + A_x^T A_p) on the odd
+        k_e = _rows(up, fp, wp, m_e) @ _rows(u, fx, w, m_e).T
+        k_e -= c * _rows(up, root_p, up, m_e) @ _rows(u, root_x, u, m_e).T
+        k_e += k_e.T
+        k_o = _rows(wp, fp, up, m_o) @ _rows(w, fx, u, m_o).T
+        k_o += c * _rows(wp, root_p[:odd], wp, m_o) @ _rows(w, root_x[:odd], w, m_o).T
+        k_o += k_o.T
+        solved[block] = math.hypot(np.linalg.norm(k_e), np.linalg.norm(k_o))
+    return [solved[block] for block in blocks]

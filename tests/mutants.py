@@ -828,13 +828,30 @@ MUTANTS = (
     ),
     Mutant(
         "matrix scan shares the solve of the smallest dim's N' with every N",
-        "src/qdeform/cli.py",
-        "block = matrixrep.solved_dim(n, interior, mu, nu)",
-        "block = matrixrep.solved_dim(dims[0], interior, mu, nu)",
+        "src/qdeform/matrixrep.py",
+        "return [solved[block] for block in blocks]",
+        "return [solved[blocks[0]] for block in blocks]",
         (
             "tests/test_cli.py::"
             "test_matrix_scan_solving_each_leading_block_once_matches_per_n_calls",
         ),
+    ),
+    Mutant(
+        "identity_residuals solves every N, not every distinct N'",
+        "src/qdeform/matrixrep.py",
+        "for block in dict.fromkeys(blocks):",
+        "for block in blocks:",
+        (
+            "tests/test_matrixrep.py::"
+            "test_residuals_solve_each_distinct_leading_block_once",
+        ),
+    ),
+    Mutant(
+        "the matrix interior refusal lets M = N through",
+        "src/qdeform/cli.py",
+        "if not 2 <= interior < dims[0]:",
+        "if not 2 <= interior <= dims[0]:",
+        ("tests/test_cli.py::test_dimension_at_bound_passes_the_bound",),
     ),
     Mutant(
         "clock-shift pair phases built at the pole level N/2",

@@ -31,6 +31,7 @@ from oracles import (
     reference_scan,
     reference_text,
 )
+from test_matrixrep import LEADING_BLOCK_DIMS, LEADING_BLOCK_SCANS
 
 
 # ---------------------------------------------------------------------------
@@ -574,23 +575,14 @@ def test_scan_bytes_match_per_point_route(invoke, case, fmt):
     assert mask_timestamp(out) == mask_timestamp(render[fmt](expected))
 
 
-# the N of the leading-block test grid (tests/test_matrixrep.py); a scan
-# holds mu and nu fixed, at scale / sqrt(2 * 2048), so that
-# max(mu, nu) sqrt(2N) stays within the scale at every N of it
-LEADING_BLOCK_DIMS = (3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 127, 128, 255, 256,
-                      511, 512, 1024, 2048)
-
-
 @pytest.mark.parametrize("interior", [2, 8, 64, 512])
-@pytest.mark.parametrize("scale, mu_factor, nu_factor", [
-    (0.0, 1.0, 1.0), (2.0, 1.0, 1.0), (6.0, 1.0, 0.5), (12.8, 0.0, 1.0),
-    (14.0, 1.0, 1.0), (14.0, 1.0, 0.5),
-])
+@pytest.mark.parametrize("scale, mu_factor, nu_factor", LEADING_BLOCK_SCANS)
 def test_matrix_scan_solving_each_leading_block_once_matches_per_n_calls(
     invoke, interior, scale, mu_factor, nu_factor
 ):
-    # the scan solves each distinct N' = solved_dim(N) once; the reference
-    # calls identity_residual at every N
+    # the scan solves each distinct N' = solved_dim(N) once, in
+    # matrixrep.identity_residuals; the reference calls identity_residual
+    # at every N
     mu, nu = (f * scale / math.sqrt(2 * 2048) for f in (mu_factor, nu_factor))
     dims = ",".join(str(n) for n in LEADING_BLOCK_DIMS if n > interior)
     argv = ["scan", "--engine", "matrix", f"--mu={mu!r}", f"--nu={nu!r}",

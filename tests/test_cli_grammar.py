@@ -2,7 +2,8 @@
 
 Hypothesis draws commands, engines, flags and values (nan, inf, negative
 numbers, empty lists, out-of-range values; small sizes, plus a few just
-past the CLI's size bounds), sometimes with a config file.  Half the
+past the CLI's size bounds), sometimes with a config file, and sometimes
+with one under which every path overflows a cell.  Half the
 draws follow one row of ``cli.ROUTES`` with valid values, so that most
 of those reach a verdict, and one in six does the same with one integer
 flag at a value that the one bound rule must refuse.  Every argv must
@@ -25,6 +26,7 @@ import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,10 +60,15 @@ CONFIG_LINES = st.sampled_from(
      "matrix.dim = 2", "params.alpha = nan",
      "params.alpha = 7", "params.beta = 0", "params.mu0 = 0", "params.mu0 = nan",
      "params.nu0 = inf", "params.mu0 = -1", "params.mu0 = 1e300",
-     "params.nu0 = 1e300", "params.beta = inf", "params.hbar = banana J.s",
+     "params.nu0 = 1e300", "params.mu0 = 1e-320", "params.beta = 1e308",
+     "params.beta = inf", "params.hbar = banana J.s",
      "params.hbar = 1.05e-34 J.s", "params.c = 3e8 kg", "params.mu = 0.5",
      "no equals sign", "= 1"]
 )
+# a config under which every path overflows a cell at each valid --n: q =
+# 1 + mu nu / 2 of q-to-1 and omega-to-0, and nu = beta sqrt(theta) of
+# hbar-to-0 at every n >= 1
+OVERFLOWING = ["params.mu0 = 1e300", "params.nu0 = 1e300", "params.beta = 1e308"]
 
 
 # small values that every ROUTES row reading the flag accepts
@@ -258,7 +265,8 @@ def config_dir(tmp_path_factory):
 
 
 @settings(max_examples=150)
-@given(argv=commands(), config=st.none() | st.lists(CONFIG_LINES, max_size=3))
+@given(argv=commands(),
+       config=st.just(OVERFLOWING) | st.none() | st.lists(CONFIG_LINES, max_size=3))
 # inputs that once printed a non-finite table
 @example(argv=["scan", "--path=q-to-1", "--format=csv"], config=["params.mu0 = nan"])
 @example(argv=["scan", "--path=omega-to-0", "--format=text"],
@@ -366,6 +374,16 @@ WITNESSES = (
     ["scan", "--path=q-to-1", "--n=" + "7" * 5000],
     ["verify", "--engine=clock-shift", "--dim=16", "--level=16"],
 )
+# the @examples that end in a path cell that overflows, with their configs
+OVERFLOW_WITNESSES = (
+    (["scan", "--path=q-to-1", "--format=text"],
+     ["params.mu0 = 1e300", "params.nu0 = 1e300"]),
+    (["scan", "--path=hbar-to-0", "--beta=1e306", "--n=999990..1000000",
+      "--format=csv"], None),
+)
+# the refusal of such a cell names its row by the step t = 2^-step of a
+# path walked in t, or by the n of hbar-to-0
+PATH_OVERFLOW = re.compile(r"path cell \w+ overflows at (step|n) = ")
 
 
 def _refusal_forms(argv):
@@ -391,9 +409,10 @@ def _refusal_forms(argv):
 
 def test_draws_reach_every_refusal_form(config_dir, monkeypatch):
     # the derandomized draws of the property test, its @examples aside, end
-    # in each form's refusal at least once: a rule that only an @example
-    # witnesses is one edit away from going unwatched
-    main, refused = cli.main, set()
+    # in each form's refusal at least once, and in the refusal of a path
+    # cell that overflows on a path walked in t and on hbar-to-0: a rule
+    # that only an @example witnesses is one edit away from going unwatched
+    main, refused, overflowed = cli.main, set(), set()
 
     def recording(argv):
         out = io.StringIO()
@@ -403,13 +422,19 @@ def test_draws_reach_every_refusal_form(config_dir, monkeypatch):
         finally:
             print(out.getvalue(), end="")
         drawn = [arg for arg in argv if not arg.startswith("--config=")]
+        paths = [arg.split("=", 1)[1] for arg in argv if arg.startswith("--config=")]
+        config = Path(paths[0]).read_text().splitlines() if paths else None
         if code == 2 and "must lie in" in out.getvalue() and drawn not in WITNESSES:
             refused.update(_refusal_forms(argv))
+        overflow = PATH_OVERFLOW.search(out.getvalue())
+        if overflow and (drawn, config) not in OVERFLOW_WITNESSES:
+            overflowed.add(overflow[1])
         return code
 
     monkeypatch.setattr(cli, "main", recording)
     test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir=config_dir)
     assert refused == set(REFUSALS)
+    assert overflowed == {"step", "n"}
 
 
 def _usage_exit(argv):

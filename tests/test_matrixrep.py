@@ -441,23 +441,28 @@ def test_parity_basis_factors_the_even_odd_block_at_cli_sizes(dim):
     assert np.all(spectrum[odd:] == 0.0)
 
 
-def test_parity_basis_is_one_eigensolve_and_no_svd(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shape of each matrix that np.linalg.eigh is called on, in order."""
+    shapes, eigh = [], np.linalg.eigh
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        shapes.append(args[0].shape)
         return eigh(*args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
+def test_parity_basis_is_one_eigensolve_and_no_svd(monkeypatch, eigh_shapes):
     def refused(*args, **kwargs):
         raise AssertionError("the parity basis takes no SVD")
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(np.linalg, "svd", refused)
     for dim in (16, 17):
-        calls.clear()
+        eigh_shapes.clear()
         matrixrep._parity_basis(dim)
-        assert calls == [((dim + 1) // 2, (dim + 1) // 2)]
+        assert eigh_shapes == [((dim + 1) // 2, (dim + 1) // 2)]
 
 
 # The SVD route judges the eigensolve route.  Over a sweep of 138 points
@@ -512,9 +517,13 @@ ROUNDOFF_FLIPS = {
 PAIRS = {"equal": (1.0, 1.0), "nu_half": (1.0, 0.5), "mu_zero": (0.0, 1.0)}
 
 
+# the N of the grid below, and of the scans over it (tests/test_cli.py)
+LEADING_BLOCK_DIMS = (3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 127, 128, 255, 256,
+                      511, 512, 1024, 2048)
+
+
 def _leading_block_cases():
-    dims = [3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 127, 128, 255, 256, 511, 512]
-    for dim in dims + [1024, 2048]:
+    for dim in LEADING_BLOCK_DIMS:
         # M = N - 1 is solved at N by either route, so it is left out above
         # N = 512, where it would cost seconds and test nothing new
         interiors = (2, 8, dim // 4, dim // 2) + ((dim - 1,) if dim <= 512 else ())
@@ -548,19 +557,45 @@ def test_leading_block_matches_full_solve(monkeypatch, dim, interior, scale, pai
     (2048, 8, 0.21875, 0.21875),
 ])
 def test_residual_takes_one_eigensolve_of_the_leading_block(
-    monkeypatch, dim, interior, mu, nu
+    eigh_shapes, dim, interior, mu, nu
 ):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
     identity_residual(dim, interior, mu, nu)
     size = (matrixrep.solved_dim(dim, interior, mu, nu) + 1) // 2
-    assert calls == [(size, size)]
+    assert eigh_shapes == [(size, size)]
+
+
+# (scale, mu factor, nu factor) of a scan over LEADING_BLOCK_DIMS: mu and nu
+# are held at factor * scale / sqrt(2 * 2048), so that max(mu, nu) sqrt(2N)
+# stays within the scale at every N of it
+LEADING_BLOCK_SCANS = [(0.0, 1.0, 1.0), (2.0, 1.0, 1.0), (6.0, 1.0, 0.5),
+                       (12.8, 0.0, 1.0), (14.0, 1.0, 1.0), (14.0, 1.0, 0.5)]
+
+
+@pytest.mark.parametrize("interior", [2, 8, 64, 512])
+@pytest.mark.parametrize("scale, mu_factor, nu_factor", LEADING_BLOCK_SCANS)
+def test_residuals_solve_each_distinct_leading_block_once(
+    eigh_shapes, interior, scale, mu_factor, nu_factor
+):
+    mu, nu = (f * scale / math.sqrt(2 * 2048) for f in (mu_factor, nu_factor))
+    dims = [n for n in LEADING_BLOCK_DIMS if n > interior]
+    expected = [identity_residual(n, interior, mu, nu) for n in dims]
+    eigh_shapes.clear()
+    assert matrixrep.identity_residuals(dims, interior, mu, nu) == expected
+    blocks = {matrixrep.solved_dim(n, interior, mu, nu) for n in dims}
+    sizes = sorted((block + 1) // 2 for block in blocks)
+    assert sorted(eigh_shapes) == [(size, size) for size in sizes]
+
+
+def test_residuals_run_every_guard_before_any_solve(eigh_shapes):
+    # 0.5 sqrt(2N) is 22.4 at N = 1000, solved at N' = 66, and 25.01 at
+    # N = 1251, past the guard: the guard at the largest N refuses the scan
+    assert matrixrep.solved_dim(1000, 8, 0.5, 0.5) == 66
+    with pytest.raises(ValueError) as raised:
+        matrixrep.identity_residuals([1000, 1251], 8, 0.5, 0.5)
+    assert str(raised.value) == (
+        "overflow guard: mu * sqrt(2N) exceeds 25.0 at mu=0.5, N=1251"
+    )
+    assert eigh_shapes == []
 
 
 def test_solved_dim_at_the_documented_points():
