@@ -7,10 +7,11 @@ Three engines check the same structure from independent directions:
 * :mod:`qdeform.matrixrep` -- truncated oscillator-basis engine; quantifies
   how the identity survives finite dimension.
 * :mod:`qdeform.clockshift` -- exact finite Weyl pairs realizing the
-  quantum-plane relation PX = qXP, plus the scaling-path bookkeeping.
+  quantum-plane relation PX = qXP.
 
-:mod:`qdeform.params` owns the contraction paths and the parsing of SI
-quantities; :mod:`qdeform.cli` is the reporting front end.
+:mod:`qdeform.params` owns the tables of all three contraction paths
+(q-to-1, omega-to-0 and hbar-to-0) and the parsing of SI quantities;
+:mod:`qdeform.cli` is the reporting front end.
 """
 
 __version__ = "0.1.0"

@@ -22,8 +22,10 @@ or argparse.  The rows load in addition:
   run on integers alone and never load numpy;
 * ``verify`` and ``scan --engine matrix``: matrixrep and numpy, but not
   dataclasses;
-* ``verify --engine clock-shift``, ``scan --engine clock-shift --dims``
-  and ``scan --path hbar-to-0``: clockshift and numpy;
+* ``verify --engine clock-shift`` and ``scan --engine clock-shift
+  --dims``: clockshift and numpy;
+* ``scan --path hbar-to-0``: numpy, inside params.scaling_columns, but
+  not clockshift or dataclasses;
 * ``scan --engine clock-shift --alpha``, ``scan --path q-to-1`` and
   ``omega-to-0``: nothing more; their cells are plain floats.
 
@@ -36,7 +38,6 @@ mu, nu and the interior block through one reader, :func:`_matrix_inputs`.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 import sys
@@ -291,24 +292,12 @@ def _scan_clockshift_grid(args, cfg) -> VerificationReport:
     return VerificationReport.build("clock-shift", command, parameters, metrics, table)
 
 
-def _refuse_overflow(columns: dict, index: str, values: Sequence, inputs: str) -> None:
-    """Refuse a path table with a cell that overflowed, naming the column,
-    the row and the inputs that made it.  A column that is one repeated
-    cell is an input the path has checked, and is passed over."""
-    for name, cells in columns.items():
-        if not isinstance(cells, list):
-            continue
-        finite = list(map(math.isfinite, cells))
-        if not all(finite):
-            row = finite.index(False)
-            raise ValueError(
-                f"path cell {name} overflows at {index} = {values[row]} ({inputs})"
-            )
-
-
 def _scan_hbar(args, cfg) -> VerificationReport:
-    from . import clockshift
+    """scan --path hbar-to-0, walked in n.
 
+    Every point's exchange phase e^(-i*theta) is e^(-i*alpha): theta is
+    kept as the pair (alpha, n), so the table has nothing to gate.
+    """
     alpha = args.alpha if args.alpha is not None else config.get_float(
         cfg, "params.alpha"
     )
@@ -316,15 +305,8 @@ def _scan_hbar(args, cfg) -> VerificationReport:
     ntext = args.n if args.n is not None else "0..5"
     ns = parse_int_list(ntext, "--n", 0, MAX_N)
     command = f"scan --path hbar-to-0 --alpha {alpha} --beta {beta} --n {ntext}"
-    mu, nu = (column.tolist() for column in clockshift.scaling_columns(alpha, beta, ns))
-    _refuse_overflow({"mu": mu, "nu": nu}, "n", ns, f"alpha={alpha}, beta={beta}")
-    # every point's exchange phase e^(-i*theta) is e^(-i*alpha): theta is
-    # kept as the pair (alpha, n), so the table has nothing to gate
-    phase = cmath.exp(-1j * alpha)
-    table = Table(
-        ("n", "mu", "nu", "theta_mod_2pi", "phase_re", "phase_im"),
-        (ns, mu, nu, alpha, phase.real, phase.imag),
-    )
+    columns = params.scaling_columns(alpha, beta, ns)
+    table = Table(("n", *columns), [ns, *columns.values()])
     parameters = {"alpha": alpha, "beta": beta, "n_count": len(ns)}
     return VerificationReport.build("params", command, parameters, [], table)
 
@@ -344,7 +326,6 @@ def _scan_contraction(args, cfg) -> VerificationReport:
     command = f"scan --path {path.name} --n {ntext}"
     # omega-to-0's mu is one repeated cell, mu0
     columns = path.columns(steps)
-    _refuse_overflow(columns, "step", steps, f"params.mu0={mu0}, params.nu0={nu0}")
     table = Table(("step", *columns), [steps, *columns.values()])
     parameters = {"path": path.name, "mu0": mu0, "nu0": nu0, "steps": len(steps)}
     return VerificationReport.build("params", command, parameters, [], table)

@@ -4,12 +4,6 @@ A Weyl pair at level k in dimension N -- the cyclic shift U and the
 clock V = diag(omega^(j*k)) with omega = exp(2*pi*i/N) -- satisfies
 V U = e^(i*alpha) U V with alpha = 2*pi*k/N, hence U V = q V U with
 q = e^(-i*alpha) = (1 + e^(-i*alpha)) / (1 + e^(i*alpha)).
-
-The scaling path nu = beta*sqrt(alpha + 2*pi*n), mu = sqrt(alpha +
-2*pi*n)/beta keeps theta = mu*nu equal to alpha + 2*pi*n by construction
-(stored as the pair (alpha, n), never as a rounded product), so the
-exchange phase e^(-i*theta) and the tan(theta/2) factor of the identity
-prefactor depend on alpha alone.
 """
 
 from __future__ import annotations
@@ -17,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -168,44 +161,3 @@ def eq8_residual(pair: ClockShiftPair) -> float:
     r = (q + 1) / 2j * (s - _next(s)) + (q - 1) / 2 * (k + _next(k))
     return float(np.max(np.abs(r)))
 
-
-def _smallest(ns: Sequence[int]) -> int:
-    """The least of a non-empty sequence of ints; a range's is one of its
-    ends, read without a pass over it."""
-    if isinstance(ns, range):
-        return min(ns[0], ns[-1])
-    return min(ns)
-
-
-def scaling_columns(
-    alpha: float, beta: float, ns: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """mu = sqrt(theta)/beta and nu = beta*sqrt(theta) of the path at each
-    requested n, as arrays, with theta = alpha + 2*pi*n.
-
-    Each entry is the IEEE result of those operations on one n, as a
-    per-point computation gives it: n is held as int64, so each n must
-    lie below 2^63, and cast to float with rounding to nearest-even, as
-    float(n) rounds.  alpha is theta mod 2*pi, so it must lie in
-    (-pi, pi]; mu and nu are square roots of theta, so no requested n may
-    make theta negative.
-    """
-    if not -math.pi < alpha <= math.pi:
-        raise ValueError(f"alpha must lie in (-pi, pi], got alpha={alpha}")
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be > 0 and finite, got beta={beta}")
-    if _smallest(ns) < 0:
-        raise ValueError("n must be >= 0")
-    if isinstance(ns, range):
-        n = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
-    else:
-        n = np.array(ns, dtype=np.int64)
-    theta = alpha + (2.0 * math.pi) * n.astype(float)
-    negative = np.flatnonzero(theta < 0)
-    if negative.size:
-        raise ValueError(
-            f"alpha + 2*pi*n must be >= 0, got alpha={alpha} at n={ns[negative[0]]}"
-        )
-    root = np.sqrt(theta)
-    with np.errstate(over="ignore"):  # inf, as float arithmetic gives it
-        return root / beta, beta * root

@@ -2,29 +2,31 @@
 
 The engines work in natural units (hbar = m = c = 1).  This module owns
 the parsing of SI quantities with their unit tags, the one rule for the
-pole at theta = pi (mod 2*pi), and the executable contraction paths
-between the deformation regimes:
+pole at theta = pi (mod 2*pi), and the tables of the three contraction
+paths between the deformation regimes:
 
 * ``q-to-1``     mu, nu -> 0 together: back to the Heisenberg algebra.
 * ``omega-to-0`` nu -> 0 at fixed mu: the oscillator interaction is
   switched off, leaving the free-particle deformation of p alone.
 * ``hbar-to-0``  mu, nu -> infinity along the scaling path: the
-  quantum-plane regime, from which hbar has dropped out.  It is walked
-  in n, not t, by :func:`qdeform.clockshift.scaling_columns`.
+  quantum-plane regime, from which hbar has dropped out.
 
-The first two are walked in t = 2^-step by one method,
-:meth:`ContractionPath.columns`, which computes each column of a path
-table over all its steps in one pass; :meth:`ContractionPath.point` is
-its one-row view at any t in (0, 1].
+The first two are walked in t = 2^-step by :meth:`ContractionPath.columns`,
+which computes each column of a path table over all its steps in one
+pass; :meth:`ContractionPath.point` is its one-row view at any t in
+(0, 1].  hbar-to-0 is walked in n by :func:`scaling_columns`.  Both
+builders refuse a table with a cell that overflows.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-PATH_NAMES = ("q-to-1", "hbar-to-0", "omega-to-0")
+# the paths walked in t; hbar-to-0 is walked in n, by scaling_columns
+PATH_NAMES = ("q-to-1", "omega-to-0")
 
 # the pole band |1 + cos(theta)| <= POLE_TOL around theta = pi (mod 2*pi):
 # pi +- 4e-5 lies inside it, pi +- 5e-5 outside
@@ -74,12 +76,16 @@ class ContractionPath(_PathFields):
         # _replace builds through _make, which would skip the checks above
         return cls(*iterable)
 
-    def columns(self, steps: Iterable[int]) -> dict:
+    def columns(self, steps: Sequence[int]) -> dict:
         """The path's table at t = 2^-step for each step in 0..1074, one
         column per name: ``t``, ``mu``, ``nu``, on omega-to-0
         ``omega_ratio``, and ``q``.  Each is a list of floats with one
-        cell per step, except omega-to-0's ``mu``, which is mu0 alone."""
-        return self._at([2.0 ** -k for k in steps])
+        cell per step, except omega-to-0's ``mu``, which is mu0 alone.
+        A cell that overflows is refused."""
+        columns = self._at([2.0 ** -k for k in steps])
+        inputs = f"params.mu0={self.mu0}, params.nu0={self.nu0}"
+        _refuse_overflow(columns, "step", steps, inputs)
+        return columns
 
     def point(self, t: float) -> dict:
         """The path's row at one t in (0, 1]: each column's cell."""
@@ -93,8 +99,6 @@ class ContractionPath(_PathFields):
     def _at(self, t: list) -> dict:
         # mu = t * mu0, nu = t * nu0, omega_ratio = nu / mu0 and
         # q = 1 + mu * nu / 2, one column at a time
-        if self.name == "hbar-to-0":
-            raise ValueError(f"{self.name} is walked in n, not in t")
         mu0, nu0 = self.mu0, self.nu0
         nu = [x * nu0 for x in t]
         if self.name == "omega-to-0":
@@ -108,6 +112,56 @@ class ContractionPath(_PathFields):
         mu = [x * mu0 for x in t]
         q = [1.0 + m * n / 2.0 for m, n in zip(mu, nu)]
         return {"t": t, "mu": mu, "nu": nu, "q": q}
+
+
+def scaling_columns(alpha: float, beta: float, ns: Sequence[int]) -> dict:
+    """The hbar-to-0 table at each n: lists ``mu`` = sqrt(theta)/beta and
+    ``nu`` = beta*sqrt(theta), theta = alpha + 2*pi*n, and the repeated
+    cells ``theta_mod_2pi`` = alpha, ``phase_re`` and ``phase_im``.
+    theta is kept as the pair (alpha, n), so the exchange phase
+    e^(-i*theta) is e^(-i*alpha) at every n.  n is held as int64 (below
+    2^63) and cast to float as float(n) rounds."""
+    import numpy as np
+
+    if not -math.pi < alpha <= math.pi:
+        raise ValueError(f"alpha must lie in (-pi, pi], got alpha={alpha}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be > 0 and finite, got beta={beta}")
+    if isinstance(ns, range):
+        n = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
+    else:
+        n = np.array(ns, dtype=np.int64)
+    if n.min() < 0:
+        raise ValueError("n must be >= 0")
+    theta = alpha + (2.0 * math.pi) * n.astype(float)
+    negative = np.flatnonzero(theta < 0)
+    if negative.size:
+        raise ValueError(
+            f"alpha + 2*pi*n must be >= 0, got alpha={alpha} at n={ns[negative[0]]}"
+        )
+    root = np.sqrt(theta)
+    with np.errstate(over="ignore"):  # inf, refused below by name
+        mu, nu = root / beta, beta * root
+    phase = cmath.exp(-1j * alpha)
+    columns = {"mu": mu.tolist(), "nu": nu.tolist(), "theta_mod_2pi": alpha,
+               "phase_re": phase.real, "phase_im": phase.imag}
+    _refuse_overflow(columns, "n", ns, f"alpha={alpha}, beta={beta}")
+    return columns
+
+
+def _refuse_overflow(columns: dict, index: str, values: Sequence, inputs: str) -> None:
+    """Refuse a path table with a cell that overflowed, naming the column,
+    the row and the inputs that made it.  A column that is one repeated
+    cell is an input the path has checked, and is passed over."""
+    for name, cells in columns.items():
+        if not isinstance(cells, list):
+            continue
+        finite = list(map(math.isfinite, cells))
+        if not all(finite):
+            row = finite.index(False)
+            raise ValueError(
+                f"path cell {name} overflows at {index} = {values[row]} ({inputs})"
+            )
 
 
 def parse_quantity(text: str, unit: Optional[str] = None) -> float:

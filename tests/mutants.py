@@ -103,10 +103,24 @@ MUTANTS = (
     ),
     Mutant(
         "scaling path divides by beta as a product with 1/beta",
-        "src/qdeform/clockshift.py",
-        "return root / beta, beta * root",
-        "return root * (1 / beta), beta * root",
-        ("tests/test_clockshift.py::test_scaling_columns_match_points_bit_for_bit",),
+        "src/qdeform/params.py",
+        "mu, nu = root / beta, beta * root",
+        "mu, nu = root * (1 / beta), beta * root",
+        ("tests/test_params.py::test_scaling_columns_match_points_bit_for_bit",),
+    ),
+    Mutant(
+        "the hbar exchange phase is e^(+i alpha)",
+        "src/qdeform/params.py",
+        "phase = cmath.exp(-1j * alpha)",
+        "phase = cmath.exp(1j * alpha)",
+        ("tests/test_acceptance.py::test_scaling_limit_phase_invariance",),
+    ),
+    Mutant(
+        "the path overflow refusal lets an infinite cell through",
+        "src/qdeform/params.py",
+        "        if not all(finite):\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_scan_hbar_path_overflow_is_named_error",),
     ),
     Mutant(
         "row separator folds the tail columns in after the head",
@@ -435,17 +449,17 @@ MUTANTS = (
     ),
     Mutant(
         "least n of a range read from its start alone",
-        "src/qdeform/clockshift.py",
-        "return min(ns[0], ns[-1])",
-        "return ns[0]",
-        ("tests/test_clockshift.py::test_scaling_columns_refuse_as_points_do",),
+        "src/qdeform/params.py",
+        "if n.min() < 0:",
+        "if n[0] < 0:",
+        ("tests/test_params.py::test_scaling_columns_refuse_as_points_do",),
     ),
     Mutant(
         "a range of n is spread in float, not in int64",
-        "src/qdeform/clockshift.py",
+        "src/qdeform/params.py",
         "n = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)",
         "n = np.arange(ns.start, ns.stop, ns.step, dtype=float)",
-        ("tests/test_clockshift.py::test_scaling_columns_match_points_bit_for_bit",),
+        ("tests/test_params.py::test_scaling_columns_match_points_bit_for_bit",),
     ),
     Mutant(
         "clock phases at the quadrant angles left to cos and sin",

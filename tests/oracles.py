@@ -485,7 +485,7 @@ def dense_eq8_residual(dim: int, level: int) -> float:
 class ScalingPoint:
     """One step of the large-n limit; mu, nu derived lazily from (alpha, beta, n).
 
-    The judge of clockshift.scaling_columns, one object and one set of
+    The judge of params.scaling_columns, one object and one set of
     float operations per n.
     """
 

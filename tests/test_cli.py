@@ -1185,6 +1185,12 @@ def test_periodicity_scan_never_loads_numpy():
     assert _run_fresh(argvs, ("numpy", "qdeform.clockshift")) == [[0], []]
 
 
+def test_hbar_path_never_loads_the_pair_engine():
+    # params builds its table with numpy alone: no clockshift, no record type
+    argvs = [["scan", "--path", "hbar-to-0", "--n", "0..100"]]
+    assert _run_fresh(argvs, ("qdeform.clockshift", "dataclasses")) == [[0], []]
+
+
 def test_symbolic_verify_and_expand_never_load_numpy():
     # nor dataclasses or datetime: they run on integers and the report alone
     argvs = [["verify", "--engine", "symbolic", "--degree", "4"]] + [

@@ -367,13 +367,6 @@ def test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir, argv, config)
             _strict_json(rerun.getvalue())
 
 
-# the @example witnesses of the four REFUSALS forms, which are not draws
-WITNESSES = (
-    ["scan", "--engine=matrix", "--dims="],
-    ["scan", "--path=hbar-to-0", "--n=5..0"],
-    ["scan", "--path=q-to-1", "--n=" + "7" * 5000],
-    ["verify", "--engine=clock-shift", "--dim=16", "--level=16"],
-)
 # the @examples that end in a path cell that overflows, with their configs
 OVERFLOW_WITNESSES = (
     (["scan", "--path=q-to-1", "--format=text"],
@@ -407,12 +400,29 @@ def _refusal_forms(argv):
     return forms
 
 
-def test_draws_reach_every_refusal_form(config_dir, monkeypatch):
+@pytest.mark.parametrize("form", sorted(REFUSALS))
+def test_draws_aimed_at_a_refusal_form_end_in_it(form):
+    # every draw of a row with one flag at the form's values ends in the
+    # form's refusal, whatever the order of the property test's strategies:
+    # a rule that only an @example witnesses is one edit away from going
+    # unwatched
+    @settings(max_examples=20)
+    @given(argv=route_commands(form))
+    def aimed(argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        assert code == 2 and "must lie in" in out.getvalue(), argv
+        assert form in _refusal_forms(argv), argv
+
+    aimed()
+
+
+def test_draws_reach_the_path_overflow_refusals(config_dir, monkeypatch):
     # the derandomized draws of the property test, its @examples aside, end
-    # in each form's refusal at least once, and in the refusal of a path
-    # cell that overflows on a path walked in t and on hbar-to-0: a rule
-    # that only an @example witnesses is one edit away from going unwatched
-    main, refused, overflowed = cli.main, set(), set()
+    # in the refusal of a path cell that overflows, on a path walked in t
+    # and on hbar-to-0
+    main, overflowed = cli.main, set()
 
     def recording(argv):
         out = io.StringIO()
@@ -424,8 +434,6 @@ def test_draws_reach_every_refusal_form(config_dir, monkeypatch):
         drawn = [arg for arg in argv if not arg.startswith("--config=")]
         paths = [arg.split("=", 1)[1] for arg in argv if arg.startswith("--config=")]
         config = Path(paths[0]).read_text().splitlines() if paths else None
-        if code == 2 and "must lie in" in out.getvalue() and drawn not in WITNESSES:
-            refused.update(_refusal_forms(argv))
         overflow = PATH_OVERFLOW.search(out.getvalue())
         if overflow and (drawn, config) not in OVERFLOW_WITNESSES:
             overflowed.add(overflow[1])
@@ -433,7 +441,6 @@ def test_draws_reach_every_refusal_form(config_dir, monkeypatch):
 
     monkeypatch.setattr(cli, "main", recording)
     test_every_argv_ends_in_a_verdict_or_a_named_error(config_dir=config_dir)
-    assert refused == set(REFUSALS)
     assert overflowed == {"step", "n"}
 
 

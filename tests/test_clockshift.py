@@ -12,7 +12,6 @@ from qdeform.clockshift import (
     eq8_residual,
     q_from_alpha,
     qplane_residuals,
-    scaling_columns,
     v_unitary_defect,
     verify_qplane,
 )
@@ -26,7 +25,6 @@ from oracles import (
     prefactor_periodicity,
     root_of_unity,
     scaling_path,
-    scaling_points,
 )
 
 
@@ -283,56 +281,6 @@ def test_exchange_phase_constant_along_path():
     ref = points[0].exchange_phase()
     assert all(pt.exchange_phase() == ref for pt in points)
     assert ref == cmath.exp(-1j)
-
-
-SCALING_CASES = [
-    (1.0, 1.0, range(6)),
-    (-1.0, 1.5, range(1, 41)),  # negative alpha, positive theta
-    (0.7, 0.3, [7, 0, 3]),  # unsorted
-    (math.pi, 2.5, [4]),  # single n, alpha at the top of its range
-    (-3.1, 0.8, range(999_000, 1_000_001)),  # n up to 10^6
-    (1e-300, 1e-300, [0, 1, 10**15, 2**62]),
-    # n held as int64 and cast to float, which rounds a tie to even as
-    # float(n) does: ranges either way across 2^53 + 1 and up to 2^62
-    (0.3, 1.1, range(2**53 - 500, 2**53 + 501)),
-    (0.3, 1.1, range(2**53 + 1 + 7 * 300, 2**53 + 1 - 7 * 300, -7)),
-    (-2.0, 0.9, range(2**62 - 1001 * 300, 2**62 + 1, 1001)),
-    (-2.0, 0.9, range(2**62, 2**62 - 3 * 400, -3)),
-    (1.0, 1.0, [2**53 + 1, 2**53 + 3, 2**62 - 1, 2**62 - 511, 2**62]),
-]
-
-
-@pytest.mark.parametrize("alpha,beta,ns", SCALING_CASES)
-def test_scaling_columns_match_points_bit_for_bit(alpha, beta, ns):
-    mu, nu = scaling_columns(alpha, beta, ns)
-    points = scaling_points(alpha, beta, ns)
-    assert mu.tolist() == [pt.mu for pt in points]
-    assert nu.tolist() == [pt.nu for pt in points]
-
-
-@pytest.mark.parametrize(
-    "alpha,beta,ns",
-    [
-        (4.0, 0.0, [-1]),  # alpha's range first
-        (-1.0, 0.0, [-1, 0]),  # then beta
-        (-1.0, float("nan"), [0]),
-        (-1.0, 1.0, [3, -1, 0]),  # then n
-        (-1.0, 1.0, [3, 0, -1]),
-        # a range's least n at its start, or at its end when it falls
-        (-1.0, 1.0, range(-3, 5)),
-        (-1.0, 1.0, range(5, -3, -1)),
-        (-1.0, 1.0, range(4, -8, -3)),
-        (-1.0, 1.0, [3, 0, 2]),  # then alpha, named at the first such n
-        (-0.5, 2.0, [5, 0]),
-    ],
-)
-def test_scaling_columns_refuse_as_points_do(alpha, beta, ns):
-    with pytest.raises(ValueError) as expected:
-        scaling_points(alpha, beta, ns)
-    # the whole message: "n must be >= 0" is also the tail of the theta error
-    with pytest.raises(ValueError) as refused:
-        scaling_columns(alpha, beta, ns)
-    assert str(refused.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

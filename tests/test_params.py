@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from qdeform import weyl
-from qdeform.clockshift import scaling_columns
-from qdeform.params import PATH_NAMES, ContractionPath, parse_quantity
+from qdeform.params import PATH_NAMES, ContractionPath, parse_quantity, scaling_columns
 from qdeform.rational import MINUS_I
 
 from oracles import (
@@ -22,6 +21,7 @@ from oracles import (
     derive_scales,
     parameter_set_from_config,
     q_of_omega,
+    scaling_points,
     to_config_text,
 )
 
@@ -181,15 +181,15 @@ def test_omega_to_zero_path_keeps_mu():
 
 
 def test_hbar_to_zero_path_walks_the_scaling_ladder():
-    # the ladder is walked in n, by clockshift.scaling_columns alone
-    with pytest.raises(ValueError, match="hbar-to-0 is walked in n, not in t"):
-        ContractionPath("hbar-to-0").point(1.0)
+    # the ladder is walked in n, by scaling_columns alone
+    with pytest.raises(ValueError, match="unknown contraction path 'hbar-to-0'"):
+        ContractionPath("hbar-to-0")
     ns = [0, 2, 99]
-    mu, nu = scaling_columns(1.0, 1.0, ns)
-    for n, mu_n, nu_n in zip(ns, mu, nu):
+    columns = scaling_columns(1.0, 1.0, ns)
+    for n, mu_n, nu_n in zip(ns, columns["mu"], columns["nu"]):
         sp = ScalingPoint(alpha=1.0, beta=1.0, n=n)
         assert (mu_n, nu_n) == (sp.mu, sp.nu)
-    assert mu[-1] > 20.0  # diverging parameters
+    assert columns["mu"][-1] > 20.0  # diverging parameters
 
 
 def _bits(cells) -> bytes:
@@ -214,6 +214,89 @@ def test_path_columns_match_the_formulas_bit_for_bit(name, mu0, nu0):
     for k in steps:
         assert tuple(path.point(2.0**-k)) == CONTRACTION_COLUMNS[name]
         assert _bits(path.point(2.0**-k).values()) == _bits(rows[k])
+
+
+SCALING_CASES = [
+    (1.0, 1.0, range(6)),
+    (-1.0, 1.5, range(1, 41)),  # negative alpha, positive theta
+    (0.7, 0.3, [7, 0, 3]),  # unsorted
+    (math.pi, 2.5, [4]),  # single n, alpha at the top of its range
+    (-3.1, 0.8, range(999_000, 1_000_001)),  # n up to 10^6
+    (1e-300, 1e-300, [0, 1, 10**15]),
+    (1e-300, 1e-300, [0, 1, 10**15, 2**62]),  # mu overflows at 2^62
+    # n held as int64 and cast to float, which rounds a tie to even as
+    # float(n) does: ranges either way across 2^53 + 1 and up to 2^62
+    (0.3, 1.1, range(2**53 - 500, 2**53 + 501)),
+    (0.3, 1.1, range(2**53 + 1 + 7 * 300, 2**53 + 1 - 7 * 300, -7)),
+    (-2.0, 0.9, range(2**62 - 1001 * 300, 2**62 + 1, 1001)),
+    (-2.0, 0.9, range(2**62, 2**62 - 3 * 400, -3)),
+    (1.0, 1.0, [2**53 + 1, 2**53 + 3, 2**62 - 1, 2**62 - 511, 2**62]),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,ns", SCALING_CASES)
+def test_scaling_columns_match_points_bit_for_bit(alpha, beta, ns):
+    points = scaling_points(alpha, beta, ns)
+    expected = {"mu": [pt.mu for pt in points], "nu": [pt.nu for pt in points]}
+    infinite = [
+        (name, pt.n)
+        for name, cells in expected.items()
+        for pt, cell in zip(points, cells)
+        if math.isinf(cell)
+    ]
+    if infinite:  # the first infinite cell, column by column, is refused
+        name, n = infinite[0]
+        named = rf"^path cell {name} overflows at n = {n} "
+        with pytest.raises(ValueError, match=named):
+            scaling_columns(alpha, beta, ns)
+        return
+    columns = scaling_columns(alpha, beta, ns)
+    phase = cmath.exp(-1j * alpha)
+    assert tuple(columns) == ("mu", "nu", "theta_mod_2pi", "phase_re", "phase_im")
+    assert _bits(columns["mu"]) == _bits(expected["mu"])
+    assert _bits(columns["nu"]) == _bits(expected["nu"])
+    cells = [columns[name] for name in ("theta_mod_2pi", "phase_re", "phase_im")]
+    assert _bits(cells) == _bits([alpha, phase.real, phase.imag])
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,ns",
+    [
+        (4.0, 0.0, [-1]),  # alpha's range first
+        (-1.0, 0.0, [-1, 0]),  # then beta
+        (-1.0, float("nan"), [0]),
+        (-1.0, 1.0, [3, -1, 0]),  # then n
+        (-1.0, 1.0, [3, 0, -1]),
+        # a range's least n at its start, or at its end when it falls
+        (-1.0, 1.0, range(-3, 5)),
+        (-1.0, 1.0, range(5, -3, -1)),
+        (-1.0, 1.0, range(4, -8, -3)),
+        (-1.0, 1.0, [3, 0, 2]),  # then alpha, named at the first such n
+        (-0.5, 2.0, [5, 0]),
+    ],
+)
+def test_scaling_columns_refuse_as_points_do(alpha, beta, ns):
+    with pytest.raises(ValueError) as expected:
+        scaling_points(alpha, beta, ns)
+    # the whole message: "n must be >= 0" is also the tail of the theta error
+    with pytest.raises(ValueError) as refused:
+        scaling_columns(alpha, beta, ns)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_overflowing_path_cells_are_refused_by_the_builders():
+    # at the first infinite cell of the first column that has one, naming
+    # the inputs as the CLI names them
+    with pytest.raises(ValueError) as walked_in_t:
+        ContractionPath("q-to-1", 1e300, 1e300).columns([0])
+    assert str(walked_in_t.value) == (
+        "path cell q overflows at step = 0 (params.mu0=1e+300, params.nu0=1e+300)"
+    )
+    with pytest.raises(ValueError) as walked_in_n:
+        scaling_columns(1.0, 1e306, [999999])
+    assert str(walked_in_n.value) == (
+        "path cell nu overflows at n = 999999 (alpha=1.0, beta=1e+306)"
+    )
 
 
 def test_path_variable_range():
